@@ -30,8 +30,7 @@ def main():
     print("indices per column sub-vector:", idx.tolist())
     print("payload bytes:", layer.payload.hex())
 
-    table = build_table(params)
-    back = decode_layer(layer, table)
+    back = decode_layer(layer)
     print("\ndecode == original:", np.array_equal(back, W))
     print("storage: 2 bits/weight ternary vs",
           f"{layer.payload_bit_length() / W.size:.3f} bits/weight indexed")

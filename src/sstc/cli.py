@@ -46,7 +46,11 @@ def _parse_code(text) -> CodeParams:
 
 
 def _parse_dataset(spec, seed=0):
-    """Dataset spec: 'idx:DIR' (or a bare directory) or 'synthetic:k=v,...'."""
+    """(X_train, y_train, X_test, y_test) for a dataset spec.
+
+    Spec: 'idx:DIR' (or a bare directory) or 'synthetic:k=v,...'; the
+    synthetic set fills both splits.
+    """
     if spec.startswith("synthetic:") or spec == "synthetic":
         opts = {}
         if ":" in spec:
@@ -60,10 +64,9 @@ def _parse_dataset(spec, seed=0):
             seed=int(opts.get("seed", seed)),
             separation=float(opts.get("separation", 3.0)),
         )
-        return X, y
+        return X, y, X, y
     directory = spec.split(":", 1)[1] if spec.startswith("idx:") else spec
-    X_train, y_train, X_test, y_test = datasets.load_digit_dataset(directory)
-    return (X_train, y_train), (X_test, y_test)
+    return datasets.load_digit_dataset(directory)
 
 
 def _parse_policy_file(path):
@@ -196,11 +199,7 @@ def cmd_report(args):
 
 def cmd_infer(args):
     model = read_model(args.model)
-    data = _parse_dataset(args.data, seed=args.seed)
-    if isinstance(data[0], tuple):  # idx dataset: use the test split
-        (_, _), (X, y) = data
-    else:
-        X, y = data
+    _, _, X, y = _parse_dataset(args.data, seed=args.seed)
     wrong = 0
     for start in range(0, len(X), 1024):
         probs = kernel.compressed_forward(model, X[start:start + 1024])
@@ -248,11 +247,7 @@ def cmd_train(args):
     if len(dims) < 2:
         raise ValidationError(f"--arch needs at least two dimensions, got {args.arch!r}")
     params = _parse_code(args.code) if args.code else None
-    data = _parse_dataset(args.data, seed=args.seed)
-    if isinstance(data[0], tuple):
-        (X, y), _test = data
-    else:
-        X, y = data
+    X, y, _, _ = _parse_dataset(args.data, seed=args.seed)
     seeds = [args.seed + i for i in range(args.seeds)]
     schedule = None
     if params:
@@ -312,23 +307,14 @@ def _verify_model(model: ModelFile, trials: int, seed: int):
     for name, layer in zip(names, model.layers):
         if layer.format.kind != "sst":
             continue
-        params = layer.format.params
-        table = build_table(params)
         try:
-            idx = store.layer_indices(layer)
-            if np.any(idx >= table.entry_count):
-                bad = int(np.argmax(idx >= table.entry_count))
-                record(f"code-validity[{name}]", False,
-                       f"index {int(idx[bad])} at position {bad} out of range "
-                       f"(T={table.entry_count})")
-                continue
+            W = decode_layer(layer)
             record(f"code-validity[{name}]", True)
-            W = decode_layer(layer, table)
             re_encoded = encode_layer(W, layer.delta, layer.format, bias=layer.bias,
                                       normalizer=layer.normalizer, layer_name=name)
             record(f"codec-roundtrip[{name}]", re_encoded.payload == layer.payload)
             if layer.format.orientation == "column":
-                comp = kernel.CompressedFCLayer(layer, table)
+                comp = kernel.CompressedFCLayer(layer, build_table(layer.format.params))
                 bias = layer.bias if layer.bias is not None else 0.0
                 ok = True
                 detail = ""

@@ -9,9 +9,9 @@ lexicographic over the trit sequence read left to right, with digit order
     (0,+1,0,0), (0,-1,0,0), (+1,0,0,0), (-1,0,0,0)
 
 Ranking (vector -> index) and unranking (index -> vector) are computed
-combinatorially in O(n) per vector, so encoding never needs a materialized
-table.  A built `CodeTable` serves as a decode accelerator and carries the
-pre-analyzed non-zero (position, sign) pairs used by the inference kernel.
+combinatorially in O(n) per vector, so neither encoding nor decoding needs
+a materialized table.  A built `CodeTable` carries the pre-analyzed
+non-zero (position, sign) pairs that the inference kernel consumes.
 """
 
 from dataclasses import dataclass, field
@@ -157,22 +157,11 @@ def unrank_subvectors(indices, params: CodeParams) -> np.ndarray:
     return out
 
 
-def _pack_trit_codes(trits: np.ndarray) -> np.ndarray:
-    """Pack each length-n trit row into a uint64 of 2-bit fields.
-
-    Field i (bits 2i..2i+1) encodes trit i as 00 -> 0, 01 -> +1, 10 -> -1.
-    """
-    codes2 = np.where(trits == -1, 2, trits).astype(np.uint64)
-    shifts = (2 * np.arange(trits.shape[1], dtype=np.uint64))[np.newaxis, :]
-    return (codes2 << shifts).sum(axis=1, dtype=np.uint64)
-
-
 @dataclass
 class CodeTable:
     """Materialized canonical enumeration of an (N, K) code.
 
-    ``codes`` stores each entry as 2-bit trit fields packed into a uint64;
-    ``trits`` is the dense int8 decode of the same entries.  ``nz_pos`` and
+    ``trits`` holds the entries as dense int8 rows.  ``nz_pos`` and
     ``nz_sign`` give, per entry, the positions and signs of its non-zeros
     (padded with zeros up to k), which is what the inference kernel consumes.
     """
@@ -181,7 +170,6 @@ class CodeTable:
     entry_count: int
     address_bits: int
     storage_bits: int
-    codes: np.ndarray = field(repr=False)
     trits: np.ndarray = field(repr=False)
     nz_pos: np.ndarray = field(repr=False)
     nz_sign: np.ndarray = field(repr=False)
@@ -221,7 +209,6 @@ def build_table(params: CodeParams, entry_cap: int = DEFAULT_ENTRY_CAP) -> CodeT
         entry_count=t_total,
         address_bits=address_bits(params),
         storage_bits=table_storage_bits(params),
-        codes=_pack_trit_codes(trits),
         trits=trits,
         nz_pos=nz_pos,
         nz_sign=nz_sign,

@@ -65,12 +65,6 @@ class CompressedFCLayer:
         self.bias = (layer.bias.astype(np.float64)
                      if layer.bias is not None else np.zeros(layer.rows))
         self.indices = layer_indices(layer)
-        if np.any(self.indices >= table.entry_count):
-            bad = int(np.argmax(self.indices >= table.entry_count))
-            raise ValidationError(
-                f"corrupt index {int(self.indices[bad])} at stream position {bad} "
-                f"(table has {table.entry_count} entries)"
-            )
         n = table.params.n
         k = table.params.k
         groups = self.rows // n
@@ -155,14 +149,12 @@ def compressed_matvec(layer: CompressedFCLayer, x) -> np.ndarray:
     return layer.matvec(x)
 
 
-def pe_trace(layer: CompressedFCLayer, x=None) -> PETrace:
+def pe_trace(layer: CompressedFCLayer) -> PETrace:
     """Operation statistics for running ``layer``; input-independent.
 
     Raises if any decoded sub-vector would exceed the k add/subtract
     budget, which cannot happen with an intact table and index stream.
     """
-    if x is not None and np.asarray(x).shape != (layer.cols,):
-        raise ValidationError(f"input length != column count {layer.cols}")
     trace = layer.trace()
     if not trace.budget_ok:
         raise ValidationError(
@@ -186,11 +178,15 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def bn_eval_affine(norm: BatchNormParams):
-    """Fold eval-phase batch norm into a per-output (scale, shift) pair."""
-    var = norm.var.astype(np.float64)
-    scale = norm.gamma.astype(np.float64) / np.sqrt(var + np.float64(np.float32(norm.eps)))
-    shift = norm.beta.astype(np.float64) - norm.mean.astype(np.float64) * scale
+def bn_eval_affine(gamma, beta, mean, var, eps):
+    """Fold eval-phase batch norm into a per-output float64 (scale, shift) pair.
+
+    Pass a stored model's float32 values to reproduce that model exactly.
+    """
+    gamma, beta, mean, var, eps = (np.asarray(a, dtype=np.float64)
+                                   for a in (gamma, beta, mean, var, eps))
+    scale = gamma / np.sqrt(var + eps)
+    shift = beta - mean * scale
     return scale, shift
 
 
@@ -220,8 +216,10 @@ def compressed_forward(model: ModelFile, X, tables: dict = None) -> np.ndarray:
             W = decode_layer(layer)
             bias = layer.bias.astype(np.float64) if layer.bias is not None else 0.0
             out = out @ W.T + bias
-        if isinstance(layer.normalizer, BatchNormParams):
-            scale, shift = bn_eval_affine(layer.normalizer)
+        norm = layer.normalizer
+        if isinstance(norm, BatchNormParams):
+            scale, shift = bn_eval_affine(norm.gamma, norm.beta, norm.mean, norm.var,
+                                          np.float32(norm.eps))
             out = out * scale + shift
         if pos < len(model.layers) - 1:
             out = np.maximum(out, 0.0)

@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bitpack
-from .codes import CodeParams, CodeTable, address_bits, rank_subvectors, table_storage_bits, unrank_subvectors
+from .codes import (CodeParams, address_bits, count_entries, rank_subvectors, table_storage_bits,
+                    unrank_subvectors)
 from .errors import ValidationError
 
 MAGIC = b"SSTW\x00\x00\x00\x00"
@@ -286,16 +287,29 @@ def encode_layer(W_q, delta, fmt: LayerFormat, bias=None, normalizer=None,
 
 
 def layer_indices(layer: EncodedLayer) -> np.ndarray:
-    """Unpacked sub-vector indices of an sst layer, in payload order."""
+    """Unpacked sub-vector indices of an sst layer, in payload order.
+
+    The one check that every index is below the entry count T: the address
+    width also admits the values T .. 2^I - 1.
+    """
     params = layer.format.params
-    return bitpack.unpack_indices(layer.payload, address_bits(params), layer.num_indices())
+    idx = bitpack.unpack_indices(layer.payload, address_bits(params), layer.num_indices())
+    t_total = count_entries(params)
+    bad = idx >= t_total
+    if np.any(bad):
+        pos = int(np.argmax(bad))
+        raise ValidationError(
+            f"corrupt index {int(idx[pos])} at stream position {pos} "
+            f"(code {params} has {t_total} entries)"
+        )
+    return idx
 
 
-def decode_layer(layer: EncodedLayer, table: CodeTable = None) -> np.ndarray:
+def decode_layer(layer: EncodedLayer) -> np.ndarray:
     """Dense weight matrix of an encoded layer.
 
-    For sst a matching `CodeTable` may be supplied as a decode accelerator;
-    otherwise entries are unranked combinatorially.
+    sst entries are unranked combinatorially, so decoding needs no
+    materialized code table.
     """
     kind = layer.format.kind
     if kind == "float32":
@@ -311,20 +325,7 @@ def decode_layer(layer: EncodedLayer, table: CodeTable = None) -> np.ndarray:
         trits = np.where(codes == 2, -1, codes).astype(np.float64).reshape(layer.rows, layer.cols)
         return trits * np.float64(layer.delta)
     params = layer.format.params
-    if table is not None:
-        if table.params != params:
-            raise ValidationError(
-                f"table is for code {table.params}, layer uses {params}"
-            )
-        idx = layer_indices(layer)
-        if np.any(idx >= table.entry_count):
-            bad = int(np.argmax(idx >= table.entry_count))
-            raise ValidationError(
-                f"index {int(idx[bad])} at position {bad} outside table of {table.entry_count}"
-            )
-        subvectors = table.trits[idx]
-    else:
-        subvectors = unrank_subvectors(layer_indices(layer), params)
+    subvectors = unrank_subvectors(layer_indices(layer), params)
     trits = _subvectors_to_matrix(subvectors, layer.rows, layer.cols, params, layer.format.orientation)
     return trits.astype(np.float64) * np.float64(layer.delta)
 

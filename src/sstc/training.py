@@ -15,7 +15,6 @@ training and on the stored running statistics (folded to an affine) at
 evaluation time.
 """
 
-import copy
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -84,15 +83,12 @@ class TrainConfig:
     epochs: int = 10
     seed: int = 0
     quantizer: QuantizerConfig = QuantizerConfig()
-    delta_refresh: str = "epoch"
 
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValidationError("learning rate must be positive")
         if not 0 < self.lr_decay < 1:
             raise ValidationError("lr decay factor must be in (0, 1)")
-        if self.delta_refresh not in ("epoch", "stage"):
-            raise ValidationError("delta_refresh must be 'epoch' or 'stage'")
 
 
 @dataclass
@@ -109,26 +105,21 @@ class TrainData:
 
 # --- normalizer primitives -------------------------------------------------
 
-def batch_norm_forward(x, gamma, beta, eps=1e-5, phase="train",
-                       running_mean=None, running_var=None):
-    """Normalize per feature; returns (out, cache) (cache None in eval).
+def batch_norm_forward(x, gamma, beta, eps=1e-5):
+    """Train-phase normalization over batch statistics; returns (out, cache).
 
-    Train phase uses batch statistics and needs at least two samples; eval
-    phase applies the affine fold of the running statistics.
+    Needs at least two samples.  The eval phase folds the running
+    statistics with `kernel.bn_eval_affine` instead.
     """
-    if phase == "train":
-        if x.shape[0] < 2:
-            raise ValidationError("batch norm needs a batch of at least 2 in train phase")
-        mu = x.mean(axis=0)
-        var = x.var(axis=0)
-        invstd = 1.0 / np.sqrt(var + eps)
-        xhat = (x - mu) * invstd
-        out = gamma * xhat + beta
-        return out, {"xhat": xhat, "invstd": invstd, "gamma": gamma,
-                     "mu": mu, "var": var}
-    scale = gamma / np.sqrt(running_var + eps)
-    shift = beta - running_mean * scale
-    return x * scale + shift, None
+    if x.shape[0] < 2:
+        raise ValidationError("batch norm needs a batch of at least 2 in train phase")
+    mu = x.mean(axis=0)
+    var = x.var(axis=0)
+    invstd = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * invstd
+    out = gamma * xhat + beta
+    return out, {"xhat": xhat, "invstd": invstd, "gamma": gamma,
+                 "mu": mu, "var": var}
 
 
 def batch_norm_backward(dout, cache):
@@ -200,11 +191,10 @@ class Layer:
     def set_mask(self, mask):
         self.mask = np.asarray(mask, dtype=np.float64)
         self.W *= self.mask
-        for name in ("W",):
-            if name in self.moments:
-                m, v = self.moments[name]
-                m *= self.mask
-                v *= self.mask
+        if "W" in self.moments:
+            m, v = self.moments["W"]
+            m *= self.mask
+            v *= self.mask
 
     def refresh_delta(self, qconfig: QuantizerConfig):
         if not self.quantizable:
@@ -243,9 +233,6 @@ class Network:
         self.step_count = 0
         self._last_pass = None
 
-    def clone(self):
-        return copy.deepcopy(self)
-
 
 def build_network(specs, seed: int = 0) -> Network:
     return Network(specs, seed)
@@ -256,7 +243,6 @@ class ForwardPass:
     probs: np.ndarray
     logits: np.ndarray
     caches: list
-    mode: str
     phase: str
 
 
@@ -285,13 +271,17 @@ def forward(net: Network, X, mode: str = "quantized", phase: str = "train") -> F
         raise ValidationError(
             f"input dim {X.shape[1]} != first layer in_dim {net.layers[0].spec.in_dim}"
         )
-    serial_numerics = mode == "quantized" and phase == "eval"
+    as_float32 = mode == "quantized" and phase == "eval"
+
+    def stored(a):
+        a = np.asarray(a, dtype=np.float64)
+        return a.astype(np.float32).astype(np.float64) if as_float32 else a
+
     out = X
     caches = []
     for pos, layer in enumerate(net.layers):
         Wuse = _layer_weight(layer, mode)
-        bias = layer.b.astype(np.float32).astype(np.float64) if serial_numerics else layer.b
-        pre = out @ Wuse.T + bias
+        pre = out @ Wuse.T + stored(layer.b)
         bn_cache = None
         if layer.spec.normalizer == "batch_norm":
             if phase == "train":
@@ -299,15 +289,10 @@ def forward(net: Network, X, mode: str = "quantized", phase: str = "train") -> F
                 mom = layer.bn_momentum
                 layer.run_mean = (1 - mom) * layer.run_mean + mom * bn_cache["mu"]
                 layer.run_var = (1 - mom) * layer.run_var + mom * bn_cache["var"]
-            elif serial_numerics:
-                stored = BatchNormParams(layer.gamma, layer.beta, layer.run_mean,
-                                         layer.run_var, layer.bn_eps)
-                scale, shift = bn_eval_affine(stored)
-                z = pre * scale + shift
             else:
-                z, _ = batch_norm_forward(pre, layer.gamma, layer.beta, layer.bn_eps,
-                                          phase="eval", running_mean=layer.run_mean,
-                                          running_var=layer.run_var)
+                scale, shift = bn_eval_affine(*(stored(a) for a in (
+                    layer.gamma, layer.beta, layer.run_mean, layer.run_var, layer.bn_eps)))
+                z = pre * scale + shift
         else:
             z = pre
         if layer.spec.activation == "relu":
@@ -318,7 +303,7 @@ def forward(net: Network, X, mode: str = "quantized", phase: str = "train") -> F
         out = act
     logits = out
     probs = softmax(logits)
-    result = ForwardPass(probs=probs, logits=logits, caches=caches, mode=mode, phase=phase)
+    result = ForwardPass(probs=probs, logits=logits, caches=caches, phase=phase)
     net._last_pass = result
     return result
 
@@ -549,7 +534,7 @@ def train_structured(net: Network, data: TrainData, schedule, config: TrainConfi
                 layer.refresh_delta(config.quantizer)
         check_code_validity(net)
         for epoch in range(stage_epochs):
-            if epoch and config.delta_refresh == "epoch":
+            if epoch:
                 for layer in net.layers:
                     layer.refresh_delta(config.quantizer)
             train_loss = _run_epoch(net, data, config, lr_state, "quantized", rng)

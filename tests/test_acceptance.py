@@ -98,7 +98,7 @@ def test_criterion_3_kernel_oracle_equivalence():
         table = tables[params]
         layer, trits, delta, bias = _random_sst_layer(rng, params, table)
         comp = CompressedFCLayer(layer, table)
-        dense = decode_layer(layer, table)
+        dense = decode_layer(layer)
         # integer mode: exact
         xi = rng.integers(-100, 101, size=layer.cols)
         if not np.array_equal(comp.accumulate(xi), trits @ xi):

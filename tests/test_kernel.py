@@ -47,8 +47,13 @@ def test_corrupt_index_rejected():
     # 5-bit indices; force one to 31 > T-1 = 16
     corrupted = layer.__class__(layer.format, layer.rows, layer.cols, layer.delta,
                                 bytes([0xF8, 0x00]), layer.bias, layer.normalizer)
-    with pytest.raises(ValidationError, match="corrupt index"):
+    message = "corrupt index 31 at stream position 0"
+    with pytest.raises(ValidationError, match=message):
         CompressedFCLayer(corrupted, build_table(CodeParams(8, 1)))
+    with pytest.raises(ValidationError, match=message):
+        decode_layer(corrupted)
+    with pytest.raises(ValidationError, match=message):
+        compressed_forward(ModelFile(layers=[corrupted]), np.zeros((1, 2)))
 
 
 def test_matches_dense_oracle_exactly_integer_mode():
@@ -65,7 +70,7 @@ def test_matches_dense_oracle_exactly_integer_mode():
             layer = encode_layer(W, delta, LayerFormat("sst", params), bias=bias)
             comp = CompressedFCLayer(layer, table)
             x = rng.integers(-100, 101, size=cols)
-            dense = decode_layer(layer, table)
+            dense = decode_layer(layer)
             assert np.array_equal(dense, W)
             want = dense_matvec(dense, x) + bias
             assert np.array_equal(compressed_matvec(comp, x), want)

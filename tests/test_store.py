@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sstc.codes import CodeParams, address_bits, build_table
+from sstc.codes import CodeParams, address_bits
 from sstc.errors import ValidationError
 from sstc.store import (BatchNormParams, EncodedLayer, LayerFormat, ModelFile,
                         WeightNormTag, decode_layer, deserialize_model,
@@ -56,7 +56,7 @@ def test_sst_codec_single_spike():
     W[2, 0] = 0.5
     layer = encode_layer(W, 0.5, LayerFormat("sst", CodeParams(8, 1)))
     assert layer.payload_bit_length() == 5
-    assert np.array_equal(decode_layer(layer, build_table(CodeParams(8, 1))), W)
+    assert np.array_equal(decode_layer(layer), W)
 
 
 def test_sst_codec_zero_matrix():
@@ -79,12 +79,11 @@ def test_worked_subvector_example():
     vec = np.array([0, 1, 0, 0, -1, 1, 0, 0], dtype=float).reshape(8, 1) * 0.25
     layer = encode_layer(vec, 0.25, LayerFormat("sst", CodeParams(8, 4)))
     assert layer.num_indices() == 1
-    assert np.array_equal(decode_layer(layer, build_table(CodeParams(8, 4))), vec)
+    assert np.array_equal(decode_layer(layer), vec)
 
 
 def test_sst_codec_roundtrip_random_layers():
     rng = np.random.default_rng(0)
-    tables = {}
     for _ in range(100):
         n = int(rng.choice([2, 4, 8, 16]))
         k = int(rng.integers(1, min(n, 4) + 1))
@@ -98,9 +97,7 @@ def test_sst_codec_roundtrip_random_layers():
         W = random_sst_trits(rng, rows, cols, params, orientation) * delta
         fmt = LayerFormat("sst", params, orientation)
         layer = encode_layer(W, delta, fmt)
-        table = tables.setdefault(params, build_table(params))
-        assert np.array_equal(decode_layer(layer, table), W)
-        assert np.array_equal(decode_layer(layer), W)  # combinatorial path
+        assert np.array_equal(decode_layer(layer), W)
 
 
 def test_sst_budget_violation_names_position():
@@ -143,13 +140,6 @@ def test_float32_roundtrip():
     W = rng.normal(size=(5, 4)).astype(np.float32).astype(np.float64)
     layer = encode_layer(W, None, LayerFormat("float32"))
     assert np.array_equal(decode_layer(layer), W)
-
-
-def test_decode_with_mismatched_table():
-    W = np.zeros((8, 2))
-    layer = encode_layer(W, 1.0, LayerFormat("sst", CodeParams(8, 2)))
-    with pytest.raises(ValidationError, match="table"):
-        decode_layer(layer, build_table(CodeParams(8, 1)))
 
 
 def test_serialization_involution_fuzz():

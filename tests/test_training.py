@@ -6,7 +6,7 @@ import pytest
 from sstc.codes import CodeParams
 from sstc.datasets import gaussian_blobs
 from sstc.errors import ValidationError
-from sstc.kernel import compressed_forward
+from sstc.kernel import bn_eval_affine, compressed_forward
 from sstc.prune import SparsitySchedule
 from sstc.store import deserialize_model, serialize_model
 from sstc import training as tr
@@ -94,10 +94,9 @@ def test_batch_norm_forward_examples():
     out, cache = tr.batch_norm_forward(x, np.ones(5), np.zeros(5))
     assert np.allclose(out.mean(axis=0), 0.0, atol=1e-6)
     assert np.allclose(out.var(axis=0), 1.0, atol=1e-4)
-    # eval with running stats equal to batch stats reproduces train output
-    ev, _ = tr.batch_norm_forward(x, np.ones(5), np.zeros(5), phase="eval",
-                                  running_mean=cache["mu"], running_var=cache["var"])
-    assert np.allclose(ev, out, atol=1e-9)
+    # the eval fold of running stats equal to batch stats reproduces train output
+    scale, shift = bn_eval_affine(np.ones(5), np.zeros(5), cache["mu"], cache["var"], 1e-5)
+    assert np.allclose(x * scale + shift, out, atol=1e-9)
 
 
 def test_batch_norm_requires_two_samples():
