@@ -8,7 +8,7 @@ squared error; this script shows the error landscape around it.
 
 import numpy as np
 
-from sstc import QuantizerConfig, find_step_size, quantize_weight
+from sstc import find_step_size, quantize_weight
 
 
 def total_error(w, delta, levels):
@@ -20,7 +20,7 @@ def main():
     w = rng.normal(scale=0.8, size=2000)
 
     for levels in (3, 7):
-        best = find_step_size(w, QuantizerConfig(levels=levels))
+        best = find_step_size(w, levels)
         print(f"P = {levels}: fitted delta = {best:.5f}, "
               f"error = {total_error(w, best, levels):.4f}")
         print("  delta sweep around the optimum:")

@@ -9,7 +9,7 @@ scale.  The trace below audits exactly that.
 import numpy as np
 
 from sstc import (CodeParams, CompressedFCLayer, LayerFormat, build_table,
-                  compressed_matvec, dense_matvec, encode_layer, pe_trace)
+                  dense_matvec, encode_layer, pe_trace)
 from sstc.store import decode_layer
 
 
@@ -31,7 +31,7 @@ def main():
     print("input x:", x.tolist())
     acc = comp.accumulate(x)
     print("accumulators (sums of +-x, before the delta scale):", acc.tolist())
-    out = compressed_matvec(comp, x)
+    out = comp.matvec(x)
     dense = dense_matvec(decode_layer(layer), x)
     print("delta * acc:", out.tolist())
     print("dense oracle agrees exactly:", np.array_equal(out, dense))

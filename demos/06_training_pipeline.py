@@ -22,7 +22,7 @@ def main():
     net = build_network([
         LayerSpec(32, 64, normalizer="batch_norm", policy=hidden),
         LayerSpec(64, 64, normalizer="batch_norm", policy=hidden),
-        LayerSpec(64, 3, activation="softmax", policy=WeightPolicy("ternary"), prune=False),
+        LayerSpec(64, 3, policy=WeightPolicy("ternary")),
     ], seed=5)
 
     schedule = SparsitySchedule.gradual(8, [4, 2, 1], epochs_per_stage=3)

@@ -14,10 +14,9 @@ from .codes import (CodeParams, CodeTable, DEFAULT_ENTRY_CAP, address_bits,
                     unrank_subvectors)
 from .bitpack import pack_indices, unpack_indices
 from .errors import SstcError, ValidationError
-from .kernel import (CompressedFCLayer, PETrace, compressed_forward,
-                     compressed_matvec, dense_matvec, pe_trace)
+from .kernel import CompressedFCLayer, PETrace, compressed_forward, dense_matvec, pe_trace
 from .prune import SparsitySchedule, apply_mask, mask_is_valid, next_stage, structured_prune
-from .quantize import QuantizerConfig, find_step_size, quantize_layer, quantize_weight
+from .quantize import find_step_size, quantize_layer, quantize_weight
 from .store import (BatchNormParams, EncodedLayer, LayerFormat, ModelFile,
                     StorageReport, WeightNormTag, decode_layer, encode_layer,
                     model_from_arrays, read_model, serialize_model,

@@ -15,7 +15,7 @@ from .codes import (DEFAULT_ENTRY_CAP, CodeParams, address_bits, build_table,
                     count_entries, table_storage_kb)
 from .errors import SstcError, ValidationError
 from .prune import SparsitySchedule, structured_prune
-from .quantize import QuantizerConfig, find_step_size, quantize_weight
+from .quantize import find_step_size, quantize_weight
 from .store import LayerFormat, ModelFile, decode_layer, encode_layer, read_model, storage_report, write_model
 
 TABLE_I_CODES = ((16, 4), (16, 3), (16, 2), (8, 2), (8, 1), (4, 1))
@@ -160,7 +160,7 @@ def cmd_compress(args):
         if fmt.kind == "sst":
             mask = structured_prune(W, fmt.params, fmt.orientation)
             W = W * mask
-        delta = float(np.float32(find_step_size(W, QuantizerConfig(levels=levels))))
+        delta = float(np.float32(find_step_size(W, levels)))
         W_q = quantize_weight(W, delta, levels)
         out_layers.append(encode_layer(W_q, delta, fmt, bias=layer.bias,
                                        normalizer=layer.normalizer, layer_name=name))
@@ -200,11 +200,8 @@ def cmd_report(args):
 def cmd_infer(args):
     model = read_model(args.model)
     _, _, X, y = _parse_dataset(args.data, seed=args.seed)
-    wrong = 0
-    for start in range(0, len(X), 1024):
-        probs = kernel.compressed_forward(model, X[start:start + 1024])
-        wrong += int((np.argmax(probs, axis=1) != y[start:start + 1024]).sum())
-    mcr = 100.0 * wrong / len(X)
+    probs = kernel.compressed_forward(model, X)
+    mcr = 100.0 * int((np.argmax(probs, axis=1) != y).sum()) / len(X)
     records = []
     if args.trace:
         for name, layer in zip(model.layer_names(), model.layers):
@@ -230,11 +227,9 @@ def cmd_infer(args):
 def _build_specs(dims, normalizer, params, orientation):
     specs = []
     for i, (din, dout) in enumerate(zip(dims, dims[1:])):
-        last = i == len(dims) - 2
-        if last:
+        if i == len(dims) - 2:
             policy = training.WeightPolicy("ternary") if params else training.WeightPolicy()
-            specs.append(training.LayerSpec(din, dout, activation="softmax",
-                                            policy=policy, prune=False))
+            specs.append(training.LayerSpec(din, dout, policy=policy))
         else:
             policy = (training.WeightPolicy("sst", params, orientation)
                       if params else training.WeightPolicy())
@@ -303,35 +298,34 @@ def _verify_model(model: ModelFile, trials: int, seed: int):
     again = store.serialize_model(store.deserialize_model(data))
     record("serialization-involution", data == again)
 
-    names = model.layer_names()
-    for name, layer in zip(names, model.layers):
+    for name, layer in zip(model.layer_names(), model.layers):
         if layer.format.kind != "sst":
             continue
         try:
             W = decode_layer(layer)
-            record(f"code-validity[{name}]", True)
             re_encoded = encode_layer(W, layer.delta, layer.format, bias=layer.bias,
                                       normalizer=layer.normalizer, layer_name=name)
-            record(f"codec-roundtrip[{name}]", re_encoded.payload == layer.payload)
-            if layer.format.orientation == "column":
-                comp = kernel.CompressedFCLayer(layer, build_table(layer.format.params))
-                bias = layer.bias if layer.bias is not None else 0.0
-                ok = True
-                detail = ""
-                for _ in range(max(trials, 1)):
-                    x = rng.integers(-50, 50, size=layer.cols)
-                    want = kernel.dense_matvec(W, x) + bias
-                    got = kernel.compressed_matvec(comp, x)
-                    if not np.array_equal(want, got):
-                        ok = False
-                        detail = "integer-mode mismatch with dense oracle"
-                        break
-                record(f"kernel-vs-dense[{name}]", ok, detail)
-                trace = kernel.pe_trace(comp)
-                record(f"pe-budget[{name}]", trace.budget_ok,
-                       f"max ops {trace.max_ops_per_subvector} vs k={trace.op_budget}")
         except (SstcError, ValueError) as exc:
             record(f"code-validity[{name}]", False, str(exc))
+            continue
+        record(f"code-validity[{name}]", True)
+        record(f"codec-roundtrip[{name}]", re_encoded.payload == layer.payload)
+        if layer.format.orientation != "column":
+            continue
+        try:
+            comp = kernel.CompressedFCLayer(layer, build_table(layer.format.params))
+        except (SstcError, ValueError) as exc:
+            record(f"kernel-vs-dense[{name}]", False, str(exc))
+            continue
+        bias = layer.bias if layer.bias is not None else 0.0
+        inputs = (rng.integers(-50, 50, size=layer.cols) for _ in range(max(trials, 1)))
+        ok = all(np.array_equal(kernel.dense_matvec(W, x) + bias, comp.matvec(x))
+                 for x in inputs)
+        record(f"kernel-vs-dense[{name}]", ok,
+               "" if ok else "integer-mode mismatch with dense oracle")
+        trace = kernel.pe_trace(comp)
+        record(f"pe-budget[{name}]", trace.budget_ok,
+               f"max ops {trace.max_ops_per_subvector} vs k={trace.op_budget}")
     return suites
 
 

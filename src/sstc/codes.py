@@ -175,9 +175,6 @@ class CodeTable:
     nz_sign: np.ndarray = field(repr=False)
     nz_count: np.ndarray = field(repr=False)
 
-    def entry(self, idx: int) -> np.ndarray:
-        return self.trits[idx].copy()
-
 
 def build_table(params: CodeParams, entry_cap: int = DEFAULT_ENTRY_CAP) -> CodeTable:
     """Enumerate all codewords of ``params`` in canonical order.
@@ -216,17 +213,11 @@ def build_table(params: CodeParams, entry_cap: int = DEFAULT_ENTRY_CAP) -> CodeT
     )
 
 
-def encode_subvector(vector, table_or_params) -> int:
+def encode_subvector(vector, params: CodeParams) -> int:
     """Canonical index of ``vector``; raises if it exceeds the k budget."""
-    params = table_or_params.params if isinstance(table_or_params, CodeTable) else table_or_params
     return int(rank_subvectors(vector, params)[0])
 
 
-def decode_index(idx: int, table_or_params) -> np.ndarray:
+def decode_index(idx: int, params: CodeParams) -> np.ndarray:
     """Codeword at canonical position ``idx``; raises if out of range."""
-    if isinstance(table_or_params, CodeTable):
-        table = table_or_params
-        if not 0 <= idx < table.entry_count:
-            raise ValidationError(f"index {idx} outside [0, {table.entry_count})")
-        return table.entry(int(idx))
-    return unrank_subvectors(int(idx), table_or_params)[0]
+    return unrank_subvectors(int(idx), params)[0]

@@ -95,20 +95,28 @@ class CompressedFCLayer:
     def accumulate(self, x: np.ndarray) -> np.ndarray:
         """Raw accumulator values: sums of +-x before any scaling.
 
-        Integer inputs accumulate exactly in int64; everything else in
-        float64.
+        ``x`` is one input (cols,) or a batch (batch, cols), which runs in
+        chunks of `_BATCH_CHUNK` rows; the result is (rows,) or
+        (batch, rows).  Integer inputs accumulate exactly in int64;
+        everything else in float64.
         """
         x = np.asarray(x)
-        if x.shape != (self.cols,):
-            raise ValidationError(f"input length {x.shape} != column count {self.cols}")
-        if np.issubdtype(x.dtype, np.integer):
-            x = x.astype(np.int64)
-            acc = np.zeros(self.rows, dtype=np.int64)
-        else:
-            x = x.astype(np.float64)
-            acc = np.zeros(self.rows, dtype=np.float64)
-        np.add.at(acc, self.plus_rows, x[self.plus_cols])
-        np.subtract.at(acc, self.minus_rows, x[self.minus_cols])
+        if x.ndim not in (1, 2) or x.shape[-1] != self.cols:
+            raise ValidationError(f"input shape {x.shape} incompatible with {self.cols} columns")
+        x = x.astype(np.int64 if np.issubdtype(x.dtype, np.integer) else np.float64, copy=False)
+        if x.ndim == 1:
+            return self._scatter(x)
+        acc = np.empty((x.shape[0], self.rows), dtype=x.dtype)
+        for start in range(0, x.shape[0], _BATCH_CHUNK):
+            acc[start:start + _BATCH_CHUNK] = self._scatter(x[start:start + _BATCH_CHUNK].T).T
+        return acc
+
+    def _scatter(self, xt: np.ndarray) -> np.ndarray:
+        """Add and subtract the inputs of ``xt``, (cols,) or (cols, b), into
+        per-row accumulators, (rows,) or (rows, b)."""
+        acc = np.zeros((self.rows,) + xt.shape[1:], dtype=xt.dtype)
+        np.add.at(acc, self.plus_rows, xt[self.plus_cols])
+        np.subtract.at(acc, self.minus_rows, xt[self.minus_cols])
         return acc
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
@@ -116,37 +124,8 @@ class CompressedFCLayer:
         return self.delta * self.accumulate(x) + self.bias
 
     def matmul(self, X: np.ndarray) -> np.ndarray:
-        """Batched matvec over the rows of X, shape (batch, cols) -> (batch, rows)."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.cols:
-            raise ValidationError(f"batch shape {X.shape} incompatible with {self.cols} columns")
-        out = np.zeros((X.shape[0], self.rows))
-        for start in range(0, X.shape[0], _BATCH_CHUNK):
-            chunk = X[start:start + _BATCH_CHUNK].T  # (cols, b)
-            acc = np.zeros((self.rows, chunk.shape[1]))
-            np.add.at(acc, self.plus_rows, chunk[self.plus_cols])
-            np.subtract.at(acc, self.minus_rows, chunk[self.minus_cols])
-            out[start:start + _BATCH_CHUNK] = acc.T
-        return self.delta * out + self.bias
-
-    def trace(self) -> PETrace:
-        counts = self.nz_per_subvector
-        lookups = int(counts.size)
-        addsub = int(counts.sum())
-        n = self.table.params.n
-        return PETrace(
-            table_lookups=lookups,
-            addsub_ops=addsub,
-            skipped_zeros=lookups * n - addsub,
-            delta_multiplies=self.rows,
-            max_ops_per_subvector=int(counts.max()) if lookups else 0,
-            op_budget=self.table.params.k,
-        )
-
-
-def compressed_matvec(layer: CompressedFCLayer, x) -> np.ndarray:
-    """Output vector of a compressed layer for input ``x`` (bias included)."""
-    return layer.matvec(x)
+        """delta * accumulate(X) + bias over the rows of X, (batch, cols) -> (batch, rows)."""
+        return self.delta * self.accumulate(X) + self.bias
 
 
 def pe_trace(layer: CompressedFCLayer) -> PETrace:
@@ -155,7 +134,18 @@ def pe_trace(layer: CompressedFCLayer) -> PETrace:
     Raises if any decoded sub-vector would exceed the k add/subtract
     budget, which cannot happen with an intact table and index stream.
     """
-    trace = layer.trace()
+    counts = layer.nz_per_subvector
+    lookups = int(counts.size)
+    addsub = int(counts.sum())
+    params = layer.table.params
+    trace = PETrace(
+        table_lookups=lookups,
+        addsub_ops=addsub,
+        skipped_zeros=lookups * params.n - addsub,
+        delta_multiplies=layer.rows,
+        max_ops_per_subvector=int(counts.max()) if lookups else 0,
+        op_budget=params.k,
+    )
     if not trace.budget_ok:
         raise ValidationError(
             f"sub-vector issues {trace.max_ops_per_subvector} ops, over budget k={trace.op_budget}"
@@ -190,7 +180,7 @@ def bn_eval_affine(gamma, beta, mean, var, eps):
     return scale, shift
 
 
-def compressed_forward(model: ModelFile, X, tables: dict = None) -> np.ndarray:
+def compressed_forward(model: ModelFile, X) -> np.ndarray:
     """Full-network class probabilities from a serialized model.
 
     sst layers in column orientation run on the compressed kernel; other
@@ -200,7 +190,7 @@ def compressed_forward(model: ModelFile, X, tables: dict = None) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if not model.layers:
         raise ValidationError("model has no layers")
-    tables = tables if tables is not None else {}
+    tables = {}
     out = X
     for pos, layer in enumerate(model.layers):
         if layer.cols != out.shape[1]:

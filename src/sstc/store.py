@@ -137,6 +137,10 @@ class EncodedLayer:
                 )
         if self.bias is not None:
             self.bias = np.ascontiguousarray(self.bias, dtype=np.float32)
+            if self.bias.shape != (self.rows,):
+                raise ValidationError(
+                    f"bias length {self.bias.shape} does not match the {self.rows} rows"
+                )
         expected = self.payload_bit_length()
         if len(self.payload) != (expected + 7) // 8:
             raise ValidationError(

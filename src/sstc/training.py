@@ -24,13 +24,21 @@ from .datasets import train_val_split
 from .errors import ValidationError
 from .kernel import bn_eval_affine, softmax
 from .prune import SparsitySchedule, structured_prune
-from .quantize import QuantizerConfig, find_step_size, quantize_weight
+from .quantize import find_step_size, quantize_weight
 from .store import (BatchNormParams, LayerFormat, ModelFile, WeightNormTag,
                     encode_layer, _grouped_subvectors)
 
-ACTIVATIONS = ("relu", "softmax")
 NORMALIZERS = ("none", "batch_norm", "weight_norm")
 POLICY_KINDS = ("float", "ternary", "sst")
+
+# ADAM moments and the plateau schedule: the rate decays by LR_DECAY after
+# PLATEAU_PATIENCE epochs without a new best validation MCR, down to LR_FLOOR
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
+LR_DECAY = 0.2
+PLATEAU_PATIENCE = 4
+LR_FLOOR = 1.6e-5
 
 
 @dataclass(frozen=True)
@@ -50,45 +58,31 @@ class WeightPolicy:
 
 @dataclass(frozen=True)
 class LayerSpec:
+    """One fully-connected layer.  Hidden layers apply relu and the final
+    layer softmax; sst layers are pruned, ternary layers only quantized."""
+
     in_dim: int
     out_dim: int
-    activation: str = "relu"
     normalizer: str = "none"
     policy: WeightPolicy = WeightPolicy()
-    prune: bool = True
 
     def __post_init__(self):
         if self.in_dim < 1 or self.out_dim < 1:
             raise ValidationError("layer dimensions must be positive")
-        if self.activation not in ACTIVATIONS:
-            raise ValidationError(f"unknown activation {self.activation!r}")
         if self.normalizer not in NORMALIZERS:
             raise ValidationError(f"unknown normalizer {self.normalizer!r}")
-        if self.policy.kind == "sst" and not self.prune:
-            raise ValidationError(
-                "sst layers must be prunable; quantize-only layers use the ternary policy"
-            )
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-3
-    lr_floor: float = 1.6e-5
-    lr_decay: float = 0.2
-    plateau_patience: int = 4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     batch_size: int = 100
     epochs: int = 10
     seed: int = 0
-    quantizer: QuantizerConfig = QuantizerConfig()
 
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValidationError("learning rate must be positive")
-        if not 0 < self.lr_decay < 1:
-            raise ValidationError("lr decay factor must be in (0, 1)")
 
 
 @dataclass
@@ -196,19 +190,19 @@ class Layer:
             m *= self.mask
             v *= self.mask
 
-    def refresh_delta(self, qconfig: QuantizerConfig):
+    def refresh_delta(self):
         if not self.quantizable:
             return
         eff = self.effective_weights()
-        self.delta = float(np.float32(find_step_size(eff, qconfig)))
-        self.refresh_quantized(qconfig)
+        self.delta = float(np.float32(find_step_size(eff)))
+        self.refresh_quantized()
 
-    def refresh_quantized(self, qconfig: QuantizerConfig):
+    def refresh_quantized(self):
         if not self.quantizable:
             return
         if self.delta is None:
             raise ValidationError("quantized refresh before any step-size fit")
-        self.W_q = quantize_weight(self.effective_weights(), self.delta, qconfig.levels)
+        self.W_q = quantize_weight(self.effective_weights(), self.delta)
 
     def moment(self, name, shape):
         if name not in self.moments:
@@ -224,14 +218,10 @@ class Network:
         for i, (a, b) in enumerate(zip(specs, specs[1:])):
             if a.out_dim != b.in_dim:
                 raise ValidationError(f"layer {i} emits {a.out_dim}, layer {i+1} expects {b.in_dim}")
-        for i, s in enumerate(specs):
-            if (s.activation == "softmax") != (i == len(specs) - 1):
-                raise ValidationError("softmax is required on the final layer and only there")
         rng = np.random.default_rng(seed)
         self.layers = [Layer(s, rng) for s in specs]
         self.seed = seed
         self.step_count = 0
-        self._last_pass = None
 
 
 def build_network(specs, seed: int = 0) -> Network:
@@ -258,8 +248,9 @@ def forward(net: Network, X, mode: str = "quantized", phase: str = "train") -> F
     """Run the network; returns probabilities, logits, and backward caches.
 
     Quantized mode evaluates with W_q on quantizable layers; float mode
-    uses the masked (and possibly weight-normalized) float weights.  In
-    eval phase, quantized mode rounds biases and batch-norm parameters to
+    uses the masked (and possibly weight-normalized) float weights.
+    Hidden layers apply relu; the final layer's logits go through softmax.
+    In eval phase, quantized mode rounds biases and batch-norm parameters to
     float32 first so results match a serialized model bit for bit.
     """
     if mode not in ("float", "quantized"):
@@ -279,6 +270,7 @@ def forward(net: Network, X, mode: str = "quantized", phase: str = "train") -> F
 
     out = X
     caches = []
+    last = len(net.layers) - 1
     for pos, layer in enumerate(net.layers):
         Wuse = _layer_weight(layer, mode)
         pre = out @ Wuse.T + stored(layer.b)
@@ -295,17 +287,9 @@ def forward(net: Network, X, mode: str = "quantized", phase: str = "train") -> F
                 z = pre * scale + shift
         else:
             z = pre
-        if layer.spec.activation == "relu":
-            act = np.maximum(z, 0.0)
-        else:
-            act = z  # logits; softmax applied once below
         caches.append({"x": out, "W": Wuse, "z": z, "bn": bn_cache})
-        out = act
-    logits = out
-    probs = softmax(logits)
-    result = ForwardPass(probs=probs, logits=logits, caches=caches, phase=phase)
-    net._last_pass = result
-    return result
+        out = z if pos == last else np.maximum(z, 0.0)
+    return ForwardPass(probs=softmax(out), logits=out, caches=caches, phase=phase)
 
 
 def cross_entropy(fwd: ForwardPass, labels) -> float:
@@ -321,17 +305,14 @@ def cross_entropy(fwd: ForwardPass, labels) -> float:
     return float(-picked.mean())
 
 
-def backward_masked(net: Network, labels, fwd: ForwardPass = None):
+def backward_masked(net: Network, labels, fwd: ForwardPass):
     """Gradients of the mean cross-entropy w.r.t. the float parameters.
 
     Uses the straight-through convention: the quantized forward's weight
     gradient is credited to the effective float weights, propagated through
-    weight normalization where present, then masked.  Requires a preceding
-    train-phase forward.
+    weight normalization where present, then masked.  ``fwd`` must be a
+    train-phase forward pass.
     """
-    fwd = fwd or net._last_pass
-    if fwd is None:
-        raise ValidationError("backward requires a forward pass first")
     if fwd.phase != "train":
         raise ValidationError("backward requires a train-phase forward")
     labels = np.asarray(labels)
@@ -339,10 +320,11 @@ def backward_masked(net: Network, labels, fwd: ForwardPass = None):
     onehot = labels if labels.ndim == 2 else np.eye(fwd.probs.shape[1])[labels]
     dz = (fwd.probs - onehot) / batch
     grads = []
-    for pos in range(len(net.layers) - 1, -1, -1):
+    last = len(net.layers) - 1
+    for pos in range(last, -1, -1):
         layer = net.layers[pos]
         cache = fwd.caches[pos]
-        if layer.spec.activation == "relu":
+        if pos != last:
             dz = dz * (cache["z"] > 0)
         dgamma = dbeta = None
         if layer.spec.normalizer == "batch_norm":
@@ -361,18 +343,15 @@ def backward_masked(net: Network, labels, fwd: ForwardPass = None):
     return grads
 
 
-def adam_step(net: Network, grads, config: TrainConfig, t: int = None,
-              lr: float = None) -> Network:
+def adam_step(net: Network, grads, config: TrainConfig, lr: float = None) -> Network:
     """One bias-corrected ADAM update; refreshes W_q afterwards.
 
     Masked positions have zero gradients and are re-masked after the
     update, so they stay exactly zero.  ``lr`` overrides the configured
     rate so decay schedules need not rebuild the config.
     """
-    if t is None:
-        net.step_count += 1
-        t = net.step_count
-    b1, b2, eps = config.beta1, config.beta2, config.adam_eps
+    net.step_count += 1
+    t = net.step_count
     lr = config.learning_rate if lr is None else lr
     for layer, g in zip(net.layers, grads):
         for name, grad in g.items():
@@ -380,14 +359,14 @@ def adam_step(net: Network, grads, config: TrainConfig, t: int = None,
                 continue
             param = getattr(layer, name)
             m, v = layer.moment(name, param.shape)
-            m += (1 - b1) * (grad - m)
-            v += (1 - b2) * (grad * grad - v)
-            mhat = m / (1 - b1 ** t)
-            vhat = v / (1 - b2 ** t)
-            param -= lr * mhat / (np.sqrt(vhat) + eps)
+            m += (1 - BETA1) * (grad - m)
+            v += (1 - BETA2) * (grad * grad - v)
+            mhat = m / (1 - BETA1 ** t)
+            vhat = v / (1 - BETA2 ** t)
+            param -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
         layer.W *= layer.mask
         if layer.quantizable and layer.delta is not None:
-            layer.refresh_quantized(config.quantizer)
+            layer.refresh_quantized()
     return net
 
 
@@ -411,7 +390,6 @@ class _LrState:
         self.lr = config.learning_rate
         self.best = np.inf
         self.streak = 0
-        self.config = config
 
     def observe(self, val_mcr: float):
         if val_mcr < self.best:
@@ -419,8 +397,8 @@ class _LrState:
             self.streak = 0
             return
         self.streak += 1
-        if self.streak >= self.config.plateau_patience:
-            self.lr = max(self.lr * self.config.lr_decay, self.config.lr_floor)
+        if self.streak >= PLATEAU_PATIENCE:
+            self.lr = max(self.lr * LR_DECAY, LR_FLOOR)
             self.streak = 0
 
 
@@ -462,10 +440,6 @@ def train_float(net: Network, data: TrainData, config: TrainConfig):
     return history
 
 
-def _prunable(layer: Layer):
-    return layer.spec.policy.kind == "sst" and layer.spec.prune
-
-
 def _validate_schedule(net: Network, schedule: SparsitySchedule):
     sst_layers = [(i, l) for i, l in enumerate(net.layers) if l.spec.policy.kind == "sst"]
     for i, layer in sst_layers:
@@ -474,7 +448,7 @@ def _validate_schedule(net: Network, schedule: SparsitySchedule):
             raise ValidationError(
                 f"layer {i} uses n={target.n} but the schedule is for n={schedule.target.n}"
             )
-        if _prunable(layer) and target.k != schedule.target.k:
+        if target.k != schedule.target.k:
             raise ValidationError(
                 f"layer {i} targets {target} but the schedule ends at {schedule.target}"
             )
@@ -527,23 +501,21 @@ def train_structured(net: Network, data: TrainData, schedule, config: TrainConfi
     lr_state = _LrState(config)
     for params, stage_epochs in zip(schedule.stages, schedule.epochs_per_stage):
         for layer in net.layers:
-            if _prunable(layer):
+            if layer.spec.policy.kind == "sst":
                 layer.set_mask(structured_prune(layer.W, params, layer.spec.policy.orientation))
                 layer.current_params = params
-            if layer.quantizable:
-                layer.refresh_delta(config.quantizer)
+            layer.refresh_delta()
         check_code_validity(net)
         for epoch in range(stage_epochs):
             if epoch:
                 for layer in net.layers:
-                    layer.refresh_delta(config.quantizer)
+                    layer.refresh_delta()
             train_loss = _run_epoch(net, data, config, lr_state, "quantized", rng)
             val_mcr = evaluate(net, data.X_val, data.y_val, mode="quantized")
             history.append({"stage": str(params), "epoch": epoch, "lr": lr_state.lr,
                             "train_loss": train_loss, "val_mcr": val_mcr})
             lr_state.observe(val_mcr)
             check_code_validity(net)
-        check_code_validity(net)
     return history
 
 

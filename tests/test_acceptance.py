@@ -12,9 +12,9 @@ import pytest
 
 from sstc.codes import (CodeParams, address_bits, build_table, count_entries,
                         rank_subvectors, table_storage_kb, unrank_subvectors)
-from sstc.kernel import CompressedFCLayer, compressed_forward, compressed_matvec, dense_matvec, pe_trace
+from sstc.kernel import CompressedFCLayer, compressed_forward, dense_matvec, pe_trace
 from sstc.prune import SparsitySchedule
-from sstc.quantize import QuantizerConfig, find_step_size
+from sstc.quantize import find_step_size
 from sstc.store import (BatchNormParams, LayerFormat, ModelFile, decode_layer,
                         deserialize_model, encode_layer, serialize_model,
                         storage_report, _subvectors_to_matrix)
@@ -103,13 +103,13 @@ def test_criterion_3_kernel_oracle_equivalence():
         xi = rng.integers(-100, 101, size=layer.cols)
         if not np.array_equal(comp.accumulate(xi), trits @ xi):
             failures.append((trial, "integer accumulate"))
-        if not np.array_equal(compressed_matvec(comp, xi),
+        if not np.array_equal(comp.matvec(xi),
                               dense_matvec(dense, xi) + bias):
             failures.append((trial, "integer matvec"))
         # real mode: 1e-6 relative
         xr = rng.normal(size=layer.cols)
         want = dense_matvec(dense, xr) + bias
-        got = compressed_matvec(comp, xr)
+        got = comp.matvec(xr)
         rel = np.abs(got - want) / np.maximum(np.abs(want), 1.0)
         if rel.max() > 1e-6:
             failures.append((trial, f"real mode rel {rel.max():.2e}"))
@@ -149,7 +149,7 @@ def test_criterion_4_quantizer_optimality():
     for levels in (7, 255):
         for _ in range(10):
             w = rng.normal(size=int(rng.integers(100, 2000)))
-            delta = find_step_size(w, QuantizerConfig(levels=levels))
+            delta = find_step_size(w, levels)
             _, oracle_err = grid_search_step_size(w, levels)
             worst_high_p = max(worst_high_p,
                                quantization_error(w, delta, levels) / oracle_err)
@@ -195,7 +195,7 @@ def test_criterion_5_gradient_correctness():
     bn_net = tr.build_network([
         tr.LayerSpec(6, 8, normalizer="batch_norm"),
         tr.LayerSpec(8, 8, normalizer="batch_norm"),
-        tr.LayerSpec(8, 3, activation="softmax", prune=False),
+        tr.LayerSpec(8, 3),
     ], seed=50)
     mask = (rng.random(bn_net.layers[0].W.shape) < 0.7).astype(float)
     mask[0, 0] = 1.0
@@ -207,7 +207,7 @@ def test_criterion_5_gradient_correctness():
     wn_net = tr.build_network([
         tr.LayerSpec(6, 8, normalizer="weight_norm"),
         tr.LayerSpec(8, 8, normalizer="weight_norm"),
-        tr.LayerSpec(8, 3, activation="softmax", prune=False),
+        tr.LayerSpec(8, 3),
     ], seed=51)
     wn_targets = [(0, "W"), (0, "b"), (1, "W"), (1, "b"), (2, "W"), (2, "b")]
     worst_wn, n_wn = _fd_worst(wn_net, X, y, wn_targets, rng, samples=70)
@@ -303,8 +303,7 @@ def _desk_specs(policy_params, orientation):
     return [
         tr.LayerSpec(784, 256, normalizer="batch_norm", policy=hidden),
         tr.LayerSpec(256, 256, normalizer="batch_norm", policy=hidden),
-        tr.LayerSpec(256, 10, activation="softmax",
-                     policy=tr.WeightPolicy("ternary"), prune=False),
+        tr.LayerSpec(256, 10, policy=tr.WeightPolicy("ternary")),
     ]
 
 
@@ -312,7 +311,7 @@ def _float_specs():
     return [
         tr.LayerSpec(784, 256, normalizer="batch_norm"),
         tr.LayerSpec(256, 256, normalizer="batch_norm"),
-        tr.LayerSpec(256, 10, activation="softmax", prune=False),
+        tr.LayerSpec(256, 10),
     ]
 
 

@@ -223,3 +223,22 @@ def test_report_toggles(tmp_path, capsys):
     recs = _records(capsys)
     total = recs[-1]
     assert total["total_compressed_bits"] == 64 * 64 // 8 * 5
+
+
+def test_verify_records_each_suite_once_when_the_kernel_cannot_build(tmp_path, capsys):
+    # (16,16) has 3^16 entries: the layer decodes combinatorially, but its
+    # code table is above the entry cap, so the kernel cannot be built
+    params = CodeParams(16, 16)
+    rng = np.random.default_rng(4)
+    trits = rng.integers(-1, 2, size=(16, 4))
+    path = tmp_path / "wide.sstw"
+    write_model(ModelFile(layers=[encode_layer(trits * 0.5, 0.5, LayerFormat("sst", params))]),
+                path)
+    assert main(["verify", "--model", str(path), "--format", "records"]) == 1
+    suites = _records(capsys)
+    names = [s["suite"] for s in suites]
+    assert len(names) == len(set(names))
+    assert {s["suite"]: s["pass"] for s in suites} == {
+        "serialization-involution": True, "code-validity[layer0]": True,
+        "codec-roundtrip[layer0]": True, "kernel-vs-dense[layer0]": False}
+    assert "above the entry cap" in suites[-1]["detail"]

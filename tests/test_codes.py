@@ -121,13 +121,13 @@ def test_encode_examples():
 
 
 def test_decode_examples():
-    t82 = build_table(CodeParams(8, 2))
-    assert np.array_equal(decode_index(0, t82), np.zeros(8, dtype=np.int8))
-    assert tuple(decode_index(8, build_table(CodeParams(4, 1)))) == (-1, 0, 0, 0)
+    p82 = CodeParams(8, 2)
+    assert np.array_equal(decode_index(0, p82), np.zeros(8, dtype=np.int8))
+    assert tuple(decode_index(8, CodeParams(4, 1))) == (-1, 0, 0, 0)
     with pytest.raises(ValidationError):
-        decode_index(129, t82)
+        decode_index(129, p82)
     with pytest.raises(ValidationError):
-        decode_index(-1, t82)
+        decode_index(-1, p82)
 
 
 def test_encode_rejects_budget_violation():

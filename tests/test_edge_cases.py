@@ -5,7 +5,7 @@ import pytest
 
 from sstc.codes import CodeParams, build_table, count_entries, rank_subvectors
 from sstc.kernel import CompressedFCLayer
-from sstc.quantize import QuantizerConfig, find_step_size, quantize_weight
+from sstc.quantize import find_step_size, quantize_weight
 from sstc.store import LayerFormat, encode_layer
 
 from conftest import enumerate_by_brute_force, quantization_error, random_sst_trits
@@ -42,7 +42,7 @@ ADVERSARIAL_SETS = [
 @pytest.mark.parametrize("levels", [3, 5])
 def test_step_size_beats_dense_reference_on_adversarial_sets(levels):
     for w in ADVERSARIAL_SETS:
-        delta = find_step_size(w, QuantizerConfig(levels=levels))
+        delta = find_step_size(w, levels)
         mine = quantization_error(w, delta, levels)
         ref = _dense_reference_error(w, levels)
         # absolute epsilon: when the optimum is exactly representable the
@@ -61,7 +61,7 @@ def test_step_size_duplicate_heavy_random_sets():
 
 def test_step_size_single_weight_is_exact():
     for levels in (3, 7, 255):
-        assert quantize_weight(0.37, find_step_size([0.37], QuantizerConfig(levels=levels)),
+        assert quantize_weight(0.37, find_step_size([0.37], levels),
                                levels) == pytest.approx(0.37, rel=1e-12)
 
 

@@ -5,8 +5,7 @@ import pytest
 
 from sstc.codes import CodeParams, build_table
 from sstc.errors import ValidationError
-from sstc.kernel import (CompressedFCLayer, compressed_forward, compressed_matvec,
-                         dense_matvec, pe_trace)
+from sstc.kernel import CompressedFCLayer, compressed_forward, dense_matvec, pe_trace
 from sstc.store import (BatchNormParams, LayerFormat, ModelFile, decode_layer,
                         encode_layer)
 
@@ -26,20 +25,20 @@ def test_hand_worked_product():
     comp = _compressed(W, 0.5, CodeParams(2, 1))
     x = np.array([2.0, 3.0])
     assert comp.accumulate(x).tolist() == [3.0, -2.0]
-    assert compressed_matvec(comp, x).tolist() == [1.5, -1.0]
+    assert comp.matvec(x).tolist() == [1.5, -1.0]
 
 
 def test_zero_payload_returns_bias():
     bias = np.array([1.0, -2.0, 0.5, 0.0], dtype=np.float32)
     comp = _compressed(np.zeros((4, 3)), 1.0, CodeParams(4, 2), bias=bias)
-    out = compressed_matvec(comp, np.array([5.0, 6.0, 7.0]))
+    out = comp.matvec(np.array([5.0, 6.0, 7.0]))
     assert np.array_equal(out, bias.astype(np.float64))
 
 
 def test_length_mismatch_rejected():
     comp = _compressed(np.zeros((4, 3)), 1.0, CodeParams(4, 1))
     with pytest.raises(ValidationError):
-        compressed_matvec(comp, np.zeros(4))
+        comp.matvec(np.zeros(4))
 
 
 def test_corrupt_index_rejected():
@@ -73,7 +72,7 @@ def test_matches_dense_oracle_exactly_integer_mode():
             dense = decode_layer(layer)
             assert np.array_equal(dense, W)
             want = dense_matvec(dense, x) + bias
-            assert np.array_equal(compressed_matvec(comp, x), want)
+            assert np.array_equal(comp.matvec(x), want)
             # accumulators alone equal the integer ternary product exactly
             trits = (dense / delta).astype(np.int64)
             assert np.array_equal(comp.accumulate(x), trits @ x)
@@ -92,7 +91,7 @@ def test_matches_dense_oracle_real_mode():
             comp = CompressedFCLayer(encode_layer(W, delta, LayerFormat("sst", params)), table)
             x = rng.normal(size=cols)
             want = dense_matvec(W, x)
-            got = compressed_matvec(comp, x)
+            got = comp.matvec(x)
             scale = np.maximum(np.abs(want), 1.0)
             assert np.all(np.abs(got - want) / scale <= 1e-6)
 
@@ -105,7 +104,7 @@ def test_batch_equals_per_sample_calls():
     X = rng.normal(size=(9, 12))
     batch = comp.matmul(X)
     singles = np.stack([comp.matvec(x) for x in X])
-    assert np.allclose(batch, singles, rtol=0, atol=1e-12)
+    assert np.array_equal(batch, singles)
 
 
 def test_trace_counts():
@@ -213,7 +212,7 @@ def test_single_layer_model_is_matvec_plus_softmax():
     x = rng.normal(size=6)
     probs = compressed_forward(model, x)
     comp = CompressedFCLayer(layer, build_table(params))
-    logits = compressed_matvec(comp, x)
+    logits = comp.matvec(x)
     want = np.exp(logits - logits.max())
     want /= want.sum()
     assert np.allclose(probs[0], want, atol=1e-12)

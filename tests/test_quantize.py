@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from sstc import quantize
 from sstc.errors import ValidationError
-from sstc.quantize import (QuantizerConfig, find_step_size, quantize_layer,
+from sstc.quantize import (find_step_size, quantize_layer,
                            quantize_to_levels, quantize_weight)
 
 from conftest import grid_search_step_size, quantization_error
@@ -82,7 +83,7 @@ def test_find_step_size_matches_dense_grid_oracle():
     for levels in (3, 7):
         for _ in range(10):
             w = rng.normal(size=int(rng.integers(20, 200)))
-            delta = find_step_size(w, QuantizerConfig(levels=levels))
+            delta = find_step_size(w, levels)
             oracle_delta, oracle_err = grid_search_step_size(w, levels)
             assert quantization_error(w, delta, levels) <= oracle_err * (1 + 1e-9)
             assert delta == pytest.approx(oracle_delta, rel=5e-3)
@@ -117,11 +118,23 @@ def test_find_step_size_ignores_masked_zeros():
     assert find_step_size(padded) == find_step_size(w)
 
 
-def test_quantizer_config_validation():
-    with pytest.raises(ValidationError):
-        QuantizerConfig(levels=4)
-    with pytest.raises(ValidationError):
-        QuantizerConfig(levels=1)
+def test_multi_start_fallback_matches_exact_sweep(monkeypatch):
+    fits = []
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        w = rng.normal(size=int(rng.integers(10, 2000)))
+        fits.append((w, find_step_size(w)))
+    monkeypatch.setattr(quantize, "_SWEEP_LIMIT", 0)  # every input takes the fallback
+    for w, exact in fits:
+        best = quantization_error(w, exact, 3)
+        fallback = quantization_error(w, find_step_size(w), 3)
+        assert best * (1 - 1e-12) <= fallback <= best * (1 + 1e-5)
+
+
+def test_find_step_size_rejects_bad_levels():
+    for levels in (4, 1, 256):
+        with pytest.raises(ValidationError, match="odd and >= 3"):
+            find_step_size([0.5, -1.0], levels)
 
 
 def test_quantize_layer():

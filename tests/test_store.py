@@ -247,3 +247,17 @@ def test_storage_report_bias_and_normalizer_toggles():
     lean = storage_report(model, include_bias=False, include_normalizers=False)
     assert full.compressed_bits == lean.compressed_bits + 32 * 8 + 32 * 32
     assert lean.ratio == 16.0
+
+
+@pytest.mark.parametrize("bias_len", [1, 7])
+def test_bias_length_must_match_rows(bias_len):
+    params = CodeParams(4, 1)
+    W = np.zeros((8, 4))
+    with pytest.raises(ValidationError, match=rf"\({bias_len},\) does not match the 8 rows"):
+        encode_layer(W, 1.0, LayerFormat("sst", params), bias=np.zeros(bias_len))
+    # a file written with a mismatched bias is rejected on load
+    layer = encode_layer(W, 1.0, LayerFormat("sst", params), bias=np.zeros(8))
+    layer.bias = np.zeros(bias_len, dtype=np.float32)
+    data = serialize_model(ModelFile(layers=[layer]))
+    with pytest.raises(ValidationError, match=rf"\({bias_len},\) does not match the 8 rows"):
+        deserialize_model(data)

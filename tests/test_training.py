@@ -38,20 +38,18 @@ def _toy_net(normalizer="none", seed=0, dims=(6, 8, 8, 3)):
     specs = []
     for i, (a, b) in enumerate(zip(dims, dims[1:])):
         last = i == len(dims) - 2
-        specs.append(tr.LayerSpec(a, b, activation="softmax" if last else "relu",
-                                  normalizer="none" if last else normalizer,
-                                  prune=False))
+        specs.append(tr.LayerSpec(a, b, normalizer="none" if last else normalizer))
     return tr.build_network(specs, seed=seed)
 
 
 def test_forward_identity_relu():
-    net = tr.build_network([tr.LayerSpec(2, 2, activation="softmax", prune=False)], seed=0)
+    net = tr.build_network([tr.LayerSpec(2, 2)], seed=0)
     net.layers[0].W = np.eye(2)
     net.layers[0].b = np.zeros(2)
     fwd = tr.forward(net, np.array([[1.0, -1.0]]), mode="float", phase="eval")
     assert np.allclose(fwd.logits, [[1.0, -1.0]])
     # relu variant via a 2-layer net
-    net2 = tr.build_network([tr.LayerSpec(2, 2), tr.LayerSpec(2, 2, activation="softmax", prune=False)], seed=0)
+    net2 = tr.build_network([tr.LayerSpec(2, 2), tr.LayerSpec(2, 2)], seed=0)
     net2.layers[0].W = np.eye(2)
     net2.layers[0].b = np.zeros(2)
     net2.layers[1].W = np.eye(2)
@@ -69,15 +67,15 @@ def test_softmax_outputs_sum_to_one():
 
 def test_quantized_forward_matches_float_on_already_ternary_weights():
     ternary = tr.WeightPolicy("ternary")
-    specs = [tr.LayerSpec(6, 8, policy=ternary, prune=False),
-             tr.LayerSpec(8, 8, policy=ternary, prune=False),
-             tr.LayerSpec(8, 3, activation="softmax", policy=ternary, prune=False)]
+    specs = [tr.LayerSpec(6, 8, policy=ternary),
+             tr.LayerSpec(8, 8, policy=ternary),
+             tr.LayerSpec(8, 3, policy=ternary)]
     net = tr.build_network(specs, seed=2)
     rng = np.random.default_rng(2)
     for layer in net.layers:
         layer.W = 0.5 * rng.integers(-1, 2, size=layer.W.shape).astype(float)
         layer.delta = 0.5
-        layer.refresh_quantized(tr.QuantizerConfig())
+        layer.refresh_quantized()
         assert np.array_equal(layer.W_q, layer.W)
     X = rng.normal(size=(8, 6))
     f_q = tr.forward(net, X, mode="quantized", phase="train")
@@ -168,7 +166,7 @@ def test_gradient_check_full_net_with_mask():
 
 
 def test_saturated_softmax_has_tiny_gradient():
-    net = tr.build_network([tr.LayerSpec(2, 2, activation="softmax", prune=False)], seed=0)
+    net = tr.build_network([tr.LayerSpec(2, 2)], seed=0)
     net.layers[0].W = np.array([[40.0, 0.0], [0.0, 40.0]])
     net.layers[0].b = np.zeros(2)
     X = np.eye(2)
@@ -179,10 +177,11 @@ def test_saturated_softmax_has_tiny_gradient():
     assert norm < 1e-3
 
 
-def test_backward_requires_forward():
+def test_backward_rejects_eval_phase_pass():
     net = _toy_net(seed=10)
-    with pytest.raises(ValidationError, match="forward"):
-        tr.backward_masked(net, np.array([0]))
+    fwd = tr.forward(net, np.ones((2, 6)), "float", "eval")
+    with pytest.raises(ValidationError, match="train-phase forward"):
+        tr.backward_masked(net, np.array([0, 1]), fwd)
 
 
 def test_adam_zero_gradient_is_noop():
@@ -196,7 +195,7 @@ def test_adam_zero_gradient_is_noop():
 
 
 def test_adam_first_step_magnitude():
-    net = tr.build_network([tr.LayerSpec(1, 1, activation="softmax", prune=False)], seed=0)
+    net = tr.build_network([tr.LayerSpec(1, 1)], seed=0)
     net.layers[0].W = np.array([[0.5]])
     g = [{"W": np.array([[1.0]]), "b": np.zeros(1), "gamma": None, "beta": None}]
     tr.adam_step(net, g, tr.TrainConfig(learning_rate=1e-3))
@@ -209,13 +208,12 @@ def test_masked_entries_stay_zero_over_many_steps():
     params = CodeParams(4, 2)
     specs = [tr.LayerSpec(6, 8, normalizer="batch_norm",
                           policy=tr.WeightPolicy("sst", params)),
-             tr.LayerSpec(8, 3, activation="softmax",
-                          policy=tr.WeightPolicy("ternary"), prune=False)]
+             tr.LayerSpec(8, 3, policy=tr.WeightPolicy("ternary"))]
     net = tr.build_network(specs, seed=12)
     net.layers[0].set_mask(np.kron(np.ones((2, 6)), np.array([[1], [1], [0], [0]])))
     for layer in net.layers:
         if layer.quantizable:
-            layer.refresh_delta(tr.QuantizerConfig())
+            layer.refresh_delta()
     cfg = tr.TrainConfig()
     for _ in range(1000):
         X = rng.normal(size=(8, 6))
@@ -229,14 +227,14 @@ def test_masked_entries_stay_zero_over_many_steps():
 
 
 def test_evaluate_perfect_and_constant():
-    net = tr.build_network([tr.LayerSpec(2, 2, activation="softmax", prune=False)], seed=0)
+    net = tr.build_network([tr.LayerSpec(2, 2)], seed=0)
     net.layers[0].W = 10 * np.eye(2)
     net.layers[0].b = np.zeros(2)
     X = np.eye(2)
     assert tr.evaluate(net, X, np.array([0, 1]), mode="float") == 0.0
     # constant predictor on balanced labels
     rng = np.random.default_rng(13)
-    netc = tr.build_network([tr.LayerSpec(4, 10, activation="softmax", prune=False)], seed=0)
+    netc = tr.build_network([tr.LayerSpec(4, 10)], seed=0)
     netc.layers[0].W = np.zeros((10, 4))
     netc.layers[0].b = np.zeros(10)
     netc.layers[0].b[3] = 5.0
@@ -248,8 +246,7 @@ def test_evaluate_perfect_and_constant():
 
 
 def test_quantized_eval_before_any_stage_is_error():
-    net = tr.build_network([tr.LayerSpec(4, 2, activation="softmax",
-                                         policy=tr.WeightPolicy("ternary"), prune=False)], seed=0)
+    net = tr.build_network([tr.LayerSpec(4, 2, policy=tr.WeightPolicy("ternary"))], seed=0)
     with pytest.raises(ValidationError):
         tr.evaluate(net, np.zeros((2, 4)), np.array([0, 1]), mode="quantized")
 
@@ -262,8 +259,7 @@ def _blob_setup(params, seed, normalizer="batch_norm", orientation="column"):
                      policy=tr.WeightPolicy("sst", params, orientation)),
         tr.LayerSpec(64, 64, normalizer=normalizer,
                      policy=tr.WeightPolicy("sst", params, orientation)),
-        tr.LayerSpec(64, 3, activation="softmax",
-                     policy=tr.WeightPolicy("ternary"), prune=False),
+        tr.LayerSpec(64, 3, policy=tr.WeightPolicy("ternary")),
     ]
     return tr.build_network(specs, seed=seed), data
 
@@ -302,16 +298,20 @@ def test_training_is_deterministic():
         assert np.array_equal(a, b)
 
 
-def test_learning_rate_policy_monotone_with_floor():
-    params = CodeParams(8, 2)
-    net, data = _blob_setup(params, seed=24)
-    cfg = tr.TrainConfig(epochs=14, batch_size=256, seed=24,
-                         plateau_patience=1, lr_floor=1.6e-5, lr_decay=0.2)
-    history = tr.train_structured(net, data, params, cfg, float_epochs=0)
-    lrs = [rec["lr"] for rec in history]
-    assert all(b <= a for a, b in zip(lrs, lrs[1:]))
-    assert all(lr >= 1.6e-5 for lr in lrs)
-    assert lrs[-1] == pytest.approx(1.6e-5)  # patience 1 decays quickly to the floor
+def test_learning_rate_decays_on_plateau_down_to_floor():
+    state = tr._LrState(tr.TrainConfig(learning_rate=1e-3))
+    state.observe(10.0)  # first epoch sets the best MCR
+    lrs = []
+    for _ in range(16):
+        state.observe(10.0)  # flat: never a new best
+        lrs.append(state.lr)
+    # one decay by 0.2 after every 4 flat epochs: 2e-4, 4e-5, then the floor
+    assert lrs[:3] == [1e-3] * 3
+    assert lrs[3] == pytest.approx(2e-4) and lrs[3:7] == [lrs[3]] * 4
+    assert lrs[7] == pytest.approx(4e-5) and lrs[7:11] == [lrs[7]] * 4
+    assert lrs[11:] == [1.6e-5] * 5
+    state.observe(9.0)  # a new best resets the streak, the rate stays
+    assert state.lr == 1.6e-5 and state.streak == 0
 
 
 def test_schedule_layer_conflict_detected_before_training():
