@@ -4,7 +4,8 @@ Sub-vectors of a weight matrix are restricted to at most K non-zero ternary
 entries out of N, so each sub-vector is one entry of a small enumerable
 code table and is stored as a bit-packed table index.  The package covers
 the full pipeline: code enumeration and ranking, bit-exact model files,
-storage accounting, multiplication-free compressed inference, and the
+storage accounting, compressed inference (BLAS serving with a
+multiplication-free add/subtract audit path), and the
 prune-quantize-retrain training loop that produces such weights.
 """
 

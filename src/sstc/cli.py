@@ -45,11 +45,12 @@ def _parse_code(text) -> CodeParams:
     return CodeParams(n, k)
 
 
-def _parse_dataset(spec, seed=0):
-    """(X_train, y_train, X_test, y_test) for a dataset spec.
+def _parse_dataset(spec, seed=0, splits=("train", "t10k")):
+    """(X, y) of each named split, in one flat tuple, for a dataset spec.
 
     Spec: 'idx:DIR' (or a bare directory) or 'synthetic:k=v,...'; the
-    synthetic set fills both splits.
+    synthetic set fills every split.  By default that is
+    (X_train, y_train, X_test, y_test).
     """
     if spec.startswith("synthetic:") or spec == "synthetic":
         opts = {}
@@ -64,9 +65,9 @@ def _parse_dataset(spec, seed=0):
             seed=int(opts.get("seed", seed)),
             separation=float(opts.get("separation", 3.0)),
         )
-        return X, y, X, y
+        return (X, y) * len(splits)
     directory = spec.split(":", 1)[1] if spec.startswith("idx:") else spec
-    return datasets.load_digit_dataset(directory)
+    return tuple(a for split in splits for a in datasets.load_digit_split(directory, split))
 
 
 def _parse_policy_file(path):
@@ -199,7 +200,7 @@ def cmd_report(args):
 
 def cmd_infer(args):
     model = read_model(args.model)
-    _, _, X, y = _parse_dataset(args.data, seed=args.seed)
+    X, y = _parse_dataset(args.data, seed=args.seed, splits=("t10k",))
     probs = kernel.compressed_forward(model, X)
     mcr = 100.0 * int((np.argmax(probs, axis=1) != y).sum()) / len(X)
     records = []
@@ -319,10 +320,13 @@ def _verify_model(model: ModelFile, trials: int, seed: int):
             continue
         bias = layer.bias if layer.bias is not None else 0.0
         inputs = (rng.integers(-50, 50, size=layer.cols) for _ in range(max(trials, 1)))
-        ok = all(np.array_equal(kernel.dense_matvec(W, x) + bias, comp.matvec(x))
-                 for x in inputs)
-        record(f"kernel-vs-dense[{name}]", ok,
-               "" if ok else "integer-mode mismatch with dense oracle")
+        # the served product and the add/subtract audit path, each exactly
+        paths = {"served matvec": comp.matvec,
+                 "add/subtract accumulate": lambda x: comp.delta * comp.accumulate(x) + comp.bias}
+        bad = [path for x in inputs for path, run in paths.items()
+               if not np.array_equal(kernel.dense_matvec(W, x) + bias, run(x))]
+        record(f"kernel-vs-dense[{name}]", not bad,
+               f"integer-mode mismatch of the {bad[0]} with the dense oracle" if bad else "")
         trace = kernel.pe_trace(comp)
         record(f"pe-budget[{name}]", trace.budget_ok,
                f"max ops {trace.max_ops_per_subvector} vs k={trace.op_budget}")

@@ -47,20 +47,24 @@ def _find_idx(directory, stem):
     raise FileNotFoundError(f"no {stem}[.gz] under {directory}")
 
 
+def load_digit_split(directory, split):
+    """Load one split, "train" or "t10k", of the 28x28 digit dataset.
+
+    Returns (X, y) with images flattened to float64 rows scaled to [0, 1].
+    """
+    images = read_idx(_find_idx(directory, f"{split}-images-idx3-ubyte"))
+    labels = read_idx(_find_idx(directory, f"{split}-labels-idx1-ubyte"))
+    if images.shape[0] != labels.shape[0]:
+        raise ValidationError("image/label counts disagree")
+    return images.reshape(images.shape[0], -1).astype(np.float64) / 255.0, labels.astype(np.int64)
+
+
 def load_digit_dataset(directory):
     """Load the standard 28x28 digit dataset from its four IDX files.
 
-    Returns (X_train, y_train, X_test, y_test) with images flattened to
-    float64 rows scaled to [0, 1].
+    Returns (X_train, y_train, X_test, y_test) as `load_digit_split` does.
     """
-    xtr = read_idx(_find_idx(directory, "train-images-idx3-ubyte"))
-    ytr = read_idx(_find_idx(directory, "train-labels-idx1-ubyte"))
-    xte = read_idx(_find_idx(directory, "t10k-images-idx3-ubyte"))
-    yte = read_idx(_find_idx(directory, "t10k-labels-idx1-ubyte"))
-    if xtr.shape[0] != ytr.shape[0] or xte.shape[0] != yte.shape[0]:
-        raise ValidationError("image/label counts disagree")
-    flat = lambda x: x.reshape(x.shape[0], -1).astype(np.float64) / 255.0
-    return flat(xtr), ytr.astype(np.int64), flat(xte), yte.astype(np.int64)
+    return (*load_digit_split(directory, "train"), *load_digit_split(directory, "t10k"))
 
 
 def gaussian_blobs(num_samples: int, num_classes: int = 3, dim: int = 32,

@@ -1,19 +1,25 @@
-"""Multiplication-free inference over structured sparse ternary layers.
+"""Inference over structured sparse ternary layers.
 
-A compressed fully-connected layer is evaluated directly from its index
-stream: each index is looked up in the code table, and every non-zero
-(position, sign) pair of the decoded sub-vector either adds or subtracts
-the corresponding input value into an output accumulator.  Weight values
-multiply nothing; the per-layer step size scales each accumulator once at
-the end, after which the bias and any folded normalizer affine are applied.
+A compressed fully-connected layer is served from its index stream, which
+is decoded once, when the layer is built: each index is looked up in the
+code table and the resulting trits form a dense float64 transposed matrix.
+Every request then runs through BLAS, one vector-matrix product per input
+row, so a row gives the same bits alone or inside any batch.  The
+per-layer step size scales each output once, after which the bias and any
+folded normalizer affine are applied.
 
-Processing-element view: group p owns output rows [p*n, (p+1)*n) and spends
-at most k add/subtract operations per decoded sub-vector.  Groups have
-disjoint output ranges, so they are trivially parallel; columns are walked
+The paper's multiplication-free datapath is kept as the audit path:
+`CompressedFCLayer.accumulate` adds or subtracts the input value of every
+non-zero (position, sign) pair into an output accumulator, exactly in int64
+for integer inputs, and `pe_trace` counts its operations.  Processing-
+element view: group p owns output rows [p*n, (p+1)*n) and spends at most k
+add/subtract operations per decoded sub-vector.  Groups have disjoint
+output ranges, so they are trivially parallel; columns are walked
 sequentially within a group.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,9 +49,10 @@ class PETrace:
 class CompressedFCLayer:
     """An sst-format layer bound to its code table, ready for inference.
 
-    The index stream is unpacked once and pre-analyzed into flat
-    (output row, input column) scatter lists for the add and subtract
-    lanes.
+    The index stream is unpacked and decoded once, at build time, into
+    ``weights_t``: the layer's trits as a float64 (cols, rows) matrix that
+    serves `matvec` and `matmul`.  The add/subtract lanes of the audit path
+    are built on first use.
     """
 
     def __init__(self, layer: EncodedLayer, table: CodeTable):
@@ -65,19 +72,31 @@ class CompressedFCLayer:
         self.bias = (layer.bias.astype(np.float64)
                      if layer.bias is not None else np.zeros(layer.rows))
         self.indices = layer_indices(layer)
-        n = table.params.n
-        k = table.params.k
+        # payload order is column-outer: stream position s covers column
+        # s // groups, output rows [(s % groups)*n, +n), so the gathered
+        # sub-vectors already lie in (cols, rows) order
+        self.weights_t = table.trits[self.indices].reshape(self.cols, self.rows).astype(np.float64)
+
+    @cached_property
+    def nz_per_subvector(self) -> np.ndarray:
+        """Non-zero count of each decoded sub-vector, in payload order."""
+        return self.table.nz_count[self.indices].astype(np.int64)
+
+    @cached_property
+    def _lanes(self):
+        """Flat (output row, input column) scatter lists of the add and
+        subtract lanes: (plus_rows, plus_cols, minus_rows, minus_cols)."""
+        n = self.table.params.n
+        k = self.table.params.k
         groups = self.rows // n
-        # payload order is column-outer: stream position s covers
-        # column s // groups, output rows [ (s % groups)*n, +n )
         stream = np.arange(self.indices.size, dtype=np.int64)
         col_of = stream // groups
         base_row = (stream % groups) * n
-        counts = table.nz_count[self.indices].astype(np.int64)
+        counts = self.nz_per_subvector
         if k:
             slot_valid = np.arange(k)[np.newaxis, :] < counts[:, np.newaxis]
-            pos = table.nz_pos[self.indices].astype(np.int64)
-            sign = table.nz_sign[self.indices]
+            pos = self.table.nz_pos[self.indices].astype(np.int64)
+            sign = self.table.nz_sign[self.indices]
             out_rows = (base_row[:, np.newaxis] + pos)[slot_valid]
             in_cols = np.broadcast_to(col_of[:, np.newaxis], slot_valid.shape)[slot_valid]
             signs = sign[slot_valid]
@@ -86,23 +105,28 @@ class CompressedFCLayer:
             in_cols = np.zeros(0, dtype=np.int64)
             signs = np.zeros(0, dtype=np.int8)
         plus = signs > 0
-        self.plus_rows = out_rows[plus]
-        self.plus_cols = in_cols[plus]
-        self.minus_rows = out_rows[~plus]
-        self.minus_cols = in_cols[~plus]
-        self.nz_per_subvector = counts
+        return out_rows[plus], in_cols[plus], out_rows[~plus], in_cols[~plus]
+
+    plus_rows = property(lambda self: self._lanes[0])
+    plus_cols = property(lambda self: self._lanes[1])
+    minus_rows = property(lambda self: self._lanes[2])
+    minus_cols = property(lambda self: self._lanes[3])
+
+    def _input(self, x) -> np.ndarray:
+        x = np.asarray(x)
+        if x.ndim not in (1, 2) or x.shape[-1] != self.cols:
+            raise ValidationError(f"input shape {x.shape} incompatible with {self.cols} columns")
+        return x
 
     def accumulate(self, x: np.ndarray) -> np.ndarray:
         """Raw accumulator values: sums of +-x before any scaling.
 
-        ``x`` is one input (cols,) or a batch (batch, cols), which runs in
-        chunks of `_BATCH_CHUNK` rows; the result is (rows,) or
-        (batch, rows).  Integer inputs accumulate exactly in int64;
-        everything else in float64.
+        The add/subtract audit path.  ``x`` is one input (cols,) or a batch
+        (batch, cols), which runs in chunks of `_BATCH_CHUNK` rows; the
+        result is (rows,) or (batch, rows).  Integer inputs accumulate
+        exactly in int64; everything else in float64.
         """
-        x = np.asarray(x)
-        if x.ndim not in (1, 2) or x.shape[-1] != self.cols:
-            raise ValidationError(f"input shape {x.shape} incompatible with {self.cols} columns")
+        x = self._input(x)
         x = x.astype(np.int64 if np.issubdtype(x.dtype, np.integer) else np.float64, copy=False)
         if x.ndim == 1:
             return self._scatter(x)
@@ -119,17 +143,31 @@ class CompressedFCLayer:
         np.subtract.at(acc, self.minus_rows, xt[self.minus_cols])
         return acc
 
+    def _product(self, x) -> np.ndarray:
+        """x @ weights_t in float64 for one input or a batch."""
+        x = self._input(x).astype(np.float64, copy=False)
+        rows = _row_products(np.atleast_2d(x), self.weights_t)
+        return rows if x.ndim == 2 else rows[0]
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """delta * accumulate(x) + bias."""
-        return self.delta * self.accumulate(x) + self.bias
+        """delta * (x @ weights_t) + bias, (cols,) -> (rows,)."""
+        return self.delta * self._product(x) + self.bias
 
     def matmul(self, X: np.ndarray) -> np.ndarray:
-        """delta * accumulate(X) + bias over the rows of X, (batch, cols) -> (batch, rows)."""
-        return self.delta * self.accumulate(X) + self.bias
+        """delta * (X @ weights_t) + bias over the rows of X, (batch, cols) -> (batch, rows)."""
+        return self.delta * self._product(X) + self.bias
+
+
+def _row_products(X: np.ndarray, W_t: np.ndarray) -> np.ndarray:
+    """X @ W_t as one BLAS vector-matrix product per row of X, so each
+    row's bits are those of a single-row call, whatever the batch size.
+    A single 2-D product would be faster but blocks its sums by batch."""
+    return np.matmul(X[:, np.newaxis, :], W_t)[:, 0]
 
 
 def pe_trace(layer: CompressedFCLayer) -> PETrace:
-    """Operation statistics for running ``layer``; input-independent.
+    """Operation statistics for running ``layer`` on the add/subtract
+    path; input-independent.
 
     Raises if any decoded sub-vector would exceed the k add/subtract
     budget, which cannot happen with an intact table and index stream.
@@ -184,7 +222,9 @@ def compressed_forward(model: ModelFile, X) -> np.ndarray:
     """Full-network class probabilities from a serialized model.
 
     sst layers in column orientation run on the compressed kernel; other
-    formats are decoded to dense weights.  Hidden layers apply relu after
+    formats are decoded to dense weights.  Every layer multiplies row by
+    row (`_row_products`), so a sample's probabilities do not depend on the
+    batch it arrives in.  Hidden layers apply relu after
     any normalizer affine; the final layer emits softmax probabilities.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -205,7 +245,7 @@ def compressed_forward(model: ModelFile, X) -> np.ndarray:
         else:
             W = decode_layer(layer)
             bias = layer.bias.astype(np.float64) if layer.bias is not None else 0.0
-            out = out @ W.T + bias
+            out = _row_products(out, W.T) + bias
         norm = layer.normalizer
         if isinstance(norm, BatchNormParams):
             scale, shift = bn_eval_affine(norm.gamma, norm.beta, norm.mean, norm.var,

@@ -1,12 +1,14 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from sstc.cli import main
 from sstc.codes import CodeParams, build_table
+from sstc.kernel import CompressedFCLayer, compressed_forward
 from sstc.store import (LayerFormat, ModelFile, encode_layer, read_model,
                         serialize_model, write_model)
 
@@ -120,6 +122,25 @@ def test_verify_detects_out_of_range_index(tmp_path, capsys):
     assert failing and "position 0" in failing[0]["detail"]
 
 
+@pytest.mark.parametrize("path_name, method", [("served matvec", "matvec"),
+                                                ("add/subtract accumulate", "accumulate")])
+def test_verify_checks_served_and_audit_paths(tmp_path, capsys, monkeypatch, path_name, method):
+    params = CodeParams(8, 1)
+    rng = np.random.default_rng(6)
+    layer = encode_layer(random_sst_trits(rng, 16, 8, params) * 0.5, 0.5,
+                         LayerFormat("sst", params), bias=np.ones(16, dtype=np.float32))
+    path = tmp_path / "m.sstw"
+    write_model(ModelFile(layers=[layer]), path)
+    assert main(["verify", "--model", str(path)]) == 0
+    capsys.readouterr()
+    original = getattr(CompressedFCLayer, method)
+    monkeypatch.setattr(CompressedFCLayer, method, lambda self, x: original(self, x) + 1)
+    assert main(["verify", "--model", str(path), "--format", "records"]) == 1
+    failing = [s for s in _records(capsys) if not s["pass"]]
+    assert [s["suite"] for s in failing] == ["kernel-vs-dense[layer0]"]
+    assert failing[0]["detail"] == f"integer-mode mismatch of the {path_name} with the dense oracle"
+
+
 def test_verify_empty_model_passes(tmp_path):
     path = tmp_path / "empty.sstw"
     write_model(ModelFile(), path)
@@ -201,6 +222,27 @@ def test_train_gradual_schedule_and_multiple_seeds(tmp_path, capsys):
         np.mean(summary["val_mcr_percent"]))
     stages = {json.loads(l)["stage"] for l in metrics.read_text().strip().splitlines()}
     assert stages == {"float", "(8,4)", "(8,2)", "(8,1)"}
+
+
+def test_infer_reads_only_the_test_split(tmp_path, capsys):
+    # no training files: infer needs only t10k-*, train still needs train-*
+    rng = np.random.default_rng(9)
+    images = rng.integers(0, 256, size=(30, 28, 28), dtype=np.uint8)
+    labels = rng.integers(0, 10, size=30, dtype=np.uint8)
+    (tmp_path / "t10k-images-idx3-ubyte").write_bytes(
+        struct.pack(">IIII", 0x803, 30, 28, 28) + images.tobytes())
+    (tmp_path / "t10k-labels-idx1-ubyte").write_bytes(
+        struct.pack(">II", 0x801, 30) + labels.tobytes())
+    model = ModelFile(layers=[encode_layer(rng.normal(size=(10, 784)), None,
+                                           LayerFormat("float32"))])
+    path = tmp_path / "m.sstw"
+    write_model(model, path)
+    assert main(["infer", "--model", str(path), "--data", f"idx:{tmp_path}",
+                 "--format", "records"]) == 0
+    X = images.reshape(30, -1).astype(np.float64) / 255.0
+    wrong = int((np.argmax(compressed_forward(model, X), axis=1) != labels).sum())
+    assert _records(capsys)[-1] == {"samples": 30, "mcr_percent": 100.0 * wrong / 30}
+    assert main(["train", "--data", f"idx:{tmp_path}", "--arch", "784,10"]) == 2
 
 
 def test_exit_codes():

@@ -97,14 +97,47 @@ def test_matches_dense_oracle_real_mode():
 
 
 def test_batch_equals_per_sample_calls():
+    # bit-identical rows for every code and batch size
     rng = np.random.default_rng(2)
-    params = CodeParams(8, 2)
-    W = random_sst_trits(rng, 16, 12, params) * 0.5
-    comp = _compressed(W, 0.5, params)
-    X = rng.normal(size=(9, 12))
-    batch = comp.matmul(X)
-    singles = np.stack([comp.matvec(x) for x in X])
-    assert np.array_equal(batch, singles)
+    for n, k in ALL_CODES:
+        params = CodeParams(n, k)
+        W = random_sst_trits(rng, 2 * n, 12, params) * 0.5
+        comp = _compressed(W, 0.5, params, bias=rng.normal(size=2 * n).astype(np.float32))
+        for batch_size in (1, 2, 257):
+            X = rng.normal(size=(batch_size, 12))
+            batch = comp.matmul(X)
+            singles = np.stack([comp.matvec(x) for x in X])
+            assert np.array_equal(batch, singles), (params, batch_size)
+
+
+def test_weights_t_is_the_decoded_trit_matrix():
+    rng = np.random.default_rng(12)
+    for n, k in ALL_CODES:
+        params = CodeParams(n, k)
+        for rows, cols, zero in ((n, 1, False), (n, 5, True), (3 * n, 7, False)):
+            delta = float(np.float32(rng.uniform(0.1, 1.5)))
+            W = np.zeros((rows, cols)) if zero else random_sst_trits(rng, rows, cols, params) * delta
+            layer = encode_layer(W, delta, LayerFormat("sst", params))
+            comp = CompressedFCLayer(layer, build_table(params))
+            assert comp.weights_t.dtype == np.float64
+            assert np.array_equal(comp.weights_t, decode_layer(layer).T / comp.delta)
+
+
+def test_audit_path_after_serving_only_matmul():
+    # the add/subtract lanes are built on first use, after serving
+    rng = np.random.default_rng(13)
+    params = CodeParams(16, 3)
+    trits = random_sst_trits(rng, 48, 20, params)
+    comp = _compressed(trits * 0.5, 0.5, params)
+    comp.matmul(rng.normal(size=(4, 20)))
+    assert "_lanes" not in vars(comp) and "nz_per_subvector" not in vars(comp)
+    trace = pe_trace(comp)
+    assert trace.table_lookups == 3 * 20
+    assert trace.addsub_ops == np.count_nonzero(trits)
+    assert trace.skipped_zeros == 48 * 20 - np.count_nonzero(trits)
+    assert trace.max_ops_per_subvector <= 3
+    x = rng.integers(-100, 101, size=(5, 20))
+    assert np.array_equal(comp.accumulate(x), x @ trits.astype(np.int64).T)
 
 
 def test_trace_counts():
@@ -187,12 +220,27 @@ def test_forward_probabilities_sum_to_one():
 
 
 def test_forward_batch_independence():
+    # every layer format, bit-identical rows in any batch
     rng = np.random.default_rng(7)
-    model = _toy_model(rng)
-    X = rng.normal(size=(5, 6))
-    batch = compressed_forward(model, X)
-    singles = np.vstack([compressed_forward(model, x[np.newaxis]) for x in X])
-    assert np.allclose(batch, singles, atol=1e-12)
+    col_code, row_code = CodeParams(4, 2), CodeParams(8, 1)
+    layers = [
+        encode_layer(random_sst_trits(rng, 64, 96, col_code) * 0.5, 0.5,
+                     LayerFormat("sst", col_code), bias=rng.normal(size=64),
+                     normalizer=BatchNormParams(rng.random(64) + 0.5, rng.normal(size=64),
+                                                rng.normal(size=64), rng.random(64) + 0.5)),
+        encode_layer(rng.integers(-127, 128, size=(48, 64)) * 0.125, 0.125,
+                     LayerFormat("fixed8"), bias=rng.normal(size=48)),
+        encode_layer(rng.normal(size=(40, 48)), None, LayerFormat("float32")),
+        encode_layer(random_sst_trits(rng, 32, 40, row_code, "row") * 0.25, 0.25,
+                     LayerFormat("sst", row_code, "row")),
+        encode_layer(rng.integers(-1, 2, size=(3, 32)) * 0.25, 0.25,
+                     LayerFormat("ternary2bit"), bias=rng.normal(size=3)),
+    ]
+    for model in (_toy_model(rng), ModelFile(layers=layers)):
+        X = rng.normal(size=(37, model.layers[0].cols))
+        batch = compressed_forward(model, X)
+        singles = np.vstack([compressed_forward(model, x[np.newaxis]) for x in X])
+        assert np.array_equal(batch, singles)
 
 
 def test_forward_chain_mismatch():
