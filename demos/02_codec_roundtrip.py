@@ -6,7 +6,7 @@ sub-vector becomes one bit-packed table index of ceil(log2 T) bits.
 
 import numpy as np
 
-from sstc import CodeParams, LayerFormat, build_table, decode_layer, encode_layer
+from sstc import CodeParams, LayerFormat, count_entries, decode_layer, encode_layer
 from sstc.store import layer_indices
 
 
@@ -24,7 +24,7 @@ def main():
     print(W)
     layer = encode_layer(W, delta, LayerFormat("sst", params), layer_name="demo")
     idx = layer_indices(layer)
-    print(f"\ncode {params}: T = {build_table(params).entry_count}, "
+    print(f"\ncode {params}: T = {count_entries(params)}, "
           f"8-bit indices, payload {layer.payload_bit_length()} bits "
           f"({len(layer.payload)} bytes)")
     print("indices per column sub-vector:", idx.tolist())

@@ -4,7 +4,7 @@ On the add/subtract path no weight ever multiplies anything: each decoded
 sub-vector contributes at most K add/subtract operations of input values
 into the output accumulators, and the single multiply per output is the
 final step-size scale.  The trace below audits exactly that.  The served
-`matvec` runs the trits decoded at build time through BLAS and gives the
+`matmul` runs the trits decoded at build time through BLAS and gives the
 same integers.
 """
 
@@ -37,7 +37,7 @@ def main():
     dense = dense_matvec(decode_layer(layer), x)
     print("delta * acc:", out.tolist())
     print("dense oracle agrees exactly:", np.array_equal(out, dense))
-    print("served matvec agrees exactly:", np.array_equal(comp.matvec(x), dense))
+    print("served matmul agrees exactly:", np.array_equal(comp.matmul(x), dense))
 
     trace = pe_trace(comp)
     print(f"\ntrace: {trace.table_lookups} table lookups, "

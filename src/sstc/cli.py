@@ -92,11 +92,15 @@ def _parse_policy_file(path):
     return policies
 
 
-def _policy_to_format(entry) -> LayerFormat:
+def _policy_to_format(entry, where) -> LayerFormat:
+    """Layer format of a policy entry; ``where`` names the entry in errors."""
     kind = entry.get("format", "float32")
     if kind == "ternary":
         kind = "ternary2bit"
     if kind == "sst":
+        for key in ("n", "k"):
+            if key not in entry:
+                raise ValidationError(f"{where}: format=sst needs {key}=<int>")
         params = CodeParams(int(entry["n"]), int(entry["k"]))
         return LayerFormat("sst", params, entry.get("orientation", "column"))
     return LayerFormat(kind)
@@ -150,8 +154,9 @@ def cmd_compress(args):
     names = model.layer_names()
     out_layers = []
     for name, layer in zip(names, model.layers):
-        entry = policies.get(name, policies["default"])
-        fmt = _policy_to_format(entry)
+        policy = name if name in policies else "default"
+        fmt = _policy_to_format(policies[policy],
+                                f"{args.policy}: layer {name} (policy {policy!r})")
         W = decode_layer(layer)
         if fmt.kind == "float32":
             out_layers.append(encode_layer(W, None, fmt, bias=layer.bias,
@@ -321,15 +326,12 @@ def _verify_model(model: ModelFile, trials: int, seed: int):
         bias = layer.bias if layer.bias is not None else 0.0
         inputs = (rng.integers(-50, 50, size=layer.cols) for _ in range(max(trials, 1)))
         # the served product and the add/subtract audit path, each exactly
-        paths = {"served matvec": comp.matvec,
+        paths = {"served matmul": comp.matmul,
                  "add/subtract accumulate": lambda x: comp.delta * comp.accumulate(x) + comp.bias}
         bad = [path for x in inputs for path, run in paths.items()
                if not np.array_equal(kernel.dense_matvec(W, x) + bias, run(x))]
         record(f"kernel-vs-dense[{name}]", not bad,
                f"integer-mode mismatch of the {bad[0]} with the dense oracle" if bad else "")
-        trace = kernel.pe_trace(comp)
-        record(f"pe-budget[{name}]", trace.budget_ok,
-               f"max ops {trace.max_ops_per_subvector} vs k={trace.op_budget}")
     return suites
 
 

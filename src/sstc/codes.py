@@ -10,8 +10,8 @@ lexicographic over the trit sequence read left to right, with digit order
 
 Ranking (vector -> index) and unranking (index -> vector) are computed
 combinatorially in O(n) per vector, so neither encoding nor decoding needs
-a materialized table.  A built `CodeTable` carries the pre-analyzed
-non-zero (position, sign) pairs that the inference kernel consumes.
+a materialized table.  A built `CodeTable` holds every entry's trits, the
+lookup table that the inference kernel gathers decoded sub-vectors from.
 """
 
 from dataclasses import dataclass, field
@@ -161,19 +161,11 @@ def unrank_subvectors(indices, params: CodeParams) -> np.ndarray:
 class CodeTable:
     """Materialized canonical enumeration of an (N, K) code.
 
-    ``trits`` holds the entries as dense int8 rows.  ``nz_pos`` and
-    ``nz_sign`` give, per entry, the positions and signs of its non-zeros
-    (padded with zeros up to k), which is what the inference kernel consumes.
+    ``trits`` holds entry i as dense int8 row i, a (T, n) matrix.
     """
 
     params: CodeParams
-    entry_count: int
-    address_bits: int
-    storage_bits: int
     trits: np.ndarray = field(repr=False)
-    nz_pos: np.ndarray = field(repr=False)
-    nz_sign: np.ndarray = field(repr=False)
-    nz_count: np.ndarray = field(repr=False)
 
 
 def build_table(params: CodeParams, entry_cap: int = DEFAULT_ENTRY_CAP) -> CodeTable:
@@ -188,29 +180,7 @@ def build_table(params: CodeParams, entry_cap: int = DEFAULT_ENTRY_CAP) -> CodeT
             f"code {params} has {t_total} entries, above the entry cap {entry_cap}; "
             "raise entry_cap to force the build"
         )
-    trits = unrank_subvectors(np.arange(t_total, dtype=np.int64), params)
-    n, k = params.n, params.k
-    nz_pos = np.zeros((t_total, k), dtype=np.int8)
-    nz_sign = np.zeros((t_total, k), dtype=np.int8)
-    nz_count = np.count_nonzero(trits, axis=1).astype(np.uint8)
-    rows, cols = np.nonzero(trits)
-    if rows.size:
-        # np.nonzero walks row-major, so slots fill left to right per entry
-        counts = np.bincount(rows, minlength=t_total)
-        starts = np.concatenate(([0], np.cumsum(counts[:-1])))
-        slot = np.arange(rows.size) - starts[rows]
-        nz_pos[rows, slot] = cols
-        nz_sign[rows, slot] = trits[rows, cols]
-    return CodeTable(
-        params=params,
-        entry_count=t_total,
-        address_bits=address_bits(params),
-        storage_bits=table_storage_bits(params),
-        trits=trits,
-        nz_pos=nz_pos,
-        nz_sign=nz_sign,
-        nz_count=nz_count,
-    )
+    return CodeTable(params, unrank_subvectors(np.arange(t_total, dtype=np.int64), params))
 
 
 def encode_subvector(vector, params: CodeParams) -> int:

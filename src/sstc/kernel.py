@@ -10,12 +10,12 @@ folded normalizer affine are applied.
 
 The paper's multiplication-free datapath is kept as the audit path:
 `CompressedFCLayer.accumulate` adds or subtracts the input value of every
-non-zero (position, sign) pair into an output accumulator, exactly in int64
-for integer inputs, and `pe_trace` counts its operations.  Processing-
-element view: group p owns output rows [p*n, (p+1)*n) and spends at most k
-add/subtract operations per decoded sub-vector.  Groups have disjoint
-output ranges, so they are trivially parallel; columns are walked
-sequentially within a group.
+non-zero (position, sign) pair of the decoded trits into an output
+accumulator, exactly in int64 for integer inputs, and `pe_trace` counts its
+operations.  Processing-element view: group p owns output rows
+[p*n, (p+1)*n) and spends at most k add/subtract operations per decoded
+sub-vector.  Groups have disjoint output ranges, so they are trivially
+parallel; columns are walked sequentially within a group.
 """
 
 from dataclasses import dataclass
@@ -41,18 +41,14 @@ class PETrace:
     max_ops_per_subvector: int
     op_budget: int
 
-    @property
-    def budget_ok(self) -> bool:
-        return self.max_ops_per_subvector <= self.op_budget
-
 
 class CompressedFCLayer:
     """An sst-format layer bound to its code table, ready for inference.
 
     The index stream is unpacked and decoded once, at build time, into
     ``weights_t``: the layer's trits as a float64 (cols, rows) matrix that
-    serves `matvec` and `matmul`.  The add/subtract lanes of the audit path
-    are built on first use.
+    serves `matmul`.  The add/subtract lanes of the audit path and the
+    per-sub-vector non-zero counts are derived from it on first use.
     """
 
     def __init__(self, layer: EncodedLayer, table: CodeTable):
@@ -64,8 +60,7 @@ class CompressedFCLayer:
             raise ValidationError(
                 f"table is for code {table.params}, layer uses {layer.format.params}"
             )
-        self.encoded = layer
-        self.table = table
+        self.params = table.params
         self.rows = layer.rows
         self.cols = layer.cols
         self.delta = np.float64(np.float32(layer.delta))
@@ -80,32 +75,16 @@ class CompressedFCLayer:
     @cached_property
     def nz_per_subvector(self) -> np.ndarray:
         """Non-zero count of each decoded sub-vector, in payload order."""
-        return self.table.nz_count[self.indices].astype(np.int64)
+        return np.count_nonzero(self.weights_t.reshape(-1, self.params.n), axis=1)
 
     @cached_property
     def _lanes(self):
         """Flat (output row, input column) scatter lists of the add and
-        subtract lanes: (plus_rows, plus_cols, minus_rows, minus_cols)."""
-        n = self.table.params.n
-        k = self.table.params.k
-        groups = self.rows // n
-        stream = np.arange(self.indices.size, dtype=np.int64)
-        col_of = stream // groups
-        base_row = (stream % groups) * n
-        counts = self.nz_per_subvector
-        if k:
-            slot_valid = np.arange(k)[np.newaxis, :] < counts[:, np.newaxis]
-            pos = self.table.nz_pos[self.indices].astype(np.int64)
-            sign = self.table.nz_sign[self.indices]
-            out_rows = (base_row[:, np.newaxis] + pos)[slot_valid]
-            in_cols = np.broadcast_to(col_of[:, np.newaxis], slot_valid.shape)[slot_valid]
-            signs = sign[slot_valid]
-        else:
-            out_rows = np.zeros(0, dtype=np.int64)
-            in_cols = np.zeros(0, dtype=np.int64)
-            signs = np.zeros(0, dtype=np.int8)
-        plus = signs > 0
-        return out_rows[plus], in_cols[plus], out_rows[~plus], in_cols[~plus]
+        subtract lanes: (plus_rows, plus_cols, minus_rows, minus_cols),
+        ordered by (column, row) like the payload."""
+        cols, rows = np.nonzero(self.weights_t)
+        plus = self.weights_t[cols, rows] > 0
+        return rows[plus], cols[plus], rows[~plus], cols[~plus]
 
     plus_rows = property(lambda self: self._lanes[0])
     plus_cols = property(lambda self: self._lanes[1])
@@ -143,19 +122,12 @@ class CompressedFCLayer:
         np.subtract.at(acc, self.minus_rows, xt[self.minus_cols])
         return acc
 
-    def _product(self, x) -> np.ndarray:
-        """x @ weights_t in float64 for one input or a batch."""
-        x = self._input(x).astype(np.float64, copy=False)
-        rows = _row_products(np.atleast_2d(x), self.weights_t)
-        return rows if x.ndim == 2 else rows[0]
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """delta * (x @ weights_t) + bias, (cols,) -> (rows,)."""
-        return self.delta * self._product(x) + self.bias
-
     def matmul(self, X: np.ndarray) -> np.ndarray:
-        """delta * (X @ weights_t) + bias over the rows of X, (batch, cols) -> (batch, rows)."""
-        return self.delta * self._product(X) + self.bias
+        """delta * (X @ weights_t) + bias for one input, (cols,) -> (rows,),
+        or over the rows of a batch, (batch, cols) -> (batch, rows)."""
+        X = self._input(X).astype(np.float64, copy=False)
+        out = self.delta * _row_products(np.atleast_2d(X), self.weights_t) + self.bias
+        return out if X.ndim == 2 else out[0]
 
 
 def _row_products(X: np.ndarray, W_t: np.ndarray) -> np.ndarray:
@@ -167,16 +139,12 @@ def _row_products(X: np.ndarray, W_t: np.ndarray) -> np.ndarray:
 
 def pe_trace(layer: CompressedFCLayer) -> PETrace:
     """Operation statistics for running ``layer`` on the add/subtract
-    path; input-independent.
-
-    Raises if any decoded sub-vector would exceed the k add/subtract
-    budget, which cannot happen with an intact table and index stream.
-    """
+    path; input-independent."""
     counts = layer.nz_per_subvector
     lookups = int(counts.size)
     addsub = int(counts.sum())
-    params = layer.table.params
-    trace = PETrace(
+    params = layer.params
+    return PETrace(
         table_lookups=lookups,
         addsub_ops=addsub,
         skipped_zeros=lookups * params.n - addsub,
@@ -184,11 +152,6 @@ def pe_trace(layer: CompressedFCLayer) -> PETrace:
         max_ops_per_subvector=int(counts.max()) if lookups else 0,
         op_budget=params.k,
     )
-    if not trace.budget_ok:
-        raise ValidationError(
-            f"sub-vector issues {trace.max_ops_per_subvector} ops, over budget k={trace.op_budget}"
-        )
-    return trace
 
 
 def dense_matvec(W, x) -> np.ndarray:

@@ -19,6 +19,7 @@ Wire format (all integers little-endian, payload bits MSB-first):
     magic "SSTW" padded to 8 bytes | version u16 | layer count u16
     per layer:
         format u8 | orientation u8 | rows u32 | cols u32 | n u8 | k u8
+          (orientation 0 column or 1 row for sst; 0, 0, 0 for other formats)
         delta f32 | bias count u32 | bias f32[] | payload bits u64 | payload
         normalizer tag u8 (0 none, 1 batch norm, 2 weight norm)
         batch norm only: eps f32 | gamma f32[rows] | beta f32[rows]
@@ -44,7 +45,7 @@ FORMAT_VERSION = 1
 
 FORMAT_KINDS = ("float32", "fixed8", "ternary2bit", "sst")
 _FORMAT_TAGS = {name: tag for tag, name in enumerate(FORMAT_KINDS)}
-_ORIENTATION_TAGS = {"column": 0, "row": 1}
+_ORIENTATIONS = ("column", "row")  # position is the wire tag
 
 
 @dataclass(frozen=True)
@@ -59,10 +60,13 @@ class LayerFormat:
         if self.kind == "sst":
             if self.params is None:
                 raise ValidationError("sst format requires code parameters")
-            if self.orientation not in _ORIENTATION_TAGS:
+            if self.orientation not in _ORIENTATIONS:
                 raise ValidationError(f"unknown orientation {self.orientation!r}")
         elif self.params is not None:
             raise ValidationError(f"format {self.kind!r} takes no code parameters")
+        elif self.orientation != "column":
+            raise ValidationError(f"format {self.kind!r} is stored column-oriented only, "
+                                  f"got {self.orientation!r}")
 
     def __str__(self):
         if self.kind == "sst":
@@ -348,7 +352,7 @@ def serialize_model(model: ModelFile) -> bytes:
         parts.append(struct.pack(
             "<BBIIBBf",
             _FORMAT_TAGS[fmt.kind],
-            _ORIENTATION_TAGS.get(fmt.orientation, 0),
+            _ORIENTATIONS.index(fmt.orientation),
             layer.rows, layer.cols, n, k,
             np.float32(layer.delta or 0.0),
         ))
@@ -408,9 +412,15 @@ def deserialize_model(data: bytes) -> ModelFile:
         if ftag >= len(FORMAT_KINDS):
             raise ValidationError(f"unknown format tag {ftag}")
         kind = FORMAT_KINDS[ftag]
-        orientation = "row" if otag == 1 else "column"
-        params = CodeParams(n, k) if kind == "sst" else None
-        fmt = LayerFormat(kind, params, orientation if kind == "sst" else "column")
+        if kind == "sst":
+            if otag >= len(_ORIENTATIONS):
+                raise ValidationError(f"unknown orientation tag {otag}")
+            fmt = LayerFormat(kind, CodeParams(n, k), _ORIENTATIONS[otag])
+        elif (otag, n, k) != (0, 0, 0):
+            raise ValidationError(f"{kind} layer header needs orientation, n and k all 0, "
+                                  f"got {otag}, {n}, {k}")
+        else:
+            fmt = LayerFormat(kind)
         (bias_count,) = r.unpack("<I")
         bias = r.f32_array(bias_count) if bias_count else None
         (payload_bits,) = r.unpack("<Q")

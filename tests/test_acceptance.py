@@ -79,7 +79,7 @@ def test_criterion_2_codec_roundtrip():
 def _random_sst_layer(rng, params, table):
     groups = int(rng.integers(1, 128 // params.n + 1))
     rows, cols = groups * params.n, int(rng.integers(1, 129))
-    idx = rng.integers(0, table.entry_count, size=groups * cols)
+    idx = rng.integers(0, len(table.trits), size=groups * cols)
     subvectors = table.trits[idx]
     trits = _subvectors_to_matrix(subvectors, rows, cols, params, "column")
     delta = float(np.float32(rng.uniform(0.05, 2.0)))
@@ -103,13 +103,13 @@ def test_criterion_3_kernel_oracle_equivalence():
         xi = rng.integers(-100, 101, size=layer.cols)
         if not np.array_equal(comp.accumulate(xi), trits @ xi):
             failures.append((trial, "integer accumulate"))
-        if not np.array_equal(comp.matvec(xi),
+        if not np.array_equal(comp.matmul(xi),
                               dense_matvec(dense, xi) + bias):
             failures.append((trial, "integer matvec"))
         # real mode: 1e-6 relative
         xr = rng.normal(size=layer.cols)
         want = dense_matvec(dense, xr) + bias
-        got = comp.matvec(xr)
+        got = comp.matmul(xr)
         rel = np.abs(got - want) / np.maximum(np.abs(want), 1.0)
         if rel.max() > 1e-6:
             failures.append((trial, f"real mode rel {rel.max():.2e}"))

@@ -122,7 +122,7 @@ def test_verify_detects_out_of_range_index(tmp_path, capsys):
     assert failing and "position 0" in failing[0]["detail"]
 
 
-@pytest.mark.parametrize("path_name, method", [("served matvec", "matvec"),
+@pytest.mark.parametrize("path_name, method", [("served matmul", "matmul"),
                                                 ("add/subtract accumulate", "accumulate")])
 def test_verify_checks_served_and_audit_paths(tmp_path, capsys, monkeypatch, path_name, method):
     params = CodeParams(8, 1)
@@ -243,6 +243,20 @@ def test_infer_reads_only_the_test_split(tmp_path, capsys):
     wrong = int((np.argmax(compressed_forward(model, X), axis=1) != labels).sum())
     assert _records(capsys)[-1] == {"samples": 30, "mcr_percent": 100.0 * wrong / 30}
     assert main(["train", "--data", f"idx:{tmp_path}", "--arch", "784,10"]) == 2
+
+
+@pytest.mark.parametrize("missing", ["n", "k"])
+def test_compress_names_a_missing_sst_policy_key(tmp_path, capsys, missing):
+    npz = _write_float_npz(tmp_path / "float.npz", np.random.default_rng(9))
+    policy = tmp_path / "policy.txt"
+    policy.write_text("default format=sst " + ("k=2" if missing == "n" else "n=4") + "\n")
+    out = tmp_path / "out.sstw"
+    assert main(["compress", "--input", str(npz), "--output", str(out),
+                 "--policy", str(policy)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {policy}: layer layer0 (policy 'default'): "
+                   f"format=sst needs {missing}=<int>\n")
+    assert not out.exists()
 
 
 def test_exit_codes():

@@ -78,7 +78,7 @@ def test_enumeration_matches_published_listing():
 def test_enumeration_trivial_codes():
     assert [tuple(r) for r in build_table(CodeParams(1, 1)).trits] == [(0,), (1,), (-1,)]
     t22 = build_table(CodeParams(2, 2))
-    assert t22.entry_count == 9
+    assert len(t22.trits) == 9
     assert tuple(t22.trits[0]) == (0, 0)
     assert tuple(t22.trits[-1]) == (-1, -1)
 
@@ -88,13 +88,13 @@ def test_enumeration_matches_brute_force(n, k):
     table = build_table(CodeParams(n, k))
     oracle = enumerate_by_brute_force(n, k)
     assert np.array_equal(table.trits, oracle)
-    assert table.entry_count == len(oracle)
+    assert len(table.trits) == len(oracle)
 
 
 def test_build_table_counts_cross_check_formula():
     for n, k in [(8, 1), (8, 2), (16, 2), (16, 3), (10, 4)]:
         params = CodeParams(n, k)
-        assert build_table(params).entry_count == count_entries(params)
+        assert len(build_table(params).trits) == count_entries(params)
 
 
 def test_entry_cap():
@@ -102,13 +102,13 @@ def test_entry_cap():
         build_table(CodeParams(16, 16))
     # override builds fine
     table = build_table(CodeParams(13, 13), entry_cap=3 ** 13)
-    assert table.entry_count == 3 ** 13
+    assert len(table.trits) == 3 ** 13
 
 
 def test_entries_respect_budget_and_length():
     for n, k in [(8, 2), (16, 2), (7, 3)]:
         table = build_table(CodeParams(n, k))
-        assert table.trits.shape == (table.entry_count, n)
+        assert table.trits.shape == (count_entries(CodeParams(n, k)), n)
         assert np.count_nonzero(table.trits, axis=1).max() <= k
 
 
@@ -140,7 +140,7 @@ def test_roundtrip_exhaustive_small_tables():
         params = CodeParams(n, k)
         table = build_table(params)
         ranks = rank_subvectors(table.trits, params)
-        assert np.array_equal(ranks, np.arange(table.entry_count))
+        assert np.array_equal(ranks, np.arange(len(table.trits)))
         again = unrank_subvectors(ranks, params)
         assert np.array_equal(again, table.trits)
 
@@ -149,7 +149,7 @@ def test_roundtrip_sampled_large_table():
     params = CodeParams(16, 4)
     table = build_table(params)
     rng = np.random.default_rng(0)
-    idx = rng.integers(0, table.entry_count, size=10_000)
+    idx = rng.integers(0, len(table.trits), size=10_000)
     vectors = unrank_subvectors(idx, params)
     assert np.array_equal(rank_subvectors(vectors, params), idx)
     assert np.array_equal(table.trits[idx], vectors)
@@ -160,9 +160,9 @@ def test_rank_without_materialized_table_matches_scan():
     params = CodeParams(6, 2)
     table = build_table(params)
     rng = np.random.default_rng(1)
-    for idx in rng.integers(0, table.entry_count, size=50):
+    for idx in rng.integers(0, len(table.trits), size=50):
         v = table.trits[idx]
-        scan = next(i for i in range(table.entry_count)
+        scan = next(i for i in range(len(table.trits))
                     if np.array_equal(table.trits[i], v))
         assert encode_subvector(v, params) == scan
 
@@ -173,12 +173,3 @@ def test_rank_input_validation():
         rank_subvectors([[0, 2, 0, 0]], params)
     with pytest.raises(ValidationError):
         rank_subvectors([[0, 0, 0]], params)
-
-
-def test_nonzero_analysis_consistent():
-    table = build_table(CodeParams(8, 2))
-    for idx in range(table.entry_count):
-        dense = np.zeros(8, dtype=np.int8)
-        cnt = table.nz_count[idx]
-        dense[table.nz_pos[idx, :cnt]] = table.nz_sign[idx, :cnt]
-        assert np.array_equal(dense, table.trits[idx])

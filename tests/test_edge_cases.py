@@ -93,13 +93,13 @@ def test_kernel_batch_chunk_boundary_exactness():
     X = rng.normal(size=(600, 24))  # crosses the 256-row chunking twice
     batch = comp.matmul(X)
     for i in (0, 255, 256, 257, 511, 512, 599):
-        assert np.array_equal(batch[i], comp.matvec(X[i]))
+        assert np.array_equal(batch[i], comp.matmul(X[i]))
 
 
 def test_full_budget_code_has_no_invalid_vectors():
     params = CodeParams(3, 3)
     table = build_table(params)
-    assert table.entry_count == 27
+    assert len(table.trits) == 27
     # ranking any +-1/0 vector of length 3 must succeed at full budget
     rng = np.random.default_rng(2)
     vectors = rng.integers(-1, 2, size=(200, 3))

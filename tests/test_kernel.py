@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from sstc.codes import CodeParams, build_table
+from sstc.codes import CodeParams, build_table, unrank_subvectors
 from sstc.errors import ValidationError
 from sstc.kernel import CompressedFCLayer, compressed_forward, dense_matvec, pe_trace
 from sstc.store import (BatchNormParams, LayerFormat, ModelFile, decode_layer,
-                        encode_layer)
+                        encode_layer, layer_indices)
 
 from conftest import random_sst_trits
 
@@ -25,20 +25,20 @@ def test_hand_worked_product():
     comp = _compressed(W, 0.5, CodeParams(2, 1))
     x = np.array([2.0, 3.0])
     assert comp.accumulate(x).tolist() == [3.0, -2.0]
-    assert comp.matvec(x).tolist() == [1.5, -1.0]
+    assert comp.matmul(x).tolist() == [1.5, -1.0]
 
 
 def test_zero_payload_returns_bias():
     bias = np.array([1.0, -2.0, 0.5, 0.0], dtype=np.float32)
     comp = _compressed(np.zeros((4, 3)), 1.0, CodeParams(4, 2), bias=bias)
-    out = comp.matvec(np.array([5.0, 6.0, 7.0]))
+    out = comp.matmul(np.array([5.0, 6.0, 7.0]))
     assert np.array_equal(out, bias.astype(np.float64))
 
 
 def test_length_mismatch_rejected():
     comp = _compressed(np.zeros((4, 3)), 1.0, CodeParams(4, 1))
     with pytest.raises(ValidationError):
-        comp.matvec(np.zeros(4))
+        comp.matmul(np.zeros(4))
 
 
 def test_corrupt_index_rejected():
@@ -72,7 +72,7 @@ def test_matches_dense_oracle_exactly_integer_mode():
             dense = decode_layer(layer)
             assert np.array_equal(dense, W)
             want = dense_matvec(dense, x) + bias
-            assert np.array_equal(comp.matvec(x), want)
+            assert np.array_equal(comp.matmul(x), want)
             # accumulators alone equal the integer ternary product exactly
             trits = (dense / delta).astype(np.int64)
             assert np.array_equal(comp.accumulate(x), trits @ x)
@@ -91,7 +91,7 @@ def test_matches_dense_oracle_real_mode():
             comp = CompressedFCLayer(encode_layer(W, delta, LayerFormat("sst", params)), table)
             x = rng.normal(size=cols)
             want = dense_matvec(W, x)
-            got = comp.matvec(x)
+            got = comp.matmul(x)
             scale = np.maximum(np.abs(want), 1.0)
             assert np.all(np.abs(got - want) / scale <= 1e-6)
 
@@ -106,7 +106,7 @@ def test_batch_equals_per_sample_calls():
         for batch_size in (1, 2, 257):
             X = rng.normal(size=(batch_size, 12))
             batch = comp.matmul(X)
-            singles = np.stack([comp.matvec(x) for x in X])
+            singles = np.stack([comp.matmul(x) for x in X])
             assert np.array_equal(batch, singles), (params, batch_size)
 
 
@@ -121,6 +121,29 @@ def test_weights_t_is_the_decoded_trit_matrix():
             comp = CompressedFCLayer(layer, build_table(params))
             assert comp.weights_t.dtype == np.float64
             assert np.array_equal(comp.weights_t, decode_layer(layer).T / comp.delta)
+
+
+def test_audit_path_lanes_and_counts_are_the_decoded_trits():
+    rng = np.random.default_rng(14)
+    for n, k in ALL_CODES + [(8, 0), (4, 0)]:
+        params = CodeParams(n, k)
+        for rows, cols, zero in ((n, 1, False), (3 * n, 9, False), (2 * n, 4, True)):
+            W = np.zeros((rows, cols)) if zero else random_sst_trits(rng, rows, cols, params) * 0.5
+            layer = encode_layer(W, 0.5, LayerFormat("sst", params))
+            comp = CompressedFCLayer(layer, build_table(params))
+            subvectors = unrank_subvectors(layer_indices(layer), params)
+            assert np.array_equal(comp.nz_per_subvector, np.count_nonzero(subvectors, axis=1))
+            # (col, row) order, as the payload walks the layer
+            trits_t = (decode_layer(layer) / 0.5).T
+            for sign, lane_rows, lane_cols in ((1, comp.plus_rows, comp.plus_cols),
+                                               (-1, comp.minus_rows, comp.minus_cols)):
+                want_cols, want_rows = np.nonzero(trits_t == sign)
+                assert lane_rows.dtype == lane_cols.dtype == np.int64
+                assert np.array_equal(lane_rows, want_rows)
+                assert np.array_equal(lane_cols, want_cols)
+            for x in (rng.integers(-100, 101, size=(5, cols)), rng.normal(size=(5, cols))):
+                singles = np.stack([comp.accumulate(row) for row in x])
+                assert np.array_equal(comp.accumulate(x), singles), (params, x.dtype)
 
 
 def test_audit_path_after_serving_only_matmul():
@@ -154,7 +177,7 @@ def test_trace_counts():
     assert trace.addsub_ops == 131_072
     assert trace.addsub_ops <= 131_072
     assert trace.delta_multiplies == 1024
-    assert trace.budget_ok
+    assert trace.max_ops_per_subvector <= trace.op_budget == 1
 
 
 def test_trace_zero_matrix():
@@ -260,7 +283,7 @@ def test_single_layer_model_is_matvec_plus_softmax():
     x = rng.normal(size=6)
     probs = compressed_forward(model, x)
     comp = CompressedFCLayer(layer, build_table(params))
-    logits = comp.matvec(x)
+    logits = comp.matmul(x)
     want = np.exp(logits - logits.max())
     want /= want.sum()
     assert np.allclose(probs[0], want, atol=1e-12)

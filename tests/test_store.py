@@ -175,6 +175,35 @@ def test_truncated_and_corrupt_files_rejected():
         deserialize_model(blob + b"\x00")
 
 
+def test_layer_header_bytes_outside_what_serialize_writes_are_rejected():
+    # first layer header: format u8 at byte 12, orientation u8 at 13,
+    # n u8 at 22, k u8 at 23
+    W = np.diag(np.random.default_rng(8).choice([-0.5, 0.5], size=8))
+    models = [ModelFile(layers=[encode_layer(W, 0.5, LayerFormat("sst", CodeParams(8, 2), o))])
+              for o in ("column", "row")]
+    models += [ModelFile(layers=[encode_layer(W, 0.5, LayerFormat(kind))])
+               for kind in ("float32", "fixed8", "ternary2bit")]
+    for model in models:
+        blob = serialize_model(model)
+        assert serialize_model(deserialize_model(blob)) == blob
+        if model.layers[0].format.kind == "sst":
+            never_written = {13: range(2, 256)}
+        else:
+            never_written = {offset: range(1, 256) for offset in (13, 22, 23)}
+        for offset, values in never_written.items():
+            for value in values:
+                bad = bytearray(blob)
+                bad[offset] = value
+                with pytest.raises(ValidationError):
+                    deserialize_model(bytes(bad))
+
+
+def test_row_orientation_is_sst_only():
+    for kind in ("float32", "fixed8", "ternary2bit"):
+        with pytest.raises(ValidationError, match="column-oriented only"):
+            LayerFormat(kind, orientation="row")
+
+
 def test_write_read_file(tmp_path):
     model = model_from_arrays([(np.eye(3), np.zeros(3))], names=["fc0"])
     path = tmp_path / "model.sstw"
