@@ -70,10 +70,18 @@ def _parse_dataset(spec, seed=0, splits=("train", "t10k")):
     return tuple(a for split in splits for a in datasets.load_digit_split(directory, split))
 
 
+# allowed values of the policy keys that take a name; n and k take integers
+_POLICY_CHOICES = {"format": ("float32", "fixed8", "ternary", "sst"),
+                   "orientation": ("column", "row")}
+_SST_POLICY_KEYS = ("n", "k", "orientation")
+
+
 def _parse_policy_file(path):
     """Layer policy lines: '<layer|default> key=value ...'.
 
-    Keys: format (float32|fixed8|ternary|sst), n, k, orientation.
+    Keys: format (float32|fixed8|ternary|sst), and for sst only n and k
+    (integers) and orientation (column|row).  Any other key or value
+    raises `ValidationError` naming the file, the line and the key.
     """
     policies = {}
     with open(path) as fh:
@@ -85,15 +93,34 @@ def _parse_policy_file(path):
             entry = {}
             for pair in pairs:
                 key, _, value = pair.partition("=")
+                where = f"{path}:{lineno}: key {key!r}"
                 if not value:
                     raise ValidationError(f"{path}:{lineno}: expected key=value, got {pair!r}")
+                if key not in ("format", *_SST_POLICY_KEYS):
+                    raise ValidationError(f"{where}: unknown key, expected one of "
+                                          f"format, {', '.join(_SST_POLICY_KEYS)}")
+                if key in entry:
+                    raise ValidationError(f"{where}: given twice")
+                if key in ("n", "k"):
+                    try:
+                        value = int(value)
+                    except ValueError:
+                        raise ValidationError(f"{where}: expected an integer, got {value!r}")
+                elif value not in _POLICY_CHOICES[key]:
+                    raise ValidationError(f"{where}: unknown value {value!r}, expected one of "
+                                          f"{', '.join(_POLICY_CHOICES[key])}")
                 entry[key] = value
+            if entry.get("format", "float32") != "sst":
+                for key in _SST_POLICY_KEYS:
+                    if key in entry:
+                        raise ValidationError(f"{path}:{lineno}: key {key!r}: applies to "
+                                              f"format=sst only")
             policies[name] = entry
     return policies
 
 
 def _policy_to_format(entry, where) -> LayerFormat:
-    """Layer format of a policy entry; ``where`` names the entry in errors."""
+    """Layer format of a parsed policy entry; ``where`` names it in errors."""
     kind = entry.get("format", "float32")
     if kind == "ternary":
         kind = "ternary2bit"
@@ -101,7 +128,10 @@ def _policy_to_format(entry, where) -> LayerFormat:
         for key in ("n", "k"):
             if key not in entry:
                 raise ValidationError(f"{where}: format=sst needs {key}=<int>")
-        params = CodeParams(int(entry["n"]), int(entry["k"]))
+        try:
+            params = CodeParams(entry["n"], entry["k"])
+        except ValidationError as exc:
+            raise ValidationError(f"{where}: {exc}")
         return LayerFormat("sst", params, entry.get("orientation", "column"))
     return LayerFormat(kind)
 
@@ -147,8 +177,8 @@ def cmd_compress(args):
     policies = _parse_policy_file(args.policy) if args.policy else {}
     if args.code:
         params = _parse_code(args.code)
-        policies.setdefault("default", {"format": "sst", "n": str(params.n),
-                                        "k": str(params.k), "orientation": args.orientation})
+        policies.setdefault("default", {"format": "sst", "n": params.n,
+                                        "k": params.k, "orientation": args.orientation})
     if "default" not in policies:
         policies["default"] = {"format": "ternary"}
     names = model.layer_names()
@@ -248,7 +278,7 @@ def cmd_train(args):
     if len(dims) < 2:
         raise ValidationError(f"--arch needs at least two dimensions, got {args.arch!r}")
     params = _parse_code(args.code) if args.code else None
-    X, y, _, _ = _parse_dataset(args.data, seed=args.seed)
+    X, y = _parse_dataset(args.data, seed=args.seed, splits=("train",))
     seeds = [args.seed + i for i in range(args.seeds)]
     schedule = None
     if params:
@@ -268,11 +298,16 @@ def cmd_train(args):
                                       epochs=args.epochs, seed=seed)
         if schedule is None:
             history = training.train_float(net, split, config)
-            mcr = training.evaluate(net, split.X_val, split.y_val, mode="float")
         else:
             history = training.train_structured(net, split, schedule, config,
                                                 float_epochs=args.float_epochs)
-            mcr = training.evaluate(net, split.X_val, split.y_val, mode="quantized")
+        # the last epoch of the final phase already measured this net
+        final_stage = str(schedule.stages[-1]) if schedule else "float"
+        if history and history[-1]["stage"] == final_stage:
+            mcr = history[-1]["val_mcr"]
+        else:
+            mcr = training.evaluate(net, split.X_val, split.y_val,
+                                    mode="quantized" if schedule else "float")
         results.append(mcr)
         metrics.extend({"seed": seed, **rec} for rec in history)
         if model is None:

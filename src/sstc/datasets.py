@@ -56,7 +56,8 @@ def load_digit_split(directory, split):
     labels = read_idx(_find_idx(directory, f"{split}-labels-idx1-ubyte"))
     if images.shape[0] != labels.shape[0]:
         raise ValidationError("image/label counts disagree")
-    return images.reshape(images.shape[0], -1).astype(np.float64) / 255.0, labels.astype(np.int64)
+    X = np.divide(images.reshape(images.shape[0], -1), 255.0, dtype=np.float64)
+    return X, labels.astype(np.int64)
 
 
 def load_digit_dataset(directory):

@@ -34,7 +34,14 @@ def quantize_weight(w, delta: float, levels: int = 3):
         raise ValidationError(f"step size must be positive, got {delta}")
     arr = np.asarray(w, dtype=np.float64)
     half_levels = (levels - 1) // 2
-    q = np.sign(arr) * delta * np.minimum(np.floor(np.abs(arr) / delta + 0.5), half_levels)
+    # sign(w) * delta * min(floor(|w| / delta + 0.5), half_levels), in place
+    q = np.abs(arr, out=np.empty(arr.shape))
+    q /= delta
+    q += 0.5
+    np.floor(q, out=q)
+    np.minimum(q, half_levels, out=q)
+    q *= delta
+    q *= np.sign(arr)
     if np.isscalar(w) or arr.ndim == 0:
         return float(q)
     return q

@@ -87,6 +87,17 @@ class BatchNormParams:
     def __post_init__(self):
         for name in ("gamma", "beta", "mean", "var"):
             setattr(self, name, np.ascontiguousarray(getattr(self, name), dtype=np.float32))
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValidationError(f"batch norm {name} holds a non-finite value")
+        if not np.isfinite(self.eps):
+            raise ValidationError(f"batch norm eps must be finite, got {self.eps}")
+        # the eval fold divides by sqrt(var + eps) of the stored float32
+        # values; that sum is positive exactly when var > -eps
+        low = self.var <= -np.float32(self.eps)
+        if low.any():
+            pos = int(np.argmax(low))
+            raise ValidationError(f"batch norm var + eps must be positive, got var "
+                                  f"{float(self.var[pos])} at row {pos} with eps {self.eps}")
 
     def __eq__(self, other):
         if not isinstance(other, BatchNormParams):
@@ -131,6 +142,10 @@ class EncodedLayer:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ValidationError("layer dimensions must be positive")
+        if self.format.kind != "float32" and not (
+                self.delta is not None and np.isfinite(self.delta) and self.delta > 0):
+            raise ValidationError(f"format {self.format.kind} needs a finite positive "
+                                  f"step size, got {self.delta}")
         if self.format.kind == "sst":
             n = self.format.params.n
             grouped = self.rows if self.format.orientation == "column" else self.cols

@@ -4,8 +4,11 @@ The retraining loop keeps two weight sets per layer: float shadow weights W
 that receive gradient updates, and quantized weights W_q used in the
 forward pass.  Gradients flow through the quantizer with the straight-
 through convention (identity), are masked so pruned connections stay zero,
-and are applied with ADAM.  The step size is re-fitted once per epoch and
-at every stage boundary; W_q is re-quantized after every optimizer step.
+and are applied with ADAM.  Once a layer is pruned, ADAM and the quantizer
+touch only the kept positions: pruned weights are zeroed once, when the
+mask is set, and never written again.  The step size is re-fitted once per
+epoch and at every stage boundary; W_q is re-quantized after every
+optimizer step.
 
 Weight normalization is treated as a reparameterization of the float
 weights: the effective weight is the row-normalized masked matrix, and the
@@ -108,10 +111,13 @@ def batch_norm_forward(x, gamma, beta, eps=1e-5):
     if x.shape[0] < 2:
         raise ValidationError("batch norm needs a batch of at least 2 in train phase")
     mu = x.mean(axis=0)
-    var = x.var(axis=0)
+    xhat = x - mu
+    out = xhat * xhat
+    var = out.sum(axis=0) / x.shape[0]  # the bits of x.var(axis=0)
     invstd = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * invstd
-    out = gamma * xhat + beta
+    xhat *= invstd
+    np.multiply(gamma, xhat, out=out)
+    out += beta
     return out, {"xhat": xhat, "invstd": invstd, "gamma": gamma,
                  "mu": mu, "var": var}
 
@@ -122,11 +128,19 @@ def batch_norm_backward(dout, cache):
         raise ValidationError("batch norm backward requires a train-phase forward cache")
     xhat, invstd, gamma = cache["xhat"], cache["invstd"], cache["gamma"]
     batch = dout.shape[0]
-    dgamma = (dout * xhat).sum(axis=0)
+    tmp = dout * xhat
+    dgamma = tmp.sum(axis=0)
     dbeta = dout.sum(axis=0)
-    dxhat = dout * gamma
-    dx = (invstd / batch) * (batch * dxhat - dxhat.sum(axis=0)
-                             - xhat * (dxhat * xhat).sum(axis=0))
+    # dx = (invstd / batch) * (batch * dxhat - dxhat.sum(axis=0)
+    #                          - xhat * (dxhat * xhat).sum(axis=0)), in place
+    dx = dout * gamma
+    np.multiply(dx, xhat, out=tmp)
+    np.multiply(xhat, tmp.sum(axis=0), out=tmp)
+    dxhat_sum = dx.sum(axis=0)
+    dx *= batch
+    dx -= dxhat_sum
+    dx -= tmp
+    dx *= invstd / batch
     return dx, dgamma, dbeta
 
 
@@ -156,6 +170,8 @@ class Layer:
         self.W = rng.uniform(-bound, bound, size=(spec.out_dim, spec.in_dim))
         self.b = np.zeros(spec.out_dim)
         self.mask = np.ones((spec.out_dim, spec.in_dim))
+        # flat positions the mask keeps; None while it keeps everything
+        self.kept = None
         self.delta = None
         self.W_q = None
         # the stage code currently enforced; the policy params are the target
@@ -167,34 +183,61 @@ class Layer:
             self.run_var = np.ones(spec.out_dim)
             self.bn_eps = 1e-5
             self.bn_momentum = 0.1
+        # ADAM (m, v) per parameter; a pruned layer's W moments are kept
+        # only at its kept positions, as flat arrays
         self.moments = {}
+        self._scratch = {}
 
     @property
     def quantizable(self):
         return self.spec.policy.kind in ("ternary", "sst")
 
+    def masked_weights(self):
+        """W with the pruned positions zeroed (W itself while nothing is)."""
+        return self.W if self.kept is None else self.W * self.mask
+
     def effective_weights(self):
         """Float weights as used in the forward pass: masked, and row-
         normalized when the layer is weight-normalized."""
-        U = self.W * self.mask
+        U = self.masked_weights()
         if self.spec.normalizer == "weight_norm":
             V, _ = weight_norm_forward(U)
             return V
         return U
 
     def set_mask(self, mask):
+        """Prune to ``mask``; moments of positions that stay kept carry
+        over, newly kept positions start from zero."""
         self.mask = np.asarray(mask, dtype=np.float64)
         self.W *= self.mask
+        kept = None if self.mask.all() else np.flatnonzero(self.mask)
         if "W" in self.moments:
-            m, v = self.moments["W"]
-            m *= self.mask
-            v *= self.mask
+            self.moments["W"] = tuple(self._dense(a) * self.mask if kept is None
+                                      else self._dense(a).ravel()[kept]
+                                      for a in self.moments["W"])
+            self._scratch.pop("W", None)
+        self.kept = kept
+
+    def _dense(self, a):
+        """``a``, held at the kept positions or dense, as a W-shaped array."""
+        if self.kept is None:
+            return a
+        out = np.zeros(self.W.size)
+        out[self.kept] = a
+        return out.reshape(self.W.shape)
+
+    def _quantizer_input(self):
+        """The effective weights the quantizer sees: all of them, or the
+        kept ones as a flat array once the layer is pruned."""
+        if self.kept is None:
+            return self.effective_weights()
+        eff = self.effective_weights() if self.spec.normalizer == "weight_norm" else self.W
+        return np.take(eff, self.kept)
 
     def refresh_delta(self):
         if not self.quantizable:
             return
-        eff = self.effective_weights()
-        self.delta = float(np.float32(find_step_size(eff)))
+        self.delta = float(np.float32(find_step_size(self._quantizer_input())))
         self.refresh_quantized()
 
     def refresh_quantized(self):
@@ -202,12 +245,21 @@ class Layer:
             return
         if self.delta is None:
             raise ValidationError("quantized refresh before any step-size fit")
-        self.W_q = quantize_weight(self.effective_weights(), self.delta)
+        q = quantize_weight(self._quantizer_input(), self.delta)
+        if self.kept is not None:
+            W_q = np.zeros(self.W.shape)
+            W_q.reshape(-1)[self.kept] = q
+            q = W_q
+        self.W_q = q
 
-    def moment(self, name, shape):
+    def adam_buffers(self, name, shape):
+        """(m, v, scratch, scratch) of one parameter's ADAM update; each
+        array is allocated once and then reused."""
         if name not in self.moments:
             self.moments[name] = (np.zeros(shape), np.zeros(shape))
-        return self.moments[name]
+        if name not in self._scratch:
+            self._scratch[name] = (np.empty(shape), np.empty(shape))
+        return (*self.moments[name], *self._scratch[name])
 
 
 class Network:
@@ -273,7 +325,8 @@ def forward(net: Network, X, mode: str = "quantized", phase: str = "train") -> F
     last = len(net.layers) - 1
     for pos, layer in enumerate(net.layers):
         Wuse = _layer_weight(layer, mode)
-        pre = out @ Wuse.T + stored(layer.b)
+        pre = out @ Wuse.T
+        pre += stored(layer.b)
         bn_cache = None
         if layer.spec.normalizer == "batch_norm":
             if phase == "train":
@@ -284,7 +337,9 @@ def forward(net: Network, X, mode: str = "quantized", phase: str = "train") -> F
             else:
                 scale, shift = bn_eval_affine(*(stored(a) for a in (
                     layer.gamma, layer.beta, layer.run_mean, layer.run_var, layer.bn_eps)))
-                z = pre * scale + shift
+                pre *= scale
+                pre += shift
+                z = pre
         else:
             z = pre
         caches.append({"x": out, "W": Wuse, "z": z, "bn": bn_cache})
@@ -317,26 +372,30 @@ def backward_masked(net: Network, labels, fwd: ForwardPass):
         raise ValidationError("backward requires a train-phase forward")
     labels = np.asarray(labels)
     batch = fwd.probs.shape[0]
-    onehot = labels if labels.ndim == 2 else np.eye(fwd.probs.shape[1])[labels]
-    dz = (fwd.probs - onehot) / batch
+    if labels.ndim == 2:
+        dz = fwd.probs - labels
+    else:
+        dz = fwd.probs.copy()
+        dz[np.arange(batch), labels] -= 1.0
+    dz /= batch
     grads = []
     last = len(net.layers) - 1
     for pos in range(last, -1, -1):
         layer = net.layers[pos]
         cache = fwd.caches[pos]
         if pos != last:
-            dz = dz * (cache["z"] > 0)
+            dz *= cache["z"] > 0
         dgamma = dbeta = None
         if layer.spec.normalizer == "batch_norm":
             dz, dgamma, dbeta = batch_norm_backward(dz, cache["bn"])
         db = dz.sum(axis=0)
         dWeff = dz.T @ cache["x"]
         if layer.spec.normalizer == "weight_norm":
-            U = layer.W * layer.mask
-            _, wn_cache = weight_norm_forward(U)
+            _, wn_cache = weight_norm_forward(layer.masked_weights())
             dWeff = weight_norm_backward(dWeff, wn_cache)
-        dW = dWeff * layer.mask
-        grads.append({"W": dW, "b": db, "gamma": dgamma, "beta": dbeta})
+        if layer.kept is not None:
+            dWeff *= layer.mask
+        grads.append({"W": dWeff, "b": db, "gamma": dgamma, "beta": dbeta})
         if pos:
             dz = dz @ cache["W"]
     grads.reverse()
@@ -346,9 +405,11 @@ def backward_masked(net: Network, labels, fwd: ForwardPass):
 def adam_step(net: Network, grads, config: TrainConfig, lr: float = None) -> Network:
     """One bias-corrected ADAM update; refreshes W_q afterwards.
 
-    Masked positions have zero gradients and are re-masked after the
-    update, so they stay exactly zero.  ``lr`` overrides the configured
-    rate so decay schedules need not rebuild the config.
+    A pruned layer's W is updated only at its kept positions, from the
+    gradient gathered there; pruned weights are never written, so they
+    keep the zeros `Layer.set_mask` left.  Each update runs in place in
+    buffers the layer reuses from step to step.  ``lr`` overrides the
+    configured rate so decay schedules need not rebuild the config.
     """
     net.step_count += 1
     t = net.step_count
@@ -358,13 +419,32 @@ def adam_step(net: Network, grads, config: TrainConfig, lr: float = None) -> Net
             if grad is None:
                 continue
             param = getattr(layer, name)
-            m, v = layer.moment(name, param.shape)
-            m += (1 - BETA1) * (grad - m)
-            v += (1 - BETA2) * (grad * grad - v)
-            mhat = m / (1 - BETA1 ** t)
-            vhat = v / (1 - BETA2 ** t)
-            param -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
-        layer.W *= layer.mask
+            kept = layer.kept if name == "W" else None
+            m, v, step, denom = layer.adam_buffers(
+                name, param.shape if kept is None else kept.shape)
+            if kept is not None:
+                grad = np.take(grad, kept, out=step, mode="clip")
+            # m += (1 - BETA1) * (g - m); v += (1 - BETA2) * (g * g - v)
+            np.multiply(grad, grad, out=denom)
+            denom -= v
+            denom *= 1 - BETA2
+            v += denom
+            np.subtract(grad, m, out=step)
+            step *= 1 - BETA1
+            m += step
+            # param -= lr * mhat / (sqrt(vhat) + ADAM_EPS)
+            np.divide(m, 1 - BETA1 ** t, out=step)
+            step *= lr
+            np.divide(v, 1 - BETA2 ** t, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += ADAM_EPS
+            step /= denom
+            if kept is None:
+                param -= step
+            else:
+                np.take(param, kept, out=denom, mode="clip")
+                denom -= step
+                np.put(param, kept, denom)
         if layer.quantizable and layer.delta is not None:
             layer.refresh_quantized()
     return net

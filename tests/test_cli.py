@@ -6,8 +6,10 @@ import struct
 import numpy as np
 import pytest
 
-from sstc.cli import main
+from sstc import training as tr
+from sstc.cli import _build_specs, main
 from sstc.codes import CodeParams, build_table
+from sstc.datasets import gaussian_blobs, train_val_split
 from sstc.kernel import CompressedFCLayer, compressed_forward
 from sstc.store import (LayerFormat, ModelFile, encode_layer, read_model,
                         serialize_model, write_model)
@@ -298,3 +300,82 @@ def test_verify_records_each_suite_once_when_the_kernel_cannot_build(tmp_path, c
         "serialization-involution": True, "code-validity[layer0]": True,
         "codec-roundtrip[layer0]": True, "kernel-vs-dense[layer0]": False}
     assert "above the entry cap" in suites[-1]["detail"]
+
+
+@pytest.mark.parametrize("line, key, message", [
+    ("default fromat=ternary", "fromat", "unknown key"),
+    ("default format=ternery", "format", "unknown value 'ternery'"),
+    ("default format=sst n=4 k=1 orientation=diagonal", "orientation",
+     "unknown value 'diagonal'"),
+    ("default format=sst n=eight k=1", "n", "expected an integer, got 'eight'"),
+    ("default format=sst n=4 k=1.5", "k", "expected an integer, got '1.5'"),
+    ("default format=fixed8 n=4", "n", "applies to format=sst only"),
+    ("default k=1", "k", "applies to format=sst only"),
+    ("default format=ternary orientation=row", "orientation", "applies to format=sst only"),
+    ("default format=sst n=4 n=8 k=1", "n", "given twice"),
+])
+def test_compress_rejects_unknown_policy_keys_and_values(tmp_path, capsys, line, key, message):
+    npz = _write_float_npz(tmp_path / "float.npz", np.random.default_rng(9))
+    policy = tmp_path / "policy.txt"
+    policy.write_text("# layer policies\n" + line + "\n")
+    out = tmp_path / "out.sstw"
+    assert main(["compress", "--input", str(npz), "--output", str(out),
+                 "--policy", str(policy)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {policy}:2: key {key!r}: {message}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_compress_names_the_policy_of_an_invalid_code(tmp_path, capsys):
+    npz = _write_float_npz(tmp_path / "float.npz", np.random.default_rng(9))
+    policy = tmp_path / "policy.txt"
+    policy.write_text("default format=sst n=4 k=5\n")
+    assert main(["compress", "--input", str(npz), "--output", str(tmp_path / "out.sstw"),
+                 "--policy", str(policy)]) == 1
+    assert capsys.readouterr().err == (f"error: {policy}: layer layer0 (policy 'default'): "
+                                       "non-zero budget k=5 outside [0, n=4]\n")
+
+
+def test_train_reads_only_the_train_split(tmp_path, capsys):
+    # no t10k-* files: train needs only train-*, infer still needs t10k-*
+    rng = np.random.default_rng(10)
+    images = rng.integers(0, 256, size=(40, 28, 28), dtype=np.uint8)
+    labels = rng.integers(0, 10, size=40, dtype=np.uint8)
+    (tmp_path / "train-images-idx3-ubyte").write_bytes(
+        struct.pack(">IIII", 0x803, 40, 28, 28) + images.tobytes())
+    (tmp_path / "train-labels-idx1-ubyte").write_bytes(
+        struct.pack(">II", 0x801, 40) + labels.tobytes())
+    model = tmp_path / "m.sstw"
+    assert main(["train", "--data", f"idx:{tmp_path}", "--arch", "784,10", "--epochs", "1",
+                 "--out", str(model), "--format", "records"]) == 0
+    capsys.readouterr()
+    assert main(["infer", "--model", str(model), "--data", f"idx:{tmp_path}"]) == 2
+
+
+@pytest.mark.parametrize("extra", [
+    ["--code", "8,2", "--schedule", "4,2", "--epochs", "2", "--float-epochs", "1"],
+    ["--code", "8,2", "--epochs", "0", "--float-epochs", "1"],
+    ["--epochs", "2"],
+    ["--epochs", "0"],
+])
+def test_train_reports_the_mcr_of_the_trained_net(tmp_path, capsys, extra):
+    metrics = tmp_path / "metrics.jsonl"
+    model_path = tmp_path / "m.sstw"
+    data = "synthetic:samples=300,classes=3,dim=16,seed=7,separation=1.0"
+    assert main(["train", "--data", data, "--arch", "16,16,3", *extra, "--batch-size", "32",
+                 "--out", str(model_path), "--metrics", str(metrics),
+                 "--format", "records"]) == 0
+    reported = _records(capsys)[-1]["val_mcr_percent"][0]
+    history = [json.loads(l) for l in metrics.read_text().splitlines()]
+    X, y = gaussian_blobs(300, num_classes=3, dim=16, seed=7, separation=1.0)
+    _, _, X_val, y_val = train_val_split(X, y, 0.1, 0)
+    if "--code" in extra:
+        # a quantized model file serves exactly the in-memory net
+        probs = compressed_forward(read_model(model_path), X_val)
+        assert reported == 100.0 * int((np.argmax(probs, axis=1) != y_val).sum()) / len(y_val)
+    elif "0" in extra:
+        untrained = tr.build_network(_build_specs([16, 16, 3], "batch_norm", None, "column"))
+        assert reported == tr.evaluate(untrained, X_val, y_val, mode="float")
+    if "0" not in extra:
+        assert reported == history[-1]["val_mcr"]

@@ -6,7 +6,8 @@ import struct
 import numpy as np
 import pytest
 
-from sstc.datasets import gaussian_blobs, load_digit_dataset, read_idx, train_val_split
+from sstc.datasets import (gaussian_blobs, load_digit_dataset, load_digit_split, read_idx,
+                           train_val_split)
 from sstc.errors import ValidationError
 
 
@@ -92,3 +93,14 @@ def test_train_val_split_partitions():
     assert sorted(np.concatenate([yt, yv]).tolist()) == list(range(50))
     with pytest.raises(ValidationError):
         train_val_split(X, y, val_fraction=1.5)
+
+
+def test_digit_scaling_matches_two_pass_float_division(tmp_path):
+    # every byte value, scaled in one pass, gives the bits of astype then / 255
+    images = np.arange(256, dtype=np.uint8).reshape(1, 16, 16).repeat(3, axis=0)
+    (tmp_path / "train-images-idx3-ubyte").write_bytes(_idx_images_bytes(images))
+    (tmp_path / "train-labels-idx1-ubyte").write_bytes(_idx_labels_bytes(np.arange(3)))
+    X, y = load_digit_split(tmp_path, "train")
+    expected = images.reshape(3, -1).astype(np.float64) / 255.0
+    assert X.dtype == np.float64 and X.tobytes() == expected.tobytes()
+    assert y.dtype == np.int64 and list(y) == [0, 1, 2]

@@ -1,5 +1,7 @@
 """Layer codecs, model serialization, and storage accounting."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,48 @@ def test_layer_header_bytes_outside_what_serialize_writes_are_rejected():
                 bad[offset] = value
                 with pytest.raises(ValidationError):
                     deserialize_model(bytes(bad))
+
+
+def _bn_sst_model_bytes():
+    """An (8,1) + batch-norm layer: its delta f32 is at byte 24, and the file
+    ends with its var f32[rows], the metadata length u32 and b"{}"."""
+    rows = 8
+    W = np.zeros((rows, 4))
+    W[np.arange(4) * 2, np.arange(4)] = 0.5
+    norm = BatchNormParams(np.ones(rows), np.zeros(rows), np.zeros(rows), np.ones(rows))
+    layer = encode_layer(W, 0.5, LayerFormat("sst", CodeParams(8, 1)), bias=np.zeros(rows),
+                         normalizer=norm)
+    blob = serialize_model(ModelFile(layers=[layer]))
+    assert serialize_model(deserialize_model(blob)) == blob
+    return blob, rows
+
+
+@pytest.mark.parametrize("delta", [float("nan"), float("inf"), 0.0, -1.0])
+def test_stored_step_size_must_be_finite_and_positive(delta):
+    blob, _ = _bn_sst_model_bytes()
+    bad = bytearray(blob)
+    bad[24:28] = struct.pack("<f", delta)
+    with pytest.raises(ValidationError, match="finite positive step size"):
+        deserialize_model(bytes(bad))
+    for kind in ("fixed8", "ternary2bit", "sst"):
+        fmt = LayerFormat(kind, CodeParams(4, 1) if kind == "sst" else None)
+        bits = {"fixed8": 32, "ternary2bit": 8, "sst": 3}[kind]
+        with pytest.raises(ValidationError, match="finite positive step size"):
+            EncodedLayer(fmt, 4, 1, delta, bytes((bits + 7) // 8))
+
+
+def test_stored_batch_norm_var_plus_eps_must_be_positive():
+    blob, rows = _bn_sst_model_bytes()
+    var_at = len(blob) - 6 - 4 * rows
+    assert np.array_equal(np.frombuffer(blob[var_at:var_at + 4 * rows], "<f4"), np.ones(rows))
+    for value, match in ((-1.0, "var \\+ eps must be positive"),
+                         (float("nan"), "non-finite"), (float("inf"), "non-finite")):
+        bad = bytearray(blob)
+        bad[var_at + 4:var_at + 8] = struct.pack("<f", value)
+        with pytest.raises(ValidationError, match=match):
+            deserialize_model(bytes(bad))
+    with pytest.raises(ValidationError, match="non-finite"):
+        BatchNormParams(np.ones(2), np.array([0.0, np.nan]), np.zeros(2), np.ones(2))
 
 
 def test_row_orientation_is_sst_only():

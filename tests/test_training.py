@@ -7,7 +7,8 @@ from sstc.codes import CodeParams
 from sstc.datasets import gaussian_blobs
 from sstc.errors import ValidationError
 from sstc.kernel import bn_eval_affine, compressed_forward
-from sstc.prune import SparsitySchedule
+from sstc.prune import SparsitySchedule, structured_prune
+from sstc.quantize import find_step_size, quantize_weight
 from sstc.store import deserialize_model, serialize_model
 from sstc import training as tr
 
@@ -366,3 +367,129 @@ def test_weight_norm_training_keeps_unit_rows_and_code_validity():
     assert tr.check_code_validity(net)
     V = net.layers[0].effective_weights()
     assert np.allclose(np.linalg.norm(V, axis=1), 1.0, atol=1e-9)
+
+
+# --- dense reference of the training step -------------------------------------
+# ADAM over every weight with dense moments, W *= mask after each update and
+# W_q = quantize_weight(effective weights) over the whole matrix
+
+def _reference_state(net):
+    return [{"W": l.W.copy(), "b": l.b.copy(),
+             "gamma": getattr(l, "gamma", np.zeros(0)).copy(),
+             "beta": getattr(l, "beta", np.zeros(0)).copy(),
+             "mask": np.ones_like(l.W), "moments": {}, "delta": None, "W_q": None}
+            for l in net.layers]
+
+
+def _reference_effective(layer, state):
+    U = state["W"] * state["mask"]
+    return tr.weight_norm_forward(U)[0] if layer.spec.normalizer == "weight_norm" else U
+
+
+def _reference_set_mask(state, mask):
+    state["mask"] = np.asarray(mask, dtype=np.float64)
+    state["W"] *= state["mask"]
+    if "W" in state["moments"]:
+        m, v = state["moments"]["W"]
+        m *= state["mask"]
+        v *= state["mask"]
+
+
+def _reference_refresh_delta(layer, state):
+    state["delta"] = float(np.float32(find_step_size(_reference_effective(layer, state))))
+
+
+def _reference_adam_step(net, ref, grads, t, lr):
+    for layer, state, g in zip(net.layers, ref, grads):
+        for name, grad in g.items():
+            if grad is None:
+                continue
+            param = state[name]
+            m, v = state["moments"].setdefault(
+                name, (np.zeros(param.shape), np.zeros(param.shape)))
+            m += (1 - tr.BETA1) * (grad - m)
+            v += (1 - tr.BETA2) * (grad * grad - v)
+            mhat = m / (1 - tr.BETA1 ** t)
+            vhat = v / (1 - tr.BETA2 ** t)
+            param -= lr * mhat / (np.sqrt(vhat) + tr.ADAM_EPS)
+        state["W"] *= state["mask"]
+        if layer.quantizable and state["delta"] is not None:
+            state["W_q"] = quantize_weight(_reference_effective(layer, state), state["delta"])
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _assert_matches_reference(net, ref):
+    for i, (layer, state) in enumerate(zip(net.layers, ref)):
+        for name in ("W", "b", "gamma", "beta"):
+            assert _same_bits(getattr(layer, name, np.zeros(0)), state[name]), (i, name)
+        if layer.quantizable:
+            assert _same_bits(layer.W_q, state["W_q"]), (i, "W_q")
+            assert layer.delta == state["delta"], (i, "delta")
+        for name, (m, v) in state["moments"].items():
+            got = layer.moments[name]
+            if name == "W" and layer.kept is not None:  # scatter the kept moments back
+                got = tuple(np.zeros(layer.W.size) for _ in got)
+                for dense, kept in zip(got, layer.moments[name]):
+                    dense[layer.kept] = kept
+                got = tuple(a.reshape(layer.W.shape) for a in got)
+            assert _same_bits(got[0], m) and _same_bits(got[1], v), (i, name, "moments")
+
+
+@pytest.mark.parametrize("orientation", ["column", "row"])
+@pytest.mark.parametrize("normalizer", ["batch_norm", "weight_norm", "none"])
+def test_step_matches_dense_reference_bitwise(normalizer, orientation):
+    target = CodeParams(16, 3)
+    specs = [tr.LayerSpec(32, 32, normalizer, tr.WeightPolicy("sst", target, orientation)),
+             tr.LayerSpec(32, 32, normalizer, tr.WeightPolicy("sst", target, orientation)),
+             tr.LayerSpec(32, 3, policy=tr.WeightPolicy("ternary"))]
+    net = tr.build_network(specs, seed=31)
+    ref = _reference_state(net)
+    X, y = gaussian_blobs(64, num_classes=3, dim=32, seed=31)
+    rng = np.random.default_rng(31)
+    lr = 3e-3
+
+    def steps(count, mode):
+        for _ in range(count):
+            batch = rng.permutation(len(X))[:16]
+            fwd = tr.forward(net, X[batch], mode=mode, phase="train")
+            grads = tr.backward_masked(net, y[batch], fwd)
+            _reference_adam_step(net, ref, grads, net.step_count + 1, lr)
+            tr.adam_step(net, grads, tr.TrainConfig(), lr=lr)
+            _assert_matches_reference(net, ref)
+
+    steps(3, "float")  # nothing pruned yet: every moment is dense
+    for params in (CodeParams(16, 4), target):
+        for layer, state in zip(net.layers, ref):
+            if layer.spec.policy.kind == "sst":
+                mask = structured_prune(layer.W, params, orientation)
+                layer.set_mask(mask)
+                _reference_set_mask(state, mask)
+            layer.refresh_delta()
+            if layer.quantizable:
+                _reference_refresh_delta(layer, state)
+                state["W_q"] = quantize_weight(_reference_effective(layer, state), state["delta"])
+        assert net.layers[0].kept.size == net.layers[0].W.size * params.k // params.n
+        steps(4, "quantized")
+
+
+def test_batch_norm_matches_the_plain_formulas_bitwise():
+    rng = np.random.default_rng(32)
+    x = rng.normal(1.0, 2.0, size=(37, 11))
+    gamma, beta = rng.normal(size=11), rng.normal(size=11)
+    out, cache = tr.batch_norm_forward(x, gamma, beta, eps=1e-5)
+    mu, var = x.mean(axis=0), x.var(axis=0)
+    invstd = 1.0 / np.sqrt(var + 1e-5)
+    xhat = (x - mu) * invstd
+    assert _same_bits(cache["mu"], mu) and _same_bits(cache["var"], var)
+    assert _same_bits(cache["xhat"], xhat) and _same_bits(out, gamma * xhat + beta)
+    dout = rng.normal(size=(37, 11))
+    dx, dgamma, dbeta = tr.batch_norm_backward(dout, cache)
+    dxhat = dout * gamma
+    assert _same_bits(dgamma, (dout * xhat).sum(axis=0))
+    assert _same_bits(dbeta, dout.sum(axis=0))
+    assert _same_bits(dx, (invstd / 37) * (37 * dxhat - dxhat.sum(axis=0)
+                                           - xhat * (dxhat * xhat).sum(axis=0)))
