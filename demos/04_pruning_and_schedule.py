@@ -7,7 +7,7 @@ weights at every stage instead of the frozen quantized ones.
 
 import numpy as np
 
-from sstc import CodeParams, SparsitySchedule, apply_mask, next_stage, structured_prune
+from sstc import CodeParams, SparsitySchedule, structured_prune
 
 
 def main():
@@ -24,9 +24,8 @@ def main():
     sched = SparsitySchedule.gradual(8, [4, 3, 2, 1], epochs_per_stage=2)
     print(f"\ngradual schedule: stages {[str(p) for p in sched.stages]}, "
           f"epochs per stage {sched.epochs_per_stage}")
-    mask, params = next_stage(sched, 0, W)
-    print(f"after stage 0 the float weights are re-pruned at {params}:")
-    print(apply_mask(W, mask).round(2))
+    print(f"after stage 0 the float weights are re-pruned at {sched.stages[1]}:")
+    print((W * structured_prune(W, sched.stages[1])).round(2))
     print("\nnote: the stage-1 mask is recomputed from the float weights, so a")
     print("connection pruned early can come back if retraining grew it again.")
 

@@ -9,15 +9,14 @@ multiplication-free add/subtract audit path), and the
 prune-quantize-retrain training loop that produces such weights.
 """
 
-from .codes import (CodeParams, CodeTable, DEFAULT_ENTRY_CAP, address_bits,
-                    build_table, count_entries, decode_index, encode_subvector,
-                    rank_subvectors, table_storage_bits, table_storage_kb,
-                    unrank_subvectors)
+from .codes import (ORIENTATIONS, CodeParams, CodeTable, DEFAULT_ENTRY_CAP, address_bits,
+                    build_table, count_entries, from_subvectors, rank_subvectors,
+                    subvectors, table_storage_bits, table_storage_kb, unrank_subvectors)
 from .bitpack import pack_indices, unpack_indices
 from .errors import SstcError, ValidationError
 from .kernel import CompressedFCLayer, PETrace, compressed_forward, dense_matvec, pe_trace
-from .prune import SparsitySchedule, apply_mask, mask_is_valid, next_stage, structured_prune
-from .quantize import find_step_size, quantize_layer, quantize_weight
+from .prune import SparsitySchedule, structured_prune
+from .quantize import find_step_size, quantize_weight
 from .store import (BatchNormParams, EncodedLayer, LayerFormat, ModelFile,
                     StorageReport, WeightNormTag, decode_layer, encode_layer,
                     model_from_arrays, read_model, serialize_model,

@@ -46,8 +46,3 @@ def unpack_indices(stream: bytes, bits_per_index: int, count: int) -> np.ndarray
     bits = np.unpackbits(buf, count=needed_bits).reshape(count, bits_per_index)
     weights = (np.int64(1) << np.arange(bits_per_index - 1, -1, -1, dtype=np.int64))
     return bits.astype(np.int64) @ weights
-
-
-def packed_length_bytes(count: int, bits_per_index: int) -> int:
-    """Bytes occupied by ``count`` packed indices, including final padding."""
-    return (count * bits_per_index + 7) // 8

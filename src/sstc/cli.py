@@ -11,7 +11,7 @@ import sys
 import numpy as np
 
 from . import datasets, kernel, store, training
-from .codes import (DEFAULT_ENTRY_CAP, CodeParams, address_bits, build_table,
+from .codes import (DEFAULT_ENTRY_CAP, ORIENTATIONS, CodeParams, address_bits, build_table,
                     count_entries, table_storage_kb)
 from .errors import SstcError, ValidationError
 from .prune import SparsitySchedule, structured_prune
@@ -72,7 +72,7 @@ def _parse_dataset(spec, seed=0, splits=("train", "t10k")):
 
 # allowed values of the policy keys that take a name; n and k take integers
 _POLICY_CHOICES = {"format": ("float32", "fixed8", "ternary", "sst"),
-                   "orientation": ("column", "row")}
+                   "orientation": ORIENTATIONS}
 _SST_POLICY_KEYS = ("n", "k", "orientation")
 
 
@@ -402,7 +402,7 @@ def build_parser():
     p.add_argument("--output", required=True)
     p.add_argument("--policy", help="per-layer policy file")
     p.add_argument("--code", help="default sst code as N,K")
-    p.add_argument("--orientation", choices=("column", "row"), default="column")
+    p.add_argument("--orientation", choices=ORIENTATIONS, default="column")
 
     p = add("decompress", cmd_decompress, "decode a model back to float32 weights")
     p.add_argument("--input", required=True)
@@ -425,7 +425,7 @@ def build_parser():
     p.add_argument("--arch", required=True, help="comma-separated layer dims, e.g. 784,256,256,10")
     p.add_argument("--normalizer", choices=("none", "batch_norm", "weight_norm"), default="batch_norm")
     p.add_argument("--code", help="target sst code N,K for hidden layers (omit for float)")
-    p.add_argument("--orientation", choices=("column", "row"), default="column")
+    p.add_argument("--orientation", choices=ORIENTATIONS, default="column")
     p.add_argument("--schedule", help="gradual k values, e.g. 4,3,2,1 (must end at target k)")
     p.add_argument("--epochs", type=int, default=5, help="epochs per stage")
     p.add_argument("--float-epochs", type=int, default=5)

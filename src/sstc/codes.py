@@ -12,6 +12,23 @@ Ranking (vector -> index) and unranking (index -> vector) are computed
 combinatorially in O(n) per vector, so neither encoding nor decoding needs
 a materialized table.  A built `CodeTable` holds every entry's trits, the
 lookup table that the inference kernel gathers decoded sub-vectors from.
+
+Sub-vector layout.  A (rows, cols) weight matrix is cut into length-n
+sub-vectors in one of two orientations, and +1/-1 may sit only inside
+these fixed groups:
+
+    column   n consecutive rows within one column; the grouped dimension
+             is rows.  Payload order: columns outermost, then the groups
+             of each column from the top.
+    row      n consecutive columns within one row; the grouped dimension
+             is cols.  Payload order: rows outermost, then the groups of
+             each row from the left.
+
+For example, the 4x2 matrix [[a, e], [b, f], [c, g], [d, h]] at n = 2 gives
+(a, b), (c, d), (e, f), (g, h) in column orientation and (a, e), (b, f),
+(c, g), (d, h) in row orientation.  `subvectors` and `from_subvectors` are
+the only place this layout is written down; pruning, the codec, the
+kernel and the training checks all go through them.
 """
 
 from dataclasses import dataclass, field
@@ -28,6 +45,9 @@ MAX_SUBVECTOR_LEN = 24
 
 # build_table refuses tables above this entry count unless overridden.
 DEFAULT_ENTRY_CAP = 1 << 20
+
+# Sub-vector orientations; a name's position is its .sstw wire tag.
+ORIENTATIONS = ("column", "row")
 
 
 @dataclass(frozen=True)
@@ -68,6 +88,48 @@ def table_storage_bits(params: CodeParams) -> int:
 def table_storage_kb(params: CodeParams) -> float:
     """S_T expressed in decimal kilobytes (1 KB = 1000 bytes)."""
     return table_storage_bits(params) / 8 / 1000
+
+
+def subvectors(matrix, params: CodeParams, orientation: str) -> np.ndarray:
+    """The (count, n) sub-vectors of a 2-D ``matrix``, in payload order.
+
+    Raises on an unknown orientation or when the grouped dimension is not
+    divisible by n.  The result is a view of ``matrix`` where numpy can
+    make one, otherwise a copy.
+    """
+    m = np.asarray(matrix)
+    if m.ndim != 2:
+        raise ValidationError(f"expected a matrix, got ndim={m.ndim}")
+    rows, cols = m.shape
+    n = params.n
+    if orientation == "column":
+        if rows % n:
+            raise ValidationError(f"row count {rows} not divisible by n={n} for column orientation")
+        return m.reshape(rows // n, n, cols).transpose(2, 0, 1).reshape(-1, n)
+    if orientation == "row":
+        if cols % n:
+            raise ValidationError(f"column count {cols} not divisible by n={n} for row orientation")
+        return m.reshape(-1, n)
+    raise _unknown_orientation(orientation)
+
+
+def from_subvectors(groups, rows: int, cols: int, params: CodeParams,
+                    orientation: str) -> np.ndarray:
+    """Inverse of `subvectors`: the (rows, cols) matrix of payload-order groups.
+
+    A column-oriented result of C-contiguous ``groups`` is a view whose
+    transpose is C-contiguous.
+    """
+    groups = np.asarray(groups)
+    if orientation == "column":
+        return groups.reshape(cols, rows // params.n, params.n).transpose(1, 2, 0).reshape(rows, cols)
+    if orientation == "row":
+        return groups.reshape(rows, cols)
+    raise _unknown_orientation(orientation)
+
+
+def _unknown_orientation(orientation) -> ValidationError:
+    return ValidationError(f"orientation must be one of {ORIENTATIONS}, got {orientation!r}")
 
 
 @lru_cache(maxsize=None)
@@ -181,13 +243,3 @@ def build_table(params: CodeParams, entry_cap: int = DEFAULT_ENTRY_CAP) -> CodeT
             "raise entry_cap to force the build"
         )
     return CodeTable(params, unrank_subvectors(np.arange(t_total, dtype=np.int64), params))
-
-
-def encode_subvector(vector, params: CodeParams) -> int:
-    """Canonical index of ``vector``; raises if it exceeds the k budget."""
-    return int(rank_subvectors(vector, params)[0])
-
-
-def decode_index(idx: int, params: CodeParams) -> np.ndarray:
-    """Codeword at canonical position ``idx``; raises if out of range."""
-    return unrank_subvectors(int(idx), params)[0]

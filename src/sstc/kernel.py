@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .codes import CodeTable, build_table
+from .codes import CodeTable, build_table, from_subvectors, subvectors
 from .errors import ValidationError
 from .store import BatchNormParams, EncodedLayer, ModelFile, decode_layer, layer_indices
 
@@ -67,15 +67,15 @@ class CompressedFCLayer:
         self.bias = (layer.bias.astype(np.float64)
                      if layer.bias is not None else np.zeros(layer.rows))
         self.indices = layer_indices(layer)
-        # payload order is column-outer: stream position s covers column
-        # s // groups, output rows [(s % groups)*n, +n), so the gathered
-        # sub-vectors already lie in (cols, rows) order
-        self.weights_t = table.trits[self.indices].reshape(self.cols, self.rows).astype(np.float64)
+        trits = from_subvectors(table.trits[self.indices], self.rows, self.cols, self.params, "column")
+        # a C-ordered (cols, rows) matrix: the column payload lists each
+        # column's trits in turn
+        self.weights_t = trits.T.astype(np.float64)
 
     @cached_property
     def nz_per_subvector(self) -> np.ndarray:
         """Non-zero count of each decoded sub-vector, in payload order."""
-        return np.count_nonzero(self.weights_t.reshape(-1, self.params.n), axis=1)
+        return np.count_nonzero(subvectors(self.weights_t.T, self.params, "column"), axis=1)
 
     @cached_property
     def _lanes(self):

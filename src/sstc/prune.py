@@ -1,79 +1,42 @@
 """Structured magnitude pruning to the (N, K) sub-vector sparsity pattern.
 
 Each length-n sub-vector of the weight matrix keeps its k largest-magnitude
-positions (ties break to the lowest index) and the rest are masked to zero.
-Column orientation groups n consecutive rows within a column; row
-orientation groups n consecutive columns within a row.
+positions (ties break to the lowest position) and the rest are masked to
+zero.  The sub-vectors are those of `sstc.codes.subvectors`, whose
+docstring describes both orientations.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import CodeParams
+from .codes import CodeParams, from_subvectors, subvectors
 from .errors import ValidationError
-
-ORIENTATIONS = ("column", "row")
-
-
-def _check_orientation(orientation: str):
-    if orientation not in ORIENTATIONS:
-        raise ValidationError(f"orientation must be one of {ORIENTATIONS}, got {orientation!r}")
 
 
 def structured_prune(W, params: CodeParams, orientation: str = "column") -> np.ndarray:
-    """Boolean mask keeping the k largest magnitudes of every sub-vector.
+    """Mask keeping the k largest magnitudes of every sub-vector.
 
-    Returns a uint8 matrix of W's shape with exactly k ones per length-n
-    group.  Requires the grouped dimension to be divisible by n.
+    Returns a C-contiguous uint8 matrix of W's shape with exactly k ones per
+    sub-vector.  Raises on a non-finite weight, an unknown orientation or a
+    grouped dimension not divisible by n.
     """
-    _check_orientation(orientation)
     W = np.asarray(W, dtype=np.float64)
-    if W.ndim != 2:
-        raise ValidationError(f"expected a matrix, got ndim={W.ndim}")
-    rows, cols = W.shape
-    n, k = params.n, params.k
-    if orientation == "column":
-        if rows % n:
-            raise ValidationError(f"row count {rows} not divisible by n={n} for column orientation")
-        # (group, position, col): consecutive rows within each column
-        mags = np.abs(W).reshape(rows // n, n, cols).transpose(0, 2, 1)
-    else:
-        if cols % n:
-            raise ValidationError(f"column count {cols} not divisible by n={n} for row orientation")
-        mags = np.abs(W).reshape(rows, cols // n, n)
-    # stable sort on descending magnitude keeps the lowest index on ties
-    order = np.argsort(-mags, axis=-1, kind="stable")
-    keep = np.zeros_like(mags, dtype=np.uint8)
-    np.put_along_axis(keep, order[..., :k], 1, axis=-1)
-    if orientation == "column":
-        return keep.transpose(0, 2, 1).reshape(rows, cols)
-    return keep.reshape(rows, cols)
-
-
-def apply_mask(W, M) -> np.ndarray:
-    """Elementwise product of weights and mask."""
-    W = np.asarray(W)
-    M = np.asarray(M)
-    if W.shape != M.shape:
-        raise ValidationError(f"weight shape {W.shape} != mask shape {M.shape}")
-    return W * M
-
-
-def mask_is_valid(M, params: CodeParams, orientation: str = "column") -> bool:
-    """Check the at-most-k-ones-per-sub-vector invariant of a mask."""
-    _check_orientation(orientation)
-    M = np.asarray(M)
-    rows, cols = M.shape
-    if orientation == "column":
-        if rows % params.n:
-            return False
-        counts = M.reshape(rows // params.n, params.n, cols).sum(axis=1)
-    else:
-        if cols % params.n:
-            return False
-        counts = M.reshape(rows, cols // params.n, params.n).sum(axis=2)
-    return bool(np.all(counts <= params.k))
+    mags = subvectors(np.abs(W), params, orientation)
+    if not np.isfinite(mags.max(initial=0.0)):
+        row, col = np.argwhere(~np.isfinite(W))[0]
+        raise ValidationError(f"cannot prune a non-finite weight {W[row, col]} "
+                              f"at row {row}, column {col}")
+    picked = np.arange(len(mags))
+    keep = np.zeros(mags.shape, dtype=np.uint8)
+    for _ in range(params.k):
+        # argmax returns the first maximum, so ties keep the lowest position;
+        # magnitudes are >= 0, so a picked position (set to -1) is not taken again
+        at = mags.argmax(axis=1)
+        keep[picked, at] = 1
+        mags[picked, at] = -1.0
+    # C order, like the weights callers multiply the mask with
+    return np.ascontiguousarray(from_subvectors(keep, *W.shape, params, orientation))
 
 
 @dataclass(frozen=True)
@@ -116,18 +79,3 @@ class SparsitySchedule:
     @property
     def target(self) -> CodeParams:
         return self.stages[-1]
-
-
-def next_stage(schedule: SparsitySchedule, current: int, W_float,
-               orientation: str = "column"):
-    """Mask and code parameters for the stage after ``current``.
-
-    Pruning always re-evaluates the current float weights, so the new mask
-    need not be a subset of the previous one.
-    """
-    if current + 1 >= len(schedule.stages):
-        raise ValidationError(
-            f"schedule exhausted: stage {current} is final ({len(schedule.stages)} stages)"
-        )
-    params = schedule.stages[current + 1]
-    return structured_prune(W_float, params, orientation), params

@@ -47,16 +47,6 @@ def quantize_weight(w, delta: float, levels: int = 3):
     return q
 
 
-def quantize_to_levels(w, delta: float, levels: int = 3) -> np.ndarray:
-    """Signed integer level of each weight, in [-(P-1)/2, (P-1)/2]."""
-    if delta <= 0:
-        raise ValidationError(f"step size must be positive, got {delta}")
-    arr = np.asarray(w, dtype=np.float64)
-    half_levels = (levels - 1) // 2
-    lev = np.sign(arr) * np.minimum(np.floor(np.abs(arr) / delta + 0.5), half_levels)
-    return lev.astype(np.int64)
-
-
 def _squared_error(mags: np.ndarray, delta: float, half_levels: int) -> float:
     lev = np.minimum(np.floor(mags / delta + 0.5), half_levels)
     return float(np.sum((lev * delta - mags) ** 2))
@@ -143,20 +133,3 @@ def find_step_size(weights, levels: int = 3) -> float:
     settled = _lloyd_descend(mags, starts, half_levels)
     errs = [_squared_error(mags, d, half_levels) for d in settled]
     return float(settled[int(np.argmin(errs))])
-
-
-def quantize_layer(W, M, levels: int = 3):
-    """Mask, fit the step size, and quantize a weight matrix.
-
-    Returns (W_q, delta) where delta is rounded to binary32 (the stored
-    precision) before quantizing, so the in-memory W_q matches what a
-    serialized model decodes to, bit for bit.  Masked positions are
-    exactly zero in W_q.
-    """
-    W = np.asarray(W, dtype=np.float64)
-    M = np.asarray(M)
-    if W.shape != M.shape:
-        raise ValidationError(f"weight shape {W.shape} != mask shape {M.shape}")
-    masked = W * M
-    delta = float(np.float32(find_step_size(masked, levels)))
-    return quantize_weight(masked, delta, levels), delta

@@ -9,8 +9,11 @@ formats:
     sst          structured sparse ternary: per-sub-vector table indices,
                  bit-packed at the code's address width, plus a step size
 
-Biases and normalizer parameters are always stored as float32 and are never
-pruned or quantized.  Code tables are not serialized; the canonical
+An sst payload lists the layer's sub-vectors in the payload order of its
+orientation, as `sstc.codes.subvectors` cuts them (the `sstc.codes` module
+docstring describes the layout).  Biases and normalizer parameters are
+always stored as float32 and are never pruned or quantized; a float32
+weight must be finite.  Code tables are not serialized; the canonical
 enumeration is deterministic, so they are rebuilt from (n, k) at load and
 the storage report accounts for them analytically.
 
@@ -19,7 +22,8 @@ Wire format (all integers little-endian, payload bits MSB-first):
     magic "SSTW" padded to 8 bytes | version u16 | layer count u16
     per layer:
         format u8 | orientation u8 | rows u32 | cols u32 | n u8 | k u8
-          (orientation 0 column or 1 row for sst; 0, 0, 0 for other formats)
+          (orientation: the position in codes.ORIENTATIONS for sst, 0 column
+          or 1 row; orientation, n and k are 0, 0, 0 for other formats)
         delta f32 | bias count u32 | bias f32[] | payload bits u64 | payload
         normalizer tag u8 (0 none, 1 batch norm, 2 weight norm)
         batch norm only: eps f32 | gamma f32[rows] | beta f32[rows]
@@ -36,8 +40,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bitpack
-from .codes import (CodeParams, address_bits, count_entries, rank_subvectors, table_storage_bits,
-                    unrank_subvectors)
+from .codes import (ORIENTATIONS, CodeParams, address_bits, count_entries, from_subvectors,
+                    rank_subvectors, subvectors, table_storage_bits, unrank_subvectors)
 from .errors import ValidationError
 
 MAGIC = b"SSTW\x00\x00\x00\x00"
@@ -45,7 +49,6 @@ FORMAT_VERSION = 1
 
 FORMAT_KINDS = ("float32", "fixed8", "ternary2bit", "sst")
 _FORMAT_TAGS = {name: tag for tag, name in enumerate(FORMAT_KINDS)}
-_ORIENTATIONS = ("column", "row")  # position is the wire tag
 
 
 @dataclass(frozen=True)
@@ -60,7 +63,7 @@ class LayerFormat:
         if self.kind == "sst":
             if self.params is None:
                 raise ValidationError("sst format requires code parameters")
-            if self.orientation not in _ORIENTATIONS:
+            if self.orientation not in ORIENTATIONS:
                 raise ValidationError(f"unknown orientation {self.orientation!r}")
         elif self.params is not None:
             raise ValidationError(f"format {self.kind!r} takes no code parameters")
@@ -166,6 +169,13 @@ class EncodedLayer:
                 f"payload is {len(self.payload)} bytes, expected {(expected + 7) // 8} "
                 f"for {expected} bits"
             )
+        if self.format.kind == "float32":
+            weights = np.frombuffer(self.payload, dtype="<f4")
+            finite = np.isfinite(weights)
+            if not finite.all():
+                pos = int(np.argmin(finite))
+                raise ValidationError(f"float32 weight {weights[pos]} at row {pos // self.cols}, "
+                                      f"column {pos % self.cols} is not finite")
 
     @property
     def weight_count(self):
@@ -207,48 +217,12 @@ class EncodedLayer:
 class ModelFile:
     layers: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
-    version: int = FORMAT_VERSION
-
-    def __eq__(self, other):
-        if not isinstance(other, ModelFile):
-            return NotImplemented
-        return (
-            self.version == other.version
-            and self.layers == other.layers
-            and self.metadata == other.metadata
-        )
 
     def layer_names(self):
         names = self.metadata.get("layer_names")
         if names and len(names) == len(self.layers):
             return list(names)
         return [f"layer{i}" for i in range(len(self.layers))]
-
-
-def _grouped_subvectors(matrix: np.ndarray, params: CodeParams, orientation: str):
-    """Sub-vectors of a matrix in payload order.
-
-    Column orientation: columns outermost, then the groups of n consecutive
-    rows within each column.  Row orientation: rows outermost, then groups
-    of n consecutive columns.
-    """
-    rows, cols = matrix.shape
-    n = params.n
-    if orientation == "column":
-        if rows % n:
-            raise ValidationError(f"row count {rows} not divisible by n={n} for column orientation")
-        return matrix.reshape(rows // n, n, cols).transpose(2, 0, 1).reshape(-1, n)
-    if cols % n:
-        raise ValidationError(f"column count {cols} not divisible by n={n} for row orientation")
-    return matrix.reshape(rows, cols // n, n).reshape(-1, n)
-
-
-def _subvectors_to_matrix(subvectors: np.ndarray, rows: int, cols: int,
-                          params: CodeParams, orientation: str) -> np.ndarray:
-    n = params.n
-    if orientation == "column":
-        return subvectors.reshape(cols, rows // n, n).transpose(1, 2, 0).reshape(rows, cols)
-    return subvectors.reshape(rows, cols // n, n).reshape(rows, cols)
 
 
 def ternary_trits(W_q: np.ndarray, delta: float) -> np.ndarray:
@@ -296,15 +270,15 @@ def encode_layer(W_q, delta, fmt: LayerFormat, bias=None, normalizer=None,
         return EncodedLayer(fmt, rows, cols, delta, payload, bias, normalizer)
     # sst
     params = fmt.params
-    subvectors = _grouped_subvectors(trits, params, fmt.orientation)
-    nnz = np.count_nonzero(subvectors, axis=1)
+    groups = subvectors(trits, params, fmt.orientation)
+    nnz = np.count_nonzero(groups, axis=1)
     if np.any(nnz > params.k):
         pos = int(np.argmax(nnz > params.k))
         raise ValidationError(
             f"{label}: sub-vector {pos} has {int(nnz[pos])} non-zeros, over the "
             f"k={params.k} budget; the pruning pipeline produced an invalid layer"
         )
-    indices = rank_subvectors(subvectors, params)
+    indices = rank_subvectors(groups, params)
     payload = bitpack.pack_indices(indices, address_bits(params))
     return EncodedLayer(fmt, rows, cols, delta, payload, bias, normalizer)
 
@@ -348,8 +322,8 @@ def decode_layer(layer: EncodedLayer) -> np.ndarray:
         trits = np.where(codes == 2, -1, codes).astype(np.float64).reshape(layer.rows, layer.cols)
         return trits * np.float64(layer.delta)
     params = layer.format.params
-    subvectors = unrank_subvectors(layer_indices(layer), params)
-    trits = _subvectors_to_matrix(subvectors, layer.rows, layer.cols, params, layer.format.orientation)
+    groups = unrank_subvectors(layer_indices(layer), params)
+    trits = from_subvectors(groups, layer.rows, layer.cols, params, layer.format.orientation)
     return trits.astype(np.float64) * np.float64(layer.delta)
 
 
@@ -360,14 +334,14 @@ def _write_f32_array(parts: list, arr: np.ndarray):
 
 
 def serialize_model(model: ModelFile) -> bytes:
-    parts = [MAGIC, struct.pack("<HH", model.version, len(model.layers))]
+    parts = [MAGIC, struct.pack("<HH", FORMAT_VERSION, len(model.layers))]
     for layer in model.layers:
         fmt = layer.format
         n, k = (fmt.params.n, fmt.params.k) if fmt.params else (0, 0)
         parts.append(struct.pack(
             "<BBIIBBf",
             _FORMAT_TAGS[fmt.kind],
-            _ORIENTATIONS.index(fmt.orientation),
+            ORIENTATIONS.index(fmt.orientation),
             layer.rows, layer.cols, n, k,
             np.float32(layer.delta or 0.0),
         ))
@@ -428,9 +402,9 @@ def deserialize_model(data: bytes) -> ModelFile:
             raise ValidationError(f"unknown format tag {ftag}")
         kind = FORMAT_KINDS[ftag]
         if kind == "sst":
-            if otag >= len(_ORIENTATIONS):
+            if otag >= len(ORIENTATIONS):
                 raise ValidationError(f"unknown orientation tag {otag}")
-            fmt = LayerFormat(kind, CodeParams(n, k), _ORIENTATIONS[otag])
+            fmt = LayerFormat(kind, CodeParams(n, k), ORIENTATIONS[otag])
         elif (otag, n, k) != (0, 0, 0):
             raise ValidationError(f"{kind} layer header needs orientation, n and k all 0, "
                                   f"got {otag}, {n}, {k}")
@@ -464,7 +438,7 @@ def deserialize_model(data: bytes) -> ModelFile:
     metadata = json.loads(r.take(meta_len).decode("utf-8")) if meta_len else {}
     if r.pos != len(data):
         raise ValidationError(f"{len(data) - r.pos} trailing bytes after model")
-    return ModelFile(layers=layers, metadata=metadata, version=version)
+    return ModelFile(layers=layers, metadata=metadata)
 
 
 def write_model(model: ModelFile, path):

@@ -22,14 +22,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .codes import CodeParams, rank_subvectors
+from .codes import ORIENTATIONS, CodeParams, rank_subvectors, subvectors
 from .datasets import train_val_split
 from .errors import ValidationError
 from .kernel import bn_eval_affine, softmax
 from .prune import SparsitySchedule, structured_prune
 from .quantize import find_step_size, quantize_weight
-from .store import (BatchNormParams, LayerFormat, ModelFile, WeightNormTag,
-                    encode_layer, _grouped_subvectors)
+from .store import BatchNormParams, LayerFormat, ModelFile, WeightNormTag, encode_layer
 
 NORMALIZERS = ("none", "batch_norm", "weight_norm")
 POLICY_KINDS = ("float", "ternary", "sst")
@@ -57,6 +56,9 @@ class WeightPolicy:
             raise ValidationError("sst policy requires code parameters")
         if self.kind != "sst" and self.params is not None:
             raise ValidationError(f"{self.kind} policy takes no code parameters")
+        if self.orientation not in ORIENTATIONS:
+            raise ValidationError(f"orientation must be one of {ORIENTATIONS}, "
+                                  f"got {self.orientation!r}")
 
 
 @dataclass(frozen=True)
@@ -532,13 +534,10 @@ def _validate_schedule(net: Network, schedule: SparsitySchedule):
             raise ValidationError(
                 f"layer {i} targets {target} but the schedule ends at {schedule.target}"
             )
-        dims = layer.W.shape
-        grouped = dims[0] if layer.spec.policy.orientation == "column" else dims[1]
-        if grouped % target.n:
-            raise ValidationError(
-                f"layer {i} shape {dims} not divisible by n={target.n} "
-                f"({layer.spec.policy.orientation} orientation)"
-            )
+        try:
+            subvectors(layer.W, target, layer.spec.policy.orientation)
+        except ValidationError as exc:
+            raise ValidationError(f"layer {i} shape {layer.W.shape}: {exc}") from None
 
 
 def check_code_validity(net: Network) -> bool:
@@ -548,8 +547,8 @@ def check_code_validity(net: Network) -> bool:
             continue
         params = layer.current_params
         trits = np.rint(layer.W_q / layer.delta).astype(np.int8)
-        subvectors = _grouped_subvectors(trits, params, layer.spec.policy.orientation)
-        rank_subvectors(subvectors, params)  # raises on budget violations
+        # raises on budget violations
+        rank_subvectors(subvectors(trits, params, layer.spec.policy.orientation), params)
     return True
 
 

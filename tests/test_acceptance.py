@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 
 from sstc.codes import (CodeParams, address_bits, build_table, count_entries,
-                        rank_subvectors, table_storage_kb, unrank_subvectors)
+                        from_subvectors, rank_subvectors, table_storage_kb,
+                        unrank_subvectors)
 from sstc.kernel import CompressedFCLayer, compressed_forward, dense_matvec, pe_trace
 from sstc.prune import SparsitySchedule
 from sstc.quantize import find_step_size
 from sstc.store import (BatchNormParams, LayerFormat, ModelFile, decode_layer,
                         deserialize_model, encode_layer, serialize_model,
-                        storage_report, _subvectors_to_matrix)
+                        storage_report)
 from sstc import training as tr
 
 from conftest import grid_search_step_size, quantization_error
@@ -80,8 +81,7 @@ def _random_sst_layer(rng, params, table):
     groups = int(rng.integers(1, 128 // params.n + 1))
     rows, cols = groups * params.n, int(rng.integers(1, 129))
     idx = rng.integers(0, len(table.trits), size=groups * cols)
-    subvectors = table.trits[idx]
-    trits = _subvectors_to_matrix(subvectors, rows, cols, params, "column")
+    trits = from_subvectors(table.trits[idx], rows, cols, params, "column")
     delta = float(np.float32(rng.uniform(0.05, 2.0)))
     bias = rng.normal(size=rows).astype(np.float32)
     layer = encode_layer(trits * delta, delta, LayerFormat("sst", params), bias=bias)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sstc.bitpack import pack_indices, packed_length_bytes, unpack_indices
+from sstc.bitpack import pack_indices, unpack_indices
 from sstc.errors import ValidationError
 
 
@@ -26,7 +26,7 @@ def test_roundtrip_fuzz():
         count = int(rng.integers(0, 64))
         xs = rng.integers(0, 1 << bits, size=count)
         packed = pack_indices(xs, bits)
-        assert len(packed) == packed_length_bytes(count, bits)
+        assert len(packed) == (count * bits + 7) // 8
         assert np.array_equal(unpack_indices(packed, bits, count), xs)
 
 

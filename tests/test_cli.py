@@ -327,6 +327,22 @@ def test_compress_rejects_unknown_policy_keys_and_values(tmp_path, capsys, line,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("policy_line", ["default format=float32", "default format=ternary",
+                                         "default format=sst n=4 k=1"])
+def test_compress_rejects_a_non_finite_float_weight(tmp_path, capsys, policy_line):
+    npz = _write_float_npz(tmp_path / "float.npz", np.random.default_rng(9))
+    arrays = dict(np.load(npz))
+    arrays["W1"][2, 5] = np.nan
+    np.savez(npz, **arrays)
+    policy = tmp_path / "policy.txt"
+    policy.write_text(policy_line + "\n")
+    out = tmp_path / "out.sstw"
+    assert main(["compress", "--input", str(npz), "--output", str(out),
+                 "--policy", str(policy)]) == 1
+    assert capsys.readouterr().err == "error: float32 weight nan at row 2, column 5 is not finite\n"
+    assert not out.exists()
+
+
 def test_compress_names_the_policy_of_an_invalid_code(tmp_path, capsys):
     npz = _write_float_npz(tmp_path / "float.npz", np.random.default_rng(9))
     policy = tmp_path / "policy.txt"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sstc.codes import (CodeParams, address_bits, build_table, count_entries,
-                        decode_index, encode_subvector, rank_subvectors,
+                        from_subvectors, rank_subvectors, subvectors,
                         table_storage_bits, table_storage_kb, unrank_subvectors)
 from sstc.errors import ValidationError
 
@@ -114,25 +114,25 @@ def test_entries_respect_budget_and_length():
 
 def test_encode_examples():
     p41 = CodeParams(4, 1)
-    assert encode_subvector([0, 0, -1, 0], p41) == 4
-    assert encode_subvector([-1, 0, 0, 0], p41) == 8
+    assert rank_subvectors([0, 0, -1, 0], p41).tolist() == [4]
+    assert rank_subvectors([[-1, 0, 0, 0], [0, 0, -1, 0]], p41).tolist() == [8, 4]
     for params in (p41, CodeParams(8, 2), CodeParams(16, 4)):
-        assert encode_subvector([0] * params.n, params) == 0
+        assert rank_subvectors([0] * params.n, params).tolist() == [0]
 
 
 def test_decode_examples():
     p82 = CodeParams(8, 2)
-    assert np.array_equal(decode_index(0, p82), np.zeros(8, dtype=np.int8))
-    assert tuple(decode_index(8, CodeParams(4, 1))) == (-1, 0, 0, 0)
+    assert np.array_equal(unrank_subvectors(0, p82), np.zeros((1, 8), dtype=np.int8))
+    assert unrank_subvectors([8, 4], CodeParams(4, 1)).tolist() == [[-1, 0, 0, 0], [0, 0, -1, 0]]
     with pytest.raises(ValidationError):
-        decode_index(129, p82)
+        unrank_subvectors(129, p82)
     with pytest.raises(ValidationError):
-        decode_index(-1, p82)
+        unrank_subvectors([0, -1], p82)
 
 
 def test_encode_rejects_budget_violation():
     with pytest.raises(ValidationError, match="non-zeros"):
-        encode_subvector([1, -1, 0, 0], CodeParams(4, 1))
+        rank_subvectors([[0, 0, 0, 0], [1, -1, 0, 0]], CodeParams(4, 1))
 
 
 def test_roundtrip_exhaustive_small_tables():
@@ -164,7 +164,7 @@ def test_rank_without_materialized_table_matches_scan():
         v = table.trits[idx]
         scan = next(i for i in range(len(table.trits))
                     if np.array_equal(table.trits[i], v))
-        assert encode_subvector(v, params) == scan
+        assert rank_subvectors(v, params).tolist() == [scan]
 
 
 def test_rank_input_validation():
@@ -173,3 +173,47 @@ def test_rank_input_validation():
         rank_subvectors([[0, 2, 0, 0]], params)
     with pytest.raises(ValidationError):
         rank_subvectors([[0, 0, 0]], params)
+
+
+def test_subvectors_payload_order():
+    # [[a, e], [b, f], [c, g], [d, h]] at n = 2
+    M = np.array([[1, 5], [2, 6], [3, 7], [4, 8]])
+    params = CodeParams(2, 1)
+    assert subvectors(M, params, "column").tolist() == [[1, 2], [3, 4], [5, 6], [7, 8]]
+    assert subvectors(M, params, "row").tolist() == [[1, 5], [2, 6], [3, 7], [4, 8]]
+    # a 2x6 matrix at n = 3
+    M = np.arange(12).reshape(2, 6)
+    params = CodeParams(3, 1)
+    assert subvectors(M.T, params, "column").tolist() == [[0, 1, 2], [3, 4, 5],
+                                                          [6, 7, 8], [9, 10, 11]]
+    assert subvectors(M, params, "row").tolist() == [[0, 1, 2], [3, 4, 5],
+                                                     [6, 7, 8], [9, 10, 11]]
+
+
+@pytest.mark.parametrize("orientation", ["column", "row"])
+def test_from_subvectors_inverts_subvectors(orientation):
+    rng = np.random.default_rng(2)
+    for n in (1, 2, 4, 8, 16):
+        params = CodeParams(n, 1)
+        for _ in range(10):
+            groups, other = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+            rows, cols = (groups * n, other) if orientation == "column" else (other, groups * n)
+            M = rng.normal(size=(rows, cols))
+            G = subvectors(M, params, orientation)
+            assert G.shape == (rows * cols // n, n)
+            assert np.array_equal(from_subvectors(G, rows, cols, params, orientation), M)
+
+
+def test_subvectors_rejects_bad_layouts():
+    params = CodeParams(4, 1)
+    with pytest.raises(ValidationError, match="row count 6 not divisible by n=4"):
+        subvectors(np.zeros((6, 4)), params, "column")
+    with pytest.raises(ValidationError, match="column count 6 not divisible by n=4"):
+        subvectors(np.zeros((4, 6)), params, "row")
+    for bad in ("diagonal", "Column", None):
+        with pytest.raises(ValidationError, match="orientation must be one of"):
+            subvectors(np.zeros((4, 4)), params, bad)
+        with pytest.raises(ValidationError, match="orientation must be one of"):
+            from_subvectors(np.zeros((4, 4)), 4, 4, params, bad)
+    with pytest.raises(ValidationError, match="expected a matrix"):
+        subvectors(np.zeros(8), params, "row")

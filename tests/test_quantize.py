@@ -5,8 +5,7 @@ import pytest
 
 from sstc import quantize
 from sstc.errors import ValidationError
-from sstc.quantize import (find_step_size, quantize_layer,
-                           quantize_to_levels, quantize_weight)
+from sstc.quantize import find_step_size, quantize_weight
 
 from conftest import grid_search_step_size, quantization_error
 
@@ -16,6 +15,8 @@ def test_quantize_weight_examples():
     assert quantize_weight(0.2, 0.5, 3) == 0.0
     assert quantize_weight(-3.0, 0.5, 3) == -0.5
     assert quantize_weight(0.74, 0.5, 7) == 0.5
+    # a pruned weight stays exactly zero
+    assert quantize_weight(np.zeros((2, 2)), 0.5, 3).tolist() == [[0.0, 0.0], [0.0, 0.0]]
 
 
 def test_quantize_weight_tie_rounds_up():
@@ -61,8 +62,8 @@ def test_ternary_outputs_three_valued():
 
 
 def test_level_assignment():
-    lev = quantize_to_levels([0.9, -0.4, 0.1, 2.0], 0.4, 7)
-    assert lev.tolist() == [2, -1, 0, 3]
+    q = quantize_weight(np.array([0.9, -0.4, 0.1, 2.0]), 0.4, 7)
+    assert np.array_equal(q, 0.4 * np.array([2, -1, 0, 3]))
 
 
 def test_find_step_size_examples():
@@ -80,9 +81,10 @@ def test_find_step_size_rejects_degenerate_input():
 
 def test_find_step_size_matches_dense_grid_oracle():
     rng = np.random.default_rng(4)
+    matrix = np.random.default_rng(8).normal(size=(64, 64))
     for levels in (3, 7):
-        for _ in range(10):
-            w = rng.normal(size=int(rng.integers(20, 200)))
+        inputs = [rng.normal(size=int(rng.integers(20, 200))) for _ in range(10)]
+        for w in inputs + [matrix]:
             delta = find_step_size(w, levels)
             oracle_delta, oracle_err = grid_search_step_size(w, levels)
             assert quantization_error(w, delta, levels) <= oracle_err * (1 + 1e-9)
@@ -103,11 +105,11 @@ def test_find_step_size_scaling_invariance():
     rng = np.random.default_rng(6)
     w = rng.normal(size=300)
     base = find_step_size(w)
-    base_levels = quantize_to_levels(w, base)
+    base_levels = quantize_weight(w, base) / base
     for c in (0.25, 0.5, 2.0, 8.0):  # powers of two scale exactly
         scaled = find_step_size(c * w)
         assert scaled == c * base
-        assert np.array_equal(quantize_to_levels(c * w, scaled), base_levels)
+        assert np.array_equal(quantize_weight(c * w, scaled) / scaled, base_levels)
     for c in (0.7, 3.3):
         assert find_step_size(c * w) == pytest.approx(c * base, rel=1e-9)
 
@@ -135,41 +137,3 @@ def test_find_step_size_rejects_bad_levels():
     for levels in (4, 1, 256):
         with pytest.raises(ValidationError, match="odd and >= 3"):
             find_step_size([0.5, -1.0], levels)
-
-
-def test_quantize_layer():
-    W = np.array([[1.0, -1.0]])
-    M = np.array([[1.0, 0.0]])
-    W_q, delta = quantize_layer(W, M)
-    assert delta == 1.0
-    assert W_q.tolist() == [[1.0, 0.0]]
-
-
-def test_quantize_layer_masked_positions_zero():
-    rng = np.random.default_rng(7)
-    W = rng.normal(size=(16, 16))
-    M = (rng.random((16, 16)) < 0.5).astype(float)
-    if not M.any():
-        M[0, 0] = 1.0
-    W_q, delta = quantize_layer(W, M)
-    assert np.all(W_q[M == 0] == 0)
-    assert np.float32(delta) == delta  # stored precision
-
-
-def test_quantize_layer_matches_oracle_on_random_matrix():
-    rng = np.random.default_rng(8)
-    W = rng.normal(size=(64, 64))
-    M = np.ones_like(W)
-    _, delta = quantize_layer(W, M)
-    _, oracle_err = grid_search_step_size(W)
-    assert quantization_error(W, delta, 3) <= oracle_err + 1e-9
-
-
-def test_quantize_layer_all_masked_is_error():
-    with pytest.raises(ValidationError):
-        quantize_layer(np.ones((2, 2)), np.zeros((2, 2)))
-
-
-def test_quantize_layer_shape_mismatch():
-    with pytest.raises(ValidationError):
-        quantize_layer(np.ones((2, 2)), np.ones((2, 3)))

@@ -144,6 +144,25 @@ def test_float32_roundtrip():
     assert np.array_equal(decode_layer(layer), W)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_float32_weights_must_be_finite(value):
+    clean = encode_layer(np.zeros((3, 4)), None, LayerFormat("float32"))
+    message = f"float32 weight {value} at row 2, column 1 is not finite"
+    W = np.zeros((3, 4))
+    W[2, 1] = value
+    with pytest.raises(ValidationError, match=message):
+        encode_layer(W, None, LayerFormat("float32"))
+    with pytest.raises(ValidationError, match=message):
+        model_from_arrays([(W, None)])
+    # the payload of a first float32 layer without bias starts at byte 40
+    blob = serialize_model(ModelFile(layers=[clean]))
+    assert serialize_model(deserialize_model(blob)) == blob
+    bad = bytearray(blob)
+    bad[40 + 4 * 9:40 + 4 * 10] = struct.pack("<f", value)
+    with pytest.raises(ValidationError, match=message):
+        deserialize_model(bytes(bad))
+
+
 def test_serialization_involution_fuzz():
     rng = np.random.default_rng(4)
     for _ in range(1000):

@@ -325,6 +325,19 @@ def test_schedule_layer_conflict_detected_before_training():
         tr.train_structured(net, data, bad_target, tr.TrainConfig(seed=25))
 
 
+def test_policy_orientation_and_layer_shape_checked_before_training():
+    with pytest.raises(ValidationError, match="orientation must be one of .* got 'diagonal'"):
+        tr.WeightPolicy("sst", CodeParams(4, 1), "diagonal")
+    X, y = gaussian_blobs(60, num_classes=3, dim=12, seed=3)
+    data = tr.TrainData.from_arrays(X, y, val_fraction=0.2, seed=3)
+    net = tr.build_network([
+        tr.LayerSpec(12, 8, policy=tr.WeightPolicy("sst", CodeParams(8, 1), "row")),
+        tr.LayerSpec(8, 3, policy=tr.WeightPolicy("ternary"))], seed=3)
+    with pytest.raises(ValidationError,
+                       match=r"layer 0 shape \(8, 12\): column count 12 not divisible by n=8"):
+        tr.train_structured(net, data, CodeParams(8, 1), tr.TrainConfig(epochs=1, seed=3))
+
+
 def test_gradual_masks_follow_schedule():
     params = CodeParams(8, 1)
     net, data = _blob_setup(params, seed=26)
