@@ -45,6 +45,18 @@ def _parse_code(text) -> CodeParams:
     return CodeParams(n, k)
 
 
+# a target code prunes each sub-vector to at most k non-zeros, so k=0
+# leaves nothing to fit a step size to; tables and the codec accept k=0
+_NO_WEIGHT_KEPT = "k=0 keeps no weight, a target code needs k >= 1"
+
+
+def _parse_target_code(text) -> CodeParams:
+    params = _parse_code(text)
+    if params.k == 0:
+        raise ValidationError(f"--code {params}: {_NO_WEIGHT_KEPT}")
+    return params
+
+
 def _parse_dataset(spec, seed=0, splits=("train", "t10k")):
     """(X, y) of each named split, in one flat tuple, for a dataset spec.
 
@@ -106,6 +118,8 @@ def _parse_policy_file(path):
                         value = int(value)
                     except ValueError:
                         raise ValidationError(f"{where}: expected an integer, got {value!r}")
+                    if key == "k" and value == 0:
+                        raise ValidationError(f"{where}: {_NO_WEIGHT_KEPT}")
                 elif value not in _POLICY_CHOICES[key]:
                     raise ValidationError(f"{where}: unknown value {value!r}, expected one of "
                                           f"{', '.join(_POLICY_CHOICES[key])}")
@@ -176,7 +190,7 @@ def cmd_compress(args):
     model = _load_input_model(args.input)
     policies = _parse_policy_file(args.policy) if args.policy else {}
     if args.code:
-        params = _parse_code(args.code)
+        params = _parse_target_code(args.code)
         policies.setdefault("default", {"format": "sst", "n": params.n,
                                         "k": params.k, "orientation": args.orientation})
     if "default" not in policies:
@@ -277,7 +291,7 @@ def cmd_train(args):
     dims = [int(d) for d in args.arch.replace(",", " ").split()]
     if len(dims) < 2:
         raise ValidationError(f"--arch needs at least two dimensions, got {args.arch!r}")
-    params = _parse_code(args.code) if args.code else None
+    params = _parse_target_code(args.code) if args.code else None
     X, y = _parse_dataset(args.data, seed=args.seed, splits=("train",))
     seeds = [args.seed + i for i in range(args.seeds)]
     schedule = None

@@ -35,7 +35,9 @@ import json
 import os
 import struct
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -305,8 +307,9 @@ def layer_indices(layer: EncodedLayer) -> np.ndarray:
 def decode_layer(layer: EncodedLayer) -> np.ndarray:
     """Dense weight matrix of an encoded layer.
 
-    sst entries are unranked combinatorially, so decoding needs no
-    materialized code table.
+    sst entries are unranked through the code's half tables
+    (`codes.unrank_subvectors`), so decoding needs no materialized code
+    table.
     """
     kind = layer.format.kind
     if kind == "float32":
@@ -389,13 +392,19 @@ class _Reader:
 
 
 def deserialize_model(data: bytes) -> ModelFile:
+    """Parse a model file.
+
+    Every layer record is read before any layer is built, so a
+    `ValidationError` raised while building one can name the layer: its
+    index and, where the metadata has one, its name.
+    """
     r = _Reader(data)
     if r.take(len(MAGIC)) != MAGIC:
         raise ValidationError("not a model file: bad magic")
     version, layer_count = r.unpack("<HH")
     if version != FORMAT_VERSION:
         raise ValidationError(f"unsupported format version {version}")
-    layers = []
+    records = []  # per layer, a call that builds it
     for _ in range(layer_count):
         ftag, otag, rows, cols, n, k, delta = r.unpack("<BBIIBBf")
         if ftag >= len(FORMAT_KINDS):
@@ -404,41 +413,64 @@ def deserialize_model(data: bytes) -> ModelFile:
         if kind == "sst":
             if otag >= len(ORIENTATIONS):
                 raise ValidationError(f"unknown orientation tag {otag}")
-            fmt = LayerFormat(kind, CodeParams(n, k), ORIENTATIONS[otag])
         elif (otag, n, k) != (0, 0, 0):
             raise ValidationError(f"{kind} layer header needs orientation, n and k all 0, "
                                   f"got {otag}, {n}, {k}")
-        else:
-            fmt = LayerFormat(kind)
         (bias_count,) = r.unpack("<I")
         bias = r.f32_array(bias_count) if bias_count else None
         (payload_bits,) = r.unpack("<Q")
         payload = r.take((payload_bits + 7) // 8)
         (ntag,) = r.unpack("<B")
+        # the normalizer is built with its layer, by calling make_norm()
         if ntag == 0:
-            norm = None
+            make_norm = lambda: None
         elif ntag == 1:
             (eps,) = r.unpack("<f")
-            norm = BatchNormParams(
-                gamma=r.f32_array(rows), beta=r.f32_array(rows),
-                mean=r.f32_array(rows), var=r.f32_array(rows), eps=float(eps),
-            )
+            gamma, beta, mean, var = (r.f32_array(rows) for _ in range(4))
+            make_norm = partial(BatchNormParams, gamma, beta, mean, var, float(eps))
         elif ntag == 2:
-            norm = WeightNormTag()
+            make_norm = WeightNormTag
         else:
             raise ValidationError(f"unknown normalizer tag {ntag}")
-        layer = EncodedLayer(fmt, rows, cols, float(delta), payload, bias, norm)
-        if layer.payload_bit_length() != payload_bits:
-            raise ValidationError(
-                f"payload bit length {payload_bits} inconsistent with format "
-                f"(expected {layer.payload_bit_length()})"
-            )
-        layers.append(layer)
+        records.append(partial(_layer_from_record, kind, otag, rows, cols, n, k, delta, bias,
+                               payload_bits, payload, make_norm))
     (meta_len,) = r.unpack("<I")
     metadata = json.loads(r.take(meta_len).decode("utf-8")) if meta_len else {}
     if r.pos != len(data):
         raise ValidationError(f"{len(data) - r.pos} trailing bytes after model")
+    if not isinstance(metadata, dict):
+        raise ValidationError(f"metadata must be a JSON object, got {type(metadata).__name__}")
+    names = metadata.get("layer_names")
+    names = names if isinstance(names, list) and len(names) == layer_count else None
+    layers = []
+    for index, build in enumerate(records):
+        with _naming_layer(index, names):
+            layers.append(build())
     return ModelFile(layers=layers, metadata=metadata)
+
+
+def _layer_from_record(kind, otag, rows, cols, n, k, delta, bias, payload_bits, payload,
+                       make_norm) -> EncodedLayer:
+    fmt = (LayerFormat(kind, CodeParams(n, k), ORIENTATIONS[otag]) if kind == "sst"
+           else LayerFormat(kind))
+    layer = EncodedLayer(fmt, rows, cols, float(delta), payload, bias, make_norm())
+    if layer.payload_bit_length() != payload_bits:
+        raise ValidationError(
+            f"payload bit length {payload_bits} inconsistent with format "
+            f"(expected {layer.payload_bit_length()})"
+        )
+    return layer
+
+
+@contextmanager
+def _naming_layer(index: int, names=None):
+    """Prefix a `ValidationError` raised inside with the layer's index and name."""
+    try:
+        yield
+    except ValidationError as exc:
+        name = names[index] if names and index < len(names) else None
+        label = f"layer {index} ({name})" if name else f"layer {index}"
+        raise ValidationError(f"{label}: {exc}") from exc
 
 
 def write_model(model: ModelFile, path):
@@ -466,10 +498,10 @@ def model_from_arrays(weights_and_biases, names=None, normalizers=None,
     """Build a float32 model from raw (W, b) matrix pairs (the import path)."""
     layers = []
     normalizers = normalizers or [None] * len(weights_and_biases)
-    for (W, b), norm in zip(weights_and_biases, normalizers):
-        W = np.asarray(W, dtype=np.float64)
-        fmt = LayerFormat("float32")
-        layers.append(encode_layer(W, None, fmt, bias=b, normalizer=norm))
+    for index, ((W, b), norm) in enumerate(zip(weights_and_biases, normalizers)):
+        with _naming_layer(index, names):
+            W = np.asarray(W, dtype=np.float64)
+            layers.append(encode_layer(W, None, LayerFormat("float32"), bias=b, normalizer=norm))
     meta = dict(metadata or {})
     if names:
         meta["layer_names"] = list(names)

@@ -313,6 +313,7 @@ def test_verify_records_each_suite_once_when_the_kernel_cannot_build(tmp_path, c
     ("default k=1", "k", "applies to format=sst only"),
     ("default format=ternary orientation=row", "orientation", "applies to format=sst only"),
     ("default format=sst n=4 n=8 k=1", "n", "given twice"),
+    ("default format=sst n=16 k=0", "k", "k=0 keeps no weight, a target code needs k >= 1\n"),
 ])
 def test_compress_rejects_unknown_policy_keys_and_values(tmp_path, capsys, line, key, message):
     npz = _write_float_npz(tmp_path / "float.npz", np.random.default_rng(9))
@@ -339,8 +340,27 @@ def test_compress_rejects_a_non_finite_float_weight(tmp_path, capsys, policy_lin
     out = tmp_path / "out.sstw"
     assert main(["compress", "--input", str(npz), "--output", str(out),
                  "--policy", str(policy)]) == 1
-    assert capsys.readouterr().err == "error: float32 weight nan at row 2, column 5 is not finite\n"
+    assert capsys.readouterr().err == ("error: layer 1: float32 weight nan at row 2, column 5 "
+                                       "is not finite\n")
     assert not out.exists()
+
+
+def test_a_target_code_with_k_0_is_rejected_before_any_work(tmp_path, capsys):
+    message = "k=0 keeps no weight, a target code needs k >= 1"
+    model, metrics = tmp_path / "m.sstw", tmp_path / "metrics.jsonl"
+    assert main(["train", "--data", "synthetic:samples=300,classes=3,dim=32,seed=3",
+                 "--arch", "32,16,3", "--code", "8,0", "--out", str(model),
+                 "--metrics", str(metrics)]) == 1
+    assert capsys.readouterr().err == f"error: --code (8,0): {message}\n"
+    assert not model.exists() and not metrics.exists()
+    npz = _write_float_npz(tmp_path / "float.npz", np.random.default_rng(9), dims=(16, 16, 3))
+    out = tmp_path / "out.sstw"
+    assert main(["compress", "--input", str(npz), "--output", str(out), "--code", "16,0"]) == 1
+    assert capsys.readouterr().err == f"error: --code (16,0): {message}\n"
+    assert not out.exists()
+    # a k = 0 code is still a code: tables list it
+    assert main(["tables", "--codes", "8,0", "--format", "records"]) == 0
+    assert _records(capsys)[0]["entries"] == 1
 
 
 def test_compress_names_the_policy_of_an_invalid_code(tmp_path, capsys):

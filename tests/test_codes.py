@@ -1,5 +1,8 @@
 """Code table enumeration, counting, and ranking."""
 
+import re
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,8 @@ from sstc.codes import (CodeParams, address_bits, build_table, count_entries,
 from sstc.errors import ValidationError
 
 from conftest import enumerate_by_brute_force
+
+ALL_CODES = [(16, 4), (16, 3), (16, 2), (8, 2), (8, 1), (4, 1)]
 
 TABLE_I = {
     (16, 4): (34113, 136.452, 16),
@@ -217,3 +222,87 @@ def test_subvectors_rejects_bad_layouts():
             from_subvectors(np.zeros((4, 4)), 4, 4, params, bad)
     with pytest.raises(ValidationError, match="expected a matrix"):
         subvectors(np.zeros(8), params, "row")
+
+
+def _loop_suffix_counts(n, k):
+    """S[m, j]: length-m ternary vectors with at most j non-zeros."""
+    return np.array([[sum(comb(m, i) << i for i in range(j + 1)) for j in range(k + 1)]
+                     for m in range(n + 1)], dtype=np.int64)
+
+
+def loop_rank(vectors, n, k):
+    """Reference: rank digit by digit, adding the entries that each earlier
+    digit choice skips (one pass over the n positions)."""
+    t = np.asarray(vectors, dtype=np.int8)
+    s = _loop_suffix_counts(n, k)
+    rank = np.zeros(t.shape[0], dtype=np.int64)
+    budget = np.full(t.shape[0], k, dtype=np.int64)
+    for i in range(n):
+        m = n - i - 1
+        nonzero, minus = t[:, i] != 0, t[:, i] == -1
+        rank[nonzero] += s[m, budget[nonzero]]
+        rank[minus] += s[m, budget[minus] - 1]
+        budget[nonzero] -= 1
+    return rank
+
+
+def loop_unrank(indices, n, k):
+    """Reference: unrank digit by digit, the inverse of `loop_rank`."""
+    s = _loop_suffix_counts(n, k)
+    rem = np.array(indices, dtype=np.int64)
+    budget = np.full(rem.size, k, dtype=np.int64)
+    out = np.zeros((rem.size, n), dtype=np.int8)
+    for i in range(n):
+        m = n - i - 1
+        c_zero = s[m, budget]
+        take_nz = rem >= c_zero
+        rem = np.where(take_nz, rem - c_zero, rem)
+        c_plus = s[m, np.maximum(budget - 1, 0)]
+        take_minus = take_nz & (rem >= c_plus)
+        rem = np.where(take_minus, rem - c_plus, rem)
+        out[:, i] = np.where(take_minus, -1, take_nz.astype(np.int8))
+        budget -= take_nz
+    return out
+
+
+# the published codes; k = 0 codes; odd n; codes beyond the table entry
+# cap; and every code up to n = 12 small enough to check index by index
+DIFFERENTIAL_CODES = sorted(set(
+    ALL_CODES + [(8, 0), (4, 0), (3, 0), (1, 1), (5, 5), (7, 3), (16, 16), (24, 2), (24, 24)]
+    + [(n, k) for n in range(1, 13) for k in range(n + 1)
+       if count_entries(CodeParams(n, k)) <= 1 << 16]))
+
+
+@pytest.mark.parametrize("n,k", DIFFERENTIAL_CODES)
+def test_half_tables_match_digit_loop_reference(n, k):
+    params = CodeParams(n, k)
+    t_total = count_entries(params)
+    if t_total <= 1 << 16:
+        idx = np.arange(t_total)
+    else:
+        rng = np.random.default_rng(100 * n + k)
+        idx = np.concatenate(([0, t_total - 1], rng.integers(0, t_total, size=20_000)))
+    expected = loop_unrank(idx, n, k)
+    trits = unrank_subvectors(idx, params)
+    assert trits.dtype == np.int8 and np.array_equal(trits, expected)
+    ranks = rank_subvectors(expected, params)
+    assert ranks.dtype == np.int64 and np.array_equal(ranks, loop_rank(expected, n, k))
+    assert np.array_equal(ranks, idx)
+
+
+def test_codec_input_errors_keep_their_messages():
+    def raises(message, func, *args):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            func(*args)
+
+    p41, p80 = CodeParams(4, 1), CodeParams(8, 0)
+    raises("index 9 outside [0, 9)", unrank_subvectors, [0, 9], p41)
+    raises("index -1 outside [0, 9)", unrank_subvectors, [3, -1], p41)
+    raises("index 1 outside [0, 1)", unrank_subvectors, 1, p80)
+    raises(f"index {3 ** 24} outside [0, {3 ** 24})", unrank_subvectors, 3 ** 24, CodeParams(24, 24))
+    raises("sub-vector 1 has 2 non-zeros, exceeding k=1", rank_subvectors,
+           [[0, 0, 0, 0], [1, -1, 0, 0]], p41)
+    raises("sub-vector 0 has 1 non-zeros, exceeding k=0", rank_subvectors, [0] * 7 + [-1], p80)
+    raises("expected sub-vectors of length 4, got shape (1, 3)", rank_subvectors, [[0, 0, 0]], p41)
+    raises("sub-vector entries must be integral trits", rank_subvectors, [[0, 0.5, 0, 0]], p41)
+    raises("sub-vector entries must lie in {-1, 0, +1}", rank_subvectors, [[0, 2, 0, 0]], p41)

@@ -1,5 +1,6 @@
 """Layer codecs, model serialization, and storage accounting."""
 
+import re
 import struct
 
 import numpy as np
@@ -259,6 +260,39 @@ def test_stored_batch_norm_var_plus_eps_must_be_positive():
             deserialize_model(bytes(bad))
     with pytest.raises(ValidationError, match="non-finite"):
         BatchNormParams(np.ones(2), np.array([0.0, np.nan]), np.zeros(2), np.ones(2))
+
+
+@pytest.mark.parametrize("names, label", [(None, "layer 1"), (["fc0", "fc1"], "layer 1 (fc1)")])
+def test_errors_while_building_a_loaded_layer_name_it(names, label):
+    def raises(message):
+        return pytest.raises(ValidationError, match=f"^{re.escape(f'{label}: {message}')}$")
+
+    W0, W1 = np.zeros((8, 4)), np.zeros((8, 8))
+    W0[0, 0] = W1[3, 3] = 0.5
+    W1_nan = W1.copy()
+    W1_nan[2, 5] = np.nan
+    with raises("float32 weight nan at row 2, column 5 is not finite"):
+        model_from_arrays([(W0, None), (W1_nan, np.zeros(8))], names=names)
+    fmt = LayerFormat("sst", CodeParams(8, 1))
+    first = encode_layer(W0, 0.5, fmt)
+    model = ModelFile(layers=[first, encode_layer(W1, 0.5, fmt)],
+                      metadata={"layer_names": names} if names else {})
+    blob = serialize_model(model)
+    assert deserialize_model(blob) == model
+    # layer 1's header follows the 12-byte file header and layer 0, whose
+    # record is a one-layer file minus that header and the 6-byte b"{}" trailer
+    delta_at = 12 + len(serialize_model(ModelFile(layers=[first]))) - 18 + 12
+    bad = bytearray(blob)
+    bad[delta_at:delta_at + 4] = struct.pack("<f", float("nan"))
+    with raises("format sst needs a finite positive step size, got nan"):
+        deserialize_model(bytes(bad))
+
+
+def test_metadata_must_be_a_json_object():
+    blob = serialize_model(ModelFile())
+    assert blob.endswith(struct.pack("<I", 2) + b"{}")
+    with pytest.raises(ValidationError, match="^metadata must be a JSON object, got list$"):
+        deserialize_model(blob[:-6] + struct.pack("<I", 2) + b"[]")
 
 
 def test_row_orientation_is_sst_only():
