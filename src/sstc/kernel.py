@@ -1,12 +1,16 @@
 """Inference over structured sparse ternary layers.
 
 A compressed fully-connected layer is served from its index stream, which
-is decoded once, when the layer is built: each index is looked up in the
-code table and the resulting trits form a dense float64 transposed matrix.
-Every request then runs through BLAS, one vector-matrix product per input
-row, so a row gives the same bits alone or inside any batch.  The
-per-layer step size scales each output once, after which the bias and any
-folded normalizer affine are applied.
+is decoded once per distinct layer content and reused across calls: each
+index is looked up in the code table and the resulting trits form a dense
+float64 transposed matrix.  Other formats decode to their float64 weights
+the same way.  The decoded operands are read-only, start on a cache line
+and live in a content-keyed cache of at most `_OPERAND_CACHE_SIZE` layers
+(8 B per weight each), so a request on a layer served before does no
+decoding.  Every request runs through BLAS, one vector-matrix product per
+input row, so a row gives the same bits alone or inside any batch.  The
+per-layer step size scales each sst output once, after which the bias and
+any folded normalizer affine are applied.
 
 The paper's multiplication-free datapath is kept as the audit path:
 `CompressedFCLayer.accumulate` adds or subtracts the input value of every
@@ -19,7 +23,7 @@ parallel; columns are walked sequentially within a group.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -28,6 +32,10 @@ from .errors import ValidationError
 from .store import BatchNormParams, EncodedLayer, ModelFile, decode_layer, layer_indices
 
 _BATCH_CHUNK = 256
+
+# decoded operands kept at once; a model has a handful of layers, and each
+# entry holds 8 B per weight of its layer
+_OPERAND_CACHE_SIZE = 16
 
 
 @dataclass
@@ -43,34 +51,41 @@ class PETrace:
 
 
 class CompressedFCLayer:
-    """An sst-format layer bound to its code table, ready for inference.
+    """A column-oriented sst layer ready for inference.
 
-    The index stream is unpacked and decoded once, at build time, into
-    ``weights_t``: the layer's trits as a float64 (cols, rows) matrix that
-    serves `matmul`.  The add/subtract lanes of the audit path and the
-    per-sub-vector non-zero counts are derived from it on first use.
+    ``weights_t`` is the layer's trits as a read-only float64 (cols, rows)
+    matrix that serves `matmul`.  It comes from the operand cache, so
+    building a kernel for a layer decoded before costs microseconds.  The
+    unpacked ``indices``, the add/subtract lanes of the audit path and the
+    per-sub-vector non-zero counts are derived on first use.  A ``table``,
+    if given, must be for the layer's code.
     """
 
-    def __init__(self, layer: EncodedLayer, table: CodeTable):
+    def __init__(self, layer: EncodedLayer, table: CodeTable = None):
         if layer.format.kind != "sst":
             raise ValidationError("compressed kernels require an sst layer")
         if layer.format.orientation != "column":
             raise ValidationError("the compressed kernel runs column-oriented layers")
-        if table.params != layer.format.params:
+        if table is not None and table.params != layer.format.params:
             raise ValidationError(
                 f"table is for code {table.params}, layer uses {layer.format.params}"
             )
-        self.params = table.params
+        self.params = layer.format.params
         self.rows = layer.rows
         self.cols = layer.cols
         self.delta = np.float64(np.float32(layer.delta))
         self.bias = (layer.bias.astype(np.float64)
                      if layer.bias is not None else np.zeros(layer.rows))
-        self.indices = layer_indices(layer)
-        trits = from_subvectors(table.trits[self.indices], self.rows, self.cols, self.params, "column")
-        # a C-ordered (cols, rows) matrix: the column payload lists each
-        # column's trits in turn
-        self.weights_t = trits.T.astype(np.float64)
+        self.weights_t = _served_operand(layer)
+        self._format = layer.format
+        self._payload = bytes(layer.payload)
+
+    @cached_property
+    def indices(self) -> np.ndarray:
+        """Unpacked sub-vector indices of the payload the kernel was built
+        from, in payload order."""
+        return layer_indices(EncodedLayer(self._format, self.rows, self.cols, self.delta,
+                                          self._payload))
 
     @cached_property
     def nz_per_subvector(self) -> np.ndarray:
@@ -130,6 +145,57 @@ class CompressedFCLayer:
         return out if X.ndim == 2 else out[0]
 
 
+def _is_column_sst(fmt) -> bool:
+    return fmt.kind == "sst" and fmt.orientation == "column"
+
+
+def _served_operand(layer: EncodedLayer) -> np.ndarray:
+    """The read-only float64 (cols, rows) matrix that serves ``layer``.
+
+    Looked up by the layer's content, so a layer whose payload, delta or
+    format is replaced is decoded anew, never served stale.
+    """
+    return _decoded_operand(layer.format, layer.rows, layer.cols,
+                            np.float32(layer.delta or 0.0), bytes(layer.payload))
+
+
+@lru_cache(maxsize=_OPERAND_CACHE_SIZE)
+def _decoded_operand(fmt, rows, cols, delta, payload) -> np.ndarray:
+    """Decode one layer content; failures raise and are not cached.
+
+    A column sst layer gives its trits, which `CompressedFCLayer` scales
+    by delta per call; every other layer gives its decoded weights,
+    transposed as a view.  Delta is the float32 value a file stores.
+    """
+    layer = EncodedLayer(fmt, rows, cols, float(delta), payload)
+    if _is_column_sst(fmt):
+        params = fmt.params
+        trits = from_subvectors(build_table(params).trits[layer_indices(layer)],
+                                rows, cols, params, "column")
+        # a C-ordered (cols, rows) matrix: the column payload lists each
+        # column's trits in turn
+        operand = _cache_line_aligned(trits.T)
+    else:
+        operand = _cache_line_aligned(decode_layer(layer)).T
+    operand.setflags(write=False)
+    return operand
+
+
+def _cache_line_aligned(a: np.ndarray) -> np.ndarray:
+    """A C-ordered float64 copy of ``a`` that starts on a 64-byte boundary.
+
+    Large allocations start 16 bytes past a page boundary, and BLAS runs a
+    batch slower on such an operand: 1024 rows against a 784x96 matrix took
+    12.5-13.4 ms at offsets 16, 32 and 48 and 6.9-7.4 ms at offset 0 (2-CPU
+    Xeon, OpenBLAS), with the same bits at every offset.
+    """
+    buf = np.empty(a.size * 8 + 64, dtype=np.uint8)
+    start = -buf.ctypes.data % 64
+    out = buf[start:start + a.size * 8].view(np.float64).reshape(a.shape)
+    out[...] = a
+    return out
+
+
 def _row_products(X: np.ndarray, W_t: np.ndarray) -> np.ndarray:
     """X @ W_t as one BLAS vector-matrix product per row of X, so each
     row's bits are those of a single-row call, whatever the batch size.
@@ -184,31 +250,28 @@ def bn_eval_affine(gamma, beta, mean, var, eps):
 def compressed_forward(model: ModelFile, X) -> np.ndarray:
     """Full-network class probabilities from a serialized model.
 
-    sst layers in column orientation run on the compressed kernel; other
-    formats are decoded to dense weights.  Every layer multiplies row by
-    row (`_row_products`), so a sample's probabilities do not depend on the
-    batch it arrives in.  Hidden layers apply relu after
-    any normalizer affine; the final layer emits softmax probabilities.
+    Every layer multiplies by its cached operand (`_served_operand`) row
+    by row (`_row_products`), so a sample's probabilities do not depend on
+    the batch it arrives in: column sst layers through `CompressedFCLayer`,
+    which scales by delta, and the rest by their decoded weights.  Bias,
+    the batch-norm fold and the layer-chain check run on every call.
+    Hidden layers apply relu after any normalizer affine; the final layer
+    emits softmax probabilities.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if not model.layers:
         raise ValidationError("model has no layers")
-    tables = {}
     out = X
     for pos, layer in enumerate(model.layers):
         if layer.cols != out.shape[1]:
             raise ValidationError(
                 f"layer {pos} expects {layer.cols} inputs, previous layer emits {out.shape[1]}"
             )
-        if layer.format.kind == "sst" and layer.format.orientation == "column":
-            params = layer.format.params
-            if params not in tables:
-                tables[params] = build_table(params)
-            out = CompressedFCLayer(layer, tables[params]).matmul(out)
+        if _is_column_sst(layer.format):
+            out = CompressedFCLayer(layer).matmul(out)
         else:
-            W = decode_layer(layer)
             bias = layer.bias.astype(np.float64) if layer.bias is not None else 0.0
-            out = _row_products(out, W.T) + bias
+            out = _row_products(out, _served_operand(layer)) + bias
         norm = layer.normalizer
         if isinstance(norm, BatchNormParams):
             scale, shift = bn_eval_affine(norm.gamma, norm.beta, norm.mean, norm.var,

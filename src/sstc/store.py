@@ -165,6 +165,7 @@ class EncodedLayer:
                 raise ValidationError(
                     f"bias length {self.bias.shape} does not match the {self.rows} rows"
                 )
+        self.payload = bytes(self.payload)
         expected = self.payload_bit_length()
         if len(self.payload) != (expected + 7) // 8:
             raise ValidationError(

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from sstc import kernel
 from sstc.codes import CodeParams, build_table, unrank_subvectors
 from sstc.errors import ValidationError
 from sstc.kernel import CompressedFCLayer, compressed_forward, dense_matvec, pe_trace
-from sstc.store import (BatchNormParams, LayerFormat, ModelFile, decode_layer,
-                        encode_layer, layer_indices)
+from sstc.store import (BatchNormParams, EncodedLayer, LayerFormat, ModelFile, decode_layer,
+                        deserialize_model, encode_layer, layer_indices, serialize_model)
 
 from conftest import random_sst_trits
 
@@ -242,9 +243,8 @@ def test_forward_probabilities_sum_to_one():
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
 
-def test_forward_batch_independence():
-    # every layer format, bit-identical rows in any batch
-    rng = np.random.default_rng(7)
+def _mixed_model(rng):
+    """Column sst with batch norm, fixed8, float32, row sst and ternary."""
     col_code, row_code = CodeParams(4, 2), CodeParams(8, 1)
     layers = [
         encode_layer(random_sst_trits(rng, 64, 96, col_code) * 0.5, 0.5,
@@ -259,7 +259,13 @@ def test_forward_batch_independence():
         encode_layer(rng.integers(-1, 2, size=(3, 32)) * 0.25, 0.25,
                      LayerFormat("ternary2bit"), bias=rng.normal(size=3)),
     ]
-    for model in (_toy_model(rng), ModelFile(layers=layers)):
+    return ModelFile(layers=layers)
+
+
+def test_forward_batch_independence():
+    # every layer format, bit-identical rows in any batch
+    rng = np.random.default_rng(7)
+    for model in (_toy_model(rng), _mixed_model(rng)):
         X = rng.normal(size=(37, model.layers[0].cols))
         batch = compressed_forward(model, X)
         singles = np.vstack([compressed_forward(model, x[np.newaxis]) for x in X])
@@ -287,3 +293,123 @@ def test_single_layer_model_is_matvec_plus_softmax():
     want = np.exp(logits - logits.max())
     want /= want.sum()
     assert np.allclose(probs[0], want, atol=1e-12)
+
+
+# --- operand cache: each layer content is decoded once ----------------------
+
+def _fresh_forward(model, X):
+    """Forward pass of a re-read copy of ``model``, decoded from scratch."""
+    kernel._decoded_operand.cache_clear()
+    return compressed_forward(deserialize_model(serialize_model(model)), X)
+
+
+def test_replaced_layer_fields_are_never_served_stale():
+    rng = np.random.default_rng(21)
+    model = _mixed_model(rng)
+    X = rng.normal(size=(6, 96))
+    col_code = model.layers[0].format.params
+    other_trits = encode_layer(random_sst_trits(rng, 64, 96, col_code) * 0.5, 0.5,
+                               LayerFormat("sst", col_code))
+    other_fixed8 = encode_layer(rng.integers(-127, 128, size=(48, 64)) * 0.25, 0.25,
+                                LayerFormat("fixed8"))
+    changes = [
+        ("column sst payload", lambda m: setattr(m.layers[0], "payload", other_trits.payload)),
+        ("column sst delta", lambda m: setattr(m.layers[0], "delta", 0.75)),
+        ("fixed8 payload", lambda m: setattr(m.layers[1], "payload", other_fixed8.payload)),
+        ("fixed8 delta", lambda m: setattr(m.layers[1], "delta", 0.375)),
+        ("ternary delta", lambda m: setattr(m.layers[4], "delta", 0.5)),
+        ("float32 bias", lambda m: setattr(m.layers[2], "bias",
+                                           rng.normal(size=40).astype(np.float32))),
+        ("batch norm", lambda m: setattr(m.layers[0], "normalizer", BatchNormParams(
+            rng.random(64) + 0.5, rng.normal(size=64), rng.normal(size=64),
+            rng.random(64) + 0.5))),
+        ("layer object", lambda m: m.layers.__setitem__(1, other_fixed8)),
+    ]
+    for label, change in changes:
+        before = compressed_forward(model, X)
+        change(model)
+        got = compressed_forward(model, X)
+        assert not np.array_equal(got, before), label
+        assert np.array_equal(got, _fresh_forward(model, X)), label
+
+
+def test_cold_warm_and_reloaded_calls_are_bitwise_equal():
+    rng = np.random.default_rng(22)
+    model = _mixed_model(rng)
+    X = rng.normal(size=(9, 96))
+    kernel._decoded_operand.cache_clear()
+    cold = compressed_forward(model, X)
+    assert kernel._decoded_operand.cache_info().misses == len(model.layers)
+    warm = compressed_forward(model, X)
+    assert kernel._decoded_operand.cache_info().hits == len(model.layers)
+    reloaded = compressed_forward(deserialize_model(serialize_model(model)), X)
+    assert kernel._decoded_operand.cache_info().misses == len(model.layers)
+    assert np.array_equal(cold, warm) and np.array_equal(cold, reloaded)
+
+
+def test_cached_operands_are_read_only():
+    rng = np.random.default_rng(23)
+    model = _mixed_model(rng)
+    for layer in model.layers:
+        operand = kernel._served_operand(layer)
+        assert operand.shape == (layer.cols, layer.rows)
+        assert operand.ctypes.data % 64 == 0
+        with pytest.raises(ValueError):
+            operand[0, 0] = 1.0
+    comp = CompressedFCLayer(model.layers[0], build_table(model.layers[0].format.params))
+    assert comp.weights_t is kernel._served_operand(model.layers[0])
+    with pytest.raises(ValueError):
+        comp.weights_t[0, 0] = 1.0
+
+
+def test_warm_kernel_build_unpacks_no_indices():
+    rng = np.random.default_rng(24)
+    params = CodeParams(8, 1)
+    layer = encode_layer(random_sst_trits(rng, 16, 5, params) * 0.5, 0.5, LayerFormat("sst", params))
+    compressed_forward(ModelFile(layers=[layer]), rng.normal(size=5))
+    comp = CompressedFCLayer(layer, build_table(params))
+    assert "indices" not in vars(comp)
+    want = layer_indices(layer)
+    layer.payload = bytes(len(layer.payload))  # a later change does not reach the built kernel
+    assert np.array_equal(comp.indices, want)
+
+
+def test_corrupt_payload_raises_on_every_call():
+    layer = encode_layer(np.zeros((8, 2)), 1.0, LayerFormat("sst", CodeParams(8, 1)))
+    layer.payload = bytes([0xF8, 0x00])  # index 31 > T-1 = 16
+    model = ModelFile(layers=[layer])
+    size = kernel._decoded_operand.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(ValidationError, match="corrupt index 31 at stream position 0"):
+            compressed_forward(model, np.zeros((1, 2)))
+    assert kernel._decoded_operand.cache_info().currsize == size
+
+
+def test_operand_cache_stays_within_its_bound():
+    rng = np.random.default_rng(25)
+    bound = kernel._decoded_operand.cache_info().maxsize
+    assert bound == kernel._OPERAND_CACHE_SIZE
+    kernel._decoded_operand.cache_clear()
+    for i in range(bound + 5):
+        layer = encode_layer(rng.integers(-1, 2, size=(3, 4)) * 0.5, 0.5,
+                             LayerFormat("ternary2bit"))
+        compressed_forward(ModelFile(layers=[layer]), rng.normal(size=4))
+        assert kernel._decoded_operand.cache_info().currsize == min(i + 1, bound)
+
+
+def test_payload_is_copied_from_a_mutable_buffer():
+    rng = np.random.default_rng(26)
+    params = CodeParams(4, 2)
+    source = encode_layer(random_sst_trits(rng, 8, 6, params) * 0.5, 0.5,
+                          LayerFormat("sst", params), bias=rng.normal(size=8))
+    assert EncodedLayer(source.format, 8, 6, 0.5, source.payload).payload is source.payload
+    buffer = bytearray(source.payload)
+    layer = EncodedLayer(source.format, 8, 6, 0.5, buffer, source.bias)
+    assert type(layer.payload) is bytes
+    x = rng.normal(size=6)
+    served = compressed_forward(ModelFile(layers=[layer]), x)
+    buffer[:] = bytes(len(buffer))
+    assert layer.payload == source.payload
+    assert np.array_equal(compressed_forward(ModelFile(layers=[layer]), x), served)
+    view = EncodedLayer(source.format, 8, 6, 0.5, memoryview(bytearray(source.payload)))
+    assert type(view.payload) is bytes and view.payload == source.payload
