@@ -12,8 +12,8 @@ from .errors import ValidationError
 
 def pack_indices(indices, bits_per_index: int) -> bytes:
     """Pack ``indices`` into an MSB-first bitstream of fixed-width fields."""
-    if bits_per_index < 0:
-        raise ValidationError(f"bits_per_index must be non-negative, got {bits_per_index}")
+    if not 0 <= bits_per_index <= 64:
+        raise ValidationError(f"bits_per_index must lie in [0, 64], got {bits_per_index}")
     idx = np.atleast_1d(np.asarray(indices, dtype=np.int64))
     if idx.ndim != 1:
         raise ValidationError("indices must be one-dimensional")
@@ -26,9 +26,12 @@ def pack_indices(indices, bits_per_index: int) -> bytes:
         )
     if idx.size == 0 or bits_per_index == 0:
         return b""
-    shifts = np.arange(bits_per_index - 1, -1, -1, dtype=np.int64)
-    bits = ((idx[:, np.newaxis] >> shifts) & 1).astype(np.uint8)
-    return np.packbits(bits.ravel()).tobytes()
+    # the bits of the smallest big-endian unsigned width that holds a
+    # field, less its unused high bits
+    width = next(w for w in (8, 16, 32, 64) if w >= bits_per_index)
+    wide = idx.astype(f">u{width // 8}").view(np.uint8)
+    bits = np.unpackbits(wide).reshape(idx.size, width)[:, width - bits_per_index:]
+    return np.packbits(bits).tobytes()
 
 
 def unpack_indices(stream: bytes, bits_per_index: int, count: int) -> np.ndarray:

@@ -14,9 +14,11 @@ from . import datasets, kernel, store, training
 from .codes import (DEFAULT_ENTRY_CAP, ORIENTATIONS, CodeParams, address_bits, build_table,
                     count_entries, table_storage_kb)
 from .errors import SstcError, ValidationError
+# structured_prune, find_step_size, quantize_weight: unused, but perfbench/tracing.py wraps them here
 from .prune import SparsitySchedule, structured_prune
 from .quantize import find_step_size, quantize_weight
-from .store import LayerFormat, ModelFile, decode_layer, encode_layer, read_model, storage_report, write_model
+from .store import (LayerFormat, ModelFile, compress_layer, decode_layer, encode_layer,
+                    read_model, storage_report, write_model)
 
 TABLE_I_CODES = ((16, 4), (16, 3), (16, 2), (8, 2), (8, 1), (4, 1))
 
@@ -197,23 +199,13 @@ def cmd_compress(args):
         policies["default"] = {"format": "ternary"}
     names = model.layer_names()
     out_layers = []
-    for name, layer in zip(names, model.layers):
+    for index, (name, layer) in enumerate(zip(names, model.layers)):
         policy = name if name in policies else "default"
         fmt = _policy_to_format(policies[policy],
                                 f"{args.policy}: layer {name} (policy {policy!r})")
-        W = decode_layer(layer)
-        if fmt.kind == "float32":
-            out_layers.append(encode_layer(W, None, fmt, bias=layer.bias,
-                                           normalizer=layer.normalizer, layer_name=name))
-            continue
-        levels = 255 if fmt.kind == "fixed8" else 3
-        if fmt.kind == "sst":
-            mask = structured_prune(W, fmt.params, fmt.orientation)
-            W = W * mask
-        delta = float(np.float32(find_step_size(W, levels)))
-        W_q = quantize_weight(W, delta, levels)
-        out_layers.append(encode_layer(W_q, delta, fmt, bias=layer.bias,
-                                       normalizer=layer.normalizer, layer_name=name))
+        with store._naming_layer(index, names):
+            out_layers.append(compress_layer(decode_layer(layer), fmt, layer.bias,
+                                             layer.normalizer, name))
     compressed = ModelFile(layers=out_layers,
                            metadata={**model.metadata, "layer_names": names})
     write_model(compressed, args.output)

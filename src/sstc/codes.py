@@ -161,8 +161,8 @@ def _as_trit_matrix(vectors, n: int) -> np.ndarray:
         v = v[np.newaxis, :]
     if v.ndim != 2 or v.shape[1] != n:
         raise ValidationError(f"expected sub-vectors of length {n}, got shape {v.shape}")
-    t = v.astype(np.int8)
-    if not np.array_equal(t, v):
+    t = v.astype(np.int8, copy=False)
+    if t is not v and not np.array_equal(t, v):
         raise ValidationError("sub-vector entries must be integral trits")
     if np.any((t < -1) | (t > 1)):
         raise ValidationError("sub-vector entries must lie in {-1, 0, +1}")

@@ -22,21 +22,34 @@ def structured_prune(W, params: CodeParams, orientation: str = "column") -> np.n
     grouped dimension not divisible by n.
     """
     W = np.asarray(W, dtype=np.float64)
-    mags = subvectors(np.abs(W), params, orientation)
+    groups, kept = _largest_per_subvector(W, params, orientation)
+    keep = np.zeros(groups.shape, dtype=np.uint8)
+    keep[np.arange(len(groups)), kept] = 1
+    # C order, like the weights callers multiply the mask with
+    return np.ascontiguousarray(from_subvectors(keep, *W.shape, params, orientation))
+
+
+def _largest_per_subvector(W, params: CodeParams, orientation: str):
+    """W's sub-vectors and the positions of the k largest magnitudes in each.
+
+    Returns ``(groups, kept)``: ``groups`` is `subvectors` of W and
+    ``kept`` a (k, count) array, round r holding each sub-vector's r-th
+    largest magnitude's position.  Ties keep the lowest position.
+    """
+    groups = subvectors(W, params, orientation)
+    mags = np.abs(groups)
     if not np.isfinite(mags.max(initial=0.0)):
         row, col = np.argwhere(~np.isfinite(W))[0]
         raise ValidationError(f"cannot prune a non-finite weight {W[row, col]} "
                               f"at row {row}, column {col}")
     picked = np.arange(len(mags))
-    keep = np.zeros(mags.shape, dtype=np.uint8)
-    for _ in range(params.k):
+    kept = np.empty((params.k, len(mags)), dtype=np.intp)
+    for at in kept:
         # argmax returns the first maximum, so ties keep the lowest position;
         # magnitudes are >= 0, so a picked position (set to -1) is not taken again
-        at = mags.argmax(axis=1)
-        keep[picked, at] = 1
+        mags.argmax(axis=1, out=at)
         mags[picked, at] = -1.0
-    # C order, like the weights callers multiply the mask with
-    return np.ascontiguousarray(from_subvectors(keep, *W.shape, params, orientation))
+    return groups, kept
 
 
 @dataclass(frozen=True)

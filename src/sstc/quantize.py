@@ -12,11 +12,17 @@ minimum is therefore the interior vertex of one quadratic piece, where
 delta equals the closed-form least-squares optimum sum(l*w) / sum(l^2) of
 its own assignment.  Sweeping the breakpoints in order enumerates every
 piece with running sums, so the returned step size is the exact global
-minimizer.  The sweep handles up to `_SWEEP_LIMIT` (magnitude, level)
-pairs: every ternary layer below 5M non-zeros, but only 39,370 non-zeros
-at fixed8's 127 levels.  Larger inputs fall back to alternating
-optimization (assign levels, refit delta) from a spread of starting
-points, which finds a local minimum and carries no optimality guarantee.
+minimizer.  At three levels each weight has one breakpoint, 2|w|, which
+adds |w| to the numerator and 1 to the denominator, so the sweep walks a
+descending sort of the magnitudes; more levels interleave their
+breakpoints, which an argsort orders.  Tied breakpoints add equal values,
+so the running sums, and the step size, do not depend on the input order.
+The sweep handles up to `_SWEEP_LIMIT` (magnitude, level) pairs: every
+ternary layer below 5M non-zeros, but only 39,370 non-zeros at fixed8's
+127 levels.  Larger inputs fall back to alternating optimization (assign
+levels, refit delta) from a spread of starting points, which finds a
+local minimum and carries no optimality guarantee; its sums follow the
+input order.
 """
 
 import numpy as np
@@ -85,15 +91,19 @@ def _exact_step_sweep(mags: np.ndarray, half_levels: int):
     num / den is the only possible local minimum inside it, with error
     sum(a^2) - num^2 / den.
     """
-    lev = np.arange(half_levels, dtype=np.float64)
-    odd = 2 * lev + 1
-    breakpoints = (2 * mags[:, np.newaxis] / odd).ravel()
-    inc_num = np.repeat(mags, half_levels)
-    inc_den = np.tile(odd, mags.size)
-    order = np.argsort(-breakpoints, kind="stable")
-    upper = breakpoints[order]
-    num = np.cumsum(inc_num[order])
-    den = np.cumsum(inc_den[order])
+    if half_levels == 1:
+        # one breakpoint 2a per weight, adding a to num and 1 to den
+        descending = np.sort(mags)[::-1]
+        upper = 2 * descending
+        num = np.cumsum(descending)
+        den = np.arange(1, mags.size + 1, dtype=np.float64)
+    else:
+        odd = 2 * np.arange(half_levels, dtype=np.float64) + 1
+        breakpoints = (2 * mags[:, np.newaxis] / odd).ravel()
+        order = np.argsort(-breakpoints, kind="stable")
+        upper = breakpoints[order]
+        num = np.cumsum(np.repeat(mags, half_levels)[order])
+        den = np.cumsum(np.tile(odd, mags.size)[order])
     lower = np.concatenate((upper[1:], [0.0]))
     vertex = num / den
     inside = (vertex > lower) & (vertex <= upper)

@@ -45,6 +45,8 @@ from . import bitpack
 from .codes import (ORIENTATIONS, CodeParams, address_bits, count_entries, from_subvectors,
                     rank_subvectors, subvectors, table_storage_bits, unrank_subvectors)
 from .errors import ValidationError
+from .prune import _largest_per_subvector
+from .quantize import find_step_size, quantize_weight
 
 MAGIC = b"SSTW\x00\x00\x00\x00"
 FORMAT_VERSION = 1
@@ -286,6 +288,46 @@ def encode_layer(W_q, delta, fmt: LayerFormat, bias=None, normalizer=None,
     return EncodedLayer(fmt, rows, cols, delta, payload, bias, normalizer)
 
 
+def compress_layer(W, fmt: LayerFormat, bias=None, normalizer=None,
+                   name: str = None) -> EncodedLayer:
+    """Prune, quantize and encode a float weight matrix into ``fmt``.
+
+    Writes the bytes of the step-by-step pipeline: for sst `structured_prune`
+    and ``W * mask``, then `find_step_size`, delta rounded to float32 as
+    files store it, `quantize_weight` and `encode_layer`.  An sst layer is
+    worked in payload order from one `subvectors` cut: the step size is
+    fitted on the kept weights and their trits are made in place, with no
+    mask, no masked copy and no re-check of the trits.  The exact step-size
+    sweep does not depend on the order of its input; the multi-start fit
+    past `quantize._SWEEP_LIMIT` sums in payload order, not in the C order
+    of ``W * mask``.  ``name`` labels the errors of `encode_layer`.
+    """
+    kind = fmt.kind
+    if kind == "float32":
+        return encode_layer(W, None, fmt, bias, normalizer, name)
+    if kind != "sst":
+        levels = 255 if kind == "fixed8" else 3
+        delta = float(np.float32(find_step_size(W, levels)))
+        return encode_layer(quantize_weight(W, delta, levels), delta, fmt, bias, normalizer,
+                            name)
+    W = np.asarray(W, dtype=np.float64)
+    params = fmt.params
+    groups, kept = _largest_per_subvector(W, params, fmt.orientation)
+    picked = np.arange(len(groups))
+    values = groups[picked, kept]
+    mags = np.abs(values)
+    delta = float(np.float32(find_step_size(mags)))
+    # a kept weight is a trit where quantize_weight's level
+    # floor(|w| / delta + 0.5) is at least 1
+    level = mags / delta
+    level += 0.5
+    np.floor(level, out=level)
+    trits = np.zeros(groups.shape, dtype=np.int8)
+    trits[picked, kept] = np.where(level >= 1, np.sign(values), 0.0)
+    payload = bitpack.pack_indices(rank_subvectors(trits, params), address_bits(params))
+    return EncodedLayer(fmt, *W.shape, delta, payload, bias, normalizer)
+
+
 def layer_indices(layer: EncodedLayer) -> np.ndarray:
     """Unpacked sub-vector indices of an sst layer, in payload order.
 
@@ -436,7 +478,7 @@ def deserialize_model(data: bytes) -> ModelFile:
         records.append(partial(_layer_from_record, kind, otag, rows, cols, n, k, delta, bias,
                                payload_bits, payload, make_norm))
     (meta_len,) = r.unpack("<I")
-    metadata = json.loads(r.take(meta_len).decode("utf-8")) if meta_len else {}
+    metadata = _parse_metadata(r.take(meta_len)) if meta_len else {}
     if r.pos != len(data):
         raise ValidationError(f"{len(data) - r.pos} trailing bytes after model")
     if not isinstance(metadata, dict):
@@ -448,6 +490,15 @@ def deserialize_model(data: bytes) -> ModelFile:
         with _naming_layer(index, names):
             layers.append(build())
     return ModelFile(layers=layers, metadata=metadata)
+
+
+def _parse_metadata(block: bytes):
+    try:
+        return json.loads(block.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"metadata block is not UTF-8: {exc}") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
+        raise ValidationError(f"metadata block does not parse as JSON: {exc}") from exc
 
 
 def _layer_from_record(kind, otag, rows, cols, n, k, delta, bias, payload_bits, payload,

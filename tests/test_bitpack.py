@@ -50,3 +50,28 @@ def test_short_stream_rejected():
 def test_padding_is_zero():
     packed = pack_indices([0b11111], 5)
     assert packed[0] & 0b00000111 == 0
+
+
+def shift_pack(indices, bits_per_index):
+    """Reference: each field's bits cut by shifts, one row per index."""
+    idx = np.asarray(indices, dtype=np.int64)
+    if idx.size == 0 or bits_per_index == 0:
+        return b""
+    shifts = np.arange(bits_per_index - 1, -1, -1, dtype=np.int64)
+    bits = ((idx[:, np.newaxis] >> shifts) & 1).astype(np.uint8)
+    return np.packbits(bits.ravel()).tobytes()
+
+
+@pytest.mark.parametrize("bits", range(40))
+def test_pack_matches_the_shift_packer(bits):
+    rng = np.random.default_rng(bits)
+    ones = (1 << bits) - 1
+    for count in (0, 1, 2, 3, 7, 8, 9, 31, 100):
+        xs = rng.integers(0, ones + 1, size=count)
+        xs[::3] = ones  # all ones, the widest field
+        assert pack_indices(xs, bits) == shift_pack(xs, bits)
+
+
+def test_pack_rejects_a_width_over_64_bits():
+    with pytest.raises(ValidationError, match=r"must lie in \[0, 64\], got 65"):
+        pack_indices([1], 65)

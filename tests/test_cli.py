@@ -363,6 +363,23 @@ def test_a_target_code_with_k_0_is_rejected_before_any_work(tmp_path, capsys):
     assert _records(capsys)[0]["entries"] == 1
 
 
+@pytest.mark.parametrize("policy_line", ["default format=ternary", "default format=fixed8",
+                                         "default format=sst n=4 k=1"])
+def test_compress_names_the_layer_it_cannot_compress(tmp_path, capsys, policy_line):
+    npz = _write_float_npz(tmp_path / "float.npz", np.random.default_rng(9))
+    arrays = dict(np.load(npz))
+    arrays["W0"][:] = 0.0
+    np.savez(npz, **arrays)
+    policy = tmp_path / "policy.txt"
+    policy.write_text(policy_line + "\n")
+    out = tmp_path / "out.sstw"
+    assert main(["compress", "--input", str(npz), "--output", str(out),
+                 "--policy", str(policy)]) == 1
+    assert capsys.readouterr().err == ("error: layer 0 (layer0): cannot determine a step size "
+                                       "for all-zero weights\n")
+    assert not out.exists()
+
+
 def test_compress_names_the_policy_of_an_invalid_code(tmp_path, capsys):
     npz = _write_float_npz(tmp_path / "float.npz", np.random.default_rng(9))
     policy = tmp_path / "policy.txt"

@@ -137,3 +137,39 @@ def test_find_step_size_rejects_bad_levels():
     for levels in (4, 1, 256):
         with pytest.raises(ValidationError, match="odd and >= 3"):
             find_step_size([0.5, -1.0], levels)
+
+
+def argsort_sweep(mags, half_levels):
+    """Reference: the breakpoint sweep of any level count, ordered by a
+    stable argsort; `find_step_size` sorts the magnitudes at three levels."""
+    odd = 2 * np.arange(half_levels, dtype=np.float64) + 1
+    breakpoints = (2 * mags[:, np.newaxis] / odd).ravel()
+    order = np.argsort(-breakpoints, kind="stable")
+    upper = breakpoints[order]
+    num = np.cumsum(np.repeat(mags, half_levels)[order])
+    den = np.cumsum(np.tile(odd, mags.size)[order])
+    lower = np.concatenate((upper[1:], [0.0]))
+    vertex = num / den
+    inside = (vertex > lower) & (vertex <= upper)
+    if not np.any(inside):
+        return None
+    return float(vertex[int(np.argmin(np.where(inside, -num * num / den, np.inf)))])
+
+
+def test_ternary_sweep_matches_the_argsort_sweep():
+    rng = np.random.default_rng(11)
+    inputs = [np.array([0.3]), np.array([0.5, 0.5, 0.5]), np.array([1.0, 0.1, 1.0, 0.1])]
+    for _ in range(30):
+        size = int(rng.integers(1, 3000))
+        inputs.append(np.abs(rng.normal(size=size)) * rng.random(size) ** 2)
+        # tie-heavy: multiples of 0.25
+        inputs.append(rng.integers(1, 9, size=size) * 0.25)
+    for mags in inputs:
+        want = argsort_sweep(mags, 1)
+        assert want is not None
+        assert find_step_size(mags) == want
+        assert find_step_size(rng.permutation(mags)) == want
+        assert find_step_size(-mags, 3) == want
+    for levels in (5, 255):  # more levels keep the argsort sweep
+        mags = np.abs(rng.normal(size=500))
+        assert find_step_size(mags, levels) == argsort_sweep(mags, (levels - 1) // 2)

@@ -6,10 +6,13 @@ import struct
 import numpy as np
 import pytest
 
+from sstc import quantize
 from sstc.codes import CodeParams, address_bits
 from sstc.errors import ValidationError
+from sstc.prune import structured_prune
+from sstc.quantize import find_step_size, quantize_weight
 from sstc.store import (BatchNormParams, EncodedLayer, LayerFormat, ModelFile,
-                        WeightNormTag, decode_layer, deserialize_model,
+                        WeightNormTag, compress_layer, decode_layer, deserialize_model,
                         encode_layer, layer_indices, model_from_arrays,
                         read_model, serialize_model, storage_report,
                         write_model)
@@ -295,6 +298,16 @@ def test_metadata_must_be_a_json_object():
         deserialize_model(blob[:-6] + struct.pack("<I", 2) + b"[]")
 
 
+@pytest.mark.parametrize("block, message", [
+    (b"\xff", "metadata block is not UTF-8: 'utf-8' codec can't decode byte 0xff"),
+    (b'{"layer_names": [', "metadata block does not parse as JSON: Expecting value"),
+])
+def test_metadata_that_is_not_utf8_json_is_rejected(block, message):
+    blob = serialize_model(ModelFile())[:-6] + struct.pack("<I", len(block)) + block
+    with pytest.raises(ValidationError, match="^" + re.escape(message)):
+        deserialize_model(blob)
+
+
 def test_row_orientation_is_sst_only():
     for kind in ("float32", "fixed8", "ternary2bit"):
         with pytest.raises(ValidationError, match="column-oriented only"):
@@ -387,3 +400,76 @@ def test_bias_length_must_match_rows(bias_len):
     data = serialize_model(ModelFile(layers=[layer]))
     with pytest.raises(ValidationError, match=rf"\({bias_len},\) does not match the 8 rows"):
         deserialize_model(data)
+
+
+# --- compress_layer ------------------------------------------------------
+
+ALL_CODES = [(16, 4), (16, 3), (16, 2), (8, 2), (8, 1), (4, 1)]
+
+
+def reference_compress(W, fmt, bias=None, normalizer=None):
+    """The step-by-step pipeline `compress_layer` must match byte for byte."""
+    if fmt.kind == "float32":
+        return encode_layer(W, None, fmt, bias, normalizer)
+    levels = 255 if fmt.kind == "fixed8" else 3
+    if fmt.kind == "sst":
+        W = W * structured_prune(W, fmt.params, fmt.orientation)
+    delta = float(np.float32(find_step_size(W, levels)))
+    return encode_layer(quantize_weight(W, delta, levels), delta, fmt, bias, normalizer)
+
+
+def _compress_inputs(rng, n, orientation):
+    """Random and tie-heavy matrices whose grouped dimension is a multiple of n."""
+    for trial in range(6):
+        groups, other = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+        shape = (groups * n, other) if orientation == "column" else (other, groups * n)
+        if trial % 2:
+            # multiples of 0.25, half of them zero: sub-vectors keep zeros
+            W = rng.integers(-4, 5, size=shape) * 0.25 * (rng.random(shape) < 0.5)
+            W.flat[0] = 0.75  # not all zero
+        else:
+            W = rng.normal(size=shape)
+        yield W
+
+
+def _same_bytes(got, want):
+    assert serialize_model(ModelFile(layers=[got])) == serialize_model(ModelFile(layers=[want]))
+
+
+@pytest.mark.parametrize("sweep", ["exact", "fallback"])
+@pytest.mark.parametrize("orientation", ["column", "row"])
+@pytest.mark.parametrize("n,k", ALL_CODES + [(16, 16)])
+def test_compress_layer_writes_the_reference_pipeline_bytes(n, k, orientation, sweep,
+                                                            monkeypatch):
+    if sweep == "fallback":
+        monkeypatch.setattr(quantize, "_SWEEP_LIMIT", 0)  # every fit takes the multi-start
+    rng = np.random.default_rng(10 * n + k)
+    fmt = LayerFormat("sst", CodeParams(n, k), orientation)
+    for W in _compress_inputs(rng, n, orientation):
+        bias = rng.normal(size=W.shape[0])
+        _same_bytes(compress_layer(W, fmt, bias, WeightNormTag(), "fc"),
+                    reference_compress(W, fmt, bias, WeightNormTag()))
+
+
+@pytest.mark.parametrize("sweep", ["exact", "fallback"])
+@pytest.mark.parametrize("kind", ["float32", "fixed8", "ternary2bit"])
+def test_compress_layer_writes_the_reference_bytes_of_unpruned_formats(kind, sweep,
+                                                                      monkeypatch):
+    if sweep == "fallback":
+        monkeypatch.setattr(quantize, "_SWEEP_LIMIT", 0)
+    rng = np.random.default_rng(5)
+    fmt = LayerFormat(kind)
+    for W in _compress_inputs(rng, 4, "column"):
+        _same_bytes(compress_layer(W, fmt), reference_compress(W, fmt))
+
+
+def test_compress_layer_rejects_what_the_pipeline_rejects():
+    fmt = LayerFormat("sst", CodeParams(4, 1))
+    W = np.ones((8, 8))
+    W[5, 2] = np.nan
+    with pytest.raises(ValidationError, match="non-finite weight nan at row 5, column 2"):
+        compress_layer(W, fmt)
+    with pytest.raises(ValidationError, match="step size for all-zero weights"):
+        compress_layer(np.zeros((8, 8)), fmt)
+    with pytest.raises(ValidationError, match="not divisible by n=4"):
+        compress_layer(np.ones((6, 8)), fmt)
