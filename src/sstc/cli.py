@@ -204,7 +204,7 @@ def cmd_compress(args):
         fmt = _policy_to_format(policies[policy],
                                 f"{args.policy}: layer {name} (policy {policy!r})")
         with store._naming_layer(index, names):
-            out_layers.append(compress_layer(decode_layer(layer), fmt, layer.bias,
+            out_layers.append(compress_layer(store.stored_weights(layer), fmt, layer.bias,
                                              layer.normalizer, name))
     compressed = ModelFile(layers=out_layers,
                            metadata={**model.metadata, "layer_names": names})
@@ -217,11 +217,10 @@ def cmd_compress(args):
 def cmd_decompress(args):
     model = read_model(args.input)
     names = model.layer_names()
-    layers = [
-        encode_layer(decode_layer(layer), None, LayerFormat("float32"),
-                     bias=layer.bias, normalizer=layer.normalizer, layer_name=name)
-        for name, layer in zip(names, model.layers)
-    ]
+    layers = []
+    for index, layer in enumerate(model.layers):
+        with store._naming_layer(index, names):
+            layers.append(store.decompress_layer(layer))
     write_model(ModelFile(layers=layers, metadata=model.metadata), args.output)
     print(f"wrote float32 model with {len(layers)} layers to {args.output}")
     return 0

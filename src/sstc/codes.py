@@ -33,9 +33,14 @@ these fixed groups:
 
 For example, the 4x2 matrix [[a, e], [b, f], [c, g], [d, h]] at n = 2 gives
 (a, b), (c, d), (e, f), (g, h) in column orientation and (a, e), (b, f),
-(c, g), (d, h) in row orientation.  `subvectors` and `from_subvectors` are
-the only place this layout is written down; pruning, the codec, the
-kernel and the training checks all go through them.
+(c, g), (d, h) in row orientation.  This module is the only place the
+layout is written down.  `grouped_view` is the (B, n, C) view of a matrix
+whose axis 1 runs along each sub-vector, and `to_payload_order` /
+`from_payload_order` move a (B, C) grid of per-sub-vector values to and
+from payload order (column-outer, ``grid.T.ravel()``); `rank_grouped` and
+`unrank_grouped` code sub-vectors in that view, so no payload-order copy
+of the matrix is needed.  `subvectors` and `from_subvectors` cut a matrix
+into, and rebuild it from, its (count, n) payload-order groups.
 """
 
 from dataclasses import dataclass, field
@@ -98,6 +103,54 @@ def table_storage_kb(params: CodeParams) -> float:
     return table_storage_bits(params) / 8 / 1000
 
 
+def _grouped_shape(rows: int, cols: int, n: int, orientation: str) -> tuple:
+    if orientation == "column":
+        if rows % n:
+            raise ValidationError(f"row count {rows} not divisible by n={n} for column orientation")
+        return rows // n, n, cols
+    if orientation == "row":
+        if cols % n:
+            raise ValidationError(f"column count {cols} not divisible by n={n} for row orientation")
+        return rows * cols // n, n, 1
+    raise _unknown_orientation(orientation)
+
+
+def grouped_view(matrix, params: CodeParams, orientation: str) -> np.ndarray:
+    """The (B, n, C) grouped view of a 2-D ``matrix``: sub-vector (b, c) is [b, :, c].
+
+    Column orientation gives ``matrix.reshape(rows // n, n, cols)``, row
+    orientation ``matrix.reshape(-1, n, 1)``.  Each sub-vector lies along
+    axis 1, so work along that axis needs no payload-order copy; only the
+    (B, C) grid of per-sub-vector results is put in payload order
+    (`to_payload_order`).  Raises on an unknown orientation or when the
+    grouped dimension is not divisible by n.  The result is a view of a
+    C-contiguous ``matrix``.
+    """
+    m = np.asarray(matrix)
+    if m.ndim != 2:
+        raise ValidationError(f"expected a matrix, got ndim={m.ndim}")
+    return m.reshape(_grouped_shape(*m.shape, params.n, orientation))
+
+
+def to_payload_order(grid) -> np.ndarray:
+    """The entries of a (B, C) grid of per-sub-vector values in payload order.
+
+    Payload order reads the grid column-outer, ``grid.T.ravel()``: for
+    column orientation, columns outermost and the groups of each column
+    from the top; for row orientation (C = 1), the groups in row-major
+    order.
+    """
+    return np.asarray(grid).T.ravel()
+
+
+def from_payload_order(values, rows: int, cols: int, params: CodeParams,
+                       orientation: str) -> np.ndarray:
+    """Inverse of `to_payload_order`: the (B, C) grid of a (rows, cols)
+    matrix's payload-order per-sub-vector ``values``, as a view."""
+    b, _, c = _grouped_shape(rows, cols, params.n, orientation)
+    return np.asarray(values).reshape(c, b).T
+
+
 def subvectors(matrix, params: CodeParams, orientation: str) -> np.ndarray:
     """The (count, n) sub-vectors of a 2-D ``matrix``, in payload order.
 
@@ -105,20 +158,7 @@ def subvectors(matrix, params: CodeParams, orientation: str) -> np.ndarray:
     divisible by n.  The result is a view of ``matrix`` where numpy can
     make one, otherwise a copy.
     """
-    m = np.asarray(matrix)
-    if m.ndim != 2:
-        raise ValidationError(f"expected a matrix, got ndim={m.ndim}")
-    rows, cols = m.shape
-    n = params.n
-    if orientation == "column":
-        if rows % n:
-            raise ValidationError(f"row count {rows} not divisible by n={n} for column orientation")
-        return m.reshape(rows // n, n, cols).transpose(2, 0, 1).reshape(-1, n)
-    if orientation == "row":
-        if cols % n:
-            raise ValidationError(f"column count {cols} not divisible by n={n} for row orientation")
-        return m.reshape(-1, n)
-    raise _unknown_orientation(orientation)
+    return grouped_view(matrix, params, orientation).transpose(2, 0, 1).reshape(-1, params.n)
 
 
 def from_subvectors(groups, rows: int, cols: int, params: CodeParams,
@@ -128,12 +168,8 @@ def from_subvectors(groups, rows: int, cols: int, params: CodeParams,
     A column-oriented result of C-contiguous ``groups`` is a view whose
     transpose is C-contiguous.
     """
-    groups = np.asarray(groups)
-    if orientation == "column":
-        return groups.reshape(cols, rows // params.n, params.n).transpose(1, 2, 0).reshape(rows, cols)
-    if orientation == "row":
-        return groups.reshape(rows, cols)
-    raise _unknown_orientation(orientation)
+    b, n, c = _grouped_shape(rows, cols, params.n, orientation)
+    return np.asarray(groups).reshape(c, b, n).transpose(1, 2, 0).reshape(rows, cols)
 
 
 def _unknown_orientation(orientation) -> ValidationError:
@@ -261,6 +297,37 @@ def rank_subvectors(vectors, params: CodeParams) -> np.ndarray:
     digits = np.minimum(t.view(np.uint8), 2, dtype=np.float32)
     left = (digits[:, :h] @ tab.powers[params.n - 2 * h:]).astype(np.intp)
     right = (digits[:, h:] @ tab.powers).astype(np.intp)
+    return _rank_halves(tab, left, right)
+
+
+def rank_grouped(positions, digits, params: CodeParams) -> np.ndarray:
+    """Canonical ranks of sub-vectors given by the positions of their trits.
+
+    ``positions`` and ``digits`` are (r, ...) integer arrays with r <= k:
+    round j holds, per sub-vector, a position along it and the base-3 digit
+    of its trit there (0 for 0, 1 for +1, 2 for -1).  The positions of one
+    sub-vector must be distinct; every position not listed holds 0.
+    Returns the int64 ranks, of shape ``positions.shape[1:]``, that
+    `rank_subvectors` gives for those sub-vectors written out as trits.
+    """
+    tab = _half_tables(params.n, params.k)
+    h = params.n // 2
+    # a position's place value within its half, 0 in the other half
+    left_place = np.zeros(params.n, dtype=np.intp)
+    left_place[:h] = tab.powers[params.n - 2 * h:]
+    right_place = np.zeros(params.n, dtype=np.intp)
+    right_place[h:] = tab.powers
+    positions = np.asarray(positions)
+    left = np.zeros(positions.shape[1:], dtype=np.intp)
+    right = np.zeros(positions.shape[1:], dtype=np.intp)
+    for pos, digit in zip(positions, digits):
+        left += digit * left_place[pos]
+        right += digit * right_place[pos]
+    return _rank_halves(tab, left, right)
+
+
+def _rank_halves(tab: _HalfTables, left, right) -> np.ndarray:
+    """Ranks of the entries whose prefix and suffix have base-3 codes ``left``, ``right``."""
     return tab.off_left[left] + tab.rank_right[tab.right_row[left] + right]
 
 
@@ -275,11 +342,36 @@ def unrank_subvectors(indices, params: CodeParams) -> np.ndarray:
     if np.any((idx < 0) | (idx >= t_total)):
         bad = int(idx[np.argmax((idx < 0) | (idx >= t_total))])
         raise ValidationError(f"index {bad} outside [0, {t_total})")
+    return _unrank(idx, params)
+
+
+def unrank_grouped(grid, params: CodeParams, scale) -> np.ndarray:
+    """``scale`` times the canonical entries of a (B, C) grid of indices.
+
+    The grouped-view counterpart of `unrank_subvectors`: returns the
+    (B, n, C) array, in the dtype of the numpy scalar ``scale``, whose
+    [b, :, c] is entry ``grid[b, c]`` times ``scale``.  Reshaped to
+    (rows, cols) it is the C-ordered matrix of a payload's indices laid out
+    by `from_payload_order`.  Every index must lie in [0, T); this is not
+    checked here (`store.layer_indices` checks a payload's indices).
+    """
+    trits = _unrank(np.asarray(grid), params)
+    out = np.empty((trits.shape[0], params.n, trits.shape[1]), dtype=np.asarray(scale).dtype)
+    np.multiply(trits.transpose(0, 2, 1), scale, out=out)
+    return out
+
+
+def _unrank(idx: np.ndarray, params: CodeParams) -> np.ndarray:
+    """The int8 entries of in-range indices, of shape ``idx.shape + (n,)``.
+
+    The prefix is the last valid prefix whose first rank is at most the
+    index; the rest of the index ranks the suffix within the prefix's budget.
+    """
     tab = _half_tables(params.n, params.k)
     prefix = np.searchsorted(tab.left_start, idx, side="right") - 1
     suffix = tab.unrank_right[idx + tab.shift[prefix]]
-    out = tab.left_rows[prefix].view(np.int8).reshape(-1, params.n)
-    out += tab.right_rows[suffix].view(np.int8).reshape(-1, params.n)
+    out = tab.left_rows[prefix].view(np.int8).reshape(idx.shape + (params.n,))
+    out += tab.right_rows[suffix].view(np.int8).reshape(idx.shape + (params.n,))
     return out
 
 

@@ -29,7 +29,8 @@ import numpy as np
 
 from .codes import CodeTable, build_table, from_subvectors, subvectors
 from .errors import ValidationError
-from .store import BatchNormParams, EncodedLayer, ModelFile, decode_layer, layer_indices
+from .store import (BatchNormParams, EncodedLayer, ModelFile, _named_error, decode_layer,
+                    layer_indices)
 
 _BATCH_CHUNK = 256
 
@@ -254,7 +255,8 @@ def compressed_forward(model: ModelFile, X) -> np.ndarray:
     by row (`_row_products`), so a sample's probabilities do not depend on
     the batch it arrives in: column sst layers through `CompressedFCLayer`,
     which scales by delta, and the rest by their decoded weights.  Bias,
-    the batch-norm fold and the layer-chain check run on every call.
+    the batch-norm fold and the layer-chain check run on every call.  A
+    `ValidationError` raised while serving a layer names the layer.
     Hidden layers apply relu after any normalizer affine; the final layer
     emits softmax probabilities.
     """
@@ -267,11 +269,15 @@ def compressed_forward(model: ModelFile, X) -> np.ndarray:
             raise ValidationError(
                 f"layer {pos} expects {layer.cols} inputs, previous layer emits {out.shape[1]}"
             )
-        if _is_column_sst(layer.format):
-            out = CompressedFCLayer(layer).matmul(out)
-        else:
-            bias = layer.bias.astype(np.float64) if layer.bias is not None else 0.0
-            out = _row_products(out, _served_operand(layer)) + bias
+        # a try costs a request nothing until it raises, unlike store._naming_layer
+        try:
+            if _is_column_sst(layer.format):
+                out = CompressedFCLayer(layer).matmul(out)
+            else:
+                bias = layer.bias.astype(np.float64) if layer.bias is not None else 0.0
+                out = _row_products(out, _served_operand(layer)) + bias
+        except ValidationError as exc:
+            raise _named_error(exc, pos, model.layer_names()) from exc
         norm = layer.normalizer
         if isinstance(norm, BatchNormParams):
             scale, shift = bn_eval_affine(norm.gamma, norm.beta, norm.mean, norm.var,

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import CodeParams, from_subvectors, subvectors
+from .codes import CodeParams, grouped_view
 from .errors import ValidationError
 
 
@@ -21,35 +21,51 @@ def structured_prune(W, params: CodeParams, orientation: str = "column") -> np.n
     sub-vector.  Raises on a non-finite weight, an unknown orientation or a
     grouped dimension not divisible by n.
     """
-    W = np.asarray(W, dtype=np.float64)
-    groups, kept = _largest_per_subvector(W, params, orientation)
-    keep = np.zeros(groups.shape, dtype=np.uint8)
-    keep[np.arange(len(groups)), kept] = 1
-    # C order, like the weights callers multiply the mask with
-    return np.ascontiguousarray(from_subvectors(keep, *W.shape, params, orientation))
+    W = np.asarray(W)
+    _, kept = _largest_per_subvector(W, params, orientation)
+    mask = np.zeros(W.shape, dtype=np.uint8)
+    # the grouped view of a C-order matrix is a view, so the ones land in place
+    np.put_along_axis(grouped_view(mask, params, orientation), kept.transpose(1, 0, 2), 1,
+                      axis=1)
+    return mask
 
 
 def _largest_per_subvector(W, params: CodeParams, orientation: str):
-    """W's sub-vectors and the positions of the k largest magnitudes in each.
+    """W's grouped view and the positions of the k largest magnitudes along its axis 1.
 
-    Returns ``(groups, kept)``: ``groups`` is `subvectors` of W and
-    ``kept`` a (k, count) array, round r holding each sub-vector's r-th
-    largest magnitude's position.  Ties keep the lowest position.
+    Returns ``(view, kept)``: ``view`` is `codes.grouped_view` of W, of
+    shape (B, n, C), and ``kept`` a (k, B, C) array, round r holding each
+    sub-vector's r-th largest magnitude's position.  Ties keep the lowest
+    position.  Magnitudes are compared in W's own precision when that is
+    float32 (widening is exact and keeps their order) and in float64
+    otherwise.  No payload-order copy of W is made.
     """
-    groups = subvectors(W, params, orientation)
-    mags = np.abs(groups)
+    view = grouped_view(W, params, orientation)
+    mags = np.abs(view, dtype=np.result_type(view.dtype, np.float32))
     if not np.isfinite(mags.max(initial=0.0)):
         row, col = np.argwhere(~np.isfinite(W))[0]
         raise ValidationError(f"cannot prune a non-finite weight {W[row, col]} "
                               f"at row {row}, column {col}")
-    picked = np.arange(len(mags))
-    kept = np.empty((params.k, len(mags)), dtype=np.intp)
+    groups, n, cols = mags.shape
+    kept = np.empty((params.k, groups, cols), dtype=np.intp)
+    # magnitudes are >= 0, so a picked position (set to -1) is not taken again
+    if cols == 1:
+        # row sub-vectors are contiguous, where argmax is fastest; it returns
+        # the first maximum, so ties keep the lowest position
+        flat = mags.reshape(groups, n)
+        picked = np.arange(groups)
+        for at in kept:
+            flat.argmax(axis=1, out=at[:, 0])
+            flat[picked, at[:, 0]] = -1.0
+        return view, kept
+    # weight n - p at position p, so the largest weight holding the maximum
+    # marks its first position: ties keep the lowest position
+    first = np.arange(n, 0, -1, dtype=np.uint8)[:, np.newaxis]
     for at in kept:
-        # argmax returns the first maximum, so ties keep the lowest position;
-        # magnitudes are >= 0, so a picked position (set to -1) is not taken again
-        mags.argmax(axis=1, out=at)
-        mags[picked, at] = -1.0
-    return groups, kept
+        top = mags.max(axis=1, keepdims=True)
+        np.subtract(n, ((mags == top) * first).max(axis=1), out=at)
+        np.put_along_axis(mags, at[:, np.newaxis], -1.0, axis=1)
+    return view, kept
 
 
 @dataclass(frozen=True)

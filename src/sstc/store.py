@@ -42,8 +42,11 @@ from functools import partial
 import numpy as np
 
 from . import bitpack
-from .codes import (ORIENTATIONS, CodeParams, address_bits, count_entries, from_subvectors,
-                    rank_subvectors, subvectors, table_storage_bits, unrank_subvectors)
+from .codes import (ORIENTATIONS, CodeParams, address_bits, count_entries, from_payload_order,
+                    rank_grouped, rank_subvectors, subvectors, table_storage_bits,
+                    to_payload_order, unrank_grouped)
+# unrank_subvectors: unused, but perfbench/tracing.py wraps it here
+from .codes import unrank_subvectors
 from .errors import ValidationError
 from .prune import _largest_per_subvector
 from .quantize import find_step_size, quantize_weight
@@ -295,12 +298,19 @@ def compress_layer(W, fmt: LayerFormat, bias=None, normalizer=None,
     Writes the bytes of the step-by-step pipeline: for sst `structured_prune`
     and ``W * mask``, then `find_step_size`, delta rounded to float32 as
     files store it, `quantize_weight` and `encode_layer`.  An sst layer is
-    worked in payload order from one `subvectors` cut: the step size is
-    fitted on the kept weights and their trits are made in place, with no
-    mask, no masked copy and no re-check of the trits.  The exact step-size
-    sweep does not depend on the order of its input; the multi-start fit
-    past `quantize._SWEEP_LIMIT` sums in payload order, not in the C order
-    of ``W * mask``.  ``name`` labels the errors of `encode_layer`.
+    worked on W's grouped view (`codes.grouped_view`), with no payload-order
+    copy of W: `prune._largest_per_subvector` finds the kept positions
+    along each sub-vector, the step size is fitted on the kept values alone,
+    widened to float64, and each index is ranked straight from its kept
+    (position, digit) pairs (`codes.rank_grouped`).  Only the grid of
+    indices is put in payload order.  There is no mask, no masked copy and
+    no re-check of the trits.  A float32 ``W`` is pruned in float32, which
+    keeps the kept positions and ties of its float64 widening and so its
+    bytes.  The exact step-size sweep does not depend on the order of its
+    input; the multi-start fit past `quantize._SWEEP_LIMIT` sums in its
+    input order, so it is given the kept values round by round in payload
+    order, not in the C order of ``W * mask``.  ``name`` labels the errors
+    of `encode_layer`.
     """
     kind = fmt.kind
     if kind == "float32":
@@ -310,21 +320,21 @@ def compress_layer(W, fmt: LayerFormat, bias=None, normalizer=None,
         delta = float(np.float32(find_step_size(W, levels)))
         return encode_layer(quantize_weight(W, delta, levels), delta, fmt, bias, normalizer,
                             name)
-    W = np.asarray(W, dtype=np.float64)
+    W = np.asarray(W)
     params = fmt.params
-    groups, kept = _largest_per_subvector(W, params, fmt.orientation)
-    picked = np.arange(len(groups))
-    values = groups[picked, kept]
-    mags = np.abs(values)
-    delta = float(np.float32(find_step_size(mags)))
+    view, kept = _largest_per_subvector(W, params, fmt.orientation)
+    values = np.take_along_axis(view, kept.transpose(1, 0, 2), axis=1)  # (B, k, C)
+    mags = np.abs(values, dtype=np.float64)
+    delta = float(np.float32(find_step_size(mags.transpose(1, 2, 0))))
     # a kept weight is a trit where quantize_weight's level
-    # floor(|w| / delta + 0.5) is at least 1
+    # floor(|w| / delta + 0.5) is at least 1; its base-3 digit is 1 for +1, 2 for -1
     level = mags / delta
     level += 0.5
     np.floor(level, out=level)
-    trits = np.zeros(groups.shape, dtype=np.int8)
-    trits[picked, kept] = np.where(level >= 1, np.sign(values), 0.0)
-    payload = bitpack.pack_indices(rank_subvectors(trits, params), address_bits(params))
+    digits = np.where(values > 0, 1, 2).astype(np.uint8)
+    digits[level < 1] = 0
+    ranks = rank_grouped(kept, digits.transpose(1, 0, 2), params)
+    payload = bitpack.pack_indices(to_payload_order(ranks), address_bits(params))
     return EncodedLayer(fmt, *W.shape, delta, payload, bias, normalizer)
 
 
@@ -348,71 +358,115 @@ def layer_indices(layer: EncodedLayer) -> np.ndarray:
 
 
 def decode_layer(layer: EncodedLayer) -> np.ndarray:
-    """Dense weight matrix of an encoded layer.
+    """Dense float64 weight matrix of an encoded layer, C-ordered.
 
-    sst entries are unranked through the code's half tables
-    (`codes.unrank_subvectors`), so decoding needs no materialized code
-    table.
+    sst indices are put on the (B, C) grid of the layer's grouped view
+    (`codes.from_payload_order`) and unranked through the code's half
+    tables straight into that view (`codes.unrank_grouped`), so decoding
+    needs neither a materialized code table nor a transposed copy.
     """
+    return _decoded(layer, np.float64)
+
+
+def stored_weights(layer: EncodedLayer) -> np.ndarray:
+    """The weights of ``layer`` at the precision it stores them.
+
+    A float32 layer gives a read-only float32 view of its payload, any
+    other layer its `decode_layer`.  This is what `sstc compress` prunes:
+    float32 magnitudes keep the kept positions and ties of their float64
+    widening.
+    """
+    if layer.format.kind == "float32":
+        return np.frombuffer(layer.payload, dtype="<f4",
+                             count=layer.weight_count).reshape(layer.rows, layer.cols)
+    return decode_layer(layer)
+
+
+def decompress_layer(layer: EncodedLayer) -> EncodedLayer:
+    """The float32 layer `sstc decompress` writes for ``layer``.
+
+    Its bytes are those of `encode_layer` of `decode_layer` in the float32
+    format, with the same bias and normalizer and a zero delta, but the
+    weights are decoded straight to float32, with no float64 matrix: every
+    decoded weight is the float32 delta a file stores times an integer
+    level, which float32 rounds as it rounds the float64 product.  A
+    float32 layer keeps its payload.
+    """
+    if layer.format.kind == "float32":
+        payload = layer.payload
+    else:
+        payload = _decoded(layer, np.float32).astype("<f4", copy=False).tobytes()
+    return EncodedLayer(LayerFormat("float32"), layer.rows, layer.cols, 0.0, payload,
+                        layer.bias, layer.normalizer)
+
+
+def _decoded(layer: EncodedLayer, dtype) -> np.ndarray:
+    """The (rows, cols) C-ordered weights of ``layer`` in ``dtype``."""
     kind = layer.format.kind
+    rows, cols = layer.rows, layer.cols
     if kind == "float32":
         flat = np.frombuffer(layer.payload, dtype="<f4", count=layer.weight_count)
-        return flat.astype(np.float64).reshape(layer.rows, layer.cols)
+        return flat.astype(dtype).reshape(rows, cols)
+    scale = dtype(layer.delta)
     if kind == "fixed8":
         levels = np.frombuffer(layer.payload, dtype="<i1", count=layer.weight_count)
-        return levels.astype(np.float64).reshape(layer.rows, layer.cols) * np.float64(layer.delta)
+        return levels.astype(dtype).reshape(rows, cols) * scale
     if kind == "ternary2bit":
         codes = bitpack.unpack_indices(layer.payload, 2, layer.weight_count)
         if np.any(codes == 3):
             raise ValidationError("corrupt ternary payload: trit code 3")
-        trits = np.where(codes == 2, -1, codes).astype(np.float64).reshape(layer.rows, layer.cols)
-        return trits * np.float64(layer.delta)
+        return np.where(codes == 2, -1, codes).astype(dtype).reshape(rows, cols) * scale
     params = layer.format.params
-    groups = unrank_subvectors(layer_indices(layer), params)
-    trits = from_subvectors(groups, layer.rows, layer.cols, params, layer.format.orientation)
-    return trits.astype(np.float64) * np.float64(layer.delta)
+    grid = from_payload_order(layer_indices(layer), rows, cols, params,
+                              layer.format.orientation)
+    return unrank_grouped(grid, params, scale).reshape(rows, cols)
 
 
 # --- wire format ---------------------------------------------------------
 
-def _write_f32_array(parts: list, arr: np.ndarray):
-    parts.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+def _f32_bytes(arr: np.ndarray) -> bytes:
+    return np.ascontiguousarray(arr, dtype="<f4").tobytes()
 
 
 def serialize_model(model: ModelFile) -> bytes:
-    parts = [MAGIC, struct.pack("<HH", FORMAT_VERSION, len(model.layers))]
+    return b"".join(_serialized_parts(model))
+
+
+def _serialized_parts(model: ModelFile):
+    """The bytes of a model file, part by part, in file order."""
+    yield MAGIC
+    yield struct.pack("<HH", FORMAT_VERSION, len(model.layers))
     for layer in model.layers:
         fmt = layer.format
         n, k = (fmt.params.n, fmt.params.k) if fmt.params else (0, 0)
-        parts.append(struct.pack(
+        yield struct.pack(
             "<BBIIBBf",
             _FORMAT_TAGS[fmt.kind],
             ORIENTATIONS.index(fmt.orientation),
             layer.rows, layer.cols, n, k,
             np.float32(layer.delta or 0.0),
-        ))
+        )
         bias = layer.bias if layer.bias is not None else np.zeros(0, dtype=np.float32)
-        parts.append(struct.pack("<I", bias.size))
-        _write_f32_array(parts, bias)
-        parts.append(struct.pack("<Q", layer.payload_bit_length()))
-        parts.append(layer.payload)
+        yield struct.pack("<I", bias.size)
+        yield _f32_bytes(bias)
+        yield struct.pack("<Q", layer.payload_bit_length())
+        yield layer.payload
         norm = layer.normalizer
         if norm is None:
-            parts.append(struct.pack("<B", 0))
+            yield struct.pack("<B", 0)
         elif isinstance(norm, BatchNormParams):
-            parts.append(struct.pack("<Bf", 1, np.float32(norm.eps)))
+            yield struct.pack("<Bf", 1, np.float32(norm.eps))
             for arr in (norm.gamma, norm.beta, norm.mean, norm.var):
                 if arr.size != layer.rows:
                     raise ValidationError("batch norm parameter length must equal the row count")
-                _write_f32_array(parts, arr)
+                yield _f32_bytes(arr)
         elif isinstance(norm, WeightNormTag):
-            parts.append(struct.pack("<B", 2))
+            yield struct.pack("<B", 2)
         else:
             raise ValidationError(f"unknown normalizer {type(norm).__name__}")
     meta = json.dumps(model.metadata, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    parts.append(struct.pack("<I", len(meta)))
-    parts.append(meta)
-    return b"".join(parts)
+    yield struct.pack("<I", len(meta))
+    yield meta
 
 
 class _Reader:
@@ -520,19 +574,27 @@ def _naming_layer(index: int, names=None):
     try:
         yield
     except ValidationError as exc:
-        name = names[index] if names and index < len(names) else None
-        label = f"layer {index} ({name})" if name else f"layer {index}"
-        raise ValidationError(f"{label}: {exc}") from exc
+        raise _named_error(exc, index, names) from exc
+
+
+def _named_error(exc: ValidationError, index: int, names=None) -> ValidationError:
+    """``exc`` with the layer's index and, where ``names`` has one, its name in front."""
+    name = names[index] if names and index < len(names) else None
+    label = f"layer {index} ({name})" if name else f"layer {index}"
+    return ValidationError(f"{label}: {exc}")
 
 
 def write_model(model: ModelFile, path):
-    """Serialize to ``path`` atomically (temp file + rename)."""
-    data = serialize_model(model)
+    """Serialize to ``path`` atomically (temp file + rename).
+
+    The parts are written one after another, never joined in memory.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".sstw.tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for part in _serialized_parts(model):
+                fh.write(part)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

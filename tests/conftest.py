@@ -1,10 +1,14 @@
-"""Shared test helpers: brute-force oracles and dataset discovery."""
+"""Shared test helpers: brute-force oracles, reference pipelines and dataset discovery."""
 
 import itertools
 import os
 
 import numpy as np
 import pytest
+
+from sstc import bitpack
+from sstc.codes import CodeParams, from_subvectors, unrank_subvectors
+from sstc.store import BatchNormParams, LayerFormat, WeightNormTag, layer_indices
 
 # digit precedence of the canonical order: 0 < +1 < -1
 _DIGIT_KEY = {0: 0, 1: 1, -1: 2}
@@ -85,6 +89,67 @@ def random_sst_trits(rng, rows, cols, params, orientation="column"):
                 pos = rng.choice(n, size=nnz, replace=False)
                 trits[i, g * n + pos] = rng.choice([-1, 1], size=nnz)
     return trits
+
+
+def random_layer(rng):
+    """(W, delta, fmt, bias, normalizer) of a random layer of any format, for `encode_layer`."""
+    kind = rng.choice(["float32", "fixed8", "ternary2bit", "sst"])
+    if kind == "sst":
+        n = int(rng.choice([2, 4, 8]))
+        k = int(rng.integers(1, n + 1))
+        params = CodeParams(n, k)
+        orientation = str(rng.choice(["column", "row"]))
+        if orientation == "column":
+            rows, cols = n * int(rng.integers(1, 4)), int(rng.integers(1, 9))
+        else:
+            rows, cols = int(rng.integers(1, 9)), n * int(rng.integers(1, 4))
+        delta = float(np.float32(rng.uniform(0.1, 2.0)))
+        W = random_sst_trits(rng, rows, cols, params, orientation) * delta
+        fmt = LayerFormat("sst", params, orientation)
+    else:
+        rows, cols = int(rng.integers(1, 17)), int(rng.integers(1, 17))
+        if kind == "float32":
+            W = rng.normal(size=(rows, cols)).astype(np.float32).astype(np.float64)
+            delta = None
+        elif kind == "fixed8":
+            delta = float(np.float32(rng.uniform(0.01, 0.5)))
+            W = rng.integers(-127, 128, size=(rows, cols)) * delta
+        else:
+            delta = float(np.float32(rng.uniform(0.1, 2.0)))
+            W = rng.integers(-1, 2, size=(rows, cols)) * delta
+        fmt = LayerFormat(kind)
+    bias = rng.normal(size=rows).astype(np.float32) if rng.random() < 0.8 else None
+    norm = None
+    roll = rng.random()
+    if roll < 0.4:
+        norm = BatchNormParams(rng.normal(size=rows), rng.normal(size=rows),
+                               rng.normal(size=rows), rng.random(size=rows) + 0.1)
+    elif roll < 0.6:
+        norm = WeightNormTag()
+    return W, delta, fmt, bias, norm
+
+
+def reference_decode(layer):
+    """`store.decode_layer` as a payload-order pipeline, kept as its reference.
+
+    sst indices are unranked to (count, n) trits in payload order, laid out
+    by `from_subvectors`, widened and scaled; the other formats widen their
+    levels to float64 and scale them by the float64 delta.
+    """
+    kind, shape = layer.format.kind, (layer.rows, layer.cols)
+    if kind == "float32":
+        return np.frombuffer(layer.payload, dtype="<f4").astype(np.float64).reshape(shape)
+    if kind == "fixed8":
+        levels = np.frombuffer(layer.payload, dtype="<i1").astype(np.float64)
+        return levels.reshape(shape) * np.float64(layer.delta)
+    if kind == "ternary2bit":
+        codes = bitpack.unpack_indices(layer.payload, 2, layer.weight_count)
+        trits = np.where(codes == 2, -1, codes).astype(np.float64).reshape(shape)
+        return trits * np.float64(layer.delta)
+    params = layer.format.params
+    groups = unrank_subvectors(layer_indices(layer), params)
+    trits = from_subvectors(groups, *shape, params, layer.format.orientation)
+    return trits.astype(np.float64) * np.float64(layer.delta)
 
 
 def mnist_directory():

@@ -14,7 +14,7 @@ from sstc.kernel import CompressedFCLayer, compressed_forward
 from sstc.store import (LayerFormat, ModelFile, encode_layer, read_model,
                         serialize_model, write_model)
 
-from conftest import random_sst_trits
+from conftest import random_layer, random_sst_trits, reference_decode
 
 
 def _records(capsys):
@@ -109,6 +109,22 @@ def test_decompress_recovers_quantized_weights_exactly(tmp_path):
     back = read_model(dec)
     for a, b in zip(comp.layers, back.layers):
         assert np.allclose(decode_layer(a), decode_layer(b), atol=0)
+
+
+def test_decompress_writes_the_bytes_of_encode_of_the_reference_decode(tmp_path):
+    # every format, both sst orientations, biases and normalizers: see random_layer
+    rng = np.random.default_rng(12)
+    layers = [encode_layer(*random_layer(rng)) for _ in range(40)]
+    assert {str(layer.format).split("(")[0] for layer in layers} == {
+        "float32", "fixed8", "ternary2bit", "sst"}
+    metadata = {"layer_names": [f"l{i}" for i in range(len(layers))]}
+    path, out = tmp_path / "in.sstw", tmp_path / "out.sstw"
+    write_model(ModelFile(layers=layers, metadata=metadata), path)
+    assert main(["decompress", "--input", str(path), "--output", str(out)]) == 0
+    want = [encode_layer(reference_decode(layer), None, LayerFormat("float32"),
+                         bias=layer.bias, normalizer=layer.normalizer)
+            for layer in read_model(path).layers]
+    assert out.read_bytes() == serialize_model(ModelFile(layers=want, metadata=metadata))
 
 
 def test_verify_detects_out_of_range_index(tmp_path, capsys):
@@ -377,6 +393,25 @@ def test_compress_names_the_layer_it_cannot_compress(tmp_path, capsys, policy_li
                  "--policy", str(policy)]) == 1
     assert capsys.readouterr().err == ("error: layer 0 (layer0): cannot determine a step size "
                                        "for all-zero weights\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["compress", "decompress", "infer"])
+def test_commands_name_the_layer_holding_a_corrupt_index(tmp_path, capsys, command):
+    params = CodeParams(8, 1)  # T=17, 5-bit indices, so 31 is out of range
+    fmt = LayerFormat("sst", params)
+    first = encode_layer(np.eye(8, 4), 1.0, fmt)  # not all zero: compress fits a step
+    good = encode_layer(np.zeros((8, 8)), 1.0, fmt)
+    bad = type(good)(fmt, 8, 8, 1.0, bytes([0xF8]) + good.payload[1:])
+    path = tmp_path / "bad.sstw"
+    write_model(ModelFile(layers=[first, bad], metadata={"layer_names": ["a", "b"]}), path)
+    out = tmp_path / "out.sstw"
+    argv = {"compress": ["--input", str(path), "--output", str(out)],
+            "decompress": ["--input", str(path), "--output", str(out)],
+            "infer": ["--model", str(path), "--data", "synthetic:samples=6,dim=4"]}[command]
+    assert main([command, *argv]) == 1
+    assert capsys.readouterr().err == ("error: layer 1 (b): corrupt index 31 at stream "
+                                       "position 0 (code (8,1) has 17 entries)\n")
     assert not out.exists()
 
 

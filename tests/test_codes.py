@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from sstc.codes import (CodeParams, address_bits, build_table, count_entries,
-                        from_subvectors, rank_subvectors, subvectors,
-                        table_storage_bits, table_storage_kb, unrank_subvectors)
+                        from_payload_order, from_subvectors, grouped_view, rank_grouped,
+                        rank_subvectors, subvectors, table_storage_bits, table_storage_kb,
+                        to_payload_order, unrank_grouped, unrank_subvectors)
 from sstc.errors import ValidationError
 
 from conftest import enumerate_by_brute_force
@@ -209,6 +210,20 @@ def test_from_subvectors_inverts_subvectors(orientation):
             assert np.array_equal(from_subvectors(G, rows, cols, params, orientation), M)
 
 
+@pytest.mark.parametrize("orientation", ["column", "row"])
+def test_grouped_view_and_payload_order_agree_with_subvectors(orientation):
+    params = CodeParams(4, 2)
+    m = np.arange(8 * 12).reshape(8, 12)
+    view = grouped_view(m, params, orientation)
+    assert np.shares_memory(view, m) and view.shape[1] == 4
+    # sub-vector (b, c) of the view is payload entry to_payload_order(grid)[j]
+    grid = np.arange(view.shape[0] * view.shape[2]).reshape(view.shape[0], view.shape[2])
+    order = to_payload_order(grid)
+    groups = subvectors(m, params, orientation)
+    assert np.array_equal(groups[np.argsort(order)], view.transpose(0, 2, 1).reshape(-1, 4))
+    assert np.array_equal(from_payload_order(order, 8, 12, params, orientation), grid)
+
+
 def test_subvectors_rejects_bad_layouts():
     params = CodeParams(4, 1)
     with pytest.raises(ValidationError, match="row count 6 not divisible by n=4"):
@@ -288,6 +303,23 @@ def test_half_tables_match_digit_loop_reference(n, k):
     ranks = rank_subvectors(expected, params)
     assert ranks.dtype == np.int64 and np.array_equal(ranks, loop_rank(expected, n, k))
     assert np.array_equal(ranks, idx)
+
+
+@pytest.mark.parametrize("n,k", DIFFERENTIAL_CODES)
+def test_grouped_rank_and_unrank_match_the_digit_loops(n, k):
+    params = CodeParams(n, k)
+    rng = np.random.default_rng(7 * n + k)
+    idx = rng.integers(0, count_entries(params), size=(3, 50))
+    trits = loop_unrank(idx.ravel(), n, k)
+    # k distinct positions per sub-vector, its non-zeros among them, in random rounds
+    order = np.argsort((trits == 0) + rng.random(trits.shape), axis=1)[:, :k]
+    digits = np.take_along_axis(np.minimum(trits.view(np.uint8), 2), order, axis=1)
+    ranks = rank_grouped(order.T.reshape(k, 3, 50), digits.T.reshape(k, 3, 50), params)
+    assert ranks.dtype == np.int64 and np.array_equal(ranks, idx)
+    for scale in (np.float64(0.75), np.float32(-2.5)):
+        out = unrank_grouped(idx, params, scale)
+        assert out.dtype == scale.dtype and out.shape == (3, n, 50)
+        assert np.array_equal(out, trits.reshape(3, 50, n).transpose(0, 2, 1) * scale)
 
 
 def test_codec_input_errors_keep_their_messages():

@@ -108,6 +108,16 @@ def test_schedule_validation():
 @pytest.mark.parametrize("orientation", ["column", "row"])
 @pytest.mark.parametrize("n,k", ALL_CODES + [(8, 0), (16, 16)])
 def test_prune_matches_argsort_reference(n, k, orientation):
+    _check_prune_against_argsort(n, k, orientation, np.float64)
+
+
+@pytest.mark.parametrize("orientation", ["column", "row"])
+@pytest.mark.parametrize("n,k", ALL_CODES + [(16, 16)])
+def test_prune_of_float32_weights_matches_argsort_reference(n, k, orientation):
+    _check_prune_against_argsort(n, k, orientation, np.float32)
+
+
+def _check_prune_against_argsort(n, k, orientation, dtype):
     rng = np.random.default_rng(100 * n + k)
     params = CodeParams(n, k)
     for trial in range(20):
@@ -118,6 +128,7 @@ def test_prune_matches_argsort_reference(n, k, orientation):
             W = rng.integers(-2, 3, size=shape) * 0.5
         else:
             W = rng.normal(size=shape)
+        W = W.astype(dtype)
         mask = structured_prune(W, params, orientation)
         expected = argsort_prune(W, params, orientation)
         assert mask.dtype == expected.dtype == np.uint8

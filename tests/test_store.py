@@ -6,8 +6,8 @@ import struct
 import numpy as np
 import pytest
 
-from sstc import quantize
-from sstc.codes import CodeParams, address_bits
+from sstc import bitpack, quantize
+from sstc.codes import CodeParams, address_bits, count_entries
 from sstc.errors import ValidationError
 from sstc.prune import structured_prune
 from sstc.quantize import find_step_size, quantize_weight
@@ -17,44 +17,7 @@ from sstc.store import (BatchNormParams, EncodedLayer, LayerFormat, ModelFile,
                         read_model, serialize_model, storage_report,
                         write_model)
 
-from conftest import random_sst_trits
-
-
-def _random_layer(rng):
-    kind = rng.choice(["float32", "fixed8", "ternary2bit", "sst"])
-    if kind == "sst":
-        n = int(rng.choice([2, 4, 8]))
-        k = int(rng.integers(1, n + 1))
-        params = CodeParams(n, k)
-        orientation = str(rng.choice(["column", "row"]))
-        if orientation == "column":
-            rows, cols = n * int(rng.integers(1, 4)), int(rng.integers(1, 9))
-        else:
-            rows, cols = int(rng.integers(1, 9)), n * int(rng.integers(1, 4))
-        delta = float(np.float32(rng.uniform(0.1, 2.0)))
-        W = random_sst_trits(rng, rows, cols, params, orientation) * delta
-        fmt = LayerFormat("sst", params, orientation)
-    else:
-        rows, cols = int(rng.integers(1, 17)), int(rng.integers(1, 17))
-        if kind == "float32":
-            W = rng.normal(size=(rows, cols)).astype(np.float32).astype(np.float64)
-            delta = None
-        elif kind == "fixed8":
-            delta = float(np.float32(rng.uniform(0.01, 0.5)))
-            W = rng.integers(-127, 128, size=(rows, cols)) * delta
-        else:
-            delta = float(np.float32(rng.uniform(0.1, 2.0)))
-            W = rng.integers(-1, 2, size=(rows, cols)) * delta
-        fmt = LayerFormat(kind)
-    bias = rng.normal(size=rows).astype(np.float32) if rng.random() < 0.8 else None
-    norm = None
-    roll = rng.random()
-    if roll < 0.4:
-        norm = BatchNormParams(rng.normal(size=rows), rng.normal(size=rows),
-                               rng.normal(size=rows), rng.random(size=rows) + 0.1)
-    elif roll < 0.6:
-        norm = WeightNormTag()
-    return W, delta, fmt, bias, norm
+from conftest import random_layer, random_sst_trits, reference_decode
 
 
 def test_sst_codec_single_spike():
@@ -172,7 +135,7 @@ def test_serialization_involution_fuzz():
     for _ in range(1000):
         layers = []
         for _ in range(int(rng.integers(0, 4))):
-            W, delta, fmt, bias, norm = _random_layer(rng)
+            W, delta, fmt, bias, norm = random_layer(rng)
             layers.append(encode_layer(W, delta, fmt, bias=bias, normalizer=norm))
         meta = {"seed": int(rng.integers(100))} if rng.random() < 0.5 else {}
         model = ModelFile(layers=layers, metadata=meta)
@@ -321,6 +284,22 @@ def test_write_read_file(tmp_path):
     assert read_model(path) == model
 
 
+def test_write_model_writes_the_serialized_bytes_or_nothing(tmp_path):
+    rng = np.random.default_rng(21)
+    model = ModelFile(layers=[encode_layer(*random_layer(rng)) for _ in range(6)],
+                      metadata={"note": "streamed"})
+    path = tmp_path / "model.sstw"
+    write_model(model, path)
+    assert path.read_bytes() == serialize_model(model)
+    # the last layer fails to serialize after the others were written
+    bad = encode_layer(np.eye(3), None, LayerFormat("float32"))
+    bad.normalizer = BatchNormParams(np.ones(2), np.zeros(2), np.zeros(2), np.ones(2))
+    model.layers.append(bad)
+    with pytest.raises(ValidationError, match="batch norm parameter length"):
+        write_model(model, tmp_path / "bad.sstw")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.sstw"]
+
+
 def test_payload_bit_formulas():
     rng = np.random.default_rng(5)
     params = CodeParams(8, 2)
@@ -461,6 +440,51 @@ def test_compress_layer_writes_the_reference_bytes_of_unpruned_formats(kind, swe
     fmt = LayerFormat(kind)
     for W in _compress_inputs(rng, 4, "column"):
         _same_bytes(compress_layer(W, fmt), reference_compress(W, fmt))
+
+
+_ALL_FORMATS = ([LayerFormat("sst", CodeParams(n, k), orientation)
+                 for n, k in ALL_CODES + [(16, 16)] for orientation in ("column", "row")]
+                + [LayerFormat(kind) for kind in ("float32", "fixed8", "ternary2bit")])
+
+
+@pytest.mark.parametrize("sweep", ["exact", "fallback"])
+@pytest.mark.parametrize("fmt", _ALL_FORMATS, ids=str)
+def test_compress_layer_of_float32_weights_writes_the_bytes_of_their_widening(fmt, sweep,
+                                                                             monkeypatch):
+    if sweep == "fallback":
+        monkeypatch.setattr(quantize, "_SWEEP_LIMIT", 0)
+    rng = np.random.default_rng(len(str(fmt)))
+    n = fmt.params.n if fmt.params else 4
+    for W in _compress_inputs(rng, n, fmt.orientation):
+        W32 = W.astype(np.float32)
+        W32.setflags(write=False)  # as `stored_weights` hands a float32 payload over
+        wide = W32.astype(np.float64)
+        _same_bytes(compress_layer(W32, fmt, name="fc"), compress_layer(wide, fmt, name="fc"))
+        _same_bytes(compress_layer(W32, fmt, name="fc"), reference_compress(wide, fmt))
+
+
+def _random_indices_layer(rng, params, orientation):
+    """An sst layer of random in-range indices, any delta, both layouts."""
+    groups, other = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+    rows, cols = (groups * params.n, other) if orientation == "column" else (other,
+                                                                           groups * params.n)
+    idx = rng.integers(0, count_entries(params), size=rows * cols // params.n)
+    idx[:2] = [0, count_entries(params) - 1][:idx.size]
+    payload = bitpack.pack_indices(idx, address_bits(params))
+    delta = float(np.float32(rng.uniform(1e-3, 3.0)))
+    return EncodedLayer(LayerFormat("sst", params, orientation), rows, cols, delta, payload)
+
+
+@pytest.mark.parametrize("orientation", ["column", "row"])
+@pytest.mark.parametrize("n,k", ALL_CODES + [(16, 16), (24, 2)])
+def test_sst_decode_is_bitwise_the_payload_order_reference(n, k, orientation):
+    rng = np.random.default_rng(1000 * n + k)
+    for _ in range(8):
+        layer = _random_indices_layer(rng, CodeParams(n, k), orientation)
+        got = decode_layer(layer)
+        want = reference_decode(layer)
+        assert got.dtype == np.float64 and got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def test_compress_layer_rejects_what_the_pipeline_rejects():
