@@ -5,13 +5,12 @@ sub-vector contributes at most K add/subtract operations of input values
 into the output accumulators, and the single multiply per output is the
 final step-size scale.  The trace below audits exactly that.  The served
 `matmul` runs the trits decoded at build time through BLAS and gives the
-same integers.
+same integers.  Decoding unranks each index; no code table is built.
 """
 
 import numpy as np
 
-from sstc import (CodeParams, CompressedFCLayer, LayerFormat, build_table,
-                  dense_matvec, encode_layer, pe_trace)
+from sstc import CodeParams, CompressedFCLayer, LayerFormat, dense_matvec, encode_layer, pe_trace
 from sstc.store import decode_layer
 
 
@@ -27,7 +26,7 @@ def main():
     delta = 0.25
     layer = encode_layer(trits * delta, delta, LayerFormat("sst", params),
                          bias=np.zeros(16, dtype=np.float32))
-    comp = CompressedFCLayer(layer, build_table(params))
+    comp = CompressedFCLayer(layer)
 
     x = rng.integers(-9, 10, size=12)
     print("input x:", x.tolist())

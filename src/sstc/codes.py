@@ -17,8 +17,9 @@ admits.  Each half is looked up by its base-3 code in tables of 3^h and
 (16, 3) and 44.6 MB for (24, 24) (78.7 MB for (24, 12), the largest).
 Unranking finds the prefix with one binary search over the prefix offsets,
 then gathers both halves' trits.  Neither direction materializes the T
-entries.  A built `CodeTable` holds every entry's trits, the lookup table
-that the inference kernel gathers decoded sub-vectors from.
+entries; unranking is the one sst decoder, for every valid code.  A built
+`CodeTable` holds every entry's trits, the paper's lookup table, as a capped
+reference enumeration for the tests, demo 01 and the benchmark.
 
 Sub-vector layout.  A (rows, cols) weight matrix is cut into length-n
 sub-vectors in one of two orientations, and +1/-1 may sit only inside
@@ -56,7 +57,7 @@ from .errors import ValidationError
 # beyond 24 have no practical use here.
 MAX_SUBVECTOR_LEN = 24
 
-# build_table refuses tables above this entry count unless overridden.
+# build_table, the reference enumeration, refuses tables above this entry count.
 DEFAULT_ENTRY_CAP = 1 << 20
 
 # Sub-vector orientations; a name's position is its .sstw wire tag.

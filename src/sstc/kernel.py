@@ -1,8 +1,8 @@
 """Inference over structured sparse ternary layers.
 
 A compressed fully-connected layer is served from its index stream, which
-is decoded once per distinct layer content and reused across calls: each
-index is looked up in the code table and the resulting trits form a dense
+is decoded once per distinct layer content and reused across calls: its
+indices are unranked, with no code table, and the trits form a dense
 float64 transposed matrix.  Other formats decode to their float64 weights
 the same way.  The decoded operands are read-only, start on a cache line
 and live in a content-keyed cache of at most `_OPERAND_CACHE_SIZE` layers
@@ -27,7 +27,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .codes import CodeTable, build_table, from_subvectors, subvectors
+from .codes import CodeTable, subvectors, unrank_subvectors
+# build_table: unused, but perfbench/tracing.py wraps it here
+from .codes import build_table
 from .errors import ValidationError
 from .store import (BatchNormParams, EncodedLayer, ModelFile, _named_error, decode_layer,
                     layer_indices)
@@ -58,8 +60,9 @@ class CompressedFCLayer:
     matrix that serves `matmul`.  It comes from the operand cache, so
     building a kernel for a layer decoded before costs microseconds.  The
     unpacked ``indices``, the add/subtract lanes of the audit path and the
-    per-sub-vector non-zero counts are derived on first use.  A ``table``,
-    if given, must be for the layer's code.
+    per-sub-vector non-zero counts are derived on first use.  ``table`` is
+    unused, but perfbench passes one here; if given, it must be for the
+    layer's code.
     """
 
     def __init__(self, layer: EncodedLayer, table: CodeTable = None):
@@ -170,12 +173,10 @@ def _decoded_operand(fmt, rows, cols, delta, payload) -> np.ndarray:
     """
     layer = EncodedLayer(fmt, rows, cols, float(delta), payload)
     if _is_column_sst(fmt):
-        params = fmt.params
-        trits = from_subvectors(build_table(params).trits[layer_indices(layer)],
-                                rows, cols, params, "column")
-        # a C-ordered (cols, rows) matrix: the column payload lists each
-        # column's trits in turn
-        operand = _cache_line_aligned(trits.T)
+        # the column payload lists each column's trits in turn, so its
+        # sub-vectors are a C-ordered (cols, rows) matrix
+        trits = unrank_subvectors(layer_indices(layer), fmt.params).reshape(cols, rows)
+        operand = _cache_line_aligned(trits)
     else:
         operand = _cache_line_aligned(decode_layer(layer)).T
     operand.setflags(write=False)
@@ -258,9 +259,13 @@ def compressed_forward(model: ModelFile, X) -> np.ndarray:
     the batch-norm fold and the layer-chain check run on every call.  A
     `ValidationError` raised while serving a layer names the layer.
     Hidden layers apply relu after any normalizer affine; the final layer
-    emits softmax probabilities.
+    emits softmax probabilities.  ``X`` is one sample (cols,) or a batch
+    (batch, cols).
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim not in (1, 2):
+        raise ValidationError(f"input shape {X.shape}: expected one sample or a batch of samples")
+    X = np.atleast_2d(X)
     if not model.layers:
         raise ValidationError("model has no layers")
     out = X

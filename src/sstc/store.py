@@ -13,9 +13,9 @@ An sst payload lists the layer's sub-vectors in the payload order of its
 orientation, as `sstc.codes.subvectors` cuts them (the `sstc.codes` module
 docstring describes the layout).  Biases and normalizer parameters are
 always stored as float32 and are never pruned or quantized; a float32
-weight must be finite.  Code tables are not serialized; the canonical
-enumeration is deterministic, so they are rebuilt from (n, k) at load and
-the storage report accounts for them analytically.
+weight must be finite.  Code tables are not serialized, nor built: the
+canonical enumeration is deterministic, so indices are unranked from (n, k)
+alone, and the storage report accounts for the tables analytically.
 
 Wire format (all integers little-endian, payload bits MSB-first):
 

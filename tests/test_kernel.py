@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sstc import kernel
-from sstc.codes import CodeParams, build_table, unrank_subvectors
+from sstc.codes import CodeParams, build_table, from_subvectors, unrank_subvectors
 from sstc.errors import ValidationError
 from sstc.kernel import CompressedFCLayer, compressed_forward, dense_matvec, pe_trace
 from sstc.store import (BatchNormParams, EncodedLayer, LayerFormat, ModelFile, decode_layer,
@@ -13,6 +13,9 @@ from sstc.store import (BatchNormParams, EncodedLayer, LayerFormat, ModelFile, d
 from conftest import random_sst_trits
 
 ALL_CODES = [(16, 4), (16, 3), (16, 2), (8, 2), (8, 1), (4, 1)]
+# served with no table: (16,16) is far above the reference table's entry
+# cap, and (24,2) has the longest sub-vectors a code may have
+WIDE_CODES = [(16, 16), (24, 2)]
 
 
 def _compressed(W, delta, params, bias=None):
@@ -58,9 +61,9 @@ def test_corrupt_index_rejected():
 
 def test_matches_dense_oracle_exactly_integer_mode():
     rng = np.random.default_rng(0)
-    for n, k in ALL_CODES:
+    for n, k in ALL_CODES + WIDE_CODES:
         params = CodeParams(n, k)
-        table = build_table(params)
+        table = build_table(params) if (n, k) in ALL_CODES else None
         for _ in range(10):
             rows = n * int(rng.integers(1, 128 // n + 1))
             cols = int(rng.integers(1, 129))
@@ -113,15 +116,32 @@ def test_batch_equals_per_sample_calls():
 
 def test_weights_t_is_the_decoded_trit_matrix():
     rng = np.random.default_rng(12)
-    for n, k in ALL_CODES:
+    for n, k in ALL_CODES + WIDE_CODES:
         params = CodeParams(n, k)
+        table = build_table(params) if (n, k) in ALL_CODES else None
         for rows, cols, zero in ((n, 1, False), (n, 5, True), (3 * n, 7, False)):
             delta = float(np.float32(rng.uniform(0.1, 1.5)))
             W = np.zeros((rows, cols)) if zero else random_sst_trits(rng, rows, cols, params) * delta
             layer = encode_layer(W, delta, LayerFormat("sst", params))
-            comp = CompressedFCLayer(layer, build_table(params))
+            comp = CompressedFCLayer(layer, table)
             assert comp.weights_t.dtype == np.float64
             assert np.array_equal(comp.weights_t, decode_layer(layer).T / comp.delta)
+
+
+def test_served_column_operand_is_the_table_gather_bit_for_bit():
+    # reference: gather each index's row from the materialized code table
+    # and lay the sub-vectors out as the column payload orders them
+    rng = np.random.default_rng(15)
+    for n, k in ALL_CODES:
+        params = CodeParams(n, k)
+        for rows, cols, zero in ((n, 1, False), (2 * n, 3, True), (4 * n, 9, False)):
+            W = np.zeros((rows, cols)) if zero else random_sst_trits(rng, rows, cols, params) * 0.5
+            layer = encode_layer(W, 0.5, LayerFormat("sst", params))
+            want = from_subvectors(build_table(params).trits[layer_indices(layer)],
+                                   rows, cols, params, "column").T.astype(np.float64)
+            got = CompressedFCLayer(layer).weights_t
+            assert got.shape == want.shape == (cols, rows) and got.dtype == np.float64
+            assert got.tobytes() == want.tobytes(), (params, rows, cols)
 
 
 def test_audit_path_lanes_and_counts_are_the_decoded_trits():
@@ -277,6 +297,18 @@ def test_forward_chain_mismatch():
     model = _toy_model(rng)
     with pytest.raises(ValidationError, match="expects"):
         compressed_forward(model, np.zeros((2, 7)))
+
+
+@pytest.mark.parametrize("first", range(5), ids=["column-sst", "fixed8", "float32",
+                                                   "row-sst", "ternary"])
+def test_forward_rejects_input_that_is_not_a_sample_or_a_batch(first):
+    # the same error whatever the first layer serves through
+    model = ModelFile(layers=_mixed_model(np.random.default_rng(10)).layers[first:])
+    cols = model.layers[0].cols
+    for X in (np.zeros((5, cols, 1)), np.zeros((1, 1, cols)), np.float64(1.0)):
+        with pytest.raises(ValidationError, match=r"input shape .*: expected one sample or "
+                                                  "a batch of samples"):
+            compressed_forward(model, X)
 
 
 def test_single_layer_model_is_matvec_plus_softmax():
