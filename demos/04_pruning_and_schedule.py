@@ -2,7 +2,8 @@
 
 Each length-N sub-vector keeps its K largest-magnitude weights.  Gradual
 pruning walks K down one step at a time, re-pruning the retrained float
-weights at every stage instead of the frozen quantized ones.
+weights at every stage instead of the frozen quantized ones.  Every stage
+retrains for `TrainConfig.epochs` epochs.
 """
 
 import numpy as np
@@ -21,9 +22,9 @@ def main():
         print(f"\n(8,{k}) mask keeps the {k} largest |w| per column:")
         print(mask)
 
-    sched = SparsitySchedule.gradual(8, [4, 3, 2, 1], epochs_per_stage=2)
+    sched = SparsitySchedule.gradual(8, [4, 3, 2, 1])
     print(f"\ngradual schedule: stages {[str(p) for p in sched.stages]}, "
-          f"epochs per stage {sched.epochs_per_stage}")
+          f"target {sched.target}")
     print(f"after stage 0 the float weights are re-pruned at {sched.stages[1]}:")
     print((W * structured_prune(W, sched.stages[1])).round(2))
     print("\nnote: the stage-1 mask is recomputed from the float weights, so a")

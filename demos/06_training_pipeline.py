@@ -8,9 +8,9 @@ for the full-size run.
 
 import numpy as np
 
-from sstc import (CodeParams, LayerSpec, SparsitySchedule, TrainConfig, TrainData,
-                  WeightPolicy, build_network, compressed_forward, evaluate,
-                  network_to_model, serialize_model, storage_report, train_structured)
+from sstc import (CodeParams, LayerFormat, LayerSpec, Network, SparsitySchedule,
+                  TrainConfig, TrainData, compressed_forward, evaluate, network_to_model,
+                  serialize_model, storage_report, train_structured)
 from sstc.datasets import gaussian_blobs
 
 
@@ -18,14 +18,15 @@ def main():
     X, y = gaussian_blobs(4000, num_classes=3, dim=32, seed=5)
     data = TrainData.from_arrays(X, y, val_fraction=0.15, seed=5)
     target = CodeParams(8, 1)
-    hidden = WeightPolicy("sst", target)
-    net = build_network([
-        LayerSpec(32, 64, normalizer="batch_norm", policy=hidden),
-        LayerSpec(64, 64, normalizer="batch_norm", policy=hidden),
-        LayerSpec(64, 3, policy=WeightPolicy("ternary")),
+    hidden = LayerFormat("sst", target)
+    net = Network([
+        LayerSpec(32, 64, normalizer="batch_norm", format=hidden),
+        LayerSpec(64, 64, normalizer="batch_norm", format=hidden),
+        LayerSpec(64, 3, format=LayerFormat("ternary2bit")),
     ], seed=5)
 
-    schedule = SparsitySchedule.gradual(8, [4, 2, 1], epochs_per_stage=3)
+    # three epochs at each stage code
+    schedule = SparsitySchedule.gradual(8, [4, 2, 1])
     config = TrainConfig(epochs=3, batch_size=64, seed=5)
     history = train_structured(net, data, schedule, config, float_epochs=5)
     for rec in history:

@@ -21,8 +21,8 @@ from .store import (BatchNormParams, EncodedLayer, LayerFormat, ModelFile,
                     StorageReport, WeightNormTag, decode_layer, encode_layer,
                     model_from_arrays, read_model, serialize_model,
                     deserialize_model, storage_report, write_model)
-from .training import (LayerSpec, Network, TrainConfig, TrainData, WeightPolicy,
-                       adam_step, backward_masked, build_network, evaluate,
-                       forward, network_to_model, train_float, train_structured)
+from .training import (LayerSpec, Network, TrainConfig, TrainData, adam_step,
+                       backward_masked, evaluate, forward, network_to_model,
+                       train_float, train_structured)
 
 __version__ = "0.1.0"

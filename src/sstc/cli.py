@@ -262,16 +262,13 @@ def cmd_infer(args):
 
 
 def _build_specs(dims, normalizer, params, orientation):
-    specs = []
-    for i, (din, dout) in enumerate(zip(dims, dims[1:])):
-        if i == len(dims) - 2:
-            policy = training.WeightPolicy("ternary") if params else training.WeightPolicy()
-            specs.append(training.LayerSpec(din, dout, policy=policy))
-        else:
-            policy = (training.WeightPolicy("sst", params, orientation)
-                      if params else training.WeightPolicy())
-            specs.append(training.LayerSpec(din, dout, normalizer=normalizer, policy=policy))
-    return specs
+    """Hidden layers sst at ``params`` and normalized, the output layer
+    ternary and unnormalized; every layer float32 when ``params`` is None."""
+    hidden = LayerFormat("sst", params, orientation) if params else LayerFormat("float32")
+    output = LayerFormat("ternary2bit") if params else LayerFormat("float32")
+    specs = [training.LayerSpec(din, dout, normalizer, hidden)
+             for din, dout in zip(dims[:-2], dims[1:-1])]
+    return specs + [training.LayerSpec(dims[-2], dims[-1], format=output)]
 
 
 def cmd_train(args):
@@ -287,13 +284,13 @@ def cmd_train(args):
               if args.schedule else [params.k])
         if ks[-1] != params.k:
             raise ValidationError(f"schedule must end at the target k={params.k}")
-        schedule = SparsitySchedule.gradual(params.n, ks, args.epochs)
+        schedule = SparsitySchedule.gradual(params.n, ks)
     results = []
     model = None
     metrics = []
     for seed in seeds:
         specs = _build_specs(dims, args.normalizer, params, args.orientation)
-        net = training.build_network(specs, seed=seed)
+        net = training.Network(specs, seed=seed)
         split = training.TrainData.from_arrays(X, y, args.val_fraction, seed)
         config = training.TrainConfig(learning_rate=args.lr, batch_size=args.batch_size,
                                       epochs=args.epochs, seed=seed)
@@ -313,8 +310,7 @@ def cmd_train(args):
         metrics.extend({"seed": seed, **rec} for rec in history)
         if model is None:
             meta = {"schedule": [str(p) for p in schedule.stages]} if schedule else {}
-            model = (training.network_to_model(net, meta) if schedule
-                     else training.network_to_model(net))
+            model = training.network_to_model(net, meta)
     if args.metrics:
         with open(args.metrics, "w") as fh:
             for rec in metrics:
@@ -420,7 +416,7 @@ def build_parser():
     p = add("train", cmd_train, "train (float or structured sparse ternary)")
     p.add_argument("--data", required=True)
     p.add_argument("--arch", required=True, help="comma-separated layer dims, e.g. 784,256,256,10")
-    p.add_argument("--normalizer", choices=("none", "batch_norm", "weight_norm"), default="batch_norm")
+    p.add_argument("--normalizer", choices=training.NORMALIZERS, default="batch_norm")
     p.add_argument("--code", help="target sst code N,K for hidden layers (omit for float)")
     p.add_argument("--orientation", choices=ORIENTATIONS, default="column")
     p.add_argument("--schedule", help="gradual k values, e.g. 4,3,2,1 (must end at target k)")

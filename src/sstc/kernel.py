@@ -260,12 +260,21 @@ def compressed_forward(model: ModelFile, X) -> np.ndarray:
     `ValidationError` raised while serving a layer names the layer.
     Hidden layers apply relu after any normalizer affine; the final layer
     emits softmax probabilities.  ``X`` is one sample (cols,) or a batch
-    (batch, cols).
+    (batch, cols) of finite values; anything else raises `ValidationError`
+    before any layer runs.
     """
-    X = np.asarray(X, dtype=np.float64)
+    try:
+        X = np.asarray(X, dtype=np.float64)
+    except ValueError as exc:  # ragged rows, or values that are not numbers
+        raise ValidationError(f"input is not an array of numbers: {exc}") from None
     if X.ndim not in (1, 2):
         raise ValidationError(f"input shape {X.shape}: expected one sample or a batch of samples")
     X = np.atleast_2d(X)
+    finite = np.isfinite(X)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise ValidationError(f"input value {X[row, col]} at sample {row}, "
+                              f"feature {col} is not finite")
     if not model.layers:
         raise ValidationError("model has no layers")
     out = X

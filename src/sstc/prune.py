@@ -70,10 +70,12 @@ def _largest_per_subvector(W, params: CodeParams, orientation: str):
 
 @dataclass(frozen=True)
 class SparsitySchedule:
-    """Gradual pruning plan: fixed n, strictly decreasing k per stage."""
+    """Gradual pruning plan: fixed n, strictly decreasing k per stage.
+
+    Every stage retrains for `training.TrainConfig.epochs` epochs.
+    """
 
     stages: tuple
-    epochs_per_stage: tuple
 
     def __post_init__(self):
         if not self.stages:
@@ -86,24 +88,11 @@ class SparsitySchedule:
         ks = [p.k for p in stages]
         if any(b >= a for a, b in zip(ks, ks[1:])):
             raise ValidationError(f"stage k values must strictly decrease, got {ks}")
-        epochs = tuple(self.epochs_per_stage)
-        if len(epochs) != len(stages):
-            raise ValidationError("need one epoch budget per stage")
-        if any(e < 0 for e in epochs):
-            raise ValidationError("epoch budgets must be non-negative")
         object.__setattr__(self, "stages", stages)
-        object.__setattr__(self, "epochs_per_stage", epochs)
 
     @classmethod
-    def single(cls, params: CodeParams, epochs: int) -> "SparsitySchedule":
-        return cls(stages=(params,), epochs_per_stage=(epochs,))
-
-    @classmethod
-    def gradual(cls, n: int, k_values, epochs_per_stage) -> "SparsitySchedule":
-        stages = tuple(CodeParams(n, k) for k in k_values)
-        if isinstance(epochs_per_stage, int):
-            epochs_per_stage = (epochs_per_stage,) * len(stages)
-        return cls(stages=stages, epochs_per_stage=tuple(epochs_per_stage))
+    def gradual(cls, n: int, k_values) -> "SparsitySchedule":
+        return cls(tuple(CodeParams(n, k) for k in k_values))
 
     @property
     def target(self) -> CodeParams:

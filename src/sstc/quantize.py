@@ -17,12 +17,12 @@ adds |w| to the numerator and 1 to the denominator, so the sweep walks a
 descending sort of the magnitudes; more levels interleave their
 breakpoints, which an argsort orders.  Tied breakpoints add equal values,
 so the running sums, and the step size, do not depend on the input order.
-The sweep handles up to `_SWEEP_LIMIT` (magnitude, level) pairs: every
-ternary layer below 5M non-zeros, but only 39,370 non-zeros at fixed8's
-127 levels.  Larger inputs fall back to alternating optimization (assign
-levels, refit delta) from a spread of starting points, which finds a
-local minimum and carries no optimality guarantee; its sums follow the
-input order.
+A three-level fit always sweeps, in O(m) memory.  With more levels the
+sweep handles up to `_SWEEP_LIMIT` (magnitude, level) pairs, only 39,370
+non-zeros at fixed8's 127 positive levels; larger inputs fall back to
+alternating optimization (assign levels, refit delta) from a spread of
+starting points, which finds a local minimum and carries no optimality
+guarantee; its sums follow the input order.
 """
 
 import numpy as np
@@ -74,8 +74,8 @@ def _lloyd_descend(mags, deltas, half_levels):
     return deltas
 
 
-# sweeping is O(m * L log(m * L)) time and memory; larger inputs fall back
-# to multi-start descent
+# sweeping is O(m * L log(m * L)) time and memory; inputs of more than
+# three levels and more pairs than this fall back to multi-start descent
 _SWEEP_LIMIT = 5_000_000
 _NUM_STARTS = 64
 _MAX_ITERATIONS = 100
@@ -134,7 +134,7 @@ def find_step_size(weights, levels: int = 3) -> float:
     half_levels = (levels - 1) // 2
     wmax = float(mags.max())
 
-    if mags.size * half_levels <= _SWEEP_LIMIT:
+    if half_levels == 1 or mags.size * half_levels <= _SWEEP_LIMIT:
         best = _exact_step_sweep(mags, half_levels)
         if best is not None:
             return best

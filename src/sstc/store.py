@@ -139,8 +139,11 @@ class WeightNormTag:
         return 0
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class EncodedLayer:
+    """One stored layer.  Frozen, so every field passes the checks below:
+    build a changed layer with `dataclasses.replace`, which re-runs them."""
+
     format: LayerFormat
     rows: int
     cols: int
@@ -165,12 +168,12 @@ class EncodedLayer:
                     f"divisible by n={n}, got {self.rows}x{self.cols}"
                 )
         if self.bias is not None:
-            self.bias = np.ascontiguousarray(self.bias, dtype=np.float32)
+            object.__setattr__(self, "bias", np.ascontiguousarray(self.bias, dtype=np.float32))
             if self.bias.shape != (self.rows,):
                 raise ValidationError(
                     f"bias length {self.bias.shape} does not match the {self.rows} rows"
                 )
-        self.payload = bytes(self.payload)
+        object.__setattr__(self, "payload", bytes(self.payload))
         expected = self.payload_bit_length()
         if len(self.payload) != (expected + 7) // 8:
             raise ValidationError(
@@ -306,11 +309,9 @@ def compress_layer(W, fmt: LayerFormat, bias=None, normalizer=None,
     indices is put in payload order.  There is no mask, no masked copy and
     no re-check of the trits.  A float32 ``W`` is pruned in float32, which
     keeps the kept positions and ties of its float64 widening and so its
-    bytes.  The exact step-size sweep does not depend on the order of its
-    input; the multi-start fit past `quantize._SWEEP_LIMIT` sums in its
-    input order, so it is given the kept values round by round in payload
-    order, not in the C order of ``W * mask``.  ``name`` labels the errors
-    of `encode_layer`.
+    bytes.  The ternary step-size fit is the exact sweep, which does not
+    depend on the order of its input.  ``name`` labels the errors of
+    `encode_layer`.
     """
     kind = fmt.kind
     if kind == "float32":
@@ -325,7 +326,7 @@ def compress_layer(W, fmt: LayerFormat, bias=None, normalizer=None,
     view, kept = _largest_per_subvector(W, params, fmt.orientation)
     values = np.take_along_axis(view, kept.transpose(1, 0, 2), axis=1)  # (B, k, C)
     mags = np.abs(values, dtype=np.float64)
-    delta = float(np.float32(find_step_size(mags.transpose(1, 2, 0))))
+    delta = float(np.float32(find_step_size(mags)))
     # a kept weight is a trit where quantize_weight's level
     # floor(|w| / delta + 0.5) is at least 1; its base-3 digit is 1 for +1, 2 for -1
     level = mags / delta

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .codes import ORIENTATIONS, CodeParams, rank_subvectors, subvectors
+from .codes import CodeParams, rank_subvectors, subvectors
 from .datasets import train_val_split
 from .errors import ValidationError
 from .kernel import bn_eval_affine, softmax
@@ -31,7 +31,6 @@ from .quantize import find_step_size, quantize_weight
 from .store import BatchNormParams, LayerFormat, ModelFile, WeightNormTag, encode_layer
 
 NORMALIZERS = ("none", "batch_norm", "weight_norm")
-POLICY_KINDS = ("float", "ternary", "sst")
 
 # ADAM moments and the plateau schedule: the rate decays by LR_DECAY after
 # PLATEAU_PATIENCE epochs without a new best validation MCR, down to LR_FLOOR
@@ -41,45 +40,39 @@ ADAM_EPS = 1e-8
 LR_DECAY = 0.2
 PLATEAU_PATIENCE = 4
 LR_FLOOR = 1.6e-5
-
-
-@dataclass(frozen=True)
-class WeightPolicy:
-    kind: str = "float"
-    params: CodeParams = None
-    orientation: str = "column"
-
-    def __post_init__(self):
-        if self.kind not in POLICY_KINDS:
-            raise ValidationError(f"unknown weight policy {self.kind!r}")
-        if self.kind == "sst" and self.params is None:
-            raise ValidationError("sst policy requires code parameters")
-        if self.kind != "sst" and self.params is not None:
-            raise ValidationError(f"{self.kind} policy takes no code parameters")
-        if self.orientation not in ORIENTATIONS:
-            raise ValidationError(f"orientation must be one of {ORIENTATIONS}, "
-                                  f"got {self.orientation!r}")
+# batch norm: the variance epsilon and the running-statistics momentum
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
 
 
 @dataclass(frozen=True)
 class LayerSpec:
     """One fully-connected layer.  Hidden layers apply relu and the final
-    layer softmax; sst layers are pruned, ternary layers only quantized."""
+    layer softmax.  ``format`` is the layer's stored weight format: float32
+    layers stay float, ternary2bit layers are quantized, and sst layers are
+    pruned to each stage code of the schedule as well, ending at
+    ``format.params``.  Training quantizes to three levels, so fixed8 is
+    rejected."""
 
     in_dim: int
     out_dim: int
     normalizer: str = "none"
-    policy: WeightPolicy = WeightPolicy()
+    format: LayerFormat = LayerFormat("float32")
 
     def __post_init__(self):
         if self.in_dim < 1 or self.out_dim < 1:
             raise ValidationError("layer dimensions must be positive")
         if self.normalizer not in NORMALIZERS:
             raise ValidationError(f"unknown normalizer {self.normalizer!r}")
+        if self.format.kind == "fixed8":
+            raise ValidationError("training quantizes to three levels: a layer format is "
+                                  "float32, ternary2bit or sst, got fixed8")
 
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """``epochs`` is the length of a float run and of every structured stage."""
+
     learning_rate: float = 1e-3
     batch_size: int = 100
     epochs: int = 10
@@ -88,6 +81,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValidationError("learning rate must be positive")
+        if self.epochs < 0:
+            raise ValidationError(f"epochs must be non-negative, got {self.epochs}")
 
 
 @dataclass
@@ -104,7 +99,7 @@ class TrainData:
 
 # --- normalizer primitives -------------------------------------------------
 
-def batch_norm_forward(x, gamma, beta, eps=1e-5):
+def batch_norm_forward(x, gamma, beta, eps=BN_EPS):
     """Train-phase normalization over batch statistics; returns (out, cache).
 
     Needs at least two samples.  The eval phase folds the running
@@ -176,15 +171,13 @@ class Layer:
         self.kept = None
         self.delta = None
         self.W_q = None
-        # the stage code currently enforced; the policy params are the target
-        self.current_params = spec.policy.params
+        # the stage code currently enforced; the format params are the target
+        self.current_params = spec.format.params
         if spec.normalizer == "batch_norm":
             self.gamma = np.ones(spec.out_dim)
             self.beta = np.zeros(spec.out_dim)
             self.run_mean = np.zeros(spec.out_dim)
             self.run_var = np.ones(spec.out_dim)
-            self.bn_eps = 1e-5
-            self.bn_momentum = 0.1
         # ADAM (m, v) per parameter; a pruned layer's W moments are kept
         # only at its kept positions, as flat arrays
         self.moments = {}
@@ -192,7 +185,7 @@ class Layer:
 
     @property
     def quantizable(self):
-        return self.spec.policy.kind in ("ternary", "sst")
+        return self.spec.format.kind != "float32"
 
     def masked_weights(self):
         """W with the pruned positions zeroed (W itself while nothing is)."""
@@ -278,10 +271,6 @@ class Network:
         self.step_count = 0
 
 
-def build_network(specs, seed: int = 0) -> Network:
-    return Network(specs, seed)
-
-
 @dataclass
 class ForwardPass:
     probs: np.ndarray
@@ -332,13 +321,12 @@ def forward(net: Network, X, mode: str = "quantized", phase: str = "train") -> F
         bn_cache = None
         if layer.spec.normalizer == "batch_norm":
             if phase == "train":
-                z, bn_cache = batch_norm_forward(pre, layer.gamma, layer.beta, layer.bn_eps)
-                mom = layer.bn_momentum
-                layer.run_mean = (1 - mom) * layer.run_mean + mom * bn_cache["mu"]
-                layer.run_var = (1 - mom) * layer.run_var + mom * bn_cache["var"]
+                z, bn_cache = batch_norm_forward(pre, layer.gamma, layer.beta)
+                layer.run_mean = (1 - BN_MOMENTUM) * layer.run_mean + BN_MOMENTUM * bn_cache["mu"]
+                layer.run_var = (1 - BN_MOMENTUM) * layer.run_var + BN_MOMENTUM * bn_cache["var"]
             else:
                 scale, shift = bn_eval_affine(*(stored(a) for a in (
-                    layer.gamma, layer.beta, layer.run_mean, layer.run_var, layer.bn_eps)))
+                    layer.gamma, layer.beta, layer.run_mean, layer.run_var, BN_EPS)))
                 pre *= scale
                 pre += shift
                 z = pre
@@ -350,16 +338,12 @@ def forward(net: Network, X, mode: str = "quantized", phase: str = "train") -> F
 
 
 def cross_entropy(fwd: ForwardPass, labels) -> float:
-    """Mean cross-entropy of one-hot ``labels`` (class indices accepted)."""
+    """Mean cross-entropy of the class indices ``labels``."""
     logits = fwd.logits
     labels = np.asarray(labels)
     logz = logits - logits.max(axis=1, keepdims=True)
     logp = logz - np.log(np.exp(logz).sum(axis=1, keepdims=True))
-    if labels.ndim == 1:
-        picked = logp[np.arange(len(labels)), labels]
-    else:
-        picked = (logp * labels).sum(axis=1)
-    return float(-picked.mean())
+    return float(-logp[np.arange(len(labels)), labels].mean())
 
 
 def backward_masked(net: Network, labels, fwd: ForwardPass):
@@ -372,13 +356,9 @@ def backward_masked(net: Network, labels, fwd: ForwardPass):
     """
     if fwd.phase != "train":
         raise ValidationError("backward requires a train-phase forward")
-    labels = np.asarray(labels)
     batch = fwd.probs.shape[0]
-    if labels.ndim == 2:
-        dz = fwd.probs - labels
-    else:
-        dz = fwd.probs.copy()
-        dz[np.arange(batch), labels] -= 1.0
+    dz = fwd.probs.copy()
+    dz[np.arange(batch), labels] -= 1.0
     dz /= batch
     grads = []
     last = len(net.layers) - 1
@@ -523,9 +503,9 @@ def train_float(net: Network, data: TrainData, config: TrainConfig):
 
 
 def _validate_schedule(net: Network, schedule: SparsitySchedule):
-    sst_layers = [(i, l) for i, l in enumerate(net.layers) if l.spec.policy.kind == "sst"]
+    sst_layers = [(i, l) for i, l in enumerate(net.layers) if l.spec.format.kind == "sst"]
     for i, layer in sst_layers:
-        target = layer.spec.policy.params
+        target = layer.spec.format.params
         if target.n != schedule.target.n:
             raise ValidationError(
                 f"layer {i} uses n={target.n} but the schedule is for n={schedule.target.n}"
@@ -535,7 +515,7 @@ def _validate_schedule(net: Network, schedule: SparsitySchedule):
                 f"layer {i} targets {target} but the schedule ends at {schedule.target}"
             )
         try:
-            subvectors(layer.W, target, layer.spec.policy.orientation)
+            subvectors(layer.W, target, layer.spec.format.orientation)
         except ValidationError as exc:
             raise ValidationError(f"layer {i} shape {layer.W.shape}: {exc}") from None
 
@@ -543,12 +523,12 @@ def _validate_schedule(net: Network, schedule: SparsitySchedule):
 def check_code_validity(net: Network) -> bool:
     """Every quantized sub-vector must be encodable under its layer's code."""
     for i, layer in enumerate(net.layers):
-        if layer.spec.policy.kind != "sst" or layer.W_q is None:
+        if layer.spec.format.kind != "sst" or layer.W_q is None:
             continue
         params = layer.current_params
         trits = np.rint(layer.W_q / layer.delta).astype(np.int8)
         # raises on budget violations
-        rank_subvectors(subvectors(trits, params, layer.spec.policy.orientation), params)
+        rank_subvectors(subvectors(trits, params, layer.spec.format.orientation), params)
     return True
 
 
@@ -562,30 +542,30 @@ def mask_violation(net: Network) -> float:
 
 def train_structured(net: Network, data: TrainData, schedule, config: TrainConfig,
                      float_epochs: int = 0):
-    """Prune-quantize-retrain over a sparsity schedule (gradual or single).
+    """Prune-quantize-retrain over a sparsity schedule.
 
-    ``schedule`` may be a `SparsitySchedule` or a single `CodeParams`
-    (retrained for config.epochs).  Each stage prunes the current float
-    weights, refits the step sizes from them, quantizes, and retrains with
-    masked straight-through updates.  Returns the per-epoch metrics
-    history.
+    ``schedule`` is a `SparsitySchedule` or a single `CodeParams`, a
+    one-stage schedule.  Each stage prunes the current float weights,
+    refits the step sizes from them, quantizes, and retrains with masked
+    straight-through updates for ``config.epochs`` epochs.  Returns the
+    per-epoch metrics history.
     """
     if isinstance(schedule, CodeParams):
-        schedule = SparsitySchedule.single(schedule, config.epochs)
+        schedule = SparsitySchedule((schedule,))
     _validate_schedule(net, schedule)
     history = []
     if float_epochs:
         history.extend(train_float(net, data, replace(config, epochs=float_epochs)))
     rng = np.random.default_rng(config.seed + 2)
     lr_state = _LrState(config)
-    for params, stage_epochs in zip(schedule.stages, schedule.epochs_per_stage):
+    for params in schedule.stages:
         for layer in net.layers:
-            if layer.spec.policy.kind == "sst":
-                layer.set_mask(structured_prune(layer.W, params, layer.spec.policy.orientation))
+            if layer.spec.format.kind == "sst":
+                layer.set_mask(structured_prune(layer.W, params, layer.spec.format.orientation))
                 layer.current_params = params
             layer.refresh_delta()
         check_code_validity(net)
-        for epoch in range(stage_epochs):
+        for epoch in range(config.epochs):
             if epoch:
                 for layer in net.layers:
                     layer.refresh_delta()
@@ -601,7 +581,11 @@ def train_structured(net: Network, data: TrainData, schedule, config: TrainConfi
 # --- serialization bridge ----------------------------------------------------
 
 def network_to_model(net: Network, metadata: dict = None) -> ModelFile:
-    """Freeze the network's quantized state into a model file."""
+    """Freeze the network's quantized state into a model file.
+
+    Each layer is stored in its spec's format; an sst layer carries the
+    code of the stage it was last pruned to.
+    """
     layers = []
     names = []
     for i, layer in enumerate(net.layers):
@@ -609,24 +593,20 @@ def network_to_model(net: Network, metadata: dict = None) -> ModelFile:
         names.append(f"fc{i}")
         if spec.normalizer == "batch_norm":
             norm = BatchNormParams(layer.gamma, layer.beta, layer.run_mean,
-                                   layer.run_var, layer.bn_eps)
+                                   layer.run_var, BN_EPS)
         elif spec.normalizer == "weight_norm":
             norm = WeightNormTag()
         else:
             norm = None
-        if spec.policy.kind == "float":
-            fmt = LayerFormat("float32")
-            layers.append(encode_layer(layer.effective_weights(), None, fmt,
-                                       bias=layer.b, normalizer=norm, layer_name=names[-1]))
-            continue
-        if layer.W_q is None:
+        if not layer.quantizable:
+            W, delta = layer.effective_weights(), None
+        elif layer.W_q is None:
             raise ValidationError(f"layer {i} has no quantized weights to serialize")
-        if spec.policy.kind == "sst":
-            fmt = LayerFormat("sst", layer.current_params, spec.policy.orientation)
         else:
-            fmt = LayerFormat("ternary2bit")
-        layers.append(encode_layer(layer.W_q, layer.delta, fmt, bias=layer.b,
-                                   normalizer=norm, layer_name=names[-1]))
+            W, delta = layer.W_q, layer.delta
+        fmt = replace(spec.format, params=layer.current_params)
+        layers.append(encode_layer(W, delta, fmt, bias=layer.b, normalizer=norm,
+                                   layer_name=names[-1]))
     meta = {"seed": net.seed, "layer_names": names}
     meta.update(metadata or {})
     return ModelFile(layers=layers, metadata=meta)

@@ -192,7 +192,7 @@ def test_criterion_5_gradient_correctness():
     X = rng.normal(size=(16, 6))
     y = rng.integers(3, size=16)
 
-    bn_net = tr.build_network([
+    bn_net = tr.Network([
         tr.LayerSpec(6, 8, normalizer="batch_norm"),
         tr.LayerSpec(8, 8, normalizer="batch_norm"),
         tr.LayerSpec(8, 3),
@@ -204,7 +204,7 @@ def test_criterion_5_gradient_correctness():
                   (1, "W"), (1, "gamma"), (1, "beta"), (2, "W"), (2, "b")]
     worst_bn, n_bn = _fd_worst(bn_net, X, y, bn_targets, rng, samples=70)
 
-    wn_net = tr.build_network([
+    wn_net = tr.Network([
         tr.LayerSpec(6, 8, normalizer="weight_norm"),
         tr.LayerSpec(8, 8, normalizer="weight_norm"),
         tr.LayerSpec(8, 3),
@@ -298,12 +298,12 @@ def test_criterion_6_storage_arithmetic():
 DESK_PARAMS = CodeParams(16, 3)
 
 
-def _desk_specs(policy_params, orientation):
-    hidden = tr.WeightPolicy("sst", policy_params, orientation)
+def _desk_specs(params, orientation):
+    hidden = LayerFormat("sst", params, orientation)
     return [
-        tr.LayerSpec(784, 256, normalizer="batch_norm", policy=hidden),
-        tr.LayerSpec(256, 256, normalizer="batch_norm", policy=hidden),
-        tr.LayerSpec(256, 10, policy=tr.WeightPolicy("ternary")),
+        tr.LayerSpec(784, 256, normalizer="batch_norm", format=hidden),
+        tr.LayerSpec(256, 256, normalizer="batch_norm", format=hidden),
+        tr.LayerSpec(256, 10, format=LayerFormat("ternary2bit")),
     ]
 
 
@@ -317,7 +317,7 @@ def _float_specs():
 
 def _warm_start(trained, specs, seed):
     """Fresh network with the given specs, weights copied from ``trained``."""
-    net = tr.build_network(specs, seed=seed)
+    net = tr.Network(specs, seed=seed)
     for dst, src in zip(net.layers, trained.layers):
         dst.W = src.W.copy()
         dst.b = src.b.copy()
@@ -344,7 +344,7 @@ def float_baselines(desk_data):
     out = {}
     for seed in SEEDS:
         data = tr.TrainData.from_arrays(X_train, y_train, val_fraction=1 / 12, seed=seed)
-        net = tr.build_network(_float_specs(), seed=seed)
+        net = tr.Network(_float_specs(), seed=seed)
         cfg = tr.TrainConfig(epochs=10, batch_size=128, seed=seed)
         tr.train_float(net, data, cfg)
         mcr = tr.evaluate(net, X_test, y_test, mode="float")
@@ -353,14 +353,14 @@ def float_baselines(desk_data):
     return out
 
 
-def _retrain(float_baselines, desk_data, schedule, orientation, epochs_per_stage):
+def _retrain(float_baselines, desk_data, schedule, orientation, stage_epochs):
     X_train, y_train, X_test, y_test = desk_data
     target = schedule.target if isinstance(schedule, SparsitySchedule) else schedule
     results = {}
     for seed in SEEDS:
         float_net, data, _ = float_baselines[seed]
         net = _warm_start(float_net, _desk_specs(target, orientation), seed)
-        cfg = tr.TrainConfig(epochs=epochs_per_stage, batch_size=128, seed=seed)
+        cfg = tr.TrainConfig(epochs=stage_epochs, batch_size=128, seed=seed)
         tr.train_structured(net, data, schedule, cfg)
         results[seed] = (net, tr.evaluate(net, X_test, y_test, mode="quantized"))
     return results
@@ -398,10 +398,9 @@ def test_criterion_7_desk_scale_training(float_baselines, sst_column_nets, desk_
 def test_criterion_8_gradual_vs_direct(float_baselines, desk_data):
     started = time.time()
     target = CodeParams(8, 1)
-    gradual_sched = SparsitySchedule.gradual(8, [4, 3, 2, 1], 4)
+    gradual_sched = SparsitySchedule.gradual(8, [4, 3, 2, 1])
     gradual = _retrain(float_baselines, desk_data, gradual_sched, "column", 4)
-    direct_sched = SparsitySchedule.single(target, 16)
-    direct = _retrain(float_baselines, desk_data, direct_sched, "column", 16)
+    direct = _retrain(float_baselines, desk_data, target, "column", 16)
     gradual_mean = float(np.mean([m for _, m in gradual.values()]))
     direct_mean = float(np.mean([m for _, m in direct.values()]))
     total = TIMINGS["float"] + (time.time() - started)

@@ -479,7 +479,7 @@ def test_train_reports_the_mcr_of_the_trained_net(tmp_path, capsys, extra):
         probs = compressed_forward(read_model(model_path), X_val)
         assert reported == 100.0 * int((np.argmax(probs, axis=1) != y_val).sum()) / len(y_val)
     elif "0" in extra:
-        untrained = tr.build_network(_build_specs([16, 16, 3], "batch_norm", None, "column"))
+        untrained = tr.Network(_build_specs([16, 16, 3], "batch_norm", None, "column"))
         assert reported == tr.evaluate(untrained, X_val, y_val, mode="float")
     if "0" not in extra:
         assert reported == history[-1]["val_mcr"]

@@ -1,5 +1,8 @@
 """Compressed inference kernel against the dense oracle."""
 
+import warnings
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
@@ -311,6 +314,22 @@ def test_forward_rejects_input_that_is_not_a_sample_or_a_batch(first):
             compressed_forward(model, X)
 
 
+def test_forward_rejects_non_finite_and_ragged_input():
+    model = _mixed_model(np.random.default_rng(11))
+    cols = model.layers[0].cols
+    inf_row, inf_sample = np.zeros((3, cols)), np.zeros(cols)
+    inf_row[1, 5], inf_sample[7] = -np.inf, np.inf
+    cases = {"nan at sample 0, feature 0 is not finite": np.full((2, cols), np.nan),
+             "-inf at sample 1, feature 5 is not finite": inf_row,
+             "inf at sample 0, feature 7 is not finite": inf_sample,
+             "inhomogeneous shape": [np.zeros(cols - 1), np.zeros(cols)]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before numpy computes anything
+        for message, X in cases.items():
+            with pytest.raises(ValidationError, match=message):
+                compressed_forward(model, X)
+
+
 def test_single_layer_model_is_matvec_plus_softmax():
     rng = np.random.default_rng(9)
     params = CodeParams(4, 1)
@@ -344,15 +363,18 @@ def test_replaced_layer_fields_are_never_served_stale():
                                LayerFormat("sst", col_code))
     other_fixed8 = encode_layer(rng.integers(-127, 128, size=(48, 64)) * 0.25, 0.25,
                                 LayerFormat("fixed8"))
+
+    def replacing(pos, **fields):
+        return lambda m: m.layers.__setitem__(pos, replace(m.layers[pos], **fields))
+
     changes = [
-        ("column sst payload", lambda m: setattr(m.layers[0], "payload", other_trits.payload)),
-        ("column sst delta", lambda m: setattr(m.layers[0], "delta", 0.75)),
-        ("fixed8 payload", lambda m: setattr(m.layers[1], "payload", other_fixed8.payload)),
-        ("fixed8 delta", lambda m: setattr(m.layers[1], "delta", 0.375)),
-        ("ternary delta", lambda m: setattr(m.layers[4], "delta", 0.5)),
-        ("float32 bias", lambda m: setattr(m.layers[2], "bias",
-                                           rng.normal(size=40).astype(np.float32))),
-        ("batch norm", lambda m: setattr(m.layers[0], "normalizer", BatchNormParams(
+        ("column sst payload", replacing(0, payload=other_trits.payload)),
+        ("column sst delta", replacing(0, delta=0.75)),
+        ("fixed8 payload", replacing(1, payload=other_fixed8.payload)),
+        ("fixed8 delta", replacing(1, delta=0.375)),
+        ("ternary delta", replacing(4, delta=0.5)),
+        ("float32 bias", replacing(2, bias=rng.normal(size=40).astype(np.float32))),
+        ("batch norm", replacing(0, normalizer=BatchNormParams(
             rng.random(64) + 0.5, rng.normal(size=64), rng.normal(size=64),
             rng.random(64) + 0.5))),
         ("layer object", lambda m: m.layers.__setitem__(1, other_fixed8)),
@@ -401,14 +423,14 @@ def test_warm_kernel_build_unpacks_no_indices():
     compressed_forward(ModelFile(layers=[layer]), rng.normal(size=5))
     comp = CompressedFCLayer(layer, build_table(params))
     assert "indices" not in vars(comp)
-    want = layer_indices(layer)
-    layer.payload = bytes(len(layer.payload))  # a later change does not reach the built kernel
-    assert np.array_equal(comp.indices, want)
+    with pytest.raises(FrozenInstanceError):  # a built kernel's layer cannot change
+        layer.payload = bytes(len(layer.payload))
+    assert np.array_equal(comp.indices, layer_indices(layer))
 
 
 def test_corrupt_payload_raises_on_every_call():
-    layer = encode_layer(np.zeros((8, 2)), 1.0, LayerFormat("sst", CodeParams(8, 1)))
-    layer.payload = bytes([0xF8, 0x00])  # index 31 > T-1 = 16
+    layer = replace(encode_layer(np.zeros((8, 2)), 1.0, LayerFormat("sst", CodeParams(8, 1))),
+                    payload=bytes([0xF8, 0x00]))  # index 31 > T-1 = 16
     model = ModelFile(layers=[layer])
     size = kernel._decoded_operand.cache_info().currsize
     for _ in range(3):

@@ -93,15 +93,15 @@ def test_prune_divisibility_error():
 
 
 def test_schedule_validation():
-    with pytest.raises(ValidationError):
-        SparsitySchedule(stages=(CodeParams(8, 2), CodeParams(8, 2)), epochs_per_stage=(1, 1))
-    with pytest.raises(ValidationError):
-        SparsitySchedule(stages=(CodeParams(8, 2), CodeParams(4, 1)), epochs_per_stage=(1, 1))
-    with pytest.raises(ValidationError):
-        SparsitySchedule(stages=(CodeParams(8, 2),), epochs_per_stage=(1, 2))
-    sched = SparsitySchedule.gradual(8, [4, 3, 2, 1], 2)
+    with pytest.raises(ValidationError, match="at least one stage"):
+        SparsitySchedule(stages=())
+    with pytest.raises(ValidationError, match="strictly decrease"):
+        SparsitySchedule(stages=(CodeParams(8, 2), CodeParams(8, 2)))
+    with pytest.raises(ValidationError, match="same sub-vector length"):
+        SparsitySchedule(stages=(CodeParams(8, 2), CodeParams(4, 1)))
+    sched = SparsitySchedule.gradual(8, [4, 3, 2, 1])
+    assert sched.stages == tuple(CodeParams(8, k) for k in (4, 3, 2, 1))
     assert sched.target == CodeParams(8, 1)
-    assert sched.epochs_per_stage == (2, 2, 2, 2)
 
 
 

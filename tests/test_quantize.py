@@ -120,17 +120,37 @@ def test_find_step_size_ignores_masked_zeros():
     assert find_step_size(padded) == find_step_size(w)
 
 
-def test_multi_start_fallback_matches_exact_sweep(monkeypatch):
+def _fits_past_the_sweep_limit(monkeypatch, levels):
+    """(weights, exact sweep delta, delta past a zero sweep limit, whether
+    the multi-start fallback ran) for 40 seeded normal inputs."""
     fits = []
     for seed in range(40):
         rng = np.random.default_rng(seed)
         w = rng.normal(size=int(rng.integers(10, 2000)))
-        fits.append((w, find_step_size(w)))
-    monkeypatch.setattr(quantize, "_SWEEP_LIMIT", 0)  # every input takes the fallback
+        fits.append((w, find_step_size(w, levels)))
+    descend = quantize._lloyd_descend
+    calls = []
+    monkeypatch.setattr(quantize, "_SWEEP_LIMIT", 0)
+    monkeypatch.setattr(quantize, "_lloyd_descend", lambda *a: calls.append(a) or descend(*a))
+    out = []
     for w, exact in fits:
-        best = quantization_error(w, exact, 3)
-        fallback = quantization_error(w, find_step_size(w), 3)
-        assert best * (1 - 1e-12) <= fallback <= best * (1 + 1e-5)
+        calls.clear()
+        out.append((w, exact, find_step_size(w, levels), bool(calls)))
+    return out
+
+
+def test_ternary_fit_sweeps_exactly_at_any_size(monkeypatch):
+    for w, exact, fitted, fell_back in _fits_past_the_sweep_limit(monkeypatch, 3):
+        assert fitted == exact and not fell_back
+
+
+def test_multi_start_fallback_matches_exact_sweep(monkeypatch):
+    # five levels past the sweep limit take the fallback
+    for w, exact, fitted, fell_back in _fits_past_the_sweep_limit(monkeypatch, 5):
+        assert fell_back
+        best = quantization_error(w, exact, 5)
+        fallback = quantization_error(w, fitted, 5)
+        assert best * (1 - 1e-12) <= fallback <= best * (1 + 1e-4)
 
 
 def test_find_step_size_rejects_bad_levels():

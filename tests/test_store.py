@@ -2,6 +2,7 @@
 
 import re
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -292,8 +293,8 @@ def test_write_model_writes_the_serialized_bytes_or_nothing(tmp_path):
     write_model(model, path)
     assert path.read_bytes() == serialize_model(model)
     # the last layer fails to serialize after the others were written
-    bad = encode_layer(np.eye(3), None, LayerFormat("float32"))
-    bad.normalizer = BatchNormParams(np.ones(2), np.zeros(2), np.zeros(2), np.ones(2))
+    bad = replace(encode_layer(np.eye(3), None, LayerFormat("float32")),
+                  normalizer=BatchNormParams(np.ones(2), np.zeros(2), np.zeros(2), np.ones(2)))
     model.layers.append(bad)
     with pytest.raises(ValidationError, match="batch norm parameter length"):
         write_model(model, tmp_path / "bad.sstw")
@@ -373,10 +374,14 @@ def test_bias_length_must_match_rows(bias_len):
     W = np.zeros((8, 4))
     with pytest.raises(ValidationError, match=rf"\({bias_len},\) does not match the 8 rows"):
         encode_layer(W, 1.0, LayerFormat("sst", params), bias=np.zeros(bias_len))
-    # a file written with a mismatched bias is rejected on load
     layer = encode_layer(W, 1.0, LayerFormat("sst", params), bias=np.zeros(8))
-    layer.bias = np.zeros(bias_len, dtype=np.float32)
+    with pytest.raises(ValidationError, match=rf"\({bias_len},\) does not match the 8 rows"):
+        replace(layer, bias=np.zeros(bias_len))
+    # a file whose bias record has another length is rejected on load
     data = serialize_model(ModelFile(layers=[layer]))
+    at = 12 + struct.calcsize("<BBIIBBf")  # magic, version, layer count, layer header
+    assert struct.unpack_from("<I", data, at) == (8,)
+    data = data[:at] + struct.pack("<I", bias_len) + bytes(4 * bias_len) + data[at + 4 + 32:]
     with pytest.raises(ValidationError, match=rf"\({bias_len},\) does not match the 8 rows"):
         deserialize_model(data)
 
@@ -415,13 +420,9 @@ def _same_bytes(got, want):
     assert serialize_model(ModelFile(layers=[got])) == serialize_model(ModelFile(layers=[want]))
 
 
-@pytest.mark.parametrize("sweep", ["exact", "fallback"])
 @pytest.mark.parametrize("orientation", ["column", "row"])
 @pytest.mark.parametrize("n,k", ALL_CODES + [(16, 16)])
-def test_compress_layer_writes_the_reference_pipeline_bytes(n, k, orientation, sweep,
-                                                            monkeypatch):
-    if sweep == "fallback":
-        monkeypatch.setattr(quantize, "_SWEEP_LIMIT", 0)  # every fit takes the multi-start
+def test_compress_layer_writes_the_reference_pipeline_bytes(n, k, orientation):
     rng = np.random.default_rng(10 * n + k)
     fmt = LayerFormat("sst", CodeParams(n, k), orientation)
     for W in _compress_inputs(rng, n, orientation):
@@ -430,8 +431,14 @@ def test_compress_layer_writes_the_reference_pipeline_bytes(n, k, orientation, s
                     reference_compress(W, fmt, bias, WeightNormTag()))
 
 
-@pytest.mark.parametrize("sweep", ["exact", "fallback"])
-@pytest.mark.parametrize("kind", ["float32", "fixed8", "ternary2bit"])
+# only fixed8 fits can take the multi-start "fallback": ternary fits sweep
+# exactly at any size, and float32 fits no step size
+def _sweeps(formats):
+    return [pytest.param(fmt, sweep, id=f"{fmt}-{sweep}") for fmt in formats
+            for sweep in ("exact", "fallback") if sweep == "exact" or str(fmt) == "fixed8"]
+
+
+@pytest.mark.parametrize("kind,sweep", _sweeps(["float32", "fixed8", "ternary2bit"]))
 def test_compress_layer_writes_the_reference_bytes_of_unpruned_formats(kind, sweep,
                                                                       monkeypatch):
     if sweep == "fallback":
@@ -447,8 +454,7 @@ _ALL_FORMATS = ([LayerFormat("sst", CodeParams(n, k), orientation)
                 + [LayerFormat(kind) for kind in ("float32", "fixed8", "ternary2bit")])
 
 
-@pytest.mark.parametrize("sweep", ["exact", "fallback"])
-@pytest.mark.parametrize("fmt", _ALL_FORMATS, ids=str)
+@pytest.mark.parametrize("fmt,sweep", _sweeps(_ALL_FORMATS))
 def test_compress_layer_of_float32_weights_writes_the_bytes_of_their_widening(fmt, sweep,
                                                                              monkeypatch):
     if sweep == "fallback":

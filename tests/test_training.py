@@ -9,7 +9,7 @@ from sstc.errors import ValidationError
 from sstc.kernel import bn_eval_affine, compressed_forward
 from sstc.prune import SparsitySchedule, structured_prune
 from sstc.quantize import find_step_size, quantize_weight
-from sstc.store import deserialize_model, serialize_model
+from sstc.store import LayerFormat, deserialize_model, serialize_model
 from sstc import training as tr
 
 
@@ -40,17 +40,17 @@ def _toy_net(normalizer="none", seed=0, dims=(6, 8, 8, 3)):
     for i, (a, b) in enumerate(zip(dims, dims[1:])):
         last = i == len(dims) - 2
         specs.append(tr.LayerSpec(a, b, normalizer="none" if last else normalizer))
-    return tr.build_network(specs, seed=seed)
+    return tr.Network(specs, seed=seed)
 
 
 def test_forward_identity_relu():
-    net = tr.build_network([tr.LayerSpec(2, 2)], seed=0)
+    net = tr.Network([tr.LayerSpec(2, 2)], seed=0)
     net.layers[0].W = np.eye(2)
     net.layers[0].b = np.zeros(2)
     fwd = tr.forward(net, np.array([[1.0, -1.0]]), mode="float", phase="eval")
     assert np.allclose(fwd.logits, [[1.0, -1.0]])
     # relu variant via a 2-layer net
-    net2 = tr.build_network([tr.LayerSpec(2, 2), tr.LayerSpec(2, 2)], seed=0)
+    net2 = tr.Network([tr.LayerSpec(2, 2), tr.LayerSpec(2, 2)], seed=0)
     net2.layers[0].W = np.eye(2)
     net2.layers[0].b = np.zeros(2)
     net2.layers[1].W = np.eye(2)
@@ -67,11 +67,11 @@ def test_softmax_outputs_sum_to_one():
 
 
 def test_quantized_forward_matches_float_on_already_ternary_weights():
-    ternary = tr.WeightPolicy("ternary")
-    specs = [tr.LayerSpec(6, 8, policy=ternary),
-             tr.LayerSpec(8, 8, policy=ternary),
-             tr.LayerSpec(8, 3, policy=ternary)]
-    net = tr.build_network(specs, seed=2)
+    ternary = LayerFormat("ternary2bit")
+    specs = [tr.LayerSpec(6, 8, format=ternary),
+             tr.LayerSpec(8, 8, format=ternary),
+             tr.LayerSpec(8, 3, format=ternary)]
+    net = tr.Network(specs, seed=2)
     rng = np.random.default_rng(2)
     for layer in net.layers:
         layer.W = 0.5 * rng.integers(-1, 2, size=layer.W.shape).astype(float)
@@ -167,7 +167,7 @@ def test_gradient_check_full_net_with_mask():
 
 
 def test_saturated_softmax_has_tiny_gradient():
-    net = tr.build_network([tr.LayerSpec(2, 2)], seed=0)
+    net = tr.Network([tr.LayerSpec(2, 2)], seed=0)
     net.layers[0].W = np.array([[40.0, 0.0], [0.0, 40.0]])
     net.layers[0].b = np.zeros(2)
     X = np.eye(2)
@@ -196,7 +196,7 @@ def test_adam_zero_gradient_is_noop():
 
 
 def test_adam_first_step_magnitude():
-    net = tr.build_network([tr.LayerSpec(1, 1)], seed=0)
+    net = tr.Network([tr.LayerSpec(1, 1)], seed=0)
     net.layers[0].W = np.array([[0.5]])
     g = [{"W": np.array([[1.0]]), "b": np.zeros(1), "gamma": None, "beta": None}]
     tr.adam_step(net, g, tr.TrainConfig(learning_rate=1e-3))
@@ -208,9 +208,9 @@ def test_masked_entries_stay_zero_over_many_steps():
     rng = np.random.default_rng(12)
     params = CodeParams(4, 2)
     specs = [tr.LayerSpec(6, 8, normalizer="batch_norm",
-                          policy=tr.WeightPolicy("sst", params)),
-             tr.LayerSpec(8, 3, policy=tr.WeightPolicy("ternary"))]
-    net = tr.build_network(specs, seed=12)
+                          format=LayerFormat("sst", params)),
+             tr.LayerSpec(8, 3, format=LayerFormat("ternary2bit"))]
+    net = tr.Network(specs, seed=12)
     net.layers[0].set_mask(np.kron(np.ones((2, 6)), np.array([[1], [1], [0], [0]])))
     for layer in net.layers:
         if layer.quantizable:
@@ -228,14 +228,14 @@ def test_masked_entries_stay_zero_over_many_steps():
 
 
 def test_evaluate_perfect_and_constant():
-    net = tr.build_network([tr.LayerSpec(2, 2)], seed=0)
+    net = tr.Network([tr.LayerSpec(2, 2)], seed=0)
     net.layers[0].W = 10 * np.eye(2)
     net.layers[0].b = np.zeros(2)
     X = np.eye(2)
     assert tr.evaluate(net, X, np.array([0, 1]), mode="float") == 0.0
     # constant predictor on balanced labels
     rng = np.random.default_rng(13)
-    netc = tr.build_network([tr.LayerSpec(4, 10)], seed=0)
+    netc = tr.Network([tr.LayerSpec(4, 10)], seed=0)
     netc.layers[0].W = np.zeros((10, 4))
     netc.layers[0].b = np.zeros(10)
     netc.layers[0].b[3] = 5.0
@@ -247,7 +247,7 @@ def test_evaluate_perfect_and_constant():
 
 
 def test_quantized_eval_before_any_stage_is_error():
-    net = tr.build_network([tr.LayerSpec(4, 2, policy=tr.WeightPolicy("ternary"))], seed=0)
+    net = tr.Network([tr.LayerSpec(4, 2, format=LayerFormat("ternary2bit"))], seed=0)
     with pytest.raises(ValidationError):
         tr.evaluate(net, np.zeros((2, 4)), np.array([0, 1]), mode="quantized")
 
@@ -257,12 +257,12 @@ def _blob_setup(params, seed, normalizer="batch_norm", orientation="column"):
     data = tr.TrainData.from_arrays(X, y, val_fraction=0.15, seed=seed)
     specs = [
         tr.LayerSpec(32, 64, normalizer=normalizer,
-                     policy=tr.WeightPolicy("sst", params, orientation)),
+                     format=LayerFormat("sst", params, orientation)),
         tr.LayerSpec(64, 64, normalizer=normalizer,
-                     policy=tr.WeightPolicy("sst", params, orientation)),
-        tr.LayerSpec(64, 3, policy=tr.WeightPolicy("ternary")),
+                     format=LayerFormat("sst", params, orientation)),
+        tr.LayerSpec(64, 3, format=LayerFormat("ternary2bit")),
     ]
-    return tr.build_network(specs, seed=seed), data
+    return tr.Network(specs, seed=seed), data
 
 
 def test_structured_training_on_blobs_reaches_target_accuracy():
@@ -317,31 +317,46 @@ def test_learning_rate_decays_on_plateau_down_to_floor():
 
 def test_schedule_layer_conflict_detected_before_training():
     net, data = _blob_setup(CodeParams(8, 2), seed=25)
-    bad = SparsitySchedule.gradual(16, [4, 3], 1)
+    bad = SparsitySchedule.gradual(16, [4, 3])
     with pytest.raises(ValidationError, match="n="):
         tr.train_structured(net, data, bad, tr.TrainConfig(seed=25))
-    bad_target = SparsitySchedule.gradual(8, [4, 3], 1)
+    bad_target = SparsitySchedule.gradual(8, [4, 3])
     with pytest.raises(ValidationError, match="targets"):
         tr.train_structured(net, data, bad_target, tr.TrainConfig(seed=25))
 
 
 def test_policy_orientation_and_layer_shape_checked_before_training():
-    with pytest.raises(ValidationError, match="orientation must be one of .* got 'diagonal'"):
-        tr.WeightPolicy("sst", CodeParams(4, 1), "diagonal")
+    with pytest.raises(ValidationError, match="unknown orientation 'diagonal'"):
+        LayerFormat("sst", CodeParams(4, 1), "diagonal")
     X, y = gaussian_blobs(60, num_classes=3, dim=12, seed=3)
     data = tr.TrainData.from_arrays(X, y, val_fraction=0.2, seed=3)
-    net = tr.build_network([
-        tr.LayerSpec(12, 8, policy=tr.WeightPolicy("sst", CodeParams(8, 1), "row")),
-        tr.LayerSpec(8, 3, policy=tr.WeightPolicy("ternary"))], seed=3)
+    net = tr.Network([
+        tr.LayerSpec(12, 8, format=LayerFormat("sst", CodeParams(8, 1), "row")),
+        tr.LayerSpec(8, 3, format=LayerFormat("ternary2bit"))], seed=3)
     with pytest.raises(ValidationError,
                        match=r"layer 0 shape \(8, 12\): column count 12 not divisible by n=8"):
         tr.train_structured(net, data, CodeParams(8, 1), tr.TrainConfig(epochs=1, seed=3))
 
 
+def test_every_stage_runs_the_configured_epochs():
+    net, data = _blob_setup(CodeParams(8, 2), seed=27)
+    history = tr.train_structured(net, data, SparsitySchedule.gradual(8, [4, 2]),
+                                  tr.TrainConfig(epochs=3, batch_size=256, seed=27))
+    assert [(rec["stage"], rec["epoch"]) for rec in history] == [
+        (stage, epoch) for stage in ("(8,4)", "(8,2)") for epoch in range(3)]
+    with pytest.raises(ValidationError, match="epochs must be non-negative, got -1"):
+        tr.TrainConfig(epochs=-1)
+
+
+def test_layer_spec_rejects_formats_training_cannot_produce():
+    with pytest.raises(ValidationError, match="three levels.*got fixed8"):
+        tr.LayerSpec(8, 3, format=LayerFormat("fixed8"))
+
+
 def test_gradual_masks_follow_schedule():
     params = CodeParams(8, 1)
     net, data = _blob_setup(params, seed=26)
-    sched = SparsitySchedule.gradual(8, [4, 2, 1], 1)
+    sched = SparsitySchedule.gradual(8, [4, 2, 1])
     tr.train_structured(net, data, sched, tr.TrainConfig(epochs=1, batch_size=64, seed=26),
                         float_epochs=2)
     for layer in net.layers[:2]:
@@ -456,10 +471,10 @@ def _assert_matches_reference(net, ref):
 @pytest.mark.parametrize("normalizer", ["batch_norm", "weight_norm", "none"])
 def test_step_matches_dense_reference_bitwise(normalizer, orientation):
     target = CodeParams(16, 3)
-    specs = [tr.LayerSpec(32, 32, normalizer, tr.WeightPolicy("sst", target, orientation)),
-             tr.LayerSpec(32, 32, normalizer, tr.WeightPolicy("sst", target, orientation)),
-             tr.LayerSpec(32, 3, policy=tr.WeightPolicy("ternary"))]
-    net = tr.build_network(specs, seed=31)
+    specs = [tr.LayerSpec(32, 32, normalizer, LayerFormat("sst", target, orientation)),
+             tr.LayerSpec(32, 32, normalizer, LayerFormat("sst", target, orientation)),
+             tr.LayerSpec(32, 3, format=LayerFormat("ternary2bit"))]
+    net = tr.Network(specs, seed=31)
     ref = _reference_state(net)
     X, y = gaussian_blobs(64, num_classes=3, dim=32, seed=31)
     rng = np.random.default_rng(31)
@@ -477,7 +492,7 @@ def test_step_matches_dense_reference_bitwise(normalizer, orientation):
     steps(3, "float")  # nothing pruned yet: every moment is dense
     for params in (CodeParams(16, 4), target):
         for layer, state in zip(net.layers, ref):
-            if layer.spec.policy.kind == "sst":
+            if layer.spec.format.kind == "sst":
                 mask = structured_prune(layer.W, params, orientation)
                 layer.set_mask(mask)
                 _reference_set_mask(state, mask)
