@@ -420,25 +420,26 @@ def _same_bytes(got, want):
     assert serialize_model(ModelFile(layers=[got])) == serialize_model(ModelFile(layers=[want]))
 
 
+# The "fallback" cases set a zero sweep limit: fixed8 fits past it take the
+# multi-start fallback, while ternary and sst fits still sweep exactly.
+@pytest.mark.parametrize("sweep", ["exact", "fallback"])
 @pytest.mark.parametrize("orientation", ["column", "row"])
 @pytest.mark.parametrize("n,k", ALL_CODES + [(16, 16)])
-def test_compress_layer_writes_the_reference_pipeline_bytes(n, k, orientation):
+def test_compress_layer_writes_the_reference_pipeline_bytes(n, k, orientation, sweep,
+                                                            monkeypatch):
     rng = np.random.default_rng(10 * n + k)
     fmt = LayerFormat("sst", CodeParams(n, k), orientation)
     for W in _compress_inputs(rng, n, orientation):
         bias = rng.normal(size=W.shape[0])
-        _same_bytes(compress_layer(W, fmt, bias, WeightNormTag(), "fc"),
-                    reference_compress(W, fmt, bias, WeightNormTag()))
+        want = reference_compress(W, fmt, bias, WeightNormTag())  # under the default limit
+        with monkeypatch.context() as m:
+            if sweep == "fallback":
+                m.setattr(quantize, "_SWEEP_LIMIT", 0)  # sst fits write the same bytes
+            _same_bytes(compress_layer(W, fmt, bias, WeightNormTag(), "fc"), want)
 
 
-# only fixed8 fits can take the multi-start "fallback": ternary fits sweep
-# exactly at any size, and float32 fits no step size
-def _sweeps(formats):
-    return [pytest.param(fmt, sweep, id=f"{fmt}-{sweep}") for fmt in formats
-            for sweep in ("exact", "fallback") if sweep == "exact" or str(fmt) == "fixed8"]
-
-
-@pytest.mark.parametrize("kind,sweep", _sweeps(["float32", "fixed8", "ternary2bit"]))
+@pytest.mark.parametrize("sweep", ["exact", "fallback"])
+@pytest.mark.parametrize("kind", ["float32", "fixed8", "ternary2bit"])
 def test_compress_layer_writes_the_reference_bytes_of_unpruned_formats(kind, sweep,
                                                                       monkeypatch):
     if sweep == "fallback":
@@ -454,7 +455,8 @@ _ALL_FORMATS = ([LayerFormat("sst", CodeParams(n, k), orientation)
                 + [LayerFormat(kind) for kind in ("float32", "fixed8", "ternary2bit")])
 
 
-@pytest.mark.parametrize("fmt,sweep", _sweeps(_ALL_FORMATS))
+@pytest.mark.parametrize("sweep", ["exact", "fallback"])
+@pytest.mark.parametrize("fmt", _ALL_FORMATS, ids=str)
 def test_compress_layer_of_float32_weights_writes_the_bytes_of_their_widening(fmt, sweep,
                                                                              monkeypatch):
     if sweep == "fallback":
