@@ -5,7 +5,8 @@ sub-vector contributes at most K add/subtract operations of input values
 into the output accumulators, and the single multiply per output is the
 final step-size scale.  The trace below audits exactly that.  The served
 `matmul` runs the trits decoded at build time through BLAS and gives the
-same integers.  Decoding unranks each index; no code table is built.
+same integers.  Decoding unranks each index by one lookup in the code's
+T-entry table, built once from (N, K) and cached.
 """
 
 import numpy as np

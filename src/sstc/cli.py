@@ -348,14 +348,16 @@ def _verify_model(model: ModelFile, trials: int, seed: int):
             continue
         record(f"code-validity[{name}]", True)
         record(f"codec-roundtrip[{name}]", re_encoded.payload == layer.payload)
-        if layer.format.orientation != "column":
-            continue
-        comp = kernel.CompressedFCLayer(layer)
         bias = layer.bias if layer.bias is not None else 0.0
         inputs = (rng.integers(-50, 50, size=layer.cols) for _ in range(max(trials, 1)))
-        # the served product and the add/subtract audit path, each exactly
-        paths = {"served matmul": comp.matmul,
-                 "add/subtract accumulate": lambda x: comp.delta * comp.accumulate(x) + comp.bias}
+        # the served product and, for column layers, the add/subtract audit
+        # path, each exactly
+        paths = {"served matmul":
+                 lambda x: kernel.served_product(layer, x[np.newaxis].astype(np.float64))[0]}
+        if layer.format.orientation == "column":
+            comp = kernel.CompressedFCLayer(layer)
+            paths["add/subtract accumulate"] = (
+                lambda x: comp.delta * comp.accumulate(x) + comp.bias)
         bad = [path for x in inputs for path, run in paths.items()
                if not np.array_equal(kernel.dense_matvec(W, x) + bias, run(x))]
         record(f"kernel-vs-dense[{name}]", not bad,

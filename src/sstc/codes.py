@@ -8,18 +8,22 @@ lexicographic over the trit sequence read left to right, with digit order
     (0,0,0,0), (0,0,0,+1), (0,0,0,-1), (0,0,+1,0), (0,0,-1,0),
     (0,+1,0,0), (0,-1,0,0), (+1,0,0,0), (-1,0,0,0)
 
-Ranking (vector -> index) and unranking (index -> vector) use enumerative
-coding (Cover, 1973) split at the middle, h = n // 2.  A vector's rank is
-the rank of the first entry with its h-trit prefix, plus the rank of its
-(n - h)-trit suffix among the suffixes that the prefix's remaining budget
-admits.  Each half is looked up by its base-3 code in tables of 3^h and
-(budgets x 3^(n-h)) entries, built once per code and cached: 214 KB for
-(16, 3) and 44.6 MB for (24, 24) (78.7 MB for (24, 12), the largest).
-Unranking finds the prefix with one binary search over the prefix offsets,
-then gathers both halves' trits.  Neither direction materializes the T
-entries; unranking is the one sst decoder, for every valid code.  A built
-`CodeTable` holds every entry's trits, the paper's lookup table, as a capped
-reference enumeration for the tests, demo 01 and the benchmark.
+Unranking (index -> vector) is the one sst decoder, for every valid code.
+A code with at most `ENTRY_TABLE_LIMIT` = 2^16 entries, every code of the
+paper's Table I among them, is decoded as the paper decodes it, by table
+lookup: one gather of int8 rows from its T-entry table, enumerated directly
+and cached (at most 1.5 MB per code, 8 codes).  Ranking (vector -> index)
+and the unranking of larger codes use enumerative coding (Cover, 1973)
+split at the middle, h = n // 2.  A vector's rank is the rank of the first
+entry with its h-trit prefix, plus the rank of its (n - h)-trit suffix
+among the suffixes that the prefix's remaining budget admits.  Each half is
+looked up by its base-3 code in tables of 3^h and (budgets x 3^(n-h))
+entries, built once per code and cached: 214 KB for (16, 3) and 44.6 MB
+for (24, 24) (78.7 MB for (24, 12), the largest).  Unranking a code above
+the table limit finds the prefix with one binary search over the prefix
+offsets, then gathers both halves' trits.  A built `CodeTable` holds every
+entry's trits as a capped reference enumeration for the tests, demo 01 and
+the benchmark.
 
 Sub-vector layout.  A (rows, cols) weight matrix is cut into length-n
 sub-vectors in one of two orientations, and +1/-1 may sit only inside
@@ -59,6 +63,10 @@ MAX_SUBVECTOR_LEN = 24
 
 # build_table, the reference enumeration, refuses tables above this entry count.
 DEFAULT_ENTRY_CAP = 1 << 20
+
+# codes with at most this many entries unrank by one gather from their
+# cached table of T int8 rows, at most 2^16 * 24 B = 1.5 MB
+ENTRY_TABLE_LIMIT = 1 << 16
 
 # Sub-vector orientations; a name's position is its .sstw wire tag.
 ORIENTATIONS = ("column", "row")
@@ -277,6 +285,33 @@ def _half_tables(n: int, k: int) -> _HalfTables:
     return tables
 
 
+# a process uses a handful of codes; each table is at most 1.5 MB
+@lru_cache(maxsize=8)
+def _entry_table(n: int, k: int) -> np.ndarray:
+    """The read-only (T, n) int8 entries of the (n, k) code, in canonical order.
+
+    Enumerated one leading trit at a time, as `_suffix_counts` counts them:
+    the length-m vectors with at most j non-zeros are the length-(m - 1)
+    ones with at most j behind a 0, then those with at most j - 1 behind a
+    +1, then behind a -1.  No intermediate list exceeds T rows.
+    """
+    lists = [np.zeros((1, 0), dtype=np.int8)] * (k + 1)  # per budget j, at length m
+    for m in range(1, n + 1):
+        grown = []
+        for j in range(k + 1):
+            if j > m:  # a length-m vector has at most m non-zeros
+                grown.append(grown[m])
+                continue
+            tails = [lists[j]] + [lists[j - 1]] * (2 if j else 0)
+            leads = np.repeat(np.array([0, 1, -1][:len(tails)], dtype=np.int8),
+                              [len(tail) for tail in tails])
+            grown.append(np.column_stack([leads, np.concatenate(tails)]))
+        lists = grown
+    table = lists[k]
+    table.flags.writeable = False  # every caller shares it
+    return table
+
+
 def rank_subvectors(vectors, params: CodeParams) -> np.ndarray:
     """Canonical rank of each row of ``vectors`` under ``params``.
 
@@ -365,9 +400,13 @@ def unrank_grouped(grid, params: CodeParams, scale) -> np.ndarray:
 def _unrank(idx: np.ndarray, params: CodeParams) -> np.ndarray:
     """The int8 entries of in-range indices, of shape ``idx.shape + (n,)``.
 
-    The prefix is the last valid prefix whose first rank is at most the
-    index; the rest of the index ranks the suffix within the prefix's budget.
+    A code of at most `ENTRY_TABLE_LIMIT` entries gathers them from its
+    entry table.  Above that, the prefix is the last valid prefix whose
+    first rank is at most the index, and the rest of the index ranks the
+    suffix within the prefix's budget.
     """
+    if count_entries(params) <= ENTRY_TABLE_LIMIT:
+        return _entry_table(params.n, params.k).take(idx, axis=0)
     tab = _half_tables(params.n, params.k)
     prefix = np.searchsorted(tab.left_start, idx, side="right") - 1
     suffix = tab.unrank_right[idx + tab.shift[prefix]]

@@ -2,15 +2,16 @@
 
 A compressed fully-connected layer is served from its index stream, which
 is decoded once per distinct layer content and reused across calls: its
-indices are unranked, with no code table, and the trits form a dense
-float64 transposed matrix.  Other formats decode to their float64 weights
-the same way.  The decoded operands are read-only, start on a cache line
-and live in a content-keyed cache of at most `_OPERAND_CACHE_SIZE` layers
-(8 B per weight each), so a request on a layer served before does no
-decoding.  Every request runs through BLAS, one vector-matrix product per
-input row, so a row gives the same bits alone or inside any batch.  The
-per-layer step size scales each sst output once, after which the bias and
-any folded normalizer affine are applied.
+indices are unpacked and unranked (one lookup in the code's cached entry
+table, for codes of up to `codes.ENTRY_TABLE_LIMIT` entries), and the
+trits form a dense float64 transposed matrix.  Other formats decode to
+their float64 weights the same way.  The decoded operands are read-only,
+start on a cache line and live in a content-keyed cache of at most
+`_OPERAND_CACHE_SIZE` layers (8 B per weight each), so a request on a
+layer served before does no decoding.  Every request runs through BLAS,
+one vector-matrix product per input row, so a row gives the same bits
+alone or inside any batch.  The per-layer step size scales each sst output
+once, after which the bias and any folded normalizer affine are applied.
 
 The paper's multiplication-free datapath is kept as the audit path:
 `CompressedFCLayer.accumulate` adds or subtracts the input value of every
@@ -249,14 +250,26 @@ def bn_eval_affine(gamma, beta, mean, var, eps):
     return scale, shift
 
 
+def served_product(layer: EncodedLayer, X: np.ndarray) -> np.ndarray:
+    """The product plus bias that serving computes for ``layer`` on a
+    float64 (batch, cols) batch, before any normalizer.
+
+    Column sst layers run through `CompressedFCLayer`, which scales by
+    delta; every other layer multiplies by its decoded weights.  Both use
+    the cached operand (`_served_operand`) row by row (`_row_products`).
+    """
+    if _is_column_sst(layer.format):
+        return CompressedFCLayer(layer).matmul(X)
+    bias = layer.bias.astype(np.float64) if layer.bias is not None else 0.0
+    return _row_products(X, _served_operand(layer)) + bias
+
+
 def compressed_forward(model: ModelFile, X) -> np.ndarray:
     """Full-network class probabilities from a serialized model.
 
-    Every layer multiplies by its cached operand (`_served_operand`) row
-    by row (`_row_products`), so a sample's probabilities do not depend on
-    the batch it arrives in: column sst layers through `CompressedFCLayer`,
-    which scales by delta, and the rest by their decoded weights.  Bias,
-    the batch-norm fold and the layer-chain check run on every call.  A
+    Every layer computes its `served_product`, one row at a time, so a
+    sample's probabilities do not depend on the batch it arrives in.  The
+    batch-norm fold and the layer-chain check run on every call.  A
     `ValidationError` raised while serving a layer names the layer.
     Hidden layers apply relu after any normalizer affine; the final layer
     emits softmax probabilities.  ``X`` is one sample (cols,) or a batch
@@ -285,11 +298,7 @@ def compressed_forward(model: ModelFile, X) -> np.ndarray:
             )
         # a try costs a request nothing until it raises, unlike store._naming_layer
         try:
-            if _is_column_sst(layer.format):
-                out = CompressedFCLayer(layer).matmul(out)
-            else:
-                bias = layer.bias.astype(np.float64) if layer.bias is not None else 0.0
-                out = _row_products(out, _served_operand(layer)) + bias
+            out = served_product(layer, out)
         except ValidationError as exc:
             raise _named_error(exc, pos, model.layer_names()) from exc
         norm = layer.normalizer

@@ -13,9 +13,9 @@ An sst payload lists the layer's sub-vectors in the payload order of its
 orientation, as `sstc.codes.subvectors` cuts them (the `sstc.codes` module
 docstring describes the layout).  Biases and normalizer parameters are
 always stored as float32 and are never pruned or quantized; a float32
-weight must be finite.  Code tables are not serialized, nor built: the
-canonical enumeration is deterministic, so indices are unranked from (n, k)
-alone, and the storage report accounts for the tables analytically.
+weight must be finite.  Code tables are not serialized: the canonical
+enumeration is deterministic, so the decoder builds its lookup tables from
+(n, k) alone, and the storage report accounts for the tables analytically.
 
 Wire format (all integers little-endian, payload bits MSB-first):
 
@@ -31,6 +31,7 @@ Wire format (all integers little-endian, payload bits MSB-first):
     metadata byte length u32 | UTF-8 JSON
 """
 
+import io
 import json
 import os
 import struct
@@ -362,9 +363,10 @@ def decode_layer(layer: EncodedLayer) -> np.ndarray:
     """Dense float64 weight matrix of an encoded layer, C-ordered.
 
     sst indices are put on the (B, C) grid of the layer's grouped view
-    (`codes.from_payload_order`) and unranked through the code's half
-    tables straight into that view (`codes.unrank_grouped`), so decoding
-    needs neither a materialized code table nor a transposed copy.
+    (`codes.from_payload_order`) and unranked straight into that view
+    (`codes.unrank_grouped`): one gather from the code's cached T-entry
+    table, or the half-table search for a code above
+    `codes.ENTRY_TABLE_LIMIT` entries.  Decoding makes no transposed copy.
     """
     return _decoded(layer, np.float64)
 
@@ -471,16 +473,23 @@ def _serialized_parts(model: ModelFile):
 
 
 class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
+    """Reads a model file's parts from a binary file, each part once."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        start = fh.tell()
+        self.remaining = fh.seek(0, os.SEEK_END) - start
+        fh.seek(start)
 
     def take(self, size: int) -> bytes:
-        if self.pos + size > len(self.data):
+        # checked before reading, so a corrupt size allocates nothing
+        if size > self.remaining:
             raise ValidationError("truncated model file")
-        out = self.data[self.pos:self.pos + size]
-        self.pos += size
-        return out
+        self.remaining -= size
+        part = self.fh.read(size)
+        if len(part) != size:  # the file shrank while being read
+            raise ValidationError("truncated model file")
+        return part
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
@@ -489,13 +498,16 @@ class _Reader:
         return np.frombuffer(self.take(4 * count), dtype="<f4").copy()
 
 
-def deserialize_model(data: bytes) -> ModelFile:
-    """Parse a model file.
+def deserialize_model(data) -> ModelFile:
+    """Parse a model file from its bytes, or from a binary file open at its start.
 
     Every layer record is read before any layer is built, so a
     `ValidationError` raised while building one can name the layer: its
-    index and, where the metadata has one, its name.
+    index and, where the metadata has one, its name.  Read from a file,
+    each payload is read once, straight into its own bytes.
     """
+    if isinstance(data, (bytes, bytearray, memoryview)):
+        data = io.BytesIO(data)
     r = _Reader(data)
     if r.take(len(MAGIC)) != MAGIC:
         raise ValidationError("not a model file: bad magic")
@@ -534,8 +546,8 @@ def deserialize_model(data: bytes) -> ModelFile:
                                payload_bits, payload, make_norm))
     (meta_len,) = r.unpack("<I")
     metadata = _parse_metadata(r.take(meta_len)) if meta_len else {}
-    if r.pos != len(data):
-        raise ValidationError(f"{len(data) - r.pos} trailing bytes after model")
+    if r.remaining:
+        raise ValidationError(f"{r.remaining} trailing bytes after model")
     if not isinstance(metadata, dict):
         raise ValidationError(f"metadata must be a JSON object, got {type(metadata).__name__}")
     names = metadata.get("layer_names")
@@ -605,7 +617,7 @@ def write_model(model: ModelFile, path):
 
 def read_model(path) -> ModelFile:
     with open(path, "rb") as fh:
-        return deserialize_model(fh.read())
+        return deserialize_model(fh)
 
 
 def model_from_arrays(weights_and_biases, names=None, normalizers=None,

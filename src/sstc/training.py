@@ -64,6 +64,9 @@ class LayerSpec:
             raise ValidationError("layer dimensions must be positive")
         if self.normalizer not in NORMALIZERS:
             raise ValidationError(f"unknown normalizer {self.normalizer!r}")
+        if not isinstance(self.format, LayerFormat):
+            raise ValidationError(f"layer format must be a store.LayerFormat, "
+                                  f"got {self.format!r}")
         if self.format.kind == "fixed8":
             raise ValidationError("training quantizes to three levels: a layer format is "
                                   "float32, ternary2bit or sst, got fixed8")
@@ -83,6 +86,8 @@ class TrainConfig:
             raise ValidationError("learning rate must be positive")
         if self.epochs < 0:
             raise ValidationError(f"epochs must be non-negative, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValidationError(f"batch size must be at least 1, got {self.batch_size}")
 
 
 @dataclass

@@ -75,3 +75,35 @@ def test_pack_matches_the_shift_packer(bits):
 def test_pack_rejects_a_width_over_64_bits():
     with pytest.raises(ValidationError, match=r"must lie in \[0, 64\], got 65"):
         pack_indices([1], 65)
+
+
+def bit_unpack(stream, bits_per_index, count):
+    """Reference: each field read off the stream's MSB-first bit string,
+    wrapping to int64 like two's complement."""
+    text = "".join(f"{byte:08b}" for byte in stream)
+    out = []
+    for i in range(count):
+        value = int(text[i * bits_per_index:(i + 1) * bits_per_index] or "0", 2)
+        out.append(value - (1 << 64) if value >= 1 << 63 else value)
+    return np.array(out, dtype=np.int64)
+
+
+@pytest.mark.parametrize("bits", range(65))
+def test_unpack_matches_the_bit_by_bit_reference(bits):
+    rng = np.random.default_rng(1000 + bits)
+    for count in range(101):
+        stream = rng.integers(0, 256, size=(count * bits + 7) // 8, dtype=np.uint8).tobytes()
+        want = bit_unpack(stream, bits, count)
+        for extra in (b"", b"\xff", bytes(rng.integers(0, 256, size=9, dtype=np.uint8))):
+            got = unpack_indices(stream + extra, bits, count)
+            assert got.dtype == np.int64 and got.shape == (count,)
+            assert np.array_equal(got, want), (count, extra)
+
+
+def test_unpack_rejects_widths_and_counts_pack_cannot_write():
+    with pytest.raises(ValidationError, match=r"must lie in \[0, 64\], got 65"):
+        unpack_indices(bytes(9), 65, 1)
+    with pytest.raises(ValidationError, match=r"must lie in \[0, 64\], got -1"):
+        unpack_indices(b"", -1, 0)
+    with pytest.raises(ValidationError, match="count must be non-negative, got -1"):
+        unpack_indices(b"", 3, -1)

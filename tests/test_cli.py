@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from sstc import training as tr
+from sstc import kernel, training as tr
 from sstc.cli import _build_specs, main
 from sstc.codes import CodeParams
 from sstc.datasets import gaussian_blobs, train_val_split
@@ -161,6 +161,28 @@ def test_verify_checks_served_and_audit_paths(tmp_path, capsys, monkeypatch, pat
     assert failing[0]["detail"] == f"integer-mode mismatch of the {path_name} with the dense oracle"
 
 
+def test_verify_checks_the_served_product_of_row_layers(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "row.sstw"
+    assert main(["train", "--data", "synthetic:samples=300,classes=3,dim=16,seed=5",
+                 "--arch", "16,16,3", "--code", "8,1", "--orientation", "row",
+                 "--normalizer", "weight_norm", "--epochs", "1", "--float-epochs", "0",
+                 "--out", str(path)]) == 0
+    assert read_model(path).layers[0].format == LayerFormat("sst", CodeParams(8, 1), "row")
+    capsys.readouterr()
+    assert main(["verify", "--model", str(path), "--format", "records"]) == 0
+    suites = _records(capsys)
+    assert [s["suite"] for s in suites] == [
+        "serialization-involution", "code-validity[fc0]", "codec-roundtrip[fc0]",
+        "kernel-vs-dense[fc0]"]
+    assert all(s["pass"] for s in suites)
+    original = kernel._row_products
+    monkeypatch.setattr(kernel, "_row_products", lambda X, W_t: original(X, W_t) + 1)
+    assert main(["verify", "--model", str(path), "--format", "records"]) == 1
+    failing = [s for s in _records(capsys) if not s["pass"]]
+    assert [s["suite"] for s in failing] == ["kernel-vs-dense[fc0]"]
+    assert failing[0]["detail"] == "integer-mode mismatch of the served matmul with the dense oracle"
+
+
 def test_verify_empty_model_passes(tmp_path):
     path = tmp_path / "empty.sstw"
     write_model(ModelFile(), path)
@@ -227,6 +249,16 @@ def test_train_is_deterministic_per_seed(tmp_path):
                      "--out", str(tmp_path / name), "--format", "records"]) == 0
         out.append((tmp_path / name).read_bytes())
     assert out[0] == out[1]
+
+
+@pytest.mark.parametrize("batch_size", ["0", "-5"])
+def test_train_rejects_a_batch_size_below_one(tmp_path, capsys, batch_size):
+    assert main(["train", "--data", "synthetic:samples=300", "--arch", "32,16,3",
+                 "--code", "8,1", "--batch-size", batch_size, "--epochs", "1",
+                 "--float-epochs", "0", "--out", str(tmp_path / "m.sstw")]) == 1
+    assert (capsys.readouterr().err
+            == f"error: batch size must be at least 1, got {batch_size}\n")
+    assert not (tmp_path / "m.sstw").exists()
 
 
 def test_train_gradual_schedule_and_multiple_seeds(tmp_path, capsys):

@@ -6,7 +6,8 @@ from math import comb
 import numpy as np
 import pytest
 
-from sstc.codes import (CodeParams, address_bits, build_table, count_entries,
+from sstc.codes import (ENTRY_TABLE_LIMIT, CodeParams, _entry_table, _half_tables, address_bits,
+                        build_table, count_entries,
                         from_payload_order, from_subvectors, grouped_view, rank_grouped,
                         rank_subvectors, subvectors, table_storage_bits, table_storage_kb,
                         to_payload_order, unrank_grouped, unrank_subvectors)
@@ -281,9 +282,12 @@ def loop_unrank(indices, n, k):
 
 
 # the published codes; k = 0 codes; odd n; codes beyond the table entry
-# cap; and every code up to n = 12 small enough to check index by index
+# cap; codes with k < n above the entry-table limit, which unrank through
+# the half tables; and every code up to n = 12 small enough to check index
+# by index
 DIFFERENTIAL_CODES = sorted(set(
-    ALL_CODES + [(8, 0), (4, 0), (3, 0), (1, 1), (5, 5), (7, 3), (16, 16), (24, 2), (24, 24)]
+    ALL_CODES + [(8, 0), (4, 0), (3, 0), (1, 1), (5, 5), (7, 3), (16, 16), (24, 2), (24, 24),
+                 (16, 5), (24, 4)]
     + [(n, k) for n in range(1, 13) for k in range(n + 1)
        if count_entries(CodeParams(n, k)) <= 1 << 16]))
 
@@ -338,3 +342,21 @@ def test_codec_input_errors_keep_their_messages():
     raises("expected sub-vectors of length 4, got shape (1, 3)", rank_subvectors, [[0, 0, 0]], p41)
     raises("sub-vector entries must be integral trits", rank_subvectors, [[0, 0.5, 0, 0]], p41)
     raises("sub-vector entries must lie in {-1, 0, +1}", rank_subvectors, [[0, 2, 0, 0]], p41)
+
+
+def test_small_codes_unrank_from_their_entry_table_alone():
+    assert count_entries(CodeParams(16, 5)) > ENTRY_TABLE_LIMIT
+    assert count_entries(CodeParams(24, 4)) > ENTRY_TABLE_LIMIT
+    _half_tables.cache_clear()
+    for n, k in ((24, 0), (24, 2)):
+        params = CodeParams(n, k)
+        t_total = count_entries(params)
+        trits = unrank_subvectors(np.arange(t_total), params)
+        assert np.array_equal(trits, loop_unrank(np.arange(t_total), n, k))
+        grid = np.arange(t_total)[::-1].reshape(1, -1)
+        assert np.array_equal(unrank_grouped(grid, params, np.float32(2.0))[0].T,
+                              2 * trits[::-1])
+        table = _entry_table(n, k)
+        assert table.shape == (t_total, n) and table.dtype == np.int8
+        assert not table.flags.writeable
+    assert _half_tables.cache_info().misses == 0

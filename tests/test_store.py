@@ -285,6 +285,23 @@ def test_write_read_file(tmp_path):
     assert read_model(path) == model
 
 
+def test_read_model_parses_the_file_as_deserialize_model_parses_its_bytes(tmp_path):
+    rng = np.random.default_rng(23)
+    model = ModelFile(layers=[encode_layer(*random_layer(rng)) for _ in range(4)],
+                      metadata={"note": "x"})
+    blob = serialize_model(model)
+    path = tmp_path / "m.sstw"
+    path.write_bytes(blob)
+    assert read_model(path) == model == deserialize_model(blob)
+    for data, message in ((blob[:-3], "truncated model file"),
+                          (blob[:40], "truncated model file"),
+                          (blob + b"\x00\x01", "2 trailing bytes after model")):
+        path.write_bytes(data)
+        for parse in (lambda: read_model(path), lambda: deserialize_model(data)):
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                parse()
+
+
 def test_write_model_writes_the_serialized_bytes_or_nothing(tmp_path):
     rng = np.random.default_rng(21)
     model = ModelFile(layers=[encode_layer(*random_layer(rng)) for _ in range(6)],

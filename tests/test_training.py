@@ -351,6 +351,8 @@ def test_every_stage_runs_the_configured_epochs():
 def test_layer_spec_rejects_formats_training_cannot_produce():
     with pytest.raises(ValidationError, match="three levels.*got fixed8"):
         tr.LayerSpec(8, 3, format=LayerFormat("fixed8"))
+    with pytest.raises(ValidationError, match="must be a store.LayerFormat, got 'sst'"):
+        tr.LayerSpec(2, 2, format="sst")
 
 
 def test_gradual_masks_follow_schedule():
