@@ -12,6 +12,7 @@ import numpy as np
 
 from .codes import CodeParams, grouped_view
 from .errors import ValidationError
+from .quantize import _BLOCK
 
 
 def structured_prune(W, params: CodeParams, orientation: str = "column") -> np.ndarray:
@@ -22,50 +23,69 @@ def structured_prune(W, params: CodeParams, orientation: str = "column") -> np.n
     grouped dimension not divisible by n.
     """
     W = np.asarray(W)
-    _, kept = _largest_per_subvector(W, params, orientation)
     mask = np.zeros(W.shape, dtype=np.uint8)
     # the grouped view of a C-order matrix is a view, so the ones land in place
-    np.put_along_axis(grouped_view(mask, params, orientation), kept.transpose(1, 0, 2), 1,
-                      axis=1)
+    _largest_per_subvector(W, params, orientation, grouped_view(mask, params, orientation))
     return mask
 
 
-def _largest_per_subvector(W, params: CodeParams, orientation: str):
-    """W's grouped view and the positions of the k largest magnitudes along its axis 1.
+def _largest_per_subvector(W, params: CodeParams, orientation: str, mask=None):
+    """Positions and values of the k largest magnitudes along axis 1 of W's grouped view.
 
-    Returns ``(view, kept)``: ``view`` is `codes.grouped_view` of W, of
-    shape (B, n, C), and ``kept`` a (k, B, C) array, round r holding each
-    sub-vector's r-th largest magnitude's position.  Ties keep the lowest
-    position.  Magnitudes are compared in W's own precision when that is
-    float32 (widening is exact and keeps their order) and in float64
-    otherwise.  No payload-order copy of W is made.
+    Returns ``(kept, values)``, two (k, B, C) arrays on the (B, C) grid of
+    `codes.grouped_view` of W: round r holds each sub-vector's r-th largest
+    magnitude's position along it, and W's value there.  Ties keep the
+    lowest position.  When given, ``mask`` is the grouped view of a uint8
+    matrix of W's shape, and gets a one at every kept position.  Raises on a
+    non-finite weight, naming the first.
+
+    W is read once, in blocks of whole groups of about `quantize._BLOCK`
+    weights, each into one reused magnitude buffer; no payload-order copy is
+    made.  Magnitudes are compared in W's own precision when that is float32
+    (widening is exact and keeps their order) and in float64 otherwise.
     """
     view = grouped_view(W, params, orientation)
-    mags = np.abs(view, dtype=np.result_type(view.dtype, np.float32))
-    if not np.isfinite(mags.max(initial=0.0)):
-        row, col = np.argwhere(~np.isfinite(W))[0]
-        raise ValidationError(f"cannot prune a non-finite weight {W[row, col]} "
-                              f"at row {row}, column {col}")
-    groups, n, cols = mags.shape
+    groups, n, cols = view.shape
+    step = max(1, _BLOCK // (n * cols))
     kept = np.empty((params.k, groups, cols), dtype=np.intp)
-    # magnitudes are >= 0, so a picked position (set to -1) is not taken again
-    if cols == 1:
-        # row sub-vectors are contiguous, where argmax is fastest; it returns
-        # the first maximum, so ties keep the lowest position
-        flat = mags.reshape(groups, n)
-        picked = np.arange(groups)
-        for at in kept:
-            flat.argmax(axis=1, out=at[:, 0])
-            flat[picked, at[:, 0]] = -1.0
-        return view, kept
+    values = np.empty(kept.shape, dtype=view.dtype)
+    buffer = np.empty((min(step, groups), n, cols), dtype=np.result_type(view.dtype, np.float32))
+    marks = np.empty(buffer.shape, dtype=np.uint8)
+    top = np.empty((buffer.shape[0], 1, cols), dtype=buffer.dtype)
+    # flat offset of each sub-vector's position 0 within a block
+    origin = np.arange(buffer.shape[0])[:, np.newaxis] * (n * cols) + np.arange(cols)
+    offsets = np.empty(origin.shape, dtype=np.intp)
     # weight n - p at position p, so the largest weight holding the maximum
     # marks its first position: ties keep the lowest position
     first = np.arange(n, 0, -1, dtype=np.uint8)[:, np.newaxis]
-    for at in kept:
-        top = mags.max(axis=1, keepdims=True)
-        np.subtract(n, ((mags == top) * first).max(axis=1), out=at)
-        np.put_along_axis(mags, at[:, np.newaxis], -1.0, axis=1)
-    return view, kept
+    for start in range(0, groups, step):
+        span = slice(start, start + step)
+        block = view[span]
+        size = len(block)
+        mags = np.abs(block, out=buffer[:size])
+        if not np.isfinite(mags.max(initial=0.0)):
+            row, col = np.argwhere(~np.isfinite(W))[0]
+            raise ValidationError(f"cannot prune a non-finite weight {W[row, col]} "
+                                  f"at row {row}, column {col}")
+        block_marks, block_top, block_offsets = marks[:size], top[:size], offsets[:size]
+        # magnitudes are >= 0, so a kept position (set to -1) is not taken again
+        for at, value in zip(kept[:, span], values[:, span]):
+            if cols == 1:
+                # row sub-vectors are contiguous, where argmax is fastest; it
+                # returns the first maximum, so ties keep the lowest position
+                mags.reshape(size, n).argmax(axis=1, out=at[:, 0])
+            else:
+                np.max(mags, axis=1, keepdims=True, out=block_top)
+                np.equal(mags, block_top, out=block_marks.view(np.bool_))
+                block_marks *= first
+                np.subtract(n, block_marks.max(axis=1), out=at)
+            np.multiply(at, cols, out=block_offsets)
+            block_offsets += origin[:size]
+            mags.reshape(-1)[block_offsets] = -1.0
+            np.take(block.reshape(-1), block_offsets, out=value)
+        if mask is not None:
+            np.less(mags, 0, out=mask[span].view(np.bool_))
+    return kept, values
 
 
 @dataclass(frozen=True)

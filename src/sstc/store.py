@@ -183,9 +183,9 @@ class EncodedLayer:
             )
         if self.format.kind == "float32":
             weights = np.frombuffer(self.payload, dtype="<f4")
-            finite = np.isfinite(weights)
-            if not finite.all():
-                pos = int(np.argmin(finite))
+            # min and max propagate NaN, so two reductions check without a copy
+            if not (np.isfinite(weights.min()) and np.isfinite(weights.max())):
+                pos = int(np.argmin(np.isfinite(weights)))
                 raise ValidationError(f"float32 weight {weights[pos]} at row {pos // self.cols}, "
                                       f"column {pos % self.cols} is not finite")
 
@@ -303,9 +303,10 @@ def compress_layer(W, fmt: LayerFormat, bias=None, normalizer=None,
     and ``W * mask``, then `find_step_size`, delta rounded to float32 as
     files store it, `quantize_weight` and `encode_layer`.  An sst layer is
     worked on W's grouped view (`codes.grouped_view`), with no payload-order
-    copy of W: `prune._largest_per_subvector` finds the kept positions
-    along each sub-vector, the step size is fitted on the kept values alone,
-    widened to float64, and each index is ranked straight from its kept
+    copy of W: `prune._largest_per_subvector` reads W once, in blocks with
+    reused buffers, for the kept positions along each sub-vector and their
+    values; the step size is fitted on the kept values alone, widened to
+    float64, and each index is ranked straight from its kept
     (position, digit) pairs (`codes.rank_grouped`).  Only the grid of
     indices is put in payload order.  There is no mask, no masked copy and
     no re-check of the trits.  A float32 ``W`` is pruned in float32, which
@@ -324,18 +325,17 @@ def compress_layer(W, fmt: LayerFormat, bias=None, normalizer=None,
                             name)
     W = np.asarray(W)
     params = fmt.params
-    view, kept = _largest_per_subvector(W, params, fmt.orientation)
-    values = np.take_along_axis(view, kept.transpose(1, 0, 2), axis=1)  # (B, k, C)
-    mags = np.abs(values, dtype=np.float64)
-    delta = float(np.float32(find_step_size(mags)))
+    kept, values = _largest_per_subvector(W, params, fmt.orientation)  # (k, B, C) each
+    delta = float(np.float32(find_step_size(values)))
     # a kept weight is a trit where quantize_weight's level
-    # floor(|w| / delta + 0.5) is at least 1; its base-3 digit is 1 for +1, 2 for -1
-    level = mags / delta
+    # floor(|w| / delta + 0.5) is at least 1, that is where |w| / delta + 0.5 >= 1;
+    # its base-3 digit is 1 for +1, 2 for -1
+    level = np.abs(values, dtype=np.float64)
+    level /= delta
     level += 0.5
-    np.floor(level, out=level)
-    digits = np.where(values > 0, 1, 2).astype(np.uint8)
-    digits[level < 1] = 0
-    ranks = rank_grouped(kept, digits.transpose(1, 0, 2), params)
+    digits = np.less_equal(values, 0).view(np.uint8) + np.uint8(1)
+    digits *= level >= 1
+    ranks = rank_grouped(kept, digits, params)
     payload = bitpack.pack_indices(to_payload_order(ranks), address_bits(params))
     return EncodedLayer(fmt, *W.shape, delta, payload, bias, normalizer)
 

@@ -6,8 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from sstc import bitpack
-from sstc.codes import CodeParams, from_subvectors, unrank_subvectors
+from sstc import bitpack, quantize
+from sstc.codes import CodeParams, from_subvectors, grouped_view, unrank_subvectors
 from sstc.store import BatchNormParams, LayerFormat, WeightNormTag, layer_indices
 
 # digit precedence of the canonical order: 0 < +1 < -1
@@ -70,6 +70,67 @@ def quantization_error(weights, delta, levels=3):
     half_levels = (levels - 1) // 2
     lev = np.minimum(np.floor(mags / delta + 0.5), half_levels)
     return float(((lev * delta - mags) ** 2).sum())
+
+
+def argsort_sweep(mags, half_levels):
+    """Reference: the breakpoint sweep of any level count over positive
+    magnitudes, ordered by a stable argsort and done in one piece."""
+    odd = 2 * np.arange(half_levels, dtype=np.float64) + 1
+    breakpoints = (2 * mags[:, np.newaxis] / odd).ravel()
+    order = np.argsort(-breakpoints, kind="stable")
+    upper = breakpoints[order]
+    num = np.cumsum(np.repeat(mags, half_levels)[order])
+    den = np.cumsum(np.tile(odd, mags.size)[order])
+    lower = np.concatenate((upper[1:], [0.0]))
+    vertex = num / den
+    inside = (vertex > lower) & (vertex <= upper)
+    if not np.any(inside):
+        return None
+    return float(vertex[int(np.argmin(np.where(inside, -num * num / den, np.inf)))])
+
+
+def put_along_axis_prune(W, params, orientation):
+    """Reference: the whole-matrix prune kernel, marking picked positions with
+    `np.put_along_axis`.  Returns ``(kept, mask)``: the (k, B, C) positions
+    along W's grouped view, round r the r-th largest magnitude's, and the
+    uint8 mask of W's shape."""
+    W = np.asarray(W)
+    view = grouped_view(W, params, orientation)
+    mags = np.abs(view, dtype=np.result_type(view.dtype, np.float32))
+    groups, n, cols = mags.shape
+    kept = np.empty((params.k, groups, cols), dtype=np.intp)
+    first = np.arange(n, 0, -1, dtype=np.uint8)[:, np.newaxis]
+    for at in kept:
+        top = mags.max(axis=1, keepdims=True)
+        np.subtract(n, ((mags == top) * first).max(axis=1), out=at)
+        np.put_along_axis(mags, at[:, np.newaxis], -1.0, axis=1)
+    mask = np.zeros(W.shape, dtype=np.uint8)
+    np.put_along_axis(grouped_view(mask, params, orientation), kept.transpose(1, 0, 2), 1,
+                      axis=1)
+    return kept, mask
+
+
+def block_shapes(n, orientation):
+    """Matrix shapes whose grouped view is one prune block, exactly two
+    blocks and two blocks plus one group, then (column orientation only)
+    three groups each larger than a block."""
+    if orientation == "column":
+        cols = 64
+        per_block = quantize._BLOCK // (n * cols)
+        shapes = [(g * n, cols) for g in (per_block, 2 * per_block, 2 * per_block + 1)]
+        return shapes + [(3 * n, quantize._BLOCK // n + 1)]
+    per_block = quantize._BLOCK // n  # a row group is one sub-vector
+    return [(g, n) for g in (per_block, 2 * per_block, 2 * per_block + 1)]
+
+
+def tie_heavy_weights(rng, shape, dtype):
+    """Seeded random, all-equal, mostly-zero and +-x-pair matrices in ``dtype``."""
+    yield rng.normal(size=shape).astype(dtype)
+    yield np.full(shape, -0.5, dtype=dtype)
+    yield (rng.integers(-2, 3, size=shape) * 0.25 * (rng.random(shape) < 0.3)).astype(dtype)
+    # magnitudes of equal size but both signs
+    yield (np.where(rng.random(shape) < 0.5, -0.75, 0.75)
+           * rng.integers(1, 3, size=shape)).astype(dtype)
 
 
 def random_sst_trits(rng, rows, cols, params, orientation="column"):

@@ -5,7 +5,9 @@ import pytest
 
 from sstc.codes import CodeParams
 from sstc.errors import ValidationError
-from sstc.prune import SparsitySchedule, structured_prune
+from sstc.prune import SparsitySchedule, _largest_per_subvector, structured_prune
+
+from conftest import block_shapes, put_along_axis_prune, tie_heavy_weights
 
 ALL_CODES = [(16, 4), (16, 3), (16, 2), (8, 2), (8, 1), (4, 1)]
 
@@ -148,3 +150,32 @@ def test_prune_rejects_non_finite_weights(value, orientation):
 def test_prune_rejects_unknown_orientation():
     with pytest.raises(ValidationError, match="orientation must be one of"):
         structured_prune(np.ones((4, 4)), CodeParams(4, 1), "diagonal")
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("orientation", ["column", "row"])
+@pytest.mark.parametrize("n,k", [(16, 2), (8, 1), (24, 2), (4, 4), (16, 16)])
+def test_blocked_prune_matches_the_put_along_axis_kernel(n, k, orientation, dtype):
+    """One block, exactly two, two plus one group, and groups larger than a block."""
+    rng = np.random.default_rng(7 * n + k)
+    params = CodeParams(n, k)
+    for shape in block_shapes(n, orientation):
+        for W in tie_heavy_weights(rng, shape, dtype):
+            want_kept, want_mask = put_along_axis_prune(W, params, orientation)
+            kept, values = _largest_per_subvector(W, params, orientation)
+            assert np.array_equal(kept, want_kept)
+            view = W.reshape(want_kept.shape[1], n, -1)
+            assert values.dtype == W.dtype
+            assert np.array_equal(values, np.take_along_axis(
+                view, want_kept.transpose(1, 0, 2), axis=1).transpose(1, 0, 2))
+            assert np.array_equal(structured_prune(W, params, orientation), want_mask)
+
+
+@pytest.mark.parametrize("orientation", ["column", "row"])
+def test_blocked_prune_names_a_non_finite_weight_in_a_later_block(orientation):
+    shape = block_shapes(16, orientation)[2]
+    W = np.ones(shape, dtype=np.float32)
+    W[-1, 3] = np.nan
+    with pytest.raises(ValidationError,
+                       match=f"non-finite weight nan at row {shape[0] - 1}, column 3"):
+        structured_prune(W, CodeParams(16, 2), orientation)

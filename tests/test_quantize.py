@@ -7,7 +7,7 @@ from sstc import quantize
 from sstc.errors import ValidationError
 from sstc.quantize import find_step_size, quantize_weight
 
-from conftest import grid_search_step_size, quantization_error
+from conftest import argsort_sweep, grid_search_step_size, quantization_error
 
 
 def test_quantize_weight_examples():
@@ -159,23 +159,6 @@ def test_find_step_size_rejects_bad_levels():
             find_step_size([0.5, -1.0], levels)
 
 
-def argsort_sweep(mags, half_levels):
-    """Reference: the breakpoint sweep of any level count, ordered by a
-    stable argsort; `find_step_size` sorts the magnitudes at three levels."""
-    odd = 2 * np.arange(half_levels, dtype=np.float64) + 1
-    breakpoints = (2 * mags[:, np.newaxis] / odd).ravel()
-    order = np.argsort(-breakpoints, kind="stable")
-    upper = breakpoints[order]
-    num = np.cumsum(np.repeat(mags, half_levels)[order])
-    den = np.cumsum(np.tile(odd, mags.size)[order])
-    lower = np.concatenate((upper[1:], [0.0]))
-    vertex = num / den
-    inside = (vertex > lower) & (vertex <= upper)
-    if not np.any(inside):
-        return None
-    return float(vertex[int(np.argmin(np.where(inside, -num * num / den, np.inf)))])
-
-
 def test_ternary_sweep_matches_the_argsort_sweep():
     rng = np.random.default_rng(11)
     inputs = [np.array([0.3]), np.array([0.5, 0.5, 0.5]), np.array([1.0, 0.1, 1.0, 0.1])]
@@ -193,3 +176,31 @@ def test_ternary_sweep_matches_the_argsort_sweep():
     for levels in (5, 255):  # more levels keep the argsort sweep
         mags = np.abs(rng.normal(size=500))
         assert find_step_size(mags, levels) == argsort_sweep(mags, (levels - 1) // 2)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, None])
+def test_chunked_ternary_sweep_matches_the_argsort_sweep_at_chunk_edges(extra):
+    c = quantize._BLOCK
+    size = 3 * c + 5 if extra is None else c + extra
+    rng = np.random.default_rng(size)
+    w = rng.normal(size=size)
+    w[rng.random(size) < 0.2] = 0.0
+    w[rng.random(size) < 0.1] = -0.0
+    w[: size // 3] = np.round(w[: size // 3], 1)  # many duplicates
+    want = argsort_sweep(np.abs(w[w != 0]), 1)
+    assert want is not None
+    assert find_step_size(w) == want
+    assert find_step_size(w.astype(np.float32)) == argsort_sweep(
+        np.abs(w[w != 0].astype(np.float32).astype(np.float64)), 1)
+
+
+@pytest.mark.parametrize("levels", [3, 255])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_find_step_size_rejects_non_finite_weights(value, levels):
+    with pytest.raises(ValidationError,
+                       match=f"non-finite weight {value} at position 1 of the flattened"):
+        find_step_size([1.0, value, 2.0, value], levels)
+    W = np.ones((3, 4))
+    W[2, 1] = value
+    with pytest.raises(ValidationError, match="at position 9 of the flattened"):
+        find_step_size(W, levels)

@@ -2,6 +2,7 @@
 
 import re
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,8 @@ from sstc.store import (BatchNormParams, EncodedLayer, LayerFormat, ModelFile,
                         read_model, serialize_model, storage_report,
                         write_model)
 
-from conftest import random_layer, random_sst_trits, reference_decode
+from conftest import (argsort_sweep, block_shapes, put_along_axis_prune, random_layer,
+                      random_sst_trits, reference_decode, tie_heavy_weights)
 
 
 def test_sst_codec_single_spike():
@@ -453,6 +455,36 @@ def test_compress_layer_writes_the_reference_pipeline_bytes(n, k, orientation, s
             if sweep == "fallback":
                 m.setattr(quantize, "_SWEEP_LIMIT", 0)  # sst fits write the same bytes
             _same_bytes(compress_layer(W, fmt, bias, WeightNormTag(), "fc"), want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("orientation", ["column", "row"])
+@pytest.mark.parametrize("n,k", [(16, 2), (8, 1), (16, 16)])
+def test_blocked_compress_layer_writes_the_put_along_axis_pipeline_bytes(n, k, orientation,
+                                                                         dtype):
+    """The bytes of a whole-matrix prune and a one-piece sweep, on inputs of
+    one prune block, two, two plus one group, and groups larger than a block."""
+    rng = np.random.default_rng(3 * n + k)
+    fmt = LayerFormat("sst", CodeParams(n, k), orientation)
+    for shape in block_shapes(n, orientation):
+        for W in tie_heavy_weights(rng, shape, dtype):
+            pruned = W * put_along_axis_prune(W, fmt.params, orientation)[1]
+            mags = np.abs(pruned[pruned != 0], dtype=np.float64)
+            delta = float(np.float32(argsort_sweep(mags, 1)))
+            want = encode_layer(quantize_weight(pruned, delta), delta, fmt)
+            _same_bytes(compress_layer(W, fmt), want)
+
+
+def test_compress_layer_peak_memory_stays_below_twice_the_weights():
+    W = np.random.default_rng(16).normal(scale=0.01, size=(1024, 8192)).astype(np.float32)
+    fmt = LayerFormat("sst", CodeParams(16, 2))
+    tracemalloc.start()
+    try:
+        compress_layer(W, fmt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * W.nbytes
 
 
 @pytest.mark.parametrize("sweep", ["exact", "fallback"])
