@@ -13,17 +13,15 @@ A code with at most `ENTRY_TABLE_LIMIT` = 2^16 entries, every code of the
 paper's Table I among them, is decoded as the paper decodes it, by table
 lookup: one gather of int8 rows from its T-entry table, enumerated directly
 and cached (at most 1.5 MB per code, 8 codes).  Ranking (vector -> index)
-and the unranking of larger codes use enumerative coding (Cover, 1973)
-split at the middle, h = n // 2.  A vector's rank is the rank of the first
-entry with its h-trit prefix, plus the rank of its (n - h)-trit suffix
-among the suffixes that the prefix's remaining budget admits.  Each half is
-looked up by its base-3 code in tables of 3^h and (budgets x 3^(n-h))
-entries, built once per code and cached: 214 KB for (16, 3) and 44.6 MB
-for (24, 24) (78.7 MB for (24, 12), the largest).  Unranking a code above
-the table limit finds the prefix with one binary search over the prefix
-offsets, then gathers both halves' trits.  A built `CodeTable` holds every
-entry's trits as a capped reference enumeration for the tests, demo 01 and
-the benchmark.
+is enumerative coding (Cover, 1973) in closed form.  Under the digit order
+0 < +1 < -1 a zero puts no entry below its vector, so a rank is a sum over
+the vector's non-zeros alone: a non-zero at position p, after c non-zeros,
+adds R[digit, p, c], the number of entries that agree with the vector
+before p and hold a smaller trit at p.  R is one cached (3, n, k + 1)
+int64 table per code, at most 14.4 KB.  A code above the table limit
+unranks by the inverse walk over the same table, one position at a time,
+and builds nothing else.  A built `CodeTable` holds every entry's trits as
+a capped reference enumeration for the tests, demo 01 and the benchmark.
 
 Sub-vector layout.  A (rows, cols) weight matrix is cut into length-n
 sub-vectors in one of two orientations, and +1/-1 may sit only inside
@@ -51,7 +49,6 @@ into, and rebuild it from, its (count, n) payload-order groups.
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
-from typing import NamedTuple
 
 import numpy as np
 
@@ -70,6 +67,9 @@ ENTRY_TABLE_LIMIT = 1 << 16
 
 # Sub-vector orientations; a name's position is its .sstw wire tag.
 ORIENTATIONS = ("column", "row")
+
+# the trit of each base-3 digit, in canonical order
+_TRITS = np.array([0, 1, -1], dtype=np.int8)
 
 
 @dataclass(frozen=True)
@@ -197,6 +197,7 @@ def _suffix_counts(n: int, k: int) -> np.ndarray:
     for m in range(1, n + 1):
         for j in range(1, k + 1):
             s[m, j] = s[m - 1, j] + 2 * s[m - 1, j - 1]
+    s.flags.writeable = False  # every caller shares it
     return s
 
 
@@ -214,75 +215,32 @@ def _as_trit_matrix(vectors, n: int) -> np.ndarray:
     return t
 
 
-class _HalfTables(NamedTuple):
-    """Two-level enumeration tables of one (n, k) code; see `_half_tables`."""
+@lru_cache(maxsize=None)
+def _rank_table(n: int, k: int) -> np.ndarray:
+    """R[d, p, c]: what a trit of base-3 digit d at position p, after c non-zeros, adds to a rank.
 
-    powers: np.ndarray        # float32 3^(m-1) .. 3^0, the base-3 place values
-    off_left: np.ndarray      # int64 per prefix code: rank of its first entry
-    right_row: np.ndarray     # int32 per prefix code: start of its budget's rank_right row
-    rank_right: np.ndarray    # int32 per (budget, suffix code): rank among that budget's suffixes
-    left_start: np.ndarray    # int64 per valid prefix, ascending: its off_left
-    shift: np.ndarray         # int64 per valid prefix: its budget's unrank_right start - left_start
-    left_rows: np.ndarray     # void-n per valid prefix: its trits, then n - h zeros
-    unrank_right: np.ndarray  # int32 per budget, concatenated: its suffixes' right_rows positions
-    right_rows: np.ndarray    # void-n per suffix within the largest budget: h zeros, its trits
-
-
-def _void_rows(rows: np.ndarray) -> np.ndarray:
-    # one opaque item per int8 row, so a row gather is a single fancy index
-    return np.ascontiguousarray(rows).view(np.dtype((np.void, rows.shape[1]))).ravel()
-
-
-# a process uses a handful of codes; the bound caps the cache where
-# one n = 24 code's tables reach 79 MB
-@lru_cache(maxsize=8)
-def _half_tables(n: int, k: int) -> _HalfTables:
-    """The (n, k) code split into an h = n // 2 trit prefix and an m = n - h suffix.
-
-    A half is named by its base-3 code, digits 0 -> 0, +1 -> 1, -1 -> 2 read
-    most significant first, so code order is canonical order.  An entry with
-    prefix p ranks after every entry whose valid prefix precedes p, and
-    among the suffixes with at most k - nnz(p) non-zeros.  Budgets of m and
-    above admit every suffix and share one table.
+    An entry ranks below a vector v when it agrees with v up to some
+    position p and has a smaller digit there.  With c non-zeros before p,
+    the m = n - 1 - p positions after it take at most k - c non-zeros behind
+    a 0 and k - c - 1 behind a +-1, so a +1 at p ranks above S[m, k - c]
+    entries, a -1 above S[m, k - c] + S[m, k - c - 1], and a 0 above none
+    (S is `_suffix_counts`).  A rank is the sum of R over a vector's
+    non-zeros.  Column c = k follows a spent budget: a rank reads it only
+    at d = 0, and the unrank walk, whose remaining index is 0 there, finds
+    its d = 1 and d = 2 entries (both 1) out of reach.
     """
-    h = n // 2
-    m = n - h
-    size = 3 ** m
-    digits = np.indices((3,) * m, dtype=np.int8).reshape(m, size)
-    nnz = np.count_nonzero(digits, axis=0)
-    trits = np.array([0, 1, -1], dtype=np.int8)[digits.T]
-    # prefix code c < 3^h has the trits of suffix code c after m - h leading zeros
-    budget = k - nnz[:3 ** h]
-    valid = budget >= 0
-    s = _suffix_counts(n, k)
-    width = np.where(valid, s[m, np.maximum(budget, 0)], 0)
-    off_left = np.cumsum(width) - width
-    # the suffix budgets a valid prefix leaves, capped at m, one table row each
-    lo, hi = max(0, k - h), min(k, m)
-    row = np.clip(budget, lo, hi) - lo
-    fits = nnz <= np.arange(lo, hi + 1)[:, np.newaxis]
-    rank_right = (np.cumsum(fits, axis=1, dtype=np.int32) - fits).ravel()
-    kept = np.flatnonzero(fits[-1])  # suffix codes that some entry uses
-    counts = s[m, lo:hi + 1]
-    prefixes = np.flatnonzero(valid)
-    left = np.zeros((prefixes.size, n), dtype=np.int8)
-    left[:, :h] = trits[prefixes, m - h:]
-    right = np.zeros((kept.size, n), dtype=np.int8)
-    right[:, h:] = trits[kept]
-    tables = _HalfTables(
-        powers=3.0 ** np.arange(m - 1, -1, -1, dtype=np.float32),
-        off_left=off_left,
-        right_row=(row * size).astype(np.int32),
-        rank_right=rank_right,
-        left_start=off_left[prefixes],
-        shift=(np.cumsum(counts) - counts)[row[prefixes]] - off_left[prefixes],
-        left_rows=_void_rows(left),
-        unrank_right=np.nonzero(fits[:, kept])[1].astype(np.int32),
-        right_rows=_void_rows(right),
-    )
-    for table in tables:
-        table.flags.writeable = False  # every caller shares these arrays
-    return tables
+    table = np.zeros((3, n, k + 1), dtype=np.int64)
+    table[1] = _suffix_counts(n, k)[n - 1::-1, ::-1]
+    table[2] = table[1]
+    table[2, :, :-1] += table[1, :, 1:]
+    table.flags.writeable = False  # every caller shares it
+    return table
+
+
+def _rank_terms(table: np.ndarray, digit, position, before) -> np.ndarray:
+    """``table[digit, position, before]`` of a `_rank_table`, elementwise, by one flat take."""
+    _, n, width = table.shape
+    return table.ravel().take((digit * np.intp(n) + position) * width + before)
 
 
 # a process uses a handful of codes; each table is at most 1.5 MB
@@ -303,8 +261,7 @@ def _entry_table(n: int, k: int) -> np.ndarray:
                 grown.append(grown[m])
                 continue
             tails = [lists[j]] + [lists[j - 1]] * (2 if j else 0)
-            leads = np.repeat(np.array([0, 1, -1][:len(tails)], dtype=np.int8),
-                              [len(tail) for tail in tails])
+            leads = np.repeat(_TRITS[:len(tails)], [len(tail) for tail in tails])
             grown.append(np.column_stack([leads, np.concatenate(tails)]))
         lists = grown
     table = lists[k]
@@ -325,15 +282,15 @@ def rank_subvectors(vectors, params: CodeParams) -> np.ndarray:
         raise ValidationError(
             f"sub-vector {pos} has {int(nnz[pos])} non-zeros, exceeding k={params.k}"
         )
-    tab = _half_tables(params.n, params.k)
-    h = params.n // 2
-    # base-3 digits 0, 1, 2 of the trits 0, +1, -1 (as bytes 0, 1, 255);
-    # every partial sum of place values is an integer below 3^12 < 2^24, so
-    # float32 products are exact
-    digits = np.minimum(t.view(np.uint8), 2, dtype=np.float32)
-    left = (digits[:, :h] @ tab.powers[params.n - 2 * h:]).astype(np.intp)
-    right = (digits[:, h:] @ tab.powers).astype(np.intp)
-    return _rank_halves(tab, left, right)
+    table = _rank_table(params.n, params.k)
+    # base-3 digits 0, 1, 2 of the trits 0, +1, -1 (as bytes 0, 1, 255), one row per position
+    digits = np.ascontiguousarray(np.minimum(t.view(np.uint8), 2).T)
+    before = np.zeros(t.shape[0], dtype=np.intp)
+    ranks = np.zeros(t.shape[0], dtype=np.int64)
+    for position, digit in enumerate(digits):
+        ranks += _rank_terms(table, digit, position, before)
+        before += digit != 0
+    return ranks
 
 
 def rank_grouped(positions, digits, params: CodeParams) -> np.ndarray:
@@ -341,30 +298,22 @@ def rank_grouped(positions, digits, params: CodeParams) -> np.ndarray:
 
     ``positions`` and ``digits`` are (r, ...) integer arrays with r <= k:
     round j holds, per sub-vector, a position along it and the base-3 digit
-    of its trit there (0 for 0, 1 for +1, 2 for -1).  The positions of one
-    sub-vector must be distinct; every position not listed holds 0.
+    of its trit there (0 for 0, 1 for +1, 2 for -1).  The positions of a
+    sub-vector's non-zero digits must be distinct; a round of digit 0 adds
+    nothing and may repeat a position.  Every position not listed holds 0.
     Returns the int64 ranks, of shape ``positions.shape[1:]``, that
     `rank_subvectors` gives for those sub-vectors written out as trits.
     """
-    tab = _half_tables(params.n, params.k)
-    h = params.n // 2
-    # a position's place value within its half, 0 in the other half
-    left_place = np.zeros(params.n, dtype=np.intp)
-    left_place[:h] = tab.powers[params.n - 2 * h:]
-    right_place = np.zeros(params.n, dtype=np.intp)
-    right_place[h:] = tab.powers
+    table = _rank_table(params.n, params.k)
     positions = np.asarray(positions)
-    left = np.zeros(positions.shape[1:], dtype=np.intp)
-    right = np.zeros(positions.shape[1:], dtype=np.intp)
-    for pos, digit in zip(positions, digits):
-        left += digit * left_place[pos]
-        right += digit * right_place[pos]
-    return _rank_halves(tab, left, right)
-
-
-def _rank_halves(tab: _HalfTables, left, right) -> np.ndarray:
-    """Ranks of the entries whose prefix and suffix have base-3 codes ``left``, ``right``."""
-    return tab.off_left[left] + tab.rank_right[tab.right_row[left] + right]
+    nonzero = np.not_equal(digits, 0)
+    ranks = np.zeros(positions.shape[1:], dtype=np.int64)
+    for j, (position, digit) in enumerate(zip(positions, digits)):
+        # the non-zeros of the other rounds that lie before this one
+        before = sum(nonzero[i] & (other < position)
+                     for i, other in enumerate(positions) if i != j)
+        ranks += _rank_terms(table, digit, position, before)
+    return ranks
 
 
 def unrank_subvectors(indices, params: CodeParams) -> np.ndarray:
@@ -401,17 +350,22 @@ def _unrank(idx: np.ndarray, params: CodeParams) -> np.ndarray:
     """The int8 entries of in-range indices, of shape ``idx.shape + (n,)``.
 
     A code of at most `ENTRY_TABLE_LIMIT` entries gathers them from its
-    entry table.  Above that, the prefix is the last valid prefix whose
-    first rank is at most the index, and the rest of the index ranks the
-    suffix within the prefix's budget.
+    entry table.  A larger code walks the positions in order: the digit at
+    a position is the largest d whose rank term R[d, position, c] the
+    remaining index reaches, which is then taken off it.
     """
     if count_entries(params) <= ENTRY_TABLE_LIMIT:
         return _entry_table(params.n, params.k).take(idx, axis=0)
-    tab = _half_tables(params.n, params.k)
-    prefix = np.searchsorted(tab.left_start, idx, side="right") - 1
-    suffix = tab.unrank_right[idx + tab.shift[prefix]]
-    out = tab.left_rows[prefix].view(np.int8).reshape(idx.shape + (params.n,))
-    out += tab.right_rows[suffix].view(np.int8).reshape(idx.shape + (params.n,))
+    table = _rank_table(params.n, params.k)
+    rest = idx.astype(np.int64)
+    before = np.zeros(idx.shape, dtype=np.intp)
+    out = np.empty(idx.shape + (params.n,), dtype=np.int8)
+    for position in range(params.n):
+        digit = ((rest >= _rank_terms(table, 1, position, before)).view(np.uint8)
+                 + (rest >= _rank_terms(table, 2, position, before)))
+        rest -= _rank_terms(table, digit, position, before)
+        before += digit != 0
+        out[..., position] = _TRITS[digit]
     return out
 
 

@@ -166,7 +166,8 @@ def find_step_size(weights, levels: int = 3) -> float:
     Zero entries (e.g. masked-out weights) contribute nothing to the error
     and are ignored; an all-zero input has no meaningful step size and is
     an error, and so is a non-finite weight, named by its position in the
-    flattened ``weights``.
+    flattened ``weights``, and finite weights so large that the fit
+    overflows float64.
     """
     if levels < 3 or levels % 2 == 0:
         raise ValidationError(f"levels must be odd and >= 3, got {levels}")
@@ -182,7 +183,18 @@ def find_step_size(weights, levels: int = 3) -> float:
                               f"{w.ravel()[pos]} at position {pos} of the flattened weights")
     if wmax == 0:
         raise ValidationError("cannot determine a step size for all-zero weights")
-    half_levels = (levels - 1) // 2
+    try:
+        with np.errstate(over="raise"):  # the fit's running sums of huge weights
+            delta = _fit_step_size(w, mags, wmax, (levels - 1) // 2)
+    except FloatingPointError:
+        delta = np.inf
+    if not np.isfinite(delta):
+        raise ValidationError(f"step size overflows float64 in its fit to weights up to {wmax}")
+    return delta
+
+
+def _fit_step_size(w, mags, wmax: float, half_levels: int) -> float:
+    """`find_step_size` of checked weights ``w``, whose magnitudes ``mags`` it may reorder."""
     if half_levels == 1:
         mags.sort()
         # the zeros sort first

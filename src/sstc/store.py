@@ -28,7 +28,9 @@ Wire format (all integers little-endian, payload bits MSB-first):
         normalizer tag u8 (0 none, 1 batch norm, 2 weight norm)
         batch norm only: eps f32 | gamma f32[rows] | beta f32[rows]
                          | mean f32[rows] | var f32[rows]
-    metadata byte length u32 | UTF-8 JSON
+    metadata byte length u32 | JSON object, ASCII, keys sorted, no spaces
+      (json.dumps(metadata, sort_keys=True, separators=(",", ":")); loading
+      rejects any other spelling, so a file re-serializes to its own bytes)
 """
 
 import io
@@ -467,9 +469,13 @@ def _serialized_parts(model: ModelFile):
             yield struct.pack("<B", 2)
         else:
             raise ValidationError(f"unknown normalizer {type(norm).__name__}")
-    meta = json.dumps(model.metadata, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    meta = _metadata_block(model.metadata)
     yield struct.pack("<I", len(meta))
     yield meta
+
+
+def _metadata_block(metadata) -> bytes:
+    return json.dumps(metadata, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 class _Reader:
@@ -545,11 +551,15 @@ def deserialize_model(data) -> ModelFile:
         records.append(partial(_layer_from_record, kind, otag, rows, cols, n, k, delta, bias,
                                payload_bits, payload, make_norm))
     (meta_len,) = r.unpack("<I")
-    metadata = _parse_metadata(r.take(meta_len)) if meta_len else {}
+    block = r.take(meta_len)
+    metadata = _parse_metadata(block)
     if r.remaining:
         raise ValidationError(f"{r.remaining} trailing bytes after model")
     if not isinstance(metadata, dict):
         raise ValidationError(f"metadata must be a JSON object, got {type(metadata).__name__}")
+    if block != _metadata_block(metadata):
+        raise ValidationError("metadata block is not in the canonical JSON form that "
+                              "serialize_model writes, so it would not round-trip its bytes")
     names = metadata.get("layer_names")
     names = names if isinstance(names, list) and len(names) == layer_count else None
     layers = []

@@ -1,13 +1,15 @@
 """Code table enumeration, counting, and ranking."""
 
 import re
+from functools import lru_cache
 from math import comb
 
 import numpy as np
 import pytest
 
-from sstc.codes import (ENTRY_TABLE_LIMIT, CodeParams, _entry_table, _half_tables, address_bits,
-                        build_table, count_entries,
+import sstc.codes as codes
+from sstc.codes import (ENTRY_TABLE_LIMIT, MAX_SUBVECTOR_LEN, CodeParams, _entry_table,
+                        _rank_table, _suffix_counts, address_bits, build_table, count_entries,
                         from_payload_order, from_subvectors, grouped_view, rank_grouped,
                         rank_subvectors, subvectors, table_storage_bits, table_storage_kb,
                         to_payload_order, unrank_grouped, unrank_subvectors)
@@ -282,9 +284,9 @@ def loop_unrank(indices, n, k):
 
 
 # the published codes; k = 0 codes; odd n; codes beyond the table entry
-# cap; codes with k < n above the entry-table limit, which unrank through
-# the half tables; and every code up to n = 12 small enough to check index
-# by index
+# cap; codes with k < n above the entry-table limit, which unrank by the
+# walk over the rank table; and every code up to n = 12 small enough to
+# check index by index
 DIFFERENTIAL_CODES = sorted(set(
     ALL_CODES + [(8, 0), (4, 0), (3, 0), (1, 1), (5, 5), (7, 3), (16, 16), (24, 2), (24, 24),
                  (16, 5), (24, 4)]
@@ -293,7 +295,7 @@ DIFFERENTIAL_CODES = sorted(set(
 
 
 @pytest.mark.parametrize("n,k", DIFFERENTIAL_CODES)
-def test_half_tables_match_digit_loop_reference(n, k):
+def test_rank_and_unrank_match_digit_loop_reference(n, k):
     params = CodeParams(n, k)
     t_total = count_entries(params)
     if t_total <= 1 << 16:
@@ -307,6 +309,29 @@ def test_half_tables_match_digit_loop_reference(n, k):
     ranks = rank_subvectors(expected, params)
     assert ranks.dtype == np.int64 and np.array_equal(ranks, loop_rank(expected, n, k))
     assert np.array_equal(ranks, idx)
+
+
+def _grouped_ranks(trits, params, rng):
+    """`rank_grouped` of (count, n) trits, each sub-vector given as k rounds
+    in random order, its zero rounds moved onto the position of round 0."""
+    order = np.argsort((trits == 0) + rng.random(trits.shape), axis=1)[:, :params.k]
+    digits = np.take_along_axis(np.minimum(trits.view(np.uint8), 2), order, axis=1)
+    positions = np.where(digits == 0, order[:, :1], order)
+    return rank_grouped(positions.T, digits.T, params)
+
+
+def test_every_code_ranks_and_unranks_as_the_digit_loops():
+    rng = np.random.default_rng(2024)
+    for n in range(1, MAX_SUBVECTOR_LEN + 1):
+        for k in range(n + 1):
+            params = CodeParams(n, k)
+            t_total = count_entries(params)
+            idx = np.concatenate(([0, t_total - 1], rng.integers(0, t_total, size=2_000)))
+            trits = loop_unrank(idx, n, k)
+            assert np.array_equal(unrank_subvectors(idx, params), trits), (n, k)
+            assert np.array_equal(loop_rank(trits, n, k), idx), (n, k)
+            assert np.array_equal(rank_subvectors(trits, params), idx), (n, k)
+            assert np.array_equal(_grouped_ranks(trits, params, rng), idx), (n, k)
 
 
 @pytest.mark.parametrize("n,k", DIFFERENTIAL_CODES)
@@ -347,7 +372,7 @@ def test_codec_input_errors_keep_their_messages():
 def test_small_codes_unrank_from_their_entry_table_alone():
     assert count_entries(CodeParams(16, 5)) > ENTRY_TABLE_LIMIT
     assert count_entries(CodeParams(24, 4)) > ENTRY_TABLE_LIMIT
-    _half_tables.cache_clear()
+    _entry_table.cache_clear()
     for n, k in ((24, 0), (24, 2)):
         params = CodeParams(n, k)
         t_total = count_entries(params)
@@ -359,4 +384,40 @@ def test_small_codes_unrank_from_their_entry_table_alone():
         table = _entry_table(n, k)
         assert table.shape == (t_total, n) and table.dtype == np.int8
         assert not table.flags.writeable
-    assert _half_tables.cache_info().misses == 0
+    # larger codes walk the rank table and build no entry table
+    for n, k in ((16, 5), (24, 4)):
+        idx = np.arange(0, count_entries(CodeParams(n, k)), 997)
+        assert np.array_equal(unrank_subvectors(idx, CodeParams(n, k)), loop_unrank(idx, n, k))
+    assert _entry_table.cache_info().misses == 2
+
+
+def test_shared_code_caches_are_read_only():
+    for table in (_suffix_counts(8, 2), _rank_table(8, 2), _entry_table(8, 2)):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * table.ndim] = 1
+    assert _rank_table(8, 2).shape == (3, 8, 3)
+
+
+def test_code_caches_hold_no_array_above_the_entry_table_bound(monkeypatch):
+    # rebuild every cache of the module through a recorder of what it holds
+    held = []
+    for name in dir(codes):
+        cached = getattr(codes, name)
+        if hasattr(cached, "cache_info"):
+            def record(*args, _build=cached.__wrapped__, _name=name):
+                out = _build(*args)
+                for part in out if isinstance(out, tuple) else (out,):
+                    held.append((_name, args, np.asarray(part).nbytes))
+                return out
+            monkeypatch.setattr(codes, name, lru_cache(maxsize=None)(record))
+    rng = np.random.default_rng(5)
+    for n, k in ((24, 2), (24, 12), (24, 24), (16, 16)):
+        params = CodeParams(n, k)
+        idx = rng.integers(0, count_entries(params), size=1_000)
+        trits = unrank_subvectors(idx, params)
+        assert np.array_equal(rank_subvectors(trits, params), idx)
+        assert np.array_equal(_grouped_ranks(trits, params, rng), idx)
+    assert held
+    largest = max(held, key=lambda item: item[2])
+    assert largest[2] <= ENTRY_TABLE_LIMIT * MAX_SUBVECTOR_LEN, largest

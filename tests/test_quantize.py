@@ -1,5 +1,7 @@
 """Quantizer: Q function and step-size optimization."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -204,3 +206,16 @@ def test_find_step_size_rejects_non_finite_weights(value, levels):
     W[2, 1] = value
     with pytest.raises(ValidationError, match="at position 9 of the flattened"):
         find_step_size(W, levels)
+
+
+@pytest.mark.parametrize("sweep_limit", [quantize._SWEEP_LIMIT, 0])
+@pytest.mark.parametrize("levels", [3, 255])
+def test_find_step_size_rejects_finite_weights_whose_fit_overflows(levels, sweep_limit,
+                                                                   monkeypatch):
+    # a limit of 0 sends fixed8 to the multi-start fallback
+    monkeypatch.setattr(quantize, "_SWEEP_LIMIT", sweep_limit)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="^step size overflows float64"):
+            find_step_size([8e307, 8e307, 8e307, 1.0], levels)
+    assert find_step_size([8e150, 8e150, 8e150, 1.0], levels) > 0

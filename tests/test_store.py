@@ -274,6 +274,32 @@ def test_metadata_that_is_not_utf8_json_is_rejected(block, message):
         deserialize_model(blob)
 
 
+def test_metadata_that_does_not_re_encode_to_its_own_bytes_is_rejected():
+    model = model_from_arrays([(np.eye(3), np.zeros(3))], names=["fc0"])
+    blob = serialize_model(model)
+    assert deserialize_model(blob) == model
+    # one byte of the "layer_names" key flipped to 0x7f parses, but re-encodes escaped
+    at = blob.index(b"layer_names") + len(b"layer")
+    flipped = blob[:at] + b"\x7f" + blob[at + 1:]
+    with pytest.raises(ValidationError, match="^metadata block is not in the canonical JSON"):
+        deserialize_model(flipped)
+    bare = serialize_model(ModelFile())[:-6]
+    for block in (b'{ }', b'{"b":1,"a":2}', b'{"a":1.50}', b'{"a":"\xc3\xa9"}'):
+        with pytest.raises(ValidationError, match="^metadata block is not in the canonical JSON"):
+            deserialize_model(bare + struct.pack("<I", len(block)) + block)
+    # the writer never emits an empty block: it writes {}
+    with pytest.raises(ValidationError, match="^metadata block does not parse as JSON"):
+        deserialize_model(bare + struct.pack("<I", 0))
+
+
+def test_every_written_metadata_loads_and_re_serializes_to_its_bytes():
+    for meta in ({}, {"note": "\u00e9\x7f\n", "x": [1.5, -0.0, 1e300, None, True]},
+                 {"layer_names": ["a b", "c"], "nested": {"z": {}, "a": [[]]}, "big": 2 ** 70}):
+        blob = serialize_model(ModelFile(metadata=meta))
+        back = deserialize_model(blob)
+        assert back.metadata == meta and serialize_model(back) == blob
+
+
 def test_row_orientation_is_sst_only():
     for kind in ("float32", "fixed8", "ternary2bit"):
         with pytest.raises(ValidationError, match="column-oriented only"):
