@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 validation failure, 2 I/O failure.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -275,6 +276,10 @@ def cmd_train(args):
     dims = [int(d) for d in args.arch.replace(",", " ").split()]
     if len(dims) < 2:
         raise ValidationError(f"--arch needs at least two dimensions, got {args.arch!r}")
+    if args.seeds < 1:
+        raise ValidationError(f"--seeds must be at least 1, got {args.seeds}")
+    config = training.TrainConfig(learning_rate=args.lr, batch_size=args.batch_size,
+                                  epochs=args.epochs, seed=args.seed)
     params = _parse_target_code(args.code) if args.code else None
     X, y = _parse_dataset(args.data, seed=args.seed, splits=("train",))
     seeds = [args.seed + i for i in range(args.seeds)]
@@ -292,8 +297,7 @@ def cmd_train(args):
         specs = _build_specs(dims, args.normalizer, params, args.orientation)
         net = training.Network(specs, seed=seed)
         split = training.TrainData.from_arrays(X, y, args.val_fraction, seed)
-        config = training.TrainConfig(learning_rate=args.lr, batch_size=args.batch_size,
-                                      epochs=args.epochs, seed=seed)
+        config = dataclasses.replace(config, seed=seed)
         if schedule is None:
             history = training.train_float(net, split, config)
         else:

@@ -313,8 +313,8 @@ def compress_layer(W, fmt: LayerFormat, bias=None, normalizer=None,
     indices is put in payload order.  There is no mask, no masked copy and
     no re-check of the trits.  A float32 ``W`` is pruned in float32, which
     keeps the kept positions and ties of its float64 widening and so its
-    bytes.  The ternary step-size fit is the exact sweep, which does not
-    depend on the order of its input.  ``name`` labels the errors of
+    bytes.  Every step-size fit is the exact sweep, which does not depend
+    on the order of its input.  ``name`` labels the errors of
     `encode_layer`.
     """
     kind = fmt.kind
@@ -367,8 +367,8 @@ def decode_layer(layer: EncodedLayer) -> np.ndarray:
     sst indices are put on the (B, C) grid of the layer's grouped view
     (`codes.from_payload_order`) and unranked straight into that view
     (`codes.unrank_grouped`): one gather from the code's cached T-entry
-    table, or the half-table search for a code above
-    `codes.ENTRY_TABLE_LIMIT` entries.  Decoding makes no transposed copy.
+    table, or, for a code above `codes.ENTRY_TABLE_LIMIT` entries, the
+    inverse walk over its rank table.  Decoding makes no transposed copy.
     """
     return _decoded(layer, np.float64)
 

@@ -82,8 +82,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValidationError("learning rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValidationError(f"learning rate must be positive and finite, "
+                                  f"got {self.learning_rate}")
         if self.epochs < 0:
             raise ValidationError(f"epochs must be non-negative, got {self.epochs}")
         if self.batch_size < 1:

@@ -74,13 +74,17 @@ def quantization_error(weights, delta, levels=3):
 
 def argsort_sweep(mags, half_levels):
     """Reference: the breakpoint sweep of any level count over positive
-    magnitudes, ordered by a stable argsort and done in one piece."""
+    magnitudes, done in one piece.  One stable argsort orders the
+    breakpoints 2a / (2l + 1), laid out level by level over the magnitudes
+    sorted descending: ties cross level by level, whatever the order of
+    ``mags``."""
+    mags = np.sort(mags)[::-1]
     odd = 2 * np.arange(half_levels, dtype=np.float64) + 1
-    breakpoints = (2 * mags[:, np.newaxis] / odd).ravel()
+    breakpoints = (2 * mags / odd[:, np.newaxis]).ravel()
     order = np.argsort(-breakpoints, kind="stable")
     upper = breakpoints[order]
-    num = np.cumsum(np.repeat(mags, half_levels)[order])
-    den = np.cumsum(np.tile(odd, mags.size)[order])
+    num = np.cumsum(np.tile(mags, half_levels)[order])
+    den = np.cumsum(np.repeat(odd, mags.size)[order])
     lower = np.concatenate((upper[1:], [0.0]))
     vertex = num / den
     inside = (vertex > lower) & (vertex <= upper)

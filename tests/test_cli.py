@@ -11,10 +11,11 @@ from sstc.cli import _build_specs, main
 from sstc.codes import CodeParams
 from sstc.datasets import gaussian_blobs, train_val_split
 from sstc.kernel import CompressedFCLayer, compressed_forward
+from sstc.quantize import quantize_weight
 from sstc.store import (LayerFormat, ModelFile, decode_layer, encode_layer, read_model,
                         serialize_model, write_model)
 
-from conftest import random_layer, random_sst_trits, reference_decode
+from conftest import argsort_sweep, random_layer, random_sst_trits, reference_decode
 
 
 def _records(capsys):
@@ -127,6 +128,24 @@ def test_decompress_writes_the_bytes_of_encode_of_the_reference_decode(tmp_path)
                          bias=layer.bias, normalizer=layer.normalizer)
             for layer in read_model(path).layers]
     assert out.read_bytes() == serialize_model(ModelFile(layers=want, metadata=metadata))
+
+
+def test_compress_fixed8_writes_the_bytes_of_the_argsort_sweep_step(tmp_path):
+    # 65,536 non-zeros at 127 positive levels: 8,323,072 breakpoints, merged
+    # in thousands of windows
+    npz = _write_float_npz(tmp_path / "float.npz", np.random.default_rng(18), dims=(256, 256))
+    policy = tmp_path / "policy.txt"
+    policy.write_text("default format=fixed8\n")
+    out = tmp_path / "model.sstw"
+    assert main(["compress", "--input", str(npz), "--output", str(out),
+                 "--policy", str(policy)]) == 0
+    arrays = np.load(npz)
+    W = arrays["W0"].astype(np.float64)
+    delta = float(np.float32(argsort_sweep(np.abs(W[W != 0]), 127)))
+    want = encode_layer(quantize_weight(W, delta, 255), delta, LayerFormat("fixed8"),
+                        bias=arrays["b0"])
+    got = read_model(out).layers[0]
+    assert serialize_model(ModelFile(layers=[got])) == serialize_model(ModelFile(layers=[want]))
 
 
 def test_verify_detects_out_of_range_index(tmp_path, capsys):
@@ -258,6 +277,22 @@ def test_train_rejects_a_batch_size_below_one(tmp_path, capsys, batch_size):
                  "--float-epochs", "0", "--out", str(tmp_path / "m.sstw")]) == 1
     assert (capsys.readouterr().err
             == f"error: batch size must be at least 1, got {batch_size}\n")
+    assert not (tmp_path / "m.sstw").exists()
+
+
+@pytest.mark.parametrize("option,value,message", [
+    ("--seeds", "0", "--seeds must be at least 1, got 0"),
+    ("--seeds", "-2", "--seeds must be at least 1, got -2"),
+    ("--lr", "nan", "learning rate must be positive and finite, got nan"),
+    ("--lr", "inf", "learning rate must be positive and finite, got inf"),
+    ("--lr", "0", "learning rate must be positive and finite, got 0.0")])
+def test_train_rejects_bad_seed_counts_and_learning_rates(tmp_path, capsys, option, value,
+                                                          message):
+    # before any work: the dataset directory is never read
+    assert main(["train", "--data", f"idx:{tmp_path / 'missing'}", "--arch", "32,16,3",
+                 "--code", "8,1", "--epochs", "1", "--float-epochs", "0",
+                 "--out", str(tmp_path / "m.sstw"), option, value]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "m.sstw").exists()
 
 

@@ -1,5 +1,6 @@
 """Quantizer: Q function and step-size optimization."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -28,10 +29,11 @@ def test_quantize_weight_tie_rounds_up():
 
 
 def test_quantize_weight_rejects_bad_step():
-    with pytest.raises(ValidationError):
-        quantize_weight(1.0, 0.0, 3)
-    with pytest.raises(ValidationError):
-        quantize_weight(1.0, -1.0, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for delta in (0.0, -1.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValidationError, match="step size must be positive and finite"):
+                quantize_weight(np.array([1.0, -0.5]), delta, 3)
 
 
 def test_quantize_weight_is_odd():
@@ -122,43 +124,12 @@ def test_find_step_size_ignores_masked_zeros():
     assert find_step_size(padded) == find_step_size(w)
 
 
-def _fits_past_the_sweep_limit(monkeypatch, levels):
-    """(weights, exact sweep delta, delta past a zero sweep limit, whether
-    the multi-start fallback ran) for 40 seeded normal inputs."""
-    fits = []
-    for seed in range(40):
-        rng = np.random.default_rng(seed)
-        w = rng.normal(size=int(rng.integers(10, 2000)))
-        fits.append((w, find_step_size(w, levels)))
-    descend = quantize._lloyd_descend
-    calls = []
-    monkeypatch.setattr(quantize, "_SWEEP_LIMIT", 0)
-    monkeypatch.setattr(quantize, "_lloyd_descend", lambda *a: calls.append(a) or descend(*a))
-    out = []
-    for w, exact in fits:
-        calls.clear()
-        out.append((w, exact, find_step_size(w, levels), bool(calls)))
-    return out
-
-
-def test_ternary_fit_sweeps_exactly_at_any_size(monkeypatch):
-    for w, exact, fitted, fell_back in _fits_past_the_sweep_limit(monkeypatch, 3):
-        assert fitted == exact and not fell_back
-
-
-def test_multi_start_fallback_matches_exact_sweep(monkeypatch):
-    # five levels past the sweep limit take the fallback
-    for w, exact, fitted, fell_back in _fits_past_the_sweep_limit(monkeypatch, 5):
-        assert fell_back
-        best = quantization_error(w, exact, 5)
-        fallback = quantization_error(w, fitted, 5)
-        assert best * (1 - 1e-12) <= fallback <= best * (1 + 1e-4)
-
-
-def test_find_step_size_rejects_bad_levels():
-    for levels in (4, 1, 256):
-        with pytest.raises(ValidationError, match="odd and >= 3"):
+def test_find_step_size_and_quantize_weight_reject_bad_levels():
+    for levels in (4, 1, 2, 256):
+        with pytest.raises(ValidationError, match=f"odd and >= 3, got {levels}"):
             find_step_size([0.5, -1.0], levels)
+        with pytest.raises(ValidationError, match=f"odd and >= 3, got {levels}"):
+            quantize_weight(np.array([0.5, -1.0]), 0.5, levels)
 
 
 def test_ternary_sweep_matches_the_argsort_sweep():
@@ -175,13 +146,18 @@ def test_ternary_sweep_matches_the_argsort_sweep():
         assert find_step_size(mags) == want
         assert find_step_size(rng.permutation(mags)) == want
         assert find_step_size(-mags, 3) == want
-    for levels in (5, 255):  # more levels keep the argsort sweep
-        mags = np.abs(rng.normal(size=500))
-        assert find_step_size(mags, levels) == argsort_sweep(mags, (levels - 1) // 2)
+    for levels in (5, 255):  # more levels merge the levels' runs
+        # multiples of 0.01 tie across levels with sums that round
+        for mags in (np.abs(rng.normal(size=500)), rng.integers(1, 9, size=500) * 0.25,
+                     rng.integers(1, 128, size=3000) * 0.01):
+            want = argsort_sweep(mags, (levels - 1) // 2)
+            assert find_step_size(mags, levels) == want
+            assert find_step_size(-rng.permutation(mags), levels) == want
 
 
+@pytest.mark.parametrize("levels", [3, 255])
 @pytest.mark.parametrize("extra", [-1, 0, 1, None])
-def test_chunked_ternary_sweep_matches_the_argsort_sweep_at_chunk_edges(extra):
+def test_chunked_sweep_matches_the_argsort_sweep_at_chunk_edges(extra, levels):
     c = quantize._BLOCK
     size = 3 * c + 5 if extra is None else c + extra
     rng = np.random.default_rng(size)
@@ -189,11 +165,31 @@ def test_chunked_ternary_sweep_matches_the_argsort_sweep_at_chunk_edges(extra):
     w[rng.random(size) < 0.2] = 0.0
     w[rng.random(size) < 0.1] = -0.0
     w[: size // 3] = np.round(w[: size // 3], 1)  # many duplicates
-    want = argsort_sweep(np.abs(w[w != 0]), 1)
+    half_levels = (levels - 1) // 2
+    want = argsort_sweep(np.abs(w[w != 0]), half_levels)
     assert want is not None
-    assert find_step_size(w) == want
-    assert find_step_size(w.astype(np.float32)) == argsort_sweep(
-        np.abs(w[w != 0].astype(np.float32).astype(np.float64)), 1)
+    assert find_step_size(w, levels) == want
+    assert find_step_size(w.astype(np.float32), levels) == argsort_sweep(
+        np.abs(w[w != 0].astype(np.float32).astype(np.float64)), half_levels)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fixed8_sweep_matches_the_argsort_sweep_past_the_old_sweep_limit(seed):
+    # 40,000 non-zeros at 127 positive levels: 5,080,000 breakpoints, merged
+    # in thousands of windows
+    w = np.random.default_rng(seed).normal(size=40_000)
+    assert find_step_size(w, 255) == argsort_sweep(np.abs(w), 127)
+
+
+def test_fixed8_fit_peak_memory_stays_below_twice_the_weights():
+    w = np.random.default_rng(17).normal(size=60_000)
+    tracemalloc.start()
+    try:
+        find_step_size(w, 255)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * w.nbytes
 
 
 @pytest.mark.parametrize("levels", [3, 255])
@@ -208,14 +204,15 @@ def test_find_step_size_rejects_non_finite_weights(value, levels):
         find_step_size(W, levels)
 
 
-@pytest.mark.parametrize("sweep_limit", [quantize._SWEEP_LIMIT, 0])
 @pytest.mark.parametrize("levels", [3, 255])
-def test_find_step_size_rejects_finite_weights_whose_fit_overflows(levels, sweep_limit,
-                                                                   monkeypatch):
-    # a limit of 0 sends fixed8 to the multi-start fallback
-    monkeypatch.setattr(quantize, "_SWEEP_LIMIT", sweep_limit)
+def test_find_step_size_fits_finite_weights_of_any_scale(levels):
+    w = np.random.default_rng(6).normal(size=300)
+    base = find_step_size(w, levels)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValidationError, match="^step size overflows float64"):
-            find_step_size([8e307, 8e307, 8e307, 1.0], levels)
-    assert find_step_size([8e150, 8e150, 8e150, 1.0], levels) > 0
+        # powers of two scale the fit exactly, up to weights near 1e157
+        for scale in (2.0 ** 520, 2.0 ** -520, 2.0 ** 1020):
+            assert find_step_size(scale * w, levels) == scale * base
+        for top in (8e307, np.finfo(np.float64).max):
+            delta = find_step_size([top, top, -top, 1.0], levels)
+            assert 0 < delta <= top

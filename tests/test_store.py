@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sstc import bitpack, quantize
+from sstc import bitpack
 from sstc.codes import CodeParams, address_bits, count_entries
 from sstc.errors import ValidationError
 from sstc.prune import structured_prune
@@ -465,22 +465,15 @@ def _same_bytes(got, want):
     assert serialize_model(ModelFile(layers=[got])) == serialize_model(ModelFile(layers=[want]))
 
 
-# The "fallback" cases set a zero sweep limit: fixed8 fits past it take the
-# multi-start fallback, while ternary and sst fits still sweep exactly.
-@pytest.mark.parametrize("sweep", ["exact", "fallback"])
 @pytest.mark.parametrize("orientation", ["column", "row"])
 @pytest.mark.parametrize("n,k", ALL_CODES + [(16, 16)])
-def test_compress_layer_writes_the_reference_pipeline_bytes(n, k, orientation, sweep,
-                                                            monkeypatch):
+def test_compress_layer_writes_the_reference_pipeline_bytes(n, k, orientation):
     rng = np.random.default_rng(10 * n + k)
     fmt = LayerFormat("sst", CodeParams(n, k), orientation)
     for W in _compress_inputs(rng, n, orientation):
         bias = rng.normal(size=W.shape[0])
-        want = reference_compress(W, fmt, bias, WeightNormTag())  # under the default limit
-        with monkeypatch.context() as m:
-            if sweep == "fallback":
-                m.setattr(quantize, "_SWEEP_LIMIT", 0)  # sst fits write the same bytes
-            _same_bytes(compress_layer(W, fmt, bias, WeightNormTag(), "fc"), want)
+        want = reference_compress(W, fmt, bias, WeightNormTag())
+        _same_bytes(compress_layer(W, fmt, bias, WeightNormTag(), "fc"), want)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -513,12 +506,8 @@ def test_compress_layer_peak_memory_stays_below_twice_the_weights():
     assert peak < 2 * W.nbytes
 
 
-@pytest.mark.parametrize("sweep", ["exact", "fallback"])
 @pytest.mark.parametrize("kind", ["float32", "fixed8", "ternary2bit"])
-def test_compress_layer_writes_the_reference_bytes_of_unpruned_formats(kind, sweep,
-                                                                      monkeypatch):
-    if sweep == "fallback":
-        monkeypatch.setattr(quantize, "_SWEEP_LIMIT", 0)
+def test_compress_layer_writes_the_reference_bytes_of_unpruned_formats(kind):
     rng = np.random.default_rng(5)
     fmt = LayerFormat(kind)
     for W in _compress_inputs(rng, 4, "column"):
@@ -530,12 +519,8 @@ _ALL_FORMATS = ([LayerFormat("sst", CodeParams(n, k), orientation)
                 + [LayerFormat(kind) for kind in ("float32", "fixed8", "ternary2bit")])
 
 
-@pytest.mark.parametrize("sweep", ["exact", "fallback"])
 @pytest.mark.parametrize("fmt", _ALL_FORMATS, ids=str)
-def test_compress_layer_of_float32_weights_writes_the_bytes_of_their_widening(fmt, sweep,
-                                                                             monkeypatch):
-    if sweep == "fallback":
-        monkeypatch.setattr(quantize, "_SWEEP_LIMIT", 0)
+def test_compress_layer_of_float32_weights_writes_the_bytes_of_their_widening(fmt):
     rng = np.random.default_rng(len(str(fmt)))
     n = fmt.params.n if fmt.params else 4
     for W in _compress_inputs(rng, n, fmt.orientation):
