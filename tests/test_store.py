@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sstc import bitpack
+from sstc import bitpack, prune, quantize
 from sstc.codes import CodeParams, address_bits, count_entries
 from sstc.errors import ValidationError
 from sstc.prune import structured_prune
@@ -465,9 +465,19 @@ def _same_bytes(got, want):
     assert serialize_model(ModelFile(layers=[got])) == serialize_model(ModelFile(layers=[want]))
 
 
+# The "small" cases shrink the block that the sweep and the prune walk in,
+# so a few hundred weights cross many chunks, merge windows and prune blocks.
+@pytest.fixture(params=["default", "small"])
+def block(request, monkeypatch):
+    if request.param == "small":
+        for module in (quantize, prune):
+            monkeypatch.setattr(module, "_BLOCK", 5)
+    return request.param
+
+
 @pytest.mark.parametrize("orientation", ["column", "row"])
 @pytest.mark.parametrize("n,k", ALL_CODES + [(16, 16)])
-def test_compress_layer_writes_the_reference_pipeline_bytes(n, k, orientation):
+def test_compress_layer_writes_the_reference_pipeline_bytes(n, k, orientation, block):
     rng = np.random.default_rng(10 * n + k)
     fmt = LayerFormat("sst", CodeParams(n, k), orientation)
     for W in _compress_inputs(rng, n, orientation):
@@ -507,7 +517,7 @@ def test_compress_layer_peak_memory_stays_below_twice_the_weights():
 
 
 @pytest.mark.parametrize("kind", ["float32", "fixed8", "ternary2bit"])
-def test_compress_layer_writes_the_reference_bytes_of_unpruned_formats(kind):
+def test_compress_layer_writes_the_reference_bytes_of_unpruned_formats(kind, block):
     rng = np.random.default_rng(5)
     fmt = LayerFormat(kind)
     for W in _compress_inputs(rng, 4, "column"):
@@ -520,7 +530,7 @@ _ALL_FORMATS = ([LayerFormat("sst", CodeParams(n, k), orientation)
 
 
 @pytest.mark.parametrize("fmt", _ALL_FORMATS, ids=str)
-def test_compress_layer_of_float32_weights_writes_the_bytes_of_their_widening(fmt):
+def test_compress_layer_of_float32_weights_writes_the_bytes_of_their_widening(fmt, block):
     rng = np.random.default_rng(len(str(fmt)))
     n = fmt.params.n if fmt.params else 4
     for W in _compress_inputs(rng, n, fmt.orientation):
