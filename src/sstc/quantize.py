@@ -61,7 +61,7 @@ def quantize_weight(w, delta: float, levels: int = 3):
 
 # values a blocked kernel works at once, so its reused buffers stay in cache:
 # the three-level sweep's chunk, `prune`'s block of weights, and the most
-# breakpoints a window merges (at most 1/16 of the magnitudes past 2^15)
+# breakpoints a window merges
 _BLOCK = 1 << 15
 
 
@@ -109,16 +109,13 @@ class _Sweep:
 
     def merge(self, desc, heads, counts, halves, after):
         """Cross the next ``counts`` breakpoints of every level, from its
-        ``heads`` in ``desc``, sorted; tied breakpoints take a stable sort."""
+        ``heads`` in ``desc``, in a stable sort by breakpoint."""
         m = int(counts.sum())
         mags = desc[np.arange(m) + np.repeat(heads - np.cumsum(counts) + counts, counts)]
         halves = np.repeat(halves, counts)
         descending = mags / -halves
-        order = np.argsort(descending)
+        order = np.argsort(descending, kind="stable")
         upper = np.take(descending, order, out=self.upper[:m])
-        if np.any(upper[1:] == upper[:-1]):
-            order = np.argsort(descending, kind="stable")
-            np.take(descending, order, out=upper)
         np.negative(upper, out=upper)
         self.upper[m] = after
         np.take(mags, order, out=self.num[:m])
@@ -151,15 +148,18 @@ def _step_sweep(mags, size: int, half_levels: int) -> float:
     the one descending run.  More levels merge windows: each takes every
     breakpoint above t, the largest one ``ahead`` places past any level's head,
     so at most ``ahead`` per level; ``ahead`` halves when a window would
-    overflow and doubles while they stay half empty.  With nothing above t,
-    the lowest level whose head is t crosses its ties at t.  So breakpoints
-    cross in the order of a stable sort by breakpoint, level and magnitude."""
+    overflow and doubles while windows are under half full.  With nothing
+    above t, the lowest level whose head is t crosses its ties at t.  So the
+    order is a stable sort's by breakpoint, level and magnitude."""
     desc = mags[::-1]
     if half_levels == 1:
         return _Sweep(min(_BLOCK, size)).run(desc, size)
     asc = mags[mags.size - size:]
     halves = np.arange(half_levels) + 0.5
-    width = max(min(_BLOCK, size // 16), _BLOCK // 16, half_levels)
+    # a window takes about 80 bytes a slot, so 1/16 of the magnitudes (counted
+    # as at least _BLOCK) stays under their sorted copy's 8 bytes each: past
+    # _BLOCK magnitudes a fit's peak stays below twice its float64 weights
+    width = max(min(max(size, _BLOCK) // 16, _BLOCK), half_levels)
     sweep = _Sweep(width)
     heads = np.zeros(half_levels, dtype=np.intp)
     ahead = width // half_levels
