@@ -241,17 +241,10 @@ def cmd_infer(args):
     X, y = _parse_dataset(args.data, seed=args.seed, splits=("t10k",))
     probs = kernel.compressed_forward(model, X)
     mcr = 100.0 * int((np.argmax(probs, axis=1) != y).sum()) / len(X)
-    records = []
-    if args.trace:
-        for name, layer in zip(model.layer_names(), model.layers):
-            if layer.format.kind != "sst" or layer.format.orientation != "column":
-                continue
-            t = kernel.pe_trace(kernel.CompressedFCLayer(layer))
-            records.append({"layer": name, "table_lookups": t.table_lookups,
-                            "addsub_ops": t.addsub_ops, "skipped_zeros": t.skipped_zeros,
-                            "delta_multiplies": t.delta_multiplies,
-                            "max_ops_per_subvector": t.max_ops_per_subvector,
-                            "op_budget": t.op_budget})
+    records = [{"layer": name,
+                **dataclasses.asdict(kernel.pe_trace(kernel.CompressedFCLayer(layer)))}
+               for name, layer in zip(model.layer_names(), model.layers)
+               if args.trace and layer.format.kind == "sst"]
     records.append({"samples": len(X), "mcr_percent": mcr})
     trace_text = "".join(
         f"{r['layer']}: {r['table_lookups']} lookups, {r['addsub_ops']} add/subs, "
@@ -354,14 +347,11 @@ def _verify_model(model: ModelFile, trials: int, seed: int):
         record(f"codec-roundtrip[{name}]", re_encoded.payload == layer.payload)
         bias = layer.bias if layer.bias is not None else 0.0
         inputs = (rng.integers(-50, 50, size=layer.cols) for _ in range(max(trials, 1)))
-        # the served product and, for column layers, the add/subtract audit
-        # path, each exactly
+        # the served product and the add/subtract audit path, each exactly
+        comp = kernel.CompressedFCLayer(layer)
         paths = {"served matmul":
-                 lambda x: kernel.served_product(layer, x[np.newaxis].astype(np.float64))[0]}
-        if layer.format.orientation == "column":
-            comp = kernel.CompressedFCLayer(layer)
-            paths["add/subtract accumulate"] = (
-                lambda x: comp.delta * comp.accumulate(x) + comp.bias)
+                 lambda x: kernel.served_product(layer, x[np.newaxis].astype(np.float64))[0],
+                 "add/subtract accumulate": lambda x: comp.delta * comp.accumulate(x) + comp.bias}
         bad = [path for x in inputs for path, run in paths.items()
                if not np.array_equal(kernel.dense_matvec(W, x) + bias, run(x))]
         record(f"kernel-vs-dense[{name}]", not bad,

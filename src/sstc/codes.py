@@ -37,10 +37,11 @@ these fixed groups:
 For example, the 4x2 matrix [[a, e], [b, f], [c, g], [d, h]] at n = 2 gives
 (a, b), (c, d), (e, f), (g, h) in column orientation and (a, e), (b, f),
 (c, g), (d, h) in row orientation.  This module is the only place the
-layout is written down.  `grouped_view` is the (B, n, C) view of a matrix
-whose axis 1 runs along each sub-vector, and `to_payload_order` /
-`from_payload_order` move a (B, C) grid of per-sub-vector values to and
-from payload order (column-outer, ``grid.T.ravel()``); `rank_grouped` and
+layout is written down, and `grouped_shape` is its one check.
+`grouped_view` is the (B, n, C) view of a matrix whose axis 1 runs along
+each sub-vector, and `to_payload_order` / `from_payload_order` move a
+(B, C) grid of per-sub-vector values to and from payload order
+(column-outer, ``grid.T.ravel()``); `rank_grouped` and
 `unrank_grouped` code sub-vectors in that view, so no payload-order copy
 of the matrix is needed.  `subvectors` and `from_subvectors` cut a matrix
 into, and rebuild it from, its (count, n) payload-order groups.
@@ -112,7 +113,12 @@ def table_storage_kb(params: CodeParams) -> float:
     return table_storage_bits(params) / 8 / 1000
 
 
-def _grouped_shape(rows: int, cols: int, n: int, orientation: str) -> tuple:
+def grouped_shape(rows: int, cols: int, n: int, orientation: str) -> tuple:
+    """The (B, n, C) shape of a (rows, cols) matrix's grouped view.
+
+    The one check of a layout: raises on an unknown orientation or when the
+    grouped dimension is not divisible by n.
+    """
     if orientation == "column":
         if rows % n:
             raise ValidationError(f"row count {rows} not divisible by n={n} for column orientation")
@@ -138,7 +144,7 @@ def grouped_view(matrix, params: CodeParams, orientation: str) -> np.ndarray:
     m = np.asarray(matrix)
     if m.ndim != 2:
         raise ValidationError(f"expected a matrix, got ndim={m.ndim}")
-    return m.reshape(_grouped_shape(*m.shape, params.n, orientation))
+    return m.reshape(grouped_shape(*m.shape, params.n, orientation))
 
 
 def to_payload_order(grid) -> np.ndarray:
@@ -156,7 +162,7 @@ def from_payload_order(values, rows: int, cols: int, params: CodeParams,
                        orientation: str) -> np.ndarray:
     """Inverse of `to_payload_order`: the (B, C) grid of a (rows, cols)
     matrix's payload-order per-sub-vector ``values``, as a view."""
-    b, _, c = _grouped_shape(rows, cols, params.n, orientation)
+    b, _, c = grouped_shape(rows, cols, params.n, orientation)
     return np.asarray(values).reshape(c, b).T
 
 
@@ -177,7 +183,7 @@ def from_subvectors(groups, rows: int, cols: int, params: CodeParams,
     A column-oriented result of C-contiguous ``groups`` is a view whose
     transpose is C-contiguous.
     """
-    b, n, c = _grouped_shape(rows, cols, params.n, orientation)
+    b, n, c = grouped_shape(rows, cols, params.n, orientation)
     return np.asarray(groups).reshape(c, b, n).transpose(1, 2, 0).reshape(rows, cols)
 
 

@@ -1,26 +1,27 @@
 """Inference over structured sparse ternary layers.
 
-A compressed fully-connected layer is served from its index stream, which
-is decoded once per distinct layer content and reused across calls: its
-indices are unpacked and unranked (one lookup in the code's cached entry
-table, for codes of up to `codes.ENTRY_TABLE_LIMIT` entries), and the
-trits form a dense float64 transposed matrix.  Other formats decode to
-their float64 weights the same way.  The decoded operands are read-only,
-start on a cache line and live in a content-keyed cache of at most
-`_OPERAND_CACHE_SIZE` layers (8 B per weight each), so a request on a
-layer served before does no decoding.  Every request runs through BLAS,
-one vector-matrix product per input row, so a row gives the same bits
-alone or inside any batch.  The per-layer step size scales each sst output
+A compressed fully-connected layer, column or row oriented, is served from
+its index stream, which is decoded once per distinct layer content and
+reused across calls: its indices are unpacked and unranked (one lookup in
+the code's cached entry table, for codes of up to `codes.ENTRY_TABLE_LIMIT`
+entries), and the trits form a dense float64 transposed matrix.  Other
+formats decode to their float64 weights the same way.  The decoded
+operands are read-only, start on a cache line and live in a content-keyed
+cache of at most `_OPERAND_CACHE_SIZE` layers (8 B per weight each), so a
+request on a layer served before does no decoding.  Every request runs
+through BLAS, one vector-matrix product per input row, so a row gives the
+same bits alone or inside any batch.  The per-layer step size scales each sst output
 once, after which the bias and any folded normalizer affine are applied.
 
 The paper's multiplication-free datapath is kept as the audit path:
 `CompressedFCLayer.accumulate` adds or subtracts the input value of every
 non-zero (position, sign) pair of the decoded trits into an output
 accumulator, exactly in int64 for integer inputs, and `pe_trace` counts its
-operations.  Processing-element view: group p owns output rows
-[p*n, (p+1)*n) and spends at most k add/subtract operations per decoded
-sub-vector.  Groups have disjoint output ranges, so they are trivially
-parallel; columns are walked sequentially within a group.
+operations.  Processing-element view: each decoded sub-vector costs one
+table lookup and at most k add/subtract operations, and each output one
+delta multiply.  PEs own disjoint outputs, so they run in parallel: in a
+column layer PE p owns output rows [p*n, (p+1)*n) and walks the columns;
+in a row layer PE i owns output row i and walks its cols / n sub-vectors.
 """
 
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .codes import CodeTable, subvectors, unrank_subvectors
+from .codes import CodeTable, from_subvectors, subvectors, unrank_subvectors
 # build_table: unused, but perfbench/tracing.py wraps it here
 from .codes import build_table
 from .errors import ValidationError
@@ -55,7 +56,7 @@ class PETrace:
 
 
 class CompressedFCLayer:
-    """A column-oriented sst layer ready for inference.
+    """An sst layer, of either orientation, ready for inference.
 
     ``weights_t`` is the layer's trits as a read-only float64 (cols, rows)
     matrix that serves `matmul`.  It comes from the operand cache, so
@@ -69,8 +70,6 @@ class CompressedFCLayer:
     def __init__(self, layer: EncodedLayer, table: CodeTable = None):
         if layer.format.kind != "sst":
             raise ValidationError("compressed kernels require an sst layer")
-        if layer.format.orientation != "column":
-            raise ValidationError("the compressed kernel runs column-oriented layers")
         if table is not None and table.params != layer.format.params:
             raise ValidationError(
                 f"table is for code {table.params}, layer uses {layer.format.params}"
@@ -78,7 +77,7 @@ class CompressedFCLayer:
         self.params = layer.format.params
         self.rows = layer.rows
         self.cols = layer.cols
-        self.delta = np.float64(np.float32(layer.delta))
+        self.delta = np.float64(layer.delta)
         self.bias = (layer.bias.astype(np.float64)
                      if layer.bias is not None else np.zeros(layer.rows))
         self.weights_t = _served_operand(layer)
@@ -95,13 +94,14 @@ class CompressedFCLayer:
     @cached_property
     def nz_per_subvector(self) -> np.ndarray:
         """Non-zero count of each decoded sub-vector, in payload order."""
-        return np.count_nonzero(subvectors(self.weights_t.T, self.params, "column"), axis=1)
+        return np.count_nonzero(subvectors(self.weights_t.T, self.params,
+                                           self._format.orientation), axis=1)
 
     @cached_property
     def _lanes(self):
         """Flat (output row, input column) scatter lists of the add and
         subtract lanes: (plus_rows, plus_cols, minus_rows, minus_cols),
-        ordered by (column, row) like the payload."""
+        ordered by (column, row), the order of ``weights_t``."""
         cols, rows = np.nonzero(self.weights_t)
         plus = self.weights_t[cols, rows] > 0
         return rows[plus], cols[plus], rows[~plus], cols[~plus]
@@ -150,34 +150,29 @@ class CompressedFCLayer:
         return out if X.ndim == 2 else out[0]
 
 
-def _is_column_sst(fmt) -> bool:
-    return fmt.kind == "sst" and fmt.orientation == "column"
-
-
 def _served_operand(layer: EncodedLayer) -> np.ndarray:
     """The read-only float64 (cols, rows) matrix that serves ``layer``.
 
     Looked up by the layer's content, so a layer whose payload, delta or
     format is replaced is decoded anew, never served stale.
     """
-    return _decoded_operand(layer.format, layer.rows, layer.cols,
-                            np.float32(layer.delta or 0.0), bytes(layer.payload))
+    return _decoded_operand(layer.format, layer.rows, layer.cols, layer.delta, layer.payload)
 
 
 @lru_cache(maxsize=_OPERAND_CACHE_SIZE)
 def _decoded_operand(fmt, rows, cols, delta, payload) -> np.ndarray:
     """Decode one layer content; failures raise and are not cached.
 
-    A column sst layer gives its trits, which `CompressedFCLayer` scales
-    by delta per call; every other layer gives its decoded weights,
-    transposed as a view.  Delta is the float32 value a file stores.
+    An sst layer gives its transposed trits, which `CompressedFCLayer`
+    scales by delta per call; every other layer gives its decoded weights,
+    transposed as a view.  A column layer's transposed trits are its
+    C-ordered payload sub-vectors, copied once into the operand.
     """
-    layer = EncodedLayer(fmt, rows, cols, float(delta), payload)
-    if _is_column_sst(fmt):
-        # the column payload lists each column's trits in turn, so its
-        # sub-vectors are a C-ordered (cols, rows) matrix
-        trits = unrank_subvectors(layer_indices(layer), fmt.params).reshape(cols, rows)
-        operand = _cache_line_aligned(trits)
+    layer = EncodedLayer(fmt, rows, cols, delta, payload)
+    if fmt.kind == "sst":
+        trits = from_subvectors(unrank_subvectors(layer_indices(layer), fmt.params),
+                                rows, cols, fmt.params, fmt.orientation)
+        operand = _cache_line_aligned(trits.T)
     else:
         operand = _cache_line_aligned(decode_layer(layer)).T
     operand.setflags(write=False)
@@ -254,11 +249,12 @@ def served_product(layer: EncodedLayer, X: np.ndarray) -> np.ndarray:
     """The product plus bias that serving computes for ``layer`` on a
     float64 (batch, cols) batch, before any normalizer.
 
-    Column sst layers run through `CompressedFCLayer`, which scales by
-    delta; every other layer multiplies by its decoded weights.  Both use
-    the cached operand (`_served_operand`) row by row (`_row_products`).
+    An sst layer, of either orientation, runs through `CompressedFCLayer`:
+    delta * (X @ trits.T) + bias.  Every other layer multiplies by its
+    decoded weights: X @ weights.T + bias.  Both use the cached operand
+    (`_served_operand`) row by row (`_row_products`).
     """
-    if _is_column_sst(layer.format):
+    if layer.format.kind == "sst":
         return CompressedFCLayer(layer).matmul(X)
     bias = layer.bias.astype(np.float64) if layer.bias is not None else 0.0
     return _row_products(X, _served_operand(layer)) + bias

@@ -46,8 +46,8 @@ import numpy as np
 
 from . import bitpack
 from .codes import (ORIENTATIONS, CodeParams, address_bits, count_entries, from_payload_order,
-                    rank_grouped, rank_subvectors, subvectors, table_storage_bits,
-                    to_payload_order, unrank_grouped)
+                    grouped_shape, rank_grouped, rank_subvectors, subvectors,
+                    table_storage_bits, to_payload_order, unrank_grouped)
 # unrank_subvectors: unused, but perfbench/tracing.py wraps it here
 from .codes import unrank_subvectors
 from .errors import ValidationError
@@ -158,18 +158,17 @@ class EncodedLayer:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ValidationError("layer dimensions must be positive")
-        if self.format.kind != "float32" and not (
-                self.delta is not None and np.isfinite(self.delta) and self.delta > 0):
+        # the step a file stores, so a layer decodes as its serialized copy does
+        given = self.delta
+        with np.errstate(over="ignore"):  # a finite step that overflows is rejected below
+            delta = float(np.float32(given or 0.0))
+        object.__setattr__(self, "delta", delta)
+        if self.format.kind != "float32" and not (np.isfinite(delta) and delta > 0):
+            rounded = "" if np.isnan(delta) or delta == (given or 0.0) else f" ({delta} as float32)"
             raise ValidationError(f"format {self.format.kind} needs a finite positive "
-                                  f"step size, got {self.delta}")
+                                  f"step size, got {given}{rounded}")
         if self.format.kind == "sst":
-            n = self.format.params.n
-            grouped = self.rows if self.format.orientation == "column" else self.cols
-            if grouped % n:
-                raise ValidationError(
-                    f"{self.format.orientation} orientation needs the grouped dimension "
-                    f"divisible by n={n}, got {self.rows}x{self.cols}"
-                )
+            grouped_shape(self.rows, self.cols, self.format.params.n, self.format.orientation)
         if self.bias is not None:
             object.__setattr__(self, "bias", np.ascontiguousarray(self.bias, dtype=np.float32))
             if self.bias.shape != (self.rows,):
@@ -220,7 +219,7 @@ class EncodedLayer:
             self.format == other.format
             and self.rows == other.rows
             and self.cols == other.cols
-            and np.float32(self.delta or 0.0) == np.float32(other.delta or 0.0)
+            and self.delta == other.delta
             and self.payload == other.payload
             and bias_eq
             and self.normalizer == other.normalizer
@@ -449,7 +448,7 @@ def _serialized_parts(model: ModelFile):
             _FORMAT_TAGS[fmt.kind],
             ORIENTATIONS.index(fmt.orientation),
             layer.rows, layer.cols, n, k,
-            np.float32(layer.delta or 0.0),
+            layer.delta,
         )
         bias = layer.bias if layer.bias is not None else np.zeros(0, dtype=np.float32)
         yield struct.pack("<I", bias.size)

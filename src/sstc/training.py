@@ -300,7 +300,11 @@ def forward(net: Network, X, mode: str = "quantized", phase: str = "train") -> F
     uses the masked (and possibly weight-normalized) float weights.
     Hidden layers apply relu; the final layer's logits go through softmax.
     In eval phase, quantized mode rounds biases and batch-norm parameters to
-    float32 first so results match a serialized model bit for bit.
+    float32 first, so it evaluates the parameters a serialized model stores.
+    Its probabilities agree with `kernel.compressed_forward` of that model
+    to rounding (the two sum in different orders), not bit for bit, and
+    `test_serialized_model_evaluation_matches_in_memory` pins equal
+    misclassification rates.
     """
     if mode not in ("float", "quantized"):
         raise ValidationError(f"unknown mode {mode!r}")

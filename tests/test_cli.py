@@ -161,13 +161,16 @@ def test_verify_detects_out_of_range_index(tmp_path, capsys):
     assert failing and "position 0" in failing[0]["detail"]
 
 
+@pytest.mark.parametrize("orientation", ["column", "row"])
 @pytest.mark.parametrize("path_name, method", [("served matmul", "matmul"),
                                                 ("add/subtract accumulate", "accumulate")])
-def test_verify_checks_served_and_audit_paths(tmp_path, capsys, monkeypatch, path_name, method):
+def test_verify_checks_served_and_audit_paths(tmp_path, capsys, monkeypatch, path_name, method,
+                                              orientation):
     params = CodeParams(8, 1)
     rng = np.random.default_rng(6)
-    layer = encode_layer(random_sst_trits(rng, 16, 8, params) * 0.5, 0.5,
-                         LayerFormat("sst", params), bias=np.ones(16, dtype=np.float32))
+    layer = encode_layer(random_sst_trits(rng, 16, 8, params, orientation) * 0.5, 0.5,
+                         LayerFormat("sst", params, orientation),
+                         bias=np.ones(16, dtype=np.float32))
     path = tmp_path / "m.sstw"
     write_model(ModelFile(layers=[layer]), path)
     assert main(["verify", "--model", str(path)]) == 0
@@ -257,6 +260,25 @@ def test_infer_trace_reports_operation_counts(tmp_path, capsys):
     traces = [r for r in recs if "table_lookups" in r]
     assert traces and all(t["max_ops_per_subvector"] <= t["op_budget"] for t in traces)
     assert traces[0]["table_lookups"] == (32 // 8) * 16
+
+
+def test_infer_traces_every_sst_layer_of_a_row_model(tmp_path, capsys):
+    rng = np.random.default_rng(10)
+    params, row = CodeParams(8, 2), LayerFormat("sst", CodeParams(8, 2), "row")
+    layers = [encode_layer(random_sst_trits(rng, 24, 16, params, "row") * 0.5, 0.5, row),
+              encode_layer(random_sst_trits(rng, 8, 24, params, "row") * 0.25, 0.25, row),
+              encode_layer(rng.integers(-1, 2, size=(3, 8)) * 0.5, 0.5, LayerFormat("ternary2bit"))]
+    path = tmp_path / "row.sstw"
+    write_model(ModelFile(layers=layers), path)
+    assert main(["infer", "--model", str(path), "--data", "synthetic:samples=20,dim=16",
+                 "--trace", "--format", "records"]) == 0
+    *traces, summary = _records(capsys)
+    assert [t["layer"] for t in traces] == ["layer0", "layer1"] and summary["samples"] == 20
+    for trace, layer in zip(traces, layers):
+        assert trace["table_lookups"] == layer.rows * layer.cols // params.n
+        assert trace["addsub_ops"] == np.count_nonzero(decode_layer(layer))
+        assert trace["delta_multiplies"] == layer.rows
+        assert trace["max_ops_per_subvector"] <= trace["op_budget"] == params.k
 
 
 def test_train_is_deterministic_per_seed(tmp_path):

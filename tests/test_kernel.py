@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sstc import kernel
-from sstc.codes import CodeParams, build_table, from_subvectors, unrank_subvectors
+from sstc.codes import CodeParams, build_table, from_subvectors, subvectors, unrank_subvectors
 from sstc.errors import ValidationError
 from sstc.kernel import CompressedFCLayer, compressed_forward, dense_matvec, pe_trace
 from sstc.store import (BatchNormParams, EncodedLayer, LayerFormat, ModelFile, decode_layer,
@@ -168,6 +168,34 @@ def test_audit_path_lanes_and_counts_are_the_decoded_trits():
             for x in (rng.integers(-100, 101, size=(5, cols)), rng.normal(size=(5, cols))):
                 singles = np.stack([comp.accumulate(row) for row in x])
                 assert np.array_equal(comp.accumulate(x), singles), (params, x.dtype)
+
+
+def test_row_layers_serve_audit_and_trace_through_the_one_kernel():
+    rng = np.random.default_rng(27)
+    for n, k in ALL_CODES + WIDE_CODES:
+        params = CodeParams(n, k)
+        for rows, cols in ((1, n), (5, 3 * n), (40, 8 * n)):
+            delta = float(np.float32(rng.uniform(0.1, 1.5)))
+            trits = random_sst_trits(rng, rows, cols, params, "row")
+            bias = rng.normal(size=rows).astype(np.float32)
+            layer = encode_layer(trits * delta, delta, LayerFormat("sst", params, "row"),
+                                 bias=bias)
+            # served as a column layer is: delta * (x @ trits.T) + bias, row by row
+            trits_t = np.ascontiguousarray(trits.T, dtype=np.float64)
+            X = rng.normal(size=(7, cols))
+            want = np.stack([delta * (x @ trits_t) + bias.astype(np.float64) for x in X])
+            assert kernel.served_product(layer, X).tobytes() == want.tobytes(), (params, rows)
+            comp = CompressedFCLayer(layer)
+            assert comp.weights_t.tobytes() == trits_t.tobytes()
+            assert np.array_equal(comp.nz_per_subvector,
+                                  np.count_nonzero(subvectors(trits, params, "row"), axis=1))
+            x = rng.integers(-100, 101, size=(5, cols))
+            assert np.array_equal(comp.accumulate(x), x @ trits.astype(np.int64).T)
+            trace = pe_trace(comp)
+            assert trace.table_lookups == rows * cols // n
+            assert trace.addsub_ops == np.count_nonzero(trits)
+            assert trace.delta_multiplies == rows
+            assert trace.max_ops_per_subvector <= trace.op_budget == k
 
 
 def test_audit_path_after_serving_only_matmul():
@@ -370,6 +398,7 @@ def test_replaced_layer_fields_are_never_served_stale():
     changes = [
         ("column sst payload", replacing(0, payload=other_trits.payload)),
         ("column sst delta", replacing(0, delta=0.75)),
+        ("row sst delta", replacing(3, delta=0.5)),
         ("fixed8 payload", replacing(1, payload=other_fixed8.payload)),
         ("fixed8 delta", replacing(1, delta=0.375)),
         ("ternary delta", replacing(4, delta=0.5)),

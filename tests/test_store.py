@@ -217,6 +217,20 @@ def test_stored_step_size_must_be_finite_and_positive(delta):
             EncodedLayer(fmt, 4, 1, delta, bytes((bits + 7) // 8))
 
 
+def test_a_layer_holds_the_float32_step_its_file_stores():
+    a = encode_layer([[0.3, 0], [0, -0.3]], 0.3, LayerFormat("ternary2bit"))
+    b = deserialize_model(serialize_model(ModelFile(layers=[a]))).layers[0]
+    assert a == b and a.delta == b.delta == float(np.float32(0.3))
+    assert decode_layer(a).tobytes() == decode_layer(b).tobytes()
+    assert decode_layer(a)[0, 0] == np.float64(np.float32(0.3)) != 0.3
+    # a finite step that overflows float32, or underflows to 0, is no step a file can store
+    for delta, got in ((1e300, "got 1e+300 (inf as float32)"),
+                       (-1e300, "got -1e+300"),
+                       (1e-50, "got 1e-50 (0.0 as float32)")):
+        with pytest.raises(ValidationError, match=re.escape(f"finite positive step size, {got}")):
+            EncodedLayer(LayerFormat("ternary2bit"), 2, 2, delta, bytes(1))
+
+
 def test_stored_batch_norm_var_plus_eps_must_be_positive():
     blob, rows = _bn_sst_model_bytes()
     var_at = len(blob) - 6 - 4 * rows
