@@ -214,13 +214,8 @@ def cmd_compress(args):
 
 def cmd_decompress(args):
     model = read_model(args.input)
-    names = model.layer_names()
-    layers = []
-    for index, layer in enumerate(model.layers):
-        with store._naming_layer(index, names):
-            layers.append(store.decompress_layer(layer))
-    write_model(ModelFile(layers=layers, metadata=model.metadata), args.output)
-    print(f"wrote float32 model with {len(layers)} layers to {args.output}")
+    store.write_decompressed(model, args.output)
+    print(f"wrote float32 model with {len(model.layers)} layers to {args.output}")
     return 0
 
 

@@ -336,18 +336,21 @@ def unrank_subvectors(indices, params: CodeParams) -> np.ndarray:
     return _unrank(idx, params)
 
 
-def unrank_grouped(grid, params: CodeParams, scale) -> np.ndarray:
+def unrank_grouped(grid, params: CodeParams, scale, out=None) -> np.ndarray:
     """``scale`` times the canonical entries of a (B, C) grid of indices.
 
     The grouped-view counterpart of `unrank_subvectors`: returns the
     (B, n, C) array, in the dtype of the numpy scalar ``scale``, whose
     [b, :, c] is entry ``grid[b, c]`` times ``scale``.  Reshaped to
     (rows, cols) it is the C-ordered matrix of a payload's indices laid out
-    by `from_payload_order`.  Every index must lie in [0, T); this is not
+    by `from_payload_order`.  When given, ``out`` is that (B, n, C) array,
+    filled and returned.  Every index must lie in [0, T); this is not
     checked here (`store.layer_indices` checks a payload's indices).
     """
     trits = _unrank(np.asarray(grid), params)
-    out = np.empty((trits.shape[0], params.n, trits.shape[1]), dtype=np.asarray(scale).dtype)
+    if out is None:
+        out = np.empty((trits.shape[0], params.n, trits.shape[1]),
+                       dtype=np.asarray(scale).dtype)
     np.multiply(trits.transpose(0, 2, 1), scale, out=out)
     return out
 

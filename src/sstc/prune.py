@@ -46,7 +46,7 @@ def _largest_per_subvector(W, params: CodeParams, orientation: str, mask=None):
     """
     view = grouped_view(W, params, orientation)
     groups, n, cols = view.shape
-    step = max(1, _BLOCK // (n * cols))
+    step = _groups_per_block(n, cols)
     kept = np.empty((params.k, groups, cols), dtype=np.intp)
     values = np.empty(kept.shape, dtype=view.dtype)
     buffer = np.empty((min(step, groups), n, cols), dtype=np.result_type(view.dtype, np.float32))
@@ -86,6 +86,12 @@ def _largest_per_subvector(W, params: CodeParams, orientation: str, mask=None):
         if mask is not None:
             np.less(mags, 0, out=mask[span].view(np.bool_))
     return kept, values
+
+
+def _groups_per_block(n: int, cols: int) -> int:
+    """Whole (n, cols) groups per block of about `quantize._BLOCK` weights;
+    a group larger than that is a block of its own."""
+    return max(1, _BLOCK // (n * cols))
 
 
 @dataclass(frozen=True)

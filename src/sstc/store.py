@@ -13,9 +13,12 @@ An sst payload lists the layer's sub-vectors in the payload order of its
 orientation, as `sstc.codes.subvectors` cuts them (the `sstc.codes` module
 docstring describes the layout).  Biases and normalizer parameters are
 always stored as float32 and are never pruned or quantized; a float32
-weight must be finite.  Code tables are not serialized: the canonical
-enumeration is deterministic, so the decoder builds its lookup tables from
-(n, k) alone, and the storage report accounts for the tables analytically.
+weight, and the step a float32 layer stores but never reads, must be
+finite.  Code tables are not serialized: the canonical enumeration is
+deterministic, so the decoder builds its lookup tables from (n, k) alone,
+and the storage report accounts for the tables analytically.
+`write_decompressed` writes a model's float32 file through the same
+serializer as `write_model`, decoding sst layers block by block.
 
 Wire format (all integers little-endian, payload bits MSB-first):
 
@@ -51,7 +54,7 @@ from .codes import (ORIENTATIONS, CodeParams, address_bits, count_entries, from_
 # unrank_subvectors: unused, but perfbench/tracing.py wraps it here
 from .codes import unrank_subvectors
 from .errors import ValidationError
-from .prune import _largest_per_subvector
+from .prune import _groups_per_block, _largest_per_subvector
 from .quantize import find_step_size, quantize_weight
 
 MAGIC = b"SSTW\x00\x00\x00\x00"
@@ -163,10 +166,12 @@ class EncodedLayer:
         with np.errstate(over="ignore"):  # a finite step that overflows is rejected below
             delta = float(np.float32(given or 0.0))
         object.__setattr__(self, "delta", delta)
-        if self.format.kind != "float32" and not (np.isfinite(delta) and delta > 0):
+        # a float32 layer never reads its step, but a file stores it
+        float32 = self.format.kind == "float32"
+        if not (np.isfinite(delta) and (float32 or delta > 0)):
             rounded = "" if np.isnan(delta) or delta == (given or 0.0) else f" ({delta} as float32)"
-            raise ValidationError(f"format {self.format.kind} needs a finite positive "
-                                  f"step size, got {given}{rounded}")
+            raise ValidationError(f"format {self.format.kind} needs a finite "
+                                  f"{'' if float32 else 'positive '}step size, got {given}{rounded}")
         if self.format.kind == "sst":
             grouped_shape(self.rows, self.cols, self.format.params.n, self.format.orientation)
         if self.bias is not None:
@@ -182,13 +187,8 @@ class EncodedLayer:
                 f"payload is {len(self.payload)} bytes, expected {(expected + 7) // 8} "
                 f"for {expected} bits"
             )
-        if self.format.kind == "float32":
-            weights = np.frombuffer(self.payload, dtype="<f4")
-            # min and max propagate NaN, so two reductions check without a copy
-            if not (np.isfinite(weights.min()) and np.isfinite(weights.max())):
-                pos = int(np.argmin(np.isfinite(weights)))
-                raise ValidationError(f"float32 weight {weights[pos]} at row {pos // self.cols}, "
-                                      f"column {pos % self.cols} is not finite")
+        if float32:
+            _check_finite(np.frombuffer(self.payload, dtype="<f4"), self.cols)
 
     @property
     def weight_count(self):
@@ -224,6 +224,16 @@ class EncodedLayer:
             and bias_eq
             and self.normalizer == other.normalizer
         )
+
+
+def _check_finite(weights: np.ndarray, cols: int):
+    """Raise on the first non-finite value of the flat C-ordered float32
+    ``weights`` of a ``cols``-column matrix, naming its row and column."""
+    # min and max propagate NaN, so two reductions check without a copy
+    if not (np.isfinite(weights.min()) and np.isfinite(weights.max())):
+        pos = int(np.argmin(np.isfinite(weights)))
+        raise ValidationError(f"float32 weight {weights[pos]} at row {pos // cols}, "
+                              f"column {pos % cols} is not finite")
 
 
 @dataclass
@@ -386,24 +396,6 @@ def stored_weights(layer: EncodedLayer) -> np.ndarray:
     return decode_layer(layer)
 
 
-def decompress_layer(layer: EncodedLayer) -> EncodedLayer:
-    """The float32 layer `sstc decompress` writes for ``layer``.
-
-    Its bytes are those of `encode_layer` of `decode_layer` in the float32
-    format, with the same bias and normalizer and a zero delta, but the
-    weights are decoded straight to float32, with no float64 matrix: every
-    decoded weight is the float32 delta a file stores times an integer
-    level, which float32 rounds as it rounds the float64 product.  A
-    float32 layer keeps its payload.
-    """
-    if layer.format.kind == "float32":
-        payload = layer.payload
-    else:
-        payload = _decoded(layer, np.float32).astype("<f4", copy=False).tobytes()
-    return EncodedLayer(LayerFormat("float32"), layer.rows, layer.cols, 0.0, payload,
-                        layer.bias, layer.normalizer)
-
-
 def _decoded(layer: EncodedLayer, dtype) -> np.ndarray:
     """The (rows, cols) C-ordered weights of ``layer`` in ``dtype``."""
     kind = layer.format.kind
@@ -414,7 +406,9 @@ def _decoded(layer: EncodedLayer, dtype) -> np.ndarray:
     scale = dtype(layer.delta)
     if kind == "fixed8":
         levels = np.frombuffer(layer.payload, dtype="<i1", count=layer.weight_count)
-        return levels.astype(dtype).reshape(rows, cols) * scale
+        # 127 times a large float32 step overflows float32; `_check_finite` rejects it
+        with np.errstate(over="ignore"):
+            return levels.astype(dtype).reshape(rows, cols) * scale
     if kind == "ternary2bit":
         codes = bitpack.unpack_indices(layer.payload, 2, layer.weight_count)
         if np.any(codes == 3):
@@ -436,41 +430,85 @@ def serialize_model(model: ModelFile) -> bytes:
     return b"".join(_serialized_parts(model))
 
 
-def _serialized_parts(model: ModelFile):
-    """The bytes of a model file, part by part, in file order."""
+def _serialized_parts(model: ModelFile, decoded: bool = False):
+    """The bytes of a model file, part by part, in file order.
+
+    With ``decoded``, the parts of the float32 file `write_decompressed`
+    writes for ``model``; a part may then be a reused buffer, valid only
+    until the next part is asked for.  A `ValidationError` raised while a
+    layer's parts are made names the layer.
+    """
     yield MAGIC
     yield struct.pack("<HH", FORMAT_VERSION, len(model.layers))
-    for layer in model.layers:
-        fmt = layer.format
-        n, k = (fmt.params.n, fmt.params.k) if fmt.params else (0, 0)
-        yield struct.pack(
-            "<BBIIBBf",
-            _FORMAT_TAGS[fmt.kind],
-            ORIENTATIONS.index(fmt.orientation),
-            layer.rows, layer.cols, n, k,
-            layer.delta,
-        )
-        bias = layer.bias if layer.bias is not None else np.zeros(0, dtype=np.float32)
-        yield struct.pack("<I", bias.size)
-        yield _f32_bytes(bias)
-        yield struct.pack("<Q", layer.payload_bit_length())
-        yield layer.payload
-        norm = layer.normalizer
-        if norm is None:
-            yield struct.pack("<B", 0)
-        elif isinstance(norm, BatchNormParams):
-            yield struct.pack("<Bf", 1, np.float32(norm.eps))
-            for arr in (norm.gamma, norm.beta, norm.mean, norm.var):
-                if arr.size != layer.rows:
-                    raise ValidationError("batch norm parameter length must equal the row count")
-                yield _f32_bytes(arr)
-        elif isinstance(norm, WeightNormTag):
-            yield struct.pack("<B", 2)
-        else:
-            raise ValidationError(f"unknown normalizer {type(norm).__name__}")
+    names = model.layer_names()
+    for index, layer in enumerate(model.layers):
+        with _naming_layer(index, names):
+            fmt = LayerFormat("float32") if decoded else layer.format
+            n, k = (fmt.params.n, fmt.params.k) if fmt.params else (0, 0)
+            yield struct.pack(
+                "<BBIIBBf",
+                _FORMAT_TAGS[fmt.kind],
+                ORIENTATIONS.index(fmt.orientation),
+                layer.rows, layer.cols, n, k,
+                0.0 if decoded else layer.delta,
+            )
+            bias = layer.bias if layer.bias is not None else np.zeros(0, dtype=np.float32)
+            yield struct.pack("<I", bias.size)
+            yield _f32_bytes(bias)
+            if decoded:
+                yield struct.pack("<Q", 32 * layer.weight_count)
+                yield from _float32_blocks(layer)
+            else:
+                yield struct.pack("<Q", layer.payload_bit_length())
+                yield layer.payload
+            norm = layer.normalizer
+            if norm is None:
+                yield struct.pack("<B", 0)
+            elif isinstance(norm, BatchNormParams):
+                yield struct.pack("<Bf", 1, np.float32(norm.eps))
+                for arr in (norm.gamma, norm.beta, norm.mean, norm.var):
+                    if arr.size != layer.rows:
+                        raise ValidationError("batch norm parameter length must equal the "
+                                              "row count")
+                    yield _f32_bytes(arr)
+            elif isinstance(norm, WeightNormTag):
+                yield struct.pack("<B", 2)
+            else:
+                raise ValidationError(f"unknown normalizer {type(norm).__name__}")
     meta = _metadata_block(model.metadata)
     yield struct.pack("<I", len(meta))
     yield meta
+
+
+def _float32_blocks(layer: EncodedLayer):
+    """The C-ordered float32 weights of ``layer``, in consecutive pieces.
+
+    A float32 layer gives its payload.  An sst layer is decoded in blocks
+    of whole groups of its grouped view, each one contiguous span of the
+    matrix, into one reused buffer.  Every decoded weight is the float32
+    delta a file stores times an integer level, which float32 rounds as it
+    rounds the float64 product of `decode_layer`.  Only a fixed8 weight,
+    up to 127 times the delta, can overflow; it is checked.
+    """
+    kind = layer.format.kind
+    if kind == "float32":
+        yield layer.payload
+    elif kind != "sst":
+        weights = _decoded(layer, np.float32).astype("<f4", copy=False)
+        if kind == "fixed8":
+            _check_finite(weights.ravel(), layer.cols)
+        yield weights
+    else:
+        params, orientation = layer.format.params, layer.format.orientation
+        grid = from_payload_order(layer_indices(layer), layer.rows, layer.cols, params,
+                                  orientation)
+        groups, cols = grid.shape
+        step = _groups_per_block(params.n, cols)
+        buffer = np.empty((min(step, groups), params.n, cols), dtype="<f4")
+        scale = np.float32(layer.delta)
+        for start in range(0, groups, step):
+            block = grid[start:start + step]
+            yield unrank_grouped(block, params, scale, out=buffer[:len(block)])
 
 
 def _metadata_block(metadata) -> bytes:
@@ -611,11 +649,28 @@ def write_model(model: ModelFile, path):
 
     The parts are written one after another, never joined in memory.
     """
+    _write_atomically(_serialized_parts(model), path)
+
+
+def write_decompressed(model: ModelFile, path):
+    """Write the float32 model `sstc decompress` makes of ``model`` to ``path``.
+
+    Its bytes are those of `write_model` of ``model`` with every layer
+    replaced by `encode_layer` of its `decode_layer` in the float32 format,
+    with the same bias and normalizer and a zero delta.  The weights are
+    written as `_float32_blocks` makes them, and a failure midway, named by
+    its layer, leaves any existing ``path`` untouched.
+    """
+    _write_atomically(_serialized_parts(model, decoded=True), path)
+
+
+def _write_atomically(parts, path):
+    """Write ``parts`` one after another to a temp file renamed to ``path``."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".sstw.tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            for part in _serialized_parts(model):
+            for part in parts:
                 fh.write(part)
         os.replace(tmp, path)
     except BaseException:

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from sstc import bitpack, quantize
+from sstc import bitpack, prune, quantize
 from sstc.codes import CodeParams, from_subvectors, grouped_view, unrank_subvectors
 from sstc.store import BatchNormParams, LayerFormat, WeightNormTag, layer_indices
 
@@ -135,6 +135,17 @@ def tie_heavy_weights(rng, shape, dtype):
     # magnitudes of equal size but both signs
     yield (np.where(rng.random(shape) < 0.5, -0.75, 0.75)
            * rng.integers(1, 3, size=shape)).astype(dtype)
+
+
+# The "small" cases shrink the block that the sweep, the prune and the
+# decompress writer walk in, so a few hundred weights cross many chunks,
+# merge windows and blocks.
+@pytest.fixture(params=["default", "small"])
+def block(request, monkeypatch):
+    if request.param == "small":
+        for module in (quantize, prune):
+            monkeypatch.setattr(module, "_BLOCK", 5)
+    return request.param
 
 
 def random_sst_trits(rng, rows, cols, params, orientation="column"):

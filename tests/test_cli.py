@@ -2,18 +2,19 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sstc import kernel, training as tr
+from sstc import bitpack, kernel, prune, quantize, training as tr
 from sstc.cli import _build_specs, main
-from sstc.codes import CodeParams
+from sstc.codes import CodeParams, address_bits, count_entries, grouped_shape
 from sstc.datasets import gaussian_blobs, train_val_split
 from sstc.kernel import CompressedFCLayer, compressed_forward
 from sstc.quantize import quantize_weight
-from sstc.store import (LayerFormat, ModelFile, decode_layer, encode_layer, read_model,
-                        serialize_model, write_model)
+from sstc.store import (EncodedLayer, LayerFormat, ModelFile, decode_layer, encode_layer,
+                        read_model, serialize_model, write_model)
 
 from conftest import argsort_sweep, random_layer, random_sst_trits, reference_decode
 
@@ -114,12 +115,28 @@ def test_decompress_recovers_quantized_weights_exactly(tmp_path):
         assert np.allclose(decode_layer(a), decode_layer(b), atol=0)
 
 
-def test_decompress_writes_the_bytes_of_encode_of_the_reference_decode(tmp_path):
+def test_decompress_writes_the_bytes_of_encode_of_the_reference_decode(tmp_path, block):
     # every format, both sst orientations, biases and normalizers: see random_layer
     rng = np.random.default_rng(12)
     layers = [encode_layer(*random_layer(rng)) for _ in range(40)]
+    # three column groups of two weights: two blocks at the small block size
+    params = CodeParams(2, 1)
+    layers.append(encode_layer(random_sst_trits(rng, 6, 1, params) * 0.5, 0.5,
+                               LayerFormat("sst", params)))
     assert {str(layer.format).split("(")[0] for layer in layers} == {
         "float32", "fixed8", "ternary2bit", "sst"}
+    if block == "small":
+        cases = set()
+        for layer in layers:
+            if layer.format.kind == "sst":
+                orientation = layer.format.orientation
+                groups, n, cols = grouped_shape(layer.rows, layer.cols, layer.format.params.n,
+                                                orientation)
+                step = prune._groups_per_block(n, cols)
+                cases.update((orientation, case) for case, hit in (
+                    ("group above a block", n * cols > quantize._BLOCK),
+                    ("partial last block", step < groups and groups % step)) if hit)
+        assert len(cases) == 4
     metadata = {"layer_names": [f"l{i}" for i in range(len(layers))]}
     path, out = tmp_path / "in.sstw", tmp_path / "out.sstw"
     write_model(ModelFile(layers=layers, metadata=metadata), path)
@@ -128,6 +145,54 @@ def test_decompress_writes_the_bytes_of_encode_of_the_reference_decode(tmp_path)
                          bias=layer.bias, normalizer=layer.normalizer)
             for layer in read_model(path).layers]
     assert out.read_bytes() == serialize_model(ModelFile(layers=want, metadata=metadata))
+
+
+def test_decompress_rejects_a_fixed8_weight_that_overflows_float32(tmp_path, capsys):
+    levels = np.zeros((4, 4), dtype=np.int8)
+    levels[1, 2] = 127
+    layer = EncodedLayer(LayerFormat("fixed8"), 4, 4, 3e38, levels.tobytes())
+    path, out = tmp_path / "in.sstw", tmp_path / "out.sstw"
+    write_model(ModelFile(layers=[layer], metadata={"layer_names": ["big"]}), path)
+    assert main(["decompress", "--input", str(path), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: layer 0 (big): float32 weight inf at row 1, "
+                                       "column 2 is not finite\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.sstw"]
+
+
+def test_a_failing_decompress_leaves_the_old_output_and_no_temp_file(tmp_path, capsys):
+    params = CodeParams(8, 1)  # T=17, 5-bit indices, so 31 is out of range
+    fmt = LayerFormat("sst", params)
+    good = encode_layer(np.zeros((8, 8)), 1.0, fmt)
+    bad = type(good)(fmt, 8, 8, 1.0, bytes([0xF8]) + good.payload[1:])
+    # the first layer's 64 KB are past any write buffer when the last layer fails
+    first = encode_layer(np.ones((128, 128)), None, LayerFormat("float32"))
+    path, out = tmp_path / "bad.sstw", tmp_path / "out.sstw"
+    write_model(ModelFile(layers=[first, good, bad], metadata={"layer_names": ["a", "b", "c"]}),
+                path)
+    out.write_bytes(b"an earlier output")
+    assert main(["decompress", "--input", str(path), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: layer 2 (c): corrupt index 31 at stream "
+                                       "position 0 (code (8,1) has 17 entries)\n")
+    assert out.read_bytes() == b"an earlier output"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.sstw", "out.sstw"]
+
+
+def test_decompress_peak_memory_stays_below_one_float32_copy(tmp_path):
+    params = CodeParams(8, 1)
+    rows, cols = 512, 2048
+    idx = np.random.default_rng(19).integers(0, count_entries(params), size=rows * cols // 8)
+    layer = EncodedLayer(LayerFormat("sst", params), rows, cols, 0.5,
+                         bitpack.pack_indices(idx, address_bits(params)))
+    path, out = tmp_path / "in.sstw", tmp_path / "out.sstw"
+    write_model(ModelFile(layers=[layer]), path)
+    tracemalloc.start()
+    try:
+        assert main(["decompress", "--input", str(path), "--output", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * layer.weight_count
+    assert out.stat().st_size > 4 * layer.weight_count
 
 
 def test_compress_fixed8_writes_the_bytes_of_the_argsort_sweep_step(tmp_path):

@@ -351,6 +351,20 @@ def test_grouped_rank_and_unrank_match_the_digit_loops(n, k):
         assert np.array_equal(out, trits.reshape(3, 50, n).transpose(0, 2, 1) * scale)
 
 
+@pytest.mark.parametrize("n,k", ALL_CODES)
+def test_unrank_grouped_into_a_given_buffer_is_bitwise_the_allocating_call(n, k):
+    params = CodeParams(n, k)
+    rng = np.random.default_rng(11 * n + k)
+    # a strided (B, C) grid, as from_payload_order gives
+    grid = rng.integers(0, count_entries(params), size=(40, 6)).T
+    for scale in (np.float32(0.3), np.float64(-1.7)):
+        want = unrank_grouped(grid, params, scale)
+        buffer = np.full((8, n, 40), np.nan, dtype=scale.dtype)
+        got = unrank_grouped(grid, params, scale, out=buffer[:6])
+        assert got.base is buffer and got.tobytes() == want.tobytes()
+        assert np.isnan(buffer[6:]).all()
+
+
 def test_codec_input_errors_keep_their_messages():
     def raises(message, func, *args):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sstc import bitpack, prune, quantize
+from sstc import bitpack
 from sstc.codes import CodeParams, address_bits, count_entries
 from sstc.errors import ValidationError
 from sstc.prune import structured_prune
@@ -215,6 +215,24 @@ def test_stored_step_size_must_be_finite_and_positive(delta):
         bits = {"fixed8": 32, "ternary2bit": 8, "sst": 3}[kind]
         with pytest.raises(ValidationError, match="finite positive step size"):
             EncodedLayer(fmt, 4, 1, delta, bytes((bits + 7) // 8))
+
+
+@pytest.mark.parametrize("delta", [float("nan"), float("inf"), -float("inf")])
+def test_a_float32_layer_step_must_be_finite(delta):
+    weights = np.float32([1.5, -2.0]).tobytes()
+    with pytest.raises(ValidationError, match=f"^format float32 needs a finite step size, "
+                                              f"got {delta}$"):
+        EncodedLayer(LayerFormat("float32"), 1, 2, delta, weights)
+    # delta f32 at byte 24 of the first layer header
+    blob = serialize_model(ModelFile(layers=[EncodedLayer(LayerFormat("float32"), 1, 2, -0.5,
+                                                          weights)]))
+    assert struct.unpack("<f", blob[24:28]) == (-0.5,)
+    bad = bytearray(blob)
+    bad[24:28] = struct.pack("<f", delta)
+    with pytest.raises(ValidationError, match="^layer 0: format float32 needs a finite step"):
+        deserialize_model(bytes(bad))
+    with pytest.raises(ValidationError, match=re.escape("got 1e+300 (inf as float32)")):
+        EncodedLayer(LayerFormat("float32"), 1, 2, 1e300, weights)
 
 
 def test_a_layer_holds_the_float32_step_its_file_stores():
@@ -477,16 +495,6 @@ def _compress_inputs(rng, n, orientation):
 
 def _same_bytes(got, want):
     assert serialize_model(ModelFile(layers=[got])) == serialize_model(ModelFile(layers=[want]))
-
-
-# The "small" cases shrink the block that the sweep and the prune walk in,
-# so a few hundred weights cross many chunks, merge windows and prune blocks.
-@pytest.fixture(params=["default", "small"])
-def block(request, monkeypatch):
-    if request.param == "small":
-        for module in (quantize, prune):
-            monkeypatch.setattr(module, "_BLOCK", 5)
-    return request.param
 
 
 @pytest.mark.parametrize("orientation", ["column", "row"])
