@@ -19,8 +19,8 @@ from .errors import SstcError, ValidationError
 # structured_prune, find_step_size, quantize_weight: unused, but perfbench/tracing.py wraps them here
 from .prune import SparsitySchedule, structured_prune
 from .quantize import find_step_size, quantize_weight
-from .store import (LayerFormat, ModelFile, compress_layer, decode_layer, encode_layer,
-                    read_model, storage_report, write_model)
+from .store import (LayerFormat, ModelFile, decode_layer, encode_layer, read_model,
+                    storage_report, write_model)
 
 TABLE_I_CODES = ((16, 4), (16, 3), (16, 2), (8, 2), (8, 1), (4, 1))
 
@@ -171,23 +171,22 @@ def cmd_tables(args):
     return 0
 
 
-def _load_input_model(path) -> ModelFile:
-    if path.endswith(".npz"):
-        data = np.load(path)
-        pairs = []
-        index = 0
-        while f"W{index}" in data:
-            bias = data[f"b{index}"] if f"b{index}" in data else None
-            pairs.append((data[f"W{index}"], bias))
-            index += 1
-        if not pairs:
-            raise ValidationError(f"{path}: no W0/W1/... arrays found")
-        return store.model_from_arrays(pairs)
-    return read_model(path)
+def _load_npz(path) -> ModelFile:
+    data = np.load(path)
+    pairs = []
+    index = 0
+    while f"W{index}" in data:
+        bias = data[f"b{index}"] if f"b{index}" in data else None
+        pairs.append((data[f"W{index}"], bias))
+        index += 1
+    if not pairs:
+        raise ValidationError(f"{path}: no W0/W1/... arrays found")
+    return store.model_from_arrays(pairs)
 
 
 def cmd_compress(args):
-    model = _load_input_model(args.input)
+    # a .sstw input is read as it is compressed, layer by layer
+    source = _load_npz(args.input) if args.input.endswith(".npz") else args.input
     policies = _parse_policy_file(args.policy) if args.policy else {}
     if args.code:
         params = _parse_target_code(args.code)
@@ -195,17 +194,13 @@ def cmd_compress(args):
                                         "k": params.k, "orientation": args.orientation})
     if "default" not in policies:
         policies["default"] = {"format": "ternary"}
-    names = model.layer_names()
-    out_layers = []
-    for index, (name, layer) in enumerate(zip(names, model.layers)):
+
+    def format_of(name):
         policy = name if name in policies else "default"
-        fmt = _policy_to_format(policies[policy],
-                                f"{args.policy}: layer {name} (policy {policy!r})")
-        with store._naming_layer(index, names):
-            out_layers.append(compress_layer(store.stored_weights(layer), fmt, layer.bias,
-                                             layer.normalizer, name))
-    compressed = ModelFile(layers=out_layers,
-                           metadata={**model.metadata, "layer_names": names})
+        return _policy_to_format(policies[policy],
+                                 f"{args.policy}: layer {name} (policy {policy!r})")
+
+    compressed = store.compress_model(source, format_of)
     write_model(compressed, args.output)
     report = storage_report(compressed)
     _emit(report.to_records(), args.format, report.to_text())

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import CodeParams, grouped_view
+from .codes import CodeParams, grouped_shape, grouped_view
 from .errors import ValidationError
 from .quantize import _BLOCK
 
@@ -34,22 +34,35 @@ def _largest_per_subvector(W, params: CodeParams, orientation: str, mask=None):
 
     Returns ``(kept, values)``, two (k, B, C) arrays on the (B, C) grid of
     `codes.grouped_view` of W: round r holds each sub-vector's r-th largest
-    magnitude's position along it, and W's value there.  Ties keep the
-    lowest position.  When given, ``mask`` is the grouped view of a uint8
-    matrix of W's shape, and gets a one at every kept position.  Raises on a
-    non-finite weight, naming the first.
+    magnitude's position along it, as uint8 (n <= 24), and W's value there.
+    Ties keep the lowest position.  When given, ``mask`` is the grouped view
+    of a uint8 matrix of W's shape, and gets a one at every kept position.
+    Raises on a non-finite weight, naming the first.
 
-    W is read once, in blocks of whole groups of about `quantize._BLOCK`
-    weights, each into one reused magnitude buffer; no payload-order copy is
-    made.  Magnitudes are compared in W's own precision when that is float32
+    W is read once, in blocks of `_groups_per_block` whole groups, each one
+    contiguous span of W's C-ordered weights, and each block's magnitudes
+    go to one reused buffer; no payload-order copy is made.  ``W`` is a
+    matrix, whose grouped view is sliced into the blocks, or a reader of one:
+    an object with the matrix's ``shape`` and ``dtype`` whose
+    ``blocks(size)`` yields its C-ordered weights in consecutive flat pieces
+    of ``size`` (the last may be shorter), each read once before the next is
+    asked for and checked finite by the reader.  `store` reads a float32
+    payload from its file so.
+    Magnitudes are compared in W's own precision when that is float32
     (widening is exact and keeps their order) and in float64 otherwise.
     """
-    view = grouped_view(W, params, orientation)
-    groups, n, cols = view.shape
+    reader = not isinstance(W, np.ndarray)
+    if reader:
+        groups, n, cols = grouped_shape(*W.shape, params.n, orientation)
+    else:
+        view = grouped_view(W, params, orientation)
+        groups, n, cols = view.shape
     step = _groups_per_block(n, cols)
-    kept = np.empty((params.k, groups, cols), dtype=np.intp)
-    values = np.empty(kept.shape, dtype=view.dtype)
-    buffer = np.empty((min(step, groups), n, cols), dtype=np.result_type(view.dtype, np.float32))
+    blocks = ((piece.reshape(-1, n, cols) for piece in W.blocks(step * n * cols)) if reader
+              else (view[start:start + step] for start in range(0, groups, step)))
+    kept = np.empty((params.k, groups, cols), dtype=np.uint8)
+    values = np.empty(kept.shape, dtype=W.dtype)
+    buffer = np.empty((min(step, groups), n, cols), dtype=np.result_type(W.dtype, np.float32))
     marks = np.empty(buffer.shape, dtype=np.uint8)
     top = np.empty((buffer.shape[0], 1, cols), dtype=buffer.dtype)
     # flat offset of each sub-vector's position 0 within a block
@@ -58,14 +71,16 @@ def _largest_per_subvector(W, params: CodeParams, orientation: str, mask=None):
     # weight n - p at position p, so the largest weight holding the maximum
     # marks its first position: ties keep the lowest position
     first = np.arange(n, 0, -1, dtype=np.uint8)[:, np.newaxis]
-    for start in range(0, groups, step):
+    for start, block in zip(range(0, groups, step), blocks):
         span = slice(start, start + step)
-        block = view[span]
         size = len(block)
         mags = np.abs(block, out=buffer[:size])
-        if not np.isfinite(mags.max(initial=0.0)):
-            row, col = np.argwhere(~np.isfinite(W))[0]
-            raise ValidationError(f"cannot prune a non-finite weight {W[row, col]} "
+        if not (reader or np.isfinite(mags.max(initial=0.0))):
+            weights = block.reshape(-1)
+            pos = int(np.argmin(np.isfinite(weights)))
+            # the block is the span of W's C-ordered weights from its first group on
+            row, col = divmod(start * n * cols + pos, W.shape[1])
+            raise ValidationError(f"cannot prune a non-finite weight {weights[pos]} "
                                   f"at row {row}, column {col}")
         block_marks, block_top, block_offsets = marks[:size], top[:size], offsets[:size]
         # magnitudes are >= 0, so a kept position (set to -1) is not taken again
@@ -79,7 +94,7 @@ def _largest_per_subvector(W, params: CodeParams, orientation: str, mask=None):
                 np.equal(mags, block_top, out=block_marks.view(np.bool_))
                 block_marks *= first
                 np.subtract(n, block_marks.max(axis=1), out=at)
-            np.multiply(at, cols, out=block_offsets)
+            np.multiply(at, cols, out=block_offsets, dtype=np.intp)
             block_offsets += origin[:size]
             mags.reshape(-1)[block_offsets] = -1.0
             np.take(block.reshape(-1), block_offsets, out=value)

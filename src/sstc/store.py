@@ -12,13 +12,18 @@ formats:
 An sst payload lists the layer's sub-vectors in the payload order of its
 orientation, as `sstc.codes.subvectors` cuts them (the `sstc.codes` module
 docstring describes the layout).  Biases and normalizer parameters are
-always stored as float32 and are never pruned or quantized; a float32
-weight, and the step a float32 layer stores but never reads, must be
-finite.  Code tables are not serialized: the canonical enumeration is
+always stored as float32 and are never pruned or quantized; a bias, a
+float32 weight, and the step a float32 layer stores but never reads, must
+be finite.  Code tables are not serialized: the canonical enumeration is
 deterministic, so the decoder builds its lookup tables from (n, k) alone,
 and the storage report accounts for the tables analytically.
 `write_decompressed` writes a model's float32 file through the same
 serializer as `write_model`, decoding sst layers block by block.
+`compress_model` reads a model file as it compresses it: after one header
+pass, each float32 layer going to sst is read in blocks of whole groups
+into one reused buffer and pruned block by block, and its indices are
+ranked and packed in tiles of payload order, so a file's payloads are never
+held whole.
 
 Wire format (all integers little-endian, payload bits MSB-first):
 
@@ -47,10 +52,10 @@ from functools import partial
 
 import numpy as np
 
-from . import bitpack
+from . import bitpack, quantize
 from .codes import (ORIENTATIONS, CodeParams, address_bits, count_entries, from_payload_order,
                     grouped_shape, rank_grouped, rank_subvectors, subvectors,
-                    table_storage_bits, to_payload_order, unrank_grouped)
+                    table_storage_bits, unrank_grouped)
 # unrank_subvectors: unused, but perfbench/tracing.py wraps it here
 from .codes import unrank_subvectors
 from .errors import ValidationError
@@ -159,35 +164,12 @@ class EncodedLayer:
     normalizer: object = None
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValidationError("layer dimensions must be positive")
-        # the step a file stores, so a layer decodes as its serialized copy does
-        given = self.delta
-        with np.errstate(over="ignore"):  # a finite step that overflows is rejected below
-            delta = float(np.float32(given or 0.0))
-        object.__setattr__(self, "delta", delta)
-        # a float32 layer never reads its step, but a file stores it
-        float32 = self.format.kind == "float32"
-        if not (np.isfinite(delta) and (float32 or delta > 0)):
-            rounded = "" if np.isnan(delta) or delta == (given or 0.0) else f" ({delta} as float32)"
-            raise ValidationError(f"format {self.format.kind} needs a finite "
-                                  f"{'' if float32 else 'positive '}step size, got {given}{rounded}")
-        if self.format.kind == "sst":
-            grouped_shape(self.rows, self.cols, self.format.params.n, self.format.orientation)
-        if self.bias is not None:
-            object.__setattr__(self, "bias", np.ascontiguousarray(self.bias, dtype=np.float32))
-            if self.bias.shape != (self.rows,):
-                raise ValidationError(
-                    f"bias length {self.bias.shape} does not match the {self.rows} rows"
-                )
         object.__setattr__(self, "payload", bytes(self.payload))
-        expected = self.payload_bit_length()
-        if len(self.payload) != (expected + 7) // 8:
-            raise ValidationError(
-                f"payload is {len(self.payload)} bytes, expected {(expected + 7) // 8} "
-                f"for {expected} bits"
-            )
-        if float32:
+        delta, bias = _checked_fields(self.format, self.rows, self.cols, self.delta, self.bias,
+                                      len(self.payload))
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "bias", bias)
+        if self.format.kind == "float32":
             _check_finite(np.frombuffer(self.payload, dtype="<f4"), self.cols)
 
     @property
@@ -200,14 +182,7 @@ class EncodedLayer:
         return self.weight_count // self.format.params.n
 
     def payload_bit_length(self) -> int:
-        kind = self.format.kind
-        if kind == "float32":
-            return 32 * self.weight_count
-        if kind == "fixed8":
-            return 8 * self.weight_count
-        if kind == "ternary2bit":
-            return 2 * self.weight_count
-        return self.num_indices() * address_bits(self.format.params)
+        return _payload_bits(self.format, self.rows, self.cols)
 
     def __eq__(self, other):
         if not isinstance(other, EncodedLayer):
@@ -226,14 +201,60 @@ class EncodedLayer:
         )
 
 
-def _check_finite(weights: np.ndarray, cols: int):
-    """Raise on the first non-finite value of the flat C-ordered float32
-    ``weights`` of a ``cols``-column matrix, naming its row and column."""
+def _payload_bits(fmt: LayerFormat, rows: int, cols: int) -> int:
+    kind = fmt.kind
+    if kind == "float32":
+        return 32 * rows * cols
+    if kind == "fixed8":
+        return 8 * rows * cols
+    if kind == "ternary2bit":
+        return 2 * rows * cols
+    return rows * cols // fmt.params.n * address_bits(fmt.params)
+
+
+def _checked_fields(fmt: LayerFormat, rows: int, cols: int, delta, bias, payload_size: int):
+    """The float32 step and bias of a layer, after every check `EncodedLayer`
+    makes of it but the one of a float32 payload's values."""
+    if rows < 1 or cols < 1:
+        raise ValidationError("layer dimensions must be positive")
+    # the step a file stores, so a layer decodes as its serialized copy does
+    given = delta
+    with np.errstate(over="ignore"):  # a finite step that overflows is rejected below
+        delta = float(np.float32(given or 0.0))
+    # a float32 layer never reads its step, but a file stores it
+    float32 = fmt.kind == "float32"
+    if not (np.isfinite(delta) and (float32 or delta > 0)):
+        rounded = "" if np.isnan(delta) or delta == (given or 0.0) else f" ({delta} as float32)"
+        raise ValidationError(f"format {fmt.kind} needs a finite "
+                              f"{'' if float32 else 'positive '}step size, got {given}{rounded}")
+    if fmt.kind == "sst":
+        grouped_shape(rows, cols, fmt.params.n, fmt.orientation)
+    if bias is not None:
+        with np.errstate(over="ignore"):  # a finite bias that overflows is rejected below
+            bias = np.ascontiguousarray(bias, dtype=np.float32)
+        if bias.shape != (rows,):
+            raise ValidationError(f"bias length {bias.shape} does not match the {rows} rows")
+        finite = np.isfinite(bias)
+        if not finite.all():
+            pos = int(np.argmin(finite))
+            raise ValidationError(f"bias {bias[pos]} at row {pos} is not finite")
+    expected = _payload_bits(fmt, rows, cols)
+    if payload_size != (expected + 7) // 8:
+        raise ValidationError(f"payload is {payload_size} bytes, expected {(expected + 7) // 8} "
+                              f"for {expected} bits")
+    return delta, bias
+
+
+def _check_finite(weights: np.ndarray, cols: int, start: int = 0):
+    """Raise on the first non-finite value of ``weights``, the flat C-ordered
+    float32 weights of a ``cols``-column matrix from its ``start``-th weight
+    on, naming its row and column."""
     # min and max propagate NaN, so two reductions check without a copy
     if not (np.isfinite(weights.min()) and np.isfinite(weights.max())):
         pos = int(np.argmin(np.isfinite(weights)))
-        raise ValidationError(f"float32 weight {weights[pos]} at row {pos // cols}, "
-                              f"column {pos % cols} is not finite")
+        row, col = divmod(start + pos, cols)
+        raise ValidationError(f"float32 weight {weights[pos]} at row {row}, "
+                              f"column {col} is not finite")
 
 
 @dataclass
@@ -242,10 +263,14 @@ class ModelFile:
     metadata: dict = field(default_factory=dict)
 
     def layer_names(self):
-        names = self.metadata.get("layer_names")
-        if names and len(names) == len(self.layers):
-            return list(names)
-        return [f"layer{i}" for i in range(len(self.layers))]
+        return _layer_names(self.metadata, len(self.layers))
+
+
+def _layer_names(metadata: dict, count: int) -> list:
+    names = metadata.get("layer_names")
+    if names and len(names) == count:
+        return list(names)
+    return [f"layer{i}" for i in range(count)]
 
 
 def ternary_trits(W_q: np.ndarray, delta: float) -> np.ndarray:
@@ -315,16 +340,17 @@ def compress_layer(W, fmt: LayerFormat, bias=None, normalizer=None,
     files store it, `quantize_weight` and `encode_layer`.  An sst layer is
     worked on W's grouped view (`codes.grouped_view`), with no payload-order
     copy of W: `prune._largest_per_subvector` reads W once, in blocks with
-    reused buffers, for the kept positions along each sub-vector and their
-    values; the step size is fitted on the kept values alone, widened to
-    float64, and each index is ranked straight from its kept
-    (position, digit) pairs (`codes.rank_grouped`).  Only the grid of
-    indices is put in payload order.  There is no mask, no masked copy and
-    no re-check of the trits.  A float32 ``W`` is pruned in float32, which
-    keeps the kept positions and ties of its float64 widening and so its
-    bytes.  Every step-size fit is the exact sweep, which does not depend
-    on the order of its input.  ``name`` labels the errors of
-    `encode_layer`.
+    reused buffers, for the kept positions along each sub-vector (uint8) and
+    their values.  For sst, ``W`` may also be a `_PayloadReader`, which
+    reads a float32 layer from its file block by block.  The step size is
+    fitted on the kept values alone, widened to float64, and the indices
+    are ranked and packed in tiles of payload order (`_sst_payload`).  So the
+    only whole-layer arrays are the kept positions and values and the fit's
+    float64 magnitudes.  There is no mask, no masked copy and no re-check of
+    the trits.  A float32 ``W`` is pruned in float32, which keeps the kept
+    positions and ties of its float64 widening and so its bytes.  Every
+    step-size fit is the exact sweep, which does not depend on the order of
+    its input.  ``name`` labels the errors of `encode_layer`.
     """
     kind = fmt.kind
     if kind == "float32":
@@ -334,21 +360,62 @@ def compress_layer(W, fmt: LayerFormat, bias=None, normalizer=None,
         delta = float(np.float32(find_step_size(W, levels)))
         return encode_layer(quantize_weight(W, delta, levels), delta, fmt, bias, normalizer,
                             name)
-    W = np.asarray(W)
-    params = fmt.params
-    kept, values = _largest_per_subvector(W, params, fmt.orientation)  # (k, B, C) each
+    if not isinstance(W, _PayloadReader):
+        W = np.asarray(W)
+    kept, values = _largest_per_subvector(W, fmt.params, fmt.orientation)  # (k, B, C) each
     delta = float(np.float32(find_step_size(values)))
-    # a kept weight is a trit where quantize_weight's level
-    # floor(|w| / delta + 0.5) is at least 1, that is where |w| / delta + 0.5 >= 1;
-    # its base-3 digit is 1 for +1, 2 for -1
-    level = np.abs(values, dtype=np.float64)
-    level /= delta
-    level += 0.5
-    digits = np.less_equal(values, 0).view(np.uint8) + np.uint8(1)
-    digits *= level >= 1
-    ranks = rank_grouped(kept, digits, params)
-    payload = bitpack.pack_indices(to_payload_order(ranks), address_bits(params))
-    return EncodedLayer(fmt, *W.shape, delta, payload, bias, normalizer)
+    return EncodedLayer(fmt, *W.shape, delta, _sst_payload(kept, values, delta, fmt.params),
+                        bias, normalizer)
+
+
+def _sst_payload(kept, values, delta: float, params: CodeParams) -> bytes:
+    """The packed indices of the kept positions ``kept`` and values ``values``
+    of a (B, C) grid of sub-vectors, both (k, B, C), at step ``delta``.
+
+    A kept weight is a trit where quantize_weight's level
+    floor(|w| / delta + 0.5) is at least 1, that is where
+    |w| / delta + 0.5 >= 1; its base-3 digit is 1 for +1, 2 for -1.  Each
+    index is ranked straight from its kept (position, digit) pairs
+    (`codes.rank_grouped`).  Payload order runs down each grid column in
+    turn (`codes.to_payload_order`), so the grid is worked in tiles of about
+    `quantize._BLOCK` indices that are each one span of payload order:
+    whole columns, or, for a column longer than that, a run down one.  A
+    tile's ranks go to one reused buffer in payload order, behind the up to
+    7 left over from the tile before; every multiple of 8 indices packs
+    (`bitpack.pack_indices`) to whole bytes, so the packed chunks join to
+    the packing of the whole stream.
+    """
+    rounds, groups, cols = kept.shape
+    down = min(groups, quantize._BLOCK)  # grid rows per tile
+    across = max(1, quantize._BLOCK // groups)  # grid columns per tile
+    size = down * min(across, cols)
+    # per tile: level |w| / delta + 0.5, digit, and whether the weight is a trit
+    buffers = (np.empty(rounds * size), np.empty(rounds * size, dtype=np.uint8),
+               np.empty(rounds * size, dtype=np.bool_))
+    ordered = np.empty(size + 7, dtype=np.int64)
+    left = 0  # ranks waiting in ordered[:left]
+    bits = address_bits(params)
+    parts = []
+    for c0 in range(0, cols, across):
+        for b0 in range(0, groups, down):
+            tile = np.s_[:, b0:b0 + down, c0:c0 + across]
+            value = values[tile]
+            level, digit, trit = (buffer[:value.size].reshape(value.shape) for buffer in buffers)
+            np.abs(value, out=level, dtype=np.float64)
+            level /= delta
+            level += 0.5
+            np.less_equal(value, 0, out=digit.view(np.bool_))
+            digit += 1
+            digit *= np.greater_equal(level, 1, out=trit)
+            ranks = rank_grouped(kept[tile], digit, params)
+            count = left + ranks.size
+            np.copyto(ordered[left:count].reshape(ranks.shape[::-1]), ranks.T)
+            whole = count - count % 8
+            parts.append(bitpack.pack_indices(ordered[:whole], bits))
+            left = count - whole
+            ordered[:left] = ordered[whole:count]
+    parts.append(bitpack.pack_indices(ordered[:left], bits))
+    return b"".join(parts)
 
 
 def layer_indices(layer: EncodedLayer) -> np.ndarray:
@@ -516,22 +583,46 @@ def _metadata_block(metadata) -> bytes:
 
 
 class _Reader:
-    """Reads a model file's parts from a binary file, each part once."""
+    """Reads a model file's parts from a binary file, each part once.
+
+    Every size is checked against what is left of the file before any of it
+    is read or skipped, so a corrupt size allocates nothing.
+    """
 
     def __init__(self, fh):
         self.fh = fh
         start = fh.tell()
-        self.remaining = fh.seek(0, os.SEEK_END) - start
+        self.end = fh.seek(0, os.SEEK_END)
+        self.remaining = self.end - start
         fh.seek(start)
 
-    def take(self, size: int) -> bytes:
-        # checked before reading, so a corrupt size allocates nothing
+    def _claim(self, size: int) -> int:
+        """Where the next ``size`` bytes start; raises if the file is shorter."""
         if size > self.remaining:
-            raise ValidationError("truncated model file")
+            raise _FileError("truncated model file")
+        at = self.end - self.remaining
         self.remaining -= size
+        return at
+
+    def take(self, size: int) -> bytes:
+        self._claim(size)
+        return self._read(size)
+
+    def skip(self, size: int) -> int:
+        """Seek past the next ``size`` bytes; returns where they start."""
+        at = self._claim(size)
+        self.fh.seek(size, os.SEEK_CUR)
+        return at
+
+    def read_at(self, at: int, size: int) -> bytes:
+        """The ``size`` bytes at ``at``, of a part skipped before."""
+        self.fh.seek(at)
+        return self._read(size)
+
+    def _read(self, size: int) -> bytes:
         part = self.fh.read(size)
         if len(part) != size:  # the file shrank while being read
-            raise ValidationError("truncated model file")
+            raise _FileError("truncated model file")
         return part
 
     def unpack(self, fmt: str):
@@ -541,23 +632,66 @@ class _Reader:
         return np.frombuffer(self.take(4 * count), dtype="<f4").copy()
 
 
-def deserialize_model(data) -> ModelFile:
-    """Parse a model file from its bytes, or from a binary file open at its start.
+@dataclass(frozen=True)
+class _Record:
+    """One layer record of a model file as the header pass reads it; its
+    payload stays in the file, ``payload_at`` bytes from the start."""
 
-    Every layer record is read before any layer is built, so a
-    `ValidationError` raised while building one can name the layer: its
-    index and, where the metadata has one, its name.  Read from a file,
-    each payload is read once, straight into its own bytes.
+    kind: str
+    otag: int
+    rows: int
+    cols: int
+    n: int
+    k: int
+    delta: float
+    bias: np.ndarray
+    payload_bits: int
+    payload_at: int
+    make_norm: object  # builds the normalizer, with the layer
+
+    @property
+    def payload_size(self) -> int:
+        return (self.payload_bits + 7) // 8
+
+    def layer(self, payload: bytes) -> EncodedLayer:
+        fmt = (LayerFormat(self.kind, CodeParams(self.n, self.k), ORIENTATIONS[self.otag])
+               if self.kind == "sst" else LayerFormat(self.kind))
+        layer = EncodedLayer(fmt, self.rows, self.cols, float(self.delta), payload, self.bias,
+                             self.make_norm())
+        self._check_bits(layer.payload_bit_length())
+        return layer
+
+    def float32_fields(self):
+        """The bias and normalizer of a float32 record, after every check
+        `layer` makes of it but the one of its payload's values."""
+        fmt, norm = LayerFormat("float32"), self.make_norm()
+        _, bias = _checked_fields(fmt, self.rows, self.cols, float(self.delta), self.bias,
+                                  self.payload_size)
+        self._check_bits(_payload_bits(fmt, self.rows, self.cols))
+        return bias, norm
+
+    def _check_bits(self, expected: int):
+        if self.payload_bits != expected:
+            raise ValidationError(
+                f"payload bit length {self.payload_bits} inconsistent with format "
+                f"(expected {expected})"
+            )
+
+
+def _parse(r: _Reader):
+    """``(records, metadata, names)`` of the model file ``r`` reads: the header pass.
+
+    Reads every layer header, bias and normalizer, and the metadata, and
+    checks them; each payload's size is checked against the file, and the
+    payload is skipped.  ``names`` are the layer names an error of building
+    a layer gives, or None where the metadata has none for every layer.
     """
-    if isinstance(data, (bytes, bytearray, memoryview)):
-        data = io.BytesIO(data)
-    r = _Reader(data)
     if r.take(len(MAGIC)) != MAGIC:
         raise ValidationError("not a model file: bad magic")
     version, layer_count = r.unpack("<HH")
     if version != FORMAT_VERSION:
         raise ValidationError(f"unsupported format version {version}")
-    records = []  # per layer, a call that builds it
+    records = []
     for _ in range(layer_count):
         ftag, otag, rows, cols, n, k, delta = r.unpack("<BBIIBBf")
         if ftag >= len(FORMAT_KINDS):
@@ -572,9 +706,8 @@ def deserialize_model(data) -> ModelFile:
         (bias_count,) = r.unpack("<I")
         bias = r.f32_array(bias_count) if bias_count else None
         (payload_bits,) = r.unpack("<Q")
-        payload = r.take((payload_bits + 7) // 8)
+        payload_at = r.skip((payload_bits + 7) // 8)
         (ntag,) = r.unpack("<B")
-        # the normalizer is built with its layer, by calling make_norm()
         if ntag == 0:
             make_norm = lambda: None
         elif ntag == 1:
@@ -585,8 +718,8 @@ def deserialize_model(data) -> ModelFile:
             make_norm = WeightNormTag
         else:
             raise ValidationError(f"unknown normalizer tag {ntag}")
-        records.append(partial(_layer_from_record, kind, otag, rows, cols, n, k, delta, bias,
-                               payload_bits, payload, make_norm))
+        records.append(_Record(kind, otag, rows, cols, n, k, delta, bias, payload_bits,
+                               payload_at, make_norm))
     (meta_len,) = r.unpack("<I")
     block = r.take(meta_len)
     metadata = _parse_metadata(block)
@@ -599,10 +732,26 @@ def deserialize_model(data) -> ModelFile:
                               "serialize_model writes, so it would not round-trip its bytes")
     names = metadata.get("layer_names")
     names = names if isinstance(names, list) and len(names) == layer_count else None
+    return records, metadata, names
+
+
+def deserialize_model(data) -> ModelFile:
+    """Parse a model file from its bytes, or from a binary file open at its start.
+
+    The header pass (`_parse`) reads every layer record before any payload
+    is read or any layer built, so a `ValidationError` raised while building
+    one can name the layer: its index and, where the metadata has one, its
+    name.  Read from a file, each payload is read once, straight into its
+    own bytes.
+    """
+    if isinstance(data, (bytes, bytearray, memoryview)):
+        data = io.BytesIO(data)
+    r = _Reader(data)
+    records, metadata, names = _parse(r)
     layers = []
-    for index, build in enumerate(records):
+    for index, record in enumerate(records):
         with _naming_layer(index, names):
-            layers.append(build())
+            layers.append(record.layer(r.read_at(record.payload_at, record.payload_size)))
     return ModelFile(layers=layers, metadata=metadata)
 
 
@@ -615,17 +764,10 @@ def _parse_metadata(block: bytes):
         raise ValidationError(f"metadata block does not parse as JSON: {exc}") from exc
 
 
-def _layer_from_record(kind, otag, rows, cols, n, k, delta, bias, payload_bits, payload,
-                       make_norm) -> EncodedLayer:
-    fmt = (LayerFormat(kind, CodeParams(n, k), ORIENTATIONS[otag]) if kind == "sst"
-           else LayerFormat(kind))
-    layer = EncodedLayer(fmt, rows, cols, float(delta), payload, bias, make_norm())
-    if layer.payload_bit_length() != payload_bits:
-        raise ValidationError(
-            f"payload bit length {payload_bits} inconsistent with format "
-            f"(expected {layer.payload_bit_length()})"
-        )
-    return layer
+class _FileError(ValidationError):
+    """A `ValidationError` whose message is whole: it is about the file, or
+    already names its layer.  `_naming_layer` passes it on as it is, so the
+    innermost of two nested namings names a layer."""
 
 
 @contextmanager
@@ -633,6 +775,8 @@ def _naming_layer(index: int, names=None):
     """Prefix a `ValidationError` raised inside with the layer's index and name."""
     try:
         yield
+    except _FileError:
+        raise
     except ValidationError as exc:
         raise _named_error(exc, index, names) from exc
 
@@ -641,7 +785,7 @@ def _named_error(exc: ValidationError, index: int, names=None) -> ValidationErro
     """``exc`` with the layer's index and, where ``names`` has one, its name in front."""
     name = names[index] if names and index < len(names) else None
     label = f"layer {index} ({name})" if name else f"layer {index}"
-    return ValidationError(f"{label}: {exc}")
+    return _FileError(f"{label}: {exc}")
 
 
 def write_model(model: ModelFile, path):
@@ -682,6 +826,84 @@ def _write_atomically(parts, path):
 def read_model(path) -> ModelFile:
     with open(path, "rb") as fh:
         return deserialize_model(fh)
+
+
+def compress_model(source, format_of) -> ModelFile:
+    """The model `sstc compress` makes of ``source``, a `ModelFile` or the
+    path of a model file.
+
+    Layer i becomes `compress_layer` of its `stored_weights` in the format
+    ``format_of(name)``, with its bias and normalizer, named by the i-th of
+    `ModelFile.layer_names`; the metadata gains those names.  Read from a
+    path, the file's header pass (`deserialize_model`'s) comes first, then
+    each layer is read, with every check and message of `read_model`, and
+    compressed in turn.  A float32 layer going to sst is never read whole:
+    the prune reads it from the file, in blocks of whole groups, into one
+    reused buffer (`_PayloadReader`).  A `ValidationError` of compressing a
+    layer names it.
+    """
+    if isinstance(source, ModelFile):
+        return _compress_layers(source.metadata, len(source.layers), format_of,
+                                lambda index, fmt: source.layers[index])
+    with open(source, "rb") as fh:
+        r = _Reader(fh)
+        records, metadata, names = _parse(r)
+
+        def load(index, fmt):
+            # load errors are named as read_model names them
+            record = records[index]
+            with _naming_layer(index, names):
+                if record.kind == "float32" and fmt.kind == "sst":
+                    return _PayloadReader(fh, record, *record.float32_fields(), index, names)
+                return record.layer(r.read_at(record.payload_at, record.payload_size))
+
+        return _compress_layers(metadata, len(records), format_of, load)
+
+
+def _compress_layers(metadata, count: int, format_of, load) -> ModelFile:
+    """`compress_model` of the ``count`` layers that ``load(index, fmt)``
+    gives: an `EncodedLayer`, or a `_PayloadReader` of a float32 one."""
+    names = _layer_names(metadata, count)
+    layers = []
+    for index, name in enumerate(names):
+        fmt = format_of(name)
+        layer = load(index, fmt)
+        with _naming_layer(index, names):
+            W = layer if isinstance(layer, _PayloadReader) else stored_weights(layer)
+            layers.append(compress_layer(W, fmt, layer.bias, layer.normalizer, name))
+    return ModelFile(layers=layers, metadata={**metadata, "layer_names": names})
+
+
+class _PayloadReader:
+    """A float32 layer of an open model file, read block by block: the
+    reader `prune._largest_per_subvector` takes in place of a matrix."""
+
+    dtype = np.dtype("<f4")
+
+    def __init__(self, fh, record: _Record, bias, normalizer, index: int, names):
+        self.fh, self.record, self.bias, self.normalizer = fh, record, bias, normalizer
+        self.shape = (record.rows, record.cols)
+        self.index, self.names = index, names
+
+    def blocks(self, size: int):
+        """The layer's C-ordered weights in consecutive pieces of ``size``.
+
+        Each piece is read with `readinto` into one reused buffer and checked
+        finite as `EncodedLayer` checks a float32 payload, with the message
+        `read_model` gives; a file that shrank since its header pass raises
+        "truncated model file".
+        """
+        rows, cols = self.shape
+        total = rows * cols
+        buffer = np.empty(min(size, total), dtype=self.dtype)
+        self.fh.seek(self.record.payload_at)
+        with _naming_layer(self.index, self.names):
+            for start in range(0, total, size):
+                piece = buffer[:min(size, total - start)]
+                if self.fh.readinto(piece) != piece.nbytes:
+                    raise _FileError("truncated model file")
+                _check_finite(piece, cols, start)
+                yield piece
 
 
 def model_from_arrays(weights_and_biases, names=None, normalizers=None,

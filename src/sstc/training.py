@@ -148,11 +148,15 @@ def batch_norm_backward(dout, cache):
 
 
 def weight_norm_forward(U):
-    """Rescale each output row of U to unit L2 norm; returns (V, cache)."""
+    """Rescale each output row of U to unit L2 norm; returns (V, cache).
+
+    A zero row stays zero, with a zero gradient: a column-oriented prune
+    can empty an output row of a narrow layer, whose neuron then emits its
+    bias alone.
+    """
     norms = np.linalg.norm(U, axis=1, keepdims=True)
-    if np.any(norms == 0):
-        row = int(np.argmax(norms.ravel() == 0))
-        raise ValidationError(f"weight norm: output row {row} has zero norm")
+    # over an infinite norm a zero row, and its gradient, come out zero
+    norms[norms == 0] = np.inf
     V = U / norms
     return V, {"V": V, "norms": norms}
 

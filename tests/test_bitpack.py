@@ -30,6 +30,17 @@ def test_roundtrip_fuzz():
         assert np.array_equal(unpack_indices(packed, bits, count), xs)
 
 
+@pytest.mark.parametrize("bits", range(1, 65))
+def test_packed_chunks_of_multiples_of_8_indices_join_to_the_whole_packing(bits):
+    # 8 fields of any width fill whole bytes, so chunks pack byte-aligned
+    rng = np.random.default_rng(bits)
+    idx = rng.integers(0, 1 << min(bits, 63), size=203)
+    idx[:2] = [0, (1 << min(bits, 63)) - 1]
+    cuts = [0, 8, 24, 64, 160, 203]
+    chunks = [pack_indices(idx[a:b], bits) for a, b in zip(cuts, cuts[1:])]
+    assert b"".join(chunks) == pack_indices(idx, bits)
+
+
 def test_zero_width_stream():
     assert pack_indices([0, 0, 0], 0) == b""
     assert unpack_indices(b"", 0, 3).tolist() == [0, 0, 0]

@@ -1,13 +1,14 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
 import json
+import os
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from sstc import bitpack, kernel, prune, quantize, training as tr
+from sstc import bitpack, kernel, prune, quantize, store, training as tr
 from sstc.cli import _build_specs, main
 from sstc.codes import CodeParams, address_bits, count_entries, grouped_shape
 from sstc.datasets import gaussian_blobs, train_val_split
@@ -193,6 +194,81 @@ def test_decompress_peak_memory_stays_below_one_float32_copy(tmp_path):
         tracemalloc.stop()
     assert peak < 4 * layer.weight_count
     assert out.stat().st_size > 4 * layer.weight_count
+
+
+def _float32_layer(W, bias=None):
+    W = np.ascontiguousarray(W, dtype="<f4")
+    return EncodedLayer(LayerFormat("float32"), *W.shape, 0.0, W.tobytes(), bias)
+
+
+def test_compress_of_a_float32_file_peaks_below_3_bytes_per_weight(tmp_path):
+    # the file's payload is streamed into the prune, never held whole
+    rows, cols = 1024, 8192
+    W = np.random.default_rng(22).standard_normal((rows, cols), dtype=np.float32)
+    path, out = tmp_path / "in.sstw", tmp_path / "out.sstw"
+    write_model(ModelFile(layers=[_float32_layer(W * np.float32(0.01))]), path)
+    del W
+    tracemalloc.start()
+    try:
+        assert main(["compress", "--input", str(path), "--output", str(out),
+                     "--code", "16,2"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * rows * cols
+
+
+@pytest.mark.parametrize("names, label", [(None, "layer 1"), (["a", "b"], "layer 1 (b)")])
+def test_compress_names_a_non_finite_float_weight_in_a_later_block_as_loading_does(
+        tmp_path, capsys, names, label):
+    # 2048 columns of (16,2) groups: one group per block, the nan in the fourth
+    W = np.ones((64, 2048), dtype=np.float32)
+    W[60, 5] = 3.0  # the one weight stored as these bytes, which become a nan
+    model = ModelFile(layers=[_float32_layer(np.ones((16, 8))), _float32_layer(W)],
+                      metadata={"layer_names": names} if names else {})
+    blob = serialize_model(model).replace(struct.pack("<f", 3.0), struct.pack("<f", np.nan))
+    path, out = tmp_path / "in.sstw", tmp_path / "out.sstw"
+    path.write_bytes(blob)
+    message = f"{label}: float32 weight nan at row 60, column 5 is not finite\n"
+    assert main(["compress", "--input", str(path), "--output", str(out), "--code", "16,2"]) == 1
+    assert capsys.readouterr().err == f"error: {message}"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.sstw"]
+    assert main(["report", "--model", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}"
+
+
+@pytest.mark.parametrize("policy_line", ["default format=sst n=16 k=2", "default format=ternary"])
+def test_compress_of_a_file_that_shrinks_after_its_header_pass(tmp_path, capsys, monkeypatch,
+                                                               policy_line):
+    # sst reads the float32 layer in blocks, ternary reads it whole
+    path, out = tmp_path / "in.sstw", tmp_path / "out.sstw"
+    write_model(ModelFile(layers=[_float32_layer(np.ones((64, 2048)))]), path)
+    policy = tmp_path / "policy.txt"
+    policy.write_text(policy_line + "\n")
+    parse = store._parse
+
+    def parse_then_truncate(r):
+        parsed = parse(r)
+        os.truncate(path, path.stat().st_size - 4096)
+        return parsed
+
+    monkeypatch.setattr(store, "_parse", parse_then_truncate)
+    assert main(["compress", "--input", str(path), "--output", str(out),
+                 "--policy", str(policy)]) == 1
+    assert capsys.readouterr().err == "error: truncated model file\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.sstw", "policy.txt"]
+
+
+def test_infer_rejects_a_non_finite_bias_at_load(tmp_path, capsys):
+    layer = encode_layer(np.eye(8, 4), 1.0, LayerFormat("sst", CodeParams(8, 1)),
+                         bias=np.zeros(8))
+    blob = bytearray(serialize_model(ModelFile(layers=[layer])))
+    at = 12 + struct.calcsize("<BBIIBBf") + 4 + 4  # bias row 1
+    blob[at:at + 4] = struct.pack("<f", np.nan)
+    path = tmp_path / "nan-bias.sstw"
+    path.write_bytes(bytes(blob))
+    assert main(["infer", "--model", str(path), "--data", "synthetic:samples=6,dim=4"]) == 1
+    assert capsys.readouterr().err == "error: layer 0: bias nan at row 1 is not finite\n"
 
 
 def test_compress_fixed8_writes_the_bytes_of_the_argsort_sweep_step(tmp_path):

@@ -8,13 +8,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sstc import bitpack
-from sstc.codes import CodeParams, address_bits, count_entries
+from sstc import bitpack, quantize
+from sstc.codes import CodeParams, address_bits, count_entries, grouped_shape
 from sstc.errors import ValidationError
-from sstc.prune import structured_prune
+from sstc.prune import _groups_per_block, structured_prune
 from sstc.quantize import find_step_size, quantize_weight
 from sstc.store import (BatchNormParams, EncodedLayer, LayerFormat, ModelFile,
-                        WeightNormTag, compress_layer, decode_layer, deserialize_model,
+                        WeightNormTag, compress_layer, compress_model, decode_layer,
+                        deserialize_model,
                         encode_layer, layer_indices, model_from_arrays,
                         read_model, serialize_model, storage_report,
                         write_model)
@@ -289,6 +290,27 @@ def test_errors_while_building_a_loaded_layer_name_it(names, label):
         deserialize_model(bytes(bad))
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 1e39])
+def test_a_bias_must_be_finite(value):
+    with np.errstate(over="ignore"):
+        stored = np.float32(value)  # 1e39 overflows, as a file would store it
+    message = f"bias {stored} at row 3 is not finite"
+    fmt = LayerFormat("sst", CodeParams(8, 1))
+    bias = np.zeros(8)
+    bias[3] = value
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        encode_layer(np.zeros((8, 4)), 1.0, fmt, bias=bias)
+    layer = encode_layer(np.zeros((8, 4)), 1.0, fmt, bias=np.zeros(8))
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        replace(layer, bias=bias)
+    # bias row 3 follows the file header, the layer header and the bias count
+    blob = bytearray(serialize_model(ModelFile(layers=[layer])))
+    at = 12 + struct.calcsize("<BBIIBBf") + 4 + 4 * 3
+    blob[at:at + 4] = struct.pack("<f", stored)
+    with pytest.raises(ValidationError, match=f"^layer 0: {message}$"):
+        deserialize_model(bytes(blob))
+
+
 def test_metadata_must_be_a_json_object():
     blob = serialize_model(ModelFile())
     assert blob.endswith(struct.pack("<I", 2) + b"{}")
@@ -506,6 +528,36 @@ def test_compress_layer_writes_the_reference_pipeline_bytes(n, k, orientation, b
         bias = rng.normal(size=W.shape[0])
         want = reference_compress(W, fmt, bias, WeightNormTag())
         _same_bytes(compress_layer(W, fmt, bias, WeightNormTag(), "fc"), want)
+
+
+@pytest.mark.parametrize("orientation", ["column", "row"])
+@pytest.mark.parametrize("n,k", ALL_CODES + [(16, 16)])
+def test_compress_model_of_a_float32_file_writes_the_reference_pipeline_bytes(
+        tmp_path, n, k, orientation, block):
+    """The streamed compress: each layer read from the file in blocks of
+    whole groups, its indices ranked and packed in payload-order tiles."""
+    rng = np.random.default_rng(20 * n + k)
+    fmt = LayerFormat("sst", CodeParams(n, k), orientation)
+    # at the small block, tiles of at most 5 indices: 3 groups by 7 columns
+    # leave indices over from tile to tile, and 11 groups by 3 columns, or 21
+    # rows of one group, split each grid column
+    shapes = [(3 * n, 7), (11 * n, 3)] if orientation == "column" else [(7, 3 * n)]
+    inputs = [*_compress_inputs(rng, n, orientation), *(rng.normal(size=s) for s in shapes)]
+    layers = [encode_layer(W.astype(np.float32), None, LayerFormat("float32"),
+                           bias=rng.normal(size=W.shape[0]), normalizer=norm)
+              for W, norm in zip(inputs, [None, WeightNormTag()] * 4)]
+    names = [f"fc{i}" for i in range(len(layers))]
+    path = tmp_path / "float.sstw"
+    write_model(ModelFile(layers=layers, metadata={"layer_names": names}), path)
+    got = compress_model(str(path), lambda name: fmt)
+    want = [reference_compress(decode_layer(layer), fmt, layer.bias, layer.normalizer)
+            for layer in layers]
+    assert serialize_model(got) == serialize_model(
+        ModelFile(layers=want, metadata={"layer_names": names}))
+    if block == "small":
+        grouped = [grouped_shape(layer.rows, layer.cols, n, orientation) for layer in layers]
+        assert any(groups > _groups_per_block(n, cols) for groups, _, cols in grouped)
+        assert any(groups > quantize._BLOCK for groups, _, _ in grouped)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from sstc.cli import main
 from sstc.codes import CodeParams
 from sstc.datasets import gaussian_blobs
 from sstc.errors import ValidationError
 from sstc.kernel import bn_eval_affine, compressed_forward
 from sstc.prune import SparsitySchedule, structured_prune
 from sstc.quantize import find_step_size, quantize_weight
-from sstc.store import LayerFormat, deserialize_model, serialize_model
+from sstc.store import LayerFormat, decode_layer, deserialize_model, read_model, serialize_model
 from sstc import training as tr
 
 
@@ -123,8 +124,35 @@ def test_weight_norm_examples():
     assert np.allclose(np.linalg.norm(V, axis=1), 1.0, atol=1e-6)
     V10, _ = tr.weight_norm_forward(10.0 * U)
     assert np.allclose(V, V10, atol=1e-12)  # projective invariance
-    with pytest.raises(ValidationError, match="zero norm"):
-        tr.weight_norm_forward(np.zeros((2, 3)))
+
+
+def test_weight_norm_keeps_a_zero_row_zero_with_a_zero_gradient():
+    rng = np.random.default_rng(5)
+    U = rng.normal(size=(4, 6))
+    want, want_cache = tr.weight_norm_forward(U)
+    U[2] = 0.0
+    V, cache = tr.weight_norm_forward(U)
+    assert np.array_equal(V[2], np.zeros(6))
+    rows = [0, 1, 3]  # the other rows are normalized as before, bit for bit
+    assert np.array_equal(V[rows], want[rows])
+    dV = rng.normal(size=(4, 6))
+    dU = tr.weight_norm_backward(dV, cache)
+    assert np.array_equal(dU[2], np.zeros(6))
+    assert np.array_equal(dU[rows], tr.weight_norm_backward(dV, want_cache)[rows])
+    V0, cache0 = tr.weight_norm_forward(np.zeros((2, 3)))
+    assert np.array_equal(V0, np.zeros((2, 3)))
+    assert np.array_equal(tr.weight_norm_backward(np.ones((2, 3)), cache0), np.zeros((2, 3)))
+
+
+def test_weight_normalized_column_training_survives_an_emptied_output_row(tmp_path, capsys):
+    # at k = 1 with 32 inputs, the column prune empties output row 1 of a
+    # hidden layer; that row then emits its bias alone
+    out = tmp_path / "m.sstw"
+    assert main(["train", "--data", "synthetic:samples=1500,classes=3,dim=32,seed=1",
+                 "--arch", "32,32,32,3", "--code", "8,1", "--schedule", "4,2,1",
+                 "--normalizer", "weight_norm", "--seed", "1", "--out", str(out)]) == 0
+    hidden = [decode_layer(layer) for layer in read_model(out).layers[:-1]]
+    assert any(not W.any(axis=1).all() for W in hidden)
 
 
 def test_weight_norm_gradient_check():
