@@ -23,7 +23,9 @@ serializer as `write_model`, decoding sst layers block by block.
 pass, each float32 layer going to sst is read in blocks of whole groups
 into one reused buffer and pruned block by block, and its indices are
 ranked and packed in tiles of payload order, so a file's payloads are never
-held whole.
+held whole.  `_sst_payload` is the one sst payload writer: `compress_layer`
+and `encode_layer` both hand it each sub-vector's kept positions and values
+on the grouped view.
 
 Wire format (all integers little-endian, payload bits MSB-first):
 
@@ -54,10 +56,10 @@ import numpy as np
 
 from . import bitpack, quantize
 from .codes import (ORIENTATIONS, CodeParams, address_bits, count_entries, from_payload_order,
-                    grouped_shape, rank_grouped, rank_subvectors, subvectors,
-                    table_storage_bits, unrank_grouped)
-# unrank_subvectors: unused, but perfbench/tracing.py wraps it here
-from .codes import unrank_subvectors
+                    grouped_shape, grouped_view, rank_grouped, table_storage_bits,
+                    to_payload_order, unrank_grouped)
+# rank_subvectors, unrank_subvectors: unused, but perfbench/tracing.py wraps them here
+from .codes import rank_subvectors, unrank_subvectors
 from .errors import ValidationError
 from .prune import _groups_per_block, _largest_per_subvector
 from .quantize import find_step_size, quantize_weight
@@ -274,61 +276,100 @@ def _layer_names(metadata: dict, count: int) -> list:
 
 
 def ternary_trits(W_q: np.ndarray, delta: float) -> np.ndarray:
-    """Recover the {-1, 0, +1} pattern of a step-scaled ternary matrix."""
+    """Recover the {-1, 0, +1} pattern of a step-scaled ternary matrix whose
+    quotients by ``delta`` are finite (`encode_layer` checks them)."""
     if delta <= 0:
         raise ValidationError(f"step size must be positive, got {delta}")
-    scaled = np.asarray(W_q, dtype=np.float64) / delta
-    trits = np.rint(scaled).astype(np.int8)
-    if not np.array_equal(trits * np.float64(delta), np.asarray(W_q, dtype=np.float64)):
+    W_q = np.asarray(W_q, dtype=np.float64)
+    levels = np.rint(W_q / delta)
+    if not np.array_equal(levels * np.float64(delta), W_q):
         raise ValidationError("matrix entries are not multiples of the step size in {-1,0,+1}")
-    if np.any((trits < -1) | (trits > 1)):
+    if np.any(np.abs(levels) > 1):
         raise ValidationError("matrix entries exceed +-delta; not a ternary layer")
-    return trits
+    return levels.astype(np.int8)
+
+
+def _check_steps(W_q: np.ndarray, delta: float, label: str):
+    """Raise on the first entry of ``W_q`` whose quotient by ``delta`` is not
+    finite (NaN, an infinity, or an overflow), naming its row and column.
+
+    The quotient of the largest magnitude decides, so a finite matrix costs
+    two reductions and no copy.
+    """
+    with np.errstate(over="ignore"):
+        if np.isfinite(np.maximum(W_q.max(), -W_q.min()) / delta):
+            return
+        finite = np.isfinite(W_q / delta)
+    pos = int(np.argmin(finite))
+    row, col = divmod(pos, W_q.shape[1])
+    raise ValidationError(f"{label}: entry {W_q.flat[pos]} at row {row}, column {col} "
+                          f"is not a finite multiple of the step size {delta}")
+
+
+def _budget_error(W_q: np.ndarray, params: CodeParams, orientation: str, label: str):
+    """The `ValidationError` naming the first payload-order sub-vector of
+    ``W_q`` with more than k non-zeros, or None when every one is within
+    budget.  Counts on the grouped view (`codes.grouped_view`)."""
+    counts = np.count_nonzero(grouped_view(W_q, params, orientation), axis=1)
+    if counts.max(initial=0) <= params.k:
+        return None
+    counts = to_payload_order(counts)
+    pos = int(np.argmax(counts > params.k))
+    return ValidationError(f"{label}: sub-vector {pos} has {int(counts[pos])} non-zeros, over "
+                           f"the k={params.k} budget; the pruning pipeline produced an invalid "
+                           f"layer")
 
 
 def encode_layer(W_q, delta, fmt: LayerFormat, bias=None, normalizer=None,
                  layer_name: str = None) -> EncodedLayer:
     """Encode a quantized weight matrix into the given storage format.
 
-    For sst, every sub-vector must satisfy the non-zero budget; a violation
-    is reported with its position since it signals a pruning-pipeline bug
-    upstream.
+    Every entry must be a finite multiple of the step size: of at most 127
+    steps for fixed8, 0 or +-delta for ternary2bit and sst.  An sst
+    sub-vector over the non-zero budget is named by its payload-order
+    position, since it signals a pruning-pipeline bug upstream.  An sst
+    layer is encoded on its grouped view through `compress_layer`'s tail:
+    a sub-vector within budget has all its non-zeros among its k largest
+    magnitudes (`prune._largest_per_subvector`), so only those are checked
+    ternary and handed to `_sst_payload`.
     """
-    W_q = np.asarray(W_q, dtype=np.float64)
+    W_q = np.ascontiguousarray(W_q, dtype=np.float64)
     if W_q.ndim != 2:
         raise ValidationError("expected a 2-D weight matrix")
     rows, cols = W_q.shape
+    if rows < 1 or cols < 1:
+        raise ValidationError("layer dimensions must be positive")
     label = layer_name or "layer"
     kind = fmt.kind
     if kind == "float32":
-        payload = np.ascontiguousarray(W_q, dtype="<f4").tobytes()
+        with np.errstate(over="ignore"):  # a weight that overflows float32 is rejected as inf
+            payload = W_q.astype("<f4").tobytes()
         return EncodedLayer(fmt, rows, cols, 0.0, payload, bias, normalizer)
-    if delta is None or delta <= 0:
-        raise ValidationError(f"{label}: format {kind} requires a positive step size")
+    if delta is None or not 0 < delta < np.inf:
+        raise ValidationError(f"{label}: format {kind} requires a finite positive step size, "
+                              f"got {delta}")
+    _check_steps(W_q, delta, label)
     if kind == "fixed8":
-        levels = np.rint(W_q / delta).astype(np.int64)
+        levels = np.rint(W_q / delta)
         if np.any(np.abs(levels) > 127) or not np.array_equal(levels * np.float64(delta), W_q):
             raise ValidationError(f"{label}: entries are not 8-bit multiples of the step size")
         payload = levels.astype("<i1").tobytes()
         return EncodedLayer(fmt, rows, cols, delta, payload, bias, normalizer)
-    trits = ternary_trits(W_q, delta)
     if kind == "ternary2bit":
+        trits = ternary_trits(W_q, delta)
         codes = np.where(trits == -1, 2, trits).astype(np.int64).ravel()
         payload = bitpack.pack_indices(codes, 2)
         return EncodedLayer(fmt, rows, cols, delta, payload, bias, normalizer)
     # sst
     params = fmt.params
-    groups = subvectors(trits, params, fmt.orientation)
-    nnz = np.count_nonzero(groups, axis=1)
-    if np.any(nnz > params.k):
-        pos = int(np.argmax(nnz > params.k))
-        raise ValidationError(
-            f"{label}: sub-vector {pos} has {int(nnz[pos])} non-zeros, over the "
-            f"k={params.k} budget; the pruning pipeline produced an invalid layer"
-        )
-    indices = rank_subvectors(groups, params)
-    payload = bitpack.pack_indices(indices, address_bits(params))
-    return EncodedLayer(fmt, rows, cols, delta, payload, bias, normalizer)
+    error = _budget_error(W_q, params, fmt.orientation, label)
+    if error is not None:
+        ternary_trits(W_q, delta)  # an entry that is not ternary is named first
+        raise error
+    kept, values = _largest_per_subvector(W_q, params, fmt.orientation)  # (k, B, C) each
+    ternary_trits(values, delta)
+    return EncodedLayer(fmt, rows, cols, delta, _sst_payload(kept, values, delta, params),
+                        bias, normalizer)
 
 
 def compress_layer(W, fmt: LayerFormat, bias=None, normalizer=None,
@@ -372,9 +413,11 @@ def _sst_payload(kept, values, delta: float, params: CodeParams) -> bytes:
     """The packed indices of the kept positions ``kept`` and values ``values``
     of a (B, C) grid of sub-vectors, both (k, B, C), at step ``delta``.
 
-    A kept weight is a trit where quantize_weight's level
-    floor(|w| / delta + 0.5) is at least 1, that is where
-    |w| / delta + 0.5 >= 1; its base-3 digit is 1 for +1, 2 for -1.  Each
+    The one sst payload writer: `compress_layer` hands it float weights,
+    `encode_layer` quantized ones, each 0 or +-delta.  A kept weight is a
+    trit where quantize_weight's level floor(|w| / delta + 0.5) is at least
+    1, that is where |w| / delta + 0.5 >= 1, which holds exactly at
+    +-delta; its base-3 digit is 1 for +1, 2 for -1.  Each
     index is ranked straight from its kept (position, digit) pairs
     (`codes.rank_grouped`).  Payload order runs down each grid column in
     turn (`codes.to_payload_order`), so the grid is worked in tiles of about

@@ -22,13 +22,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .codes import CodeParams, rank_subvectors, subvectors
+from .codes import CodeParams, grouped_shape
+# rank_subvectors: unused, but perfbench/tracing.py wraps it here
+from .codes import rank_subvectors
 from .datasets import train_val_split
 from .errors import ValidationError
 from .kernel import bn_eval_affine, softmax
 from .prune import SparsitySchedule, structured_prune
 from .quantize import find_step_size, quantize_weight
-from .store import BatchNormParams, LayerFormat, ModelFile, WeightNormTag, encode_layer
+from .store import (BatchNormParams, LayerFormat, ModelFile, WeightNormTag, _budget_error,
+                    encode_layer)
 
 NORMALIZERS = ("none", "batch_norm", "weight_norm")
 
@@ -529,20 +532,24 @@ def _validate_schedule(net: Network, schedule: SparsitySchedule):
                 f"layer {i} targets {target} but the schedule ends at {schedule.target}"
             )
         try:
-            subvectors(layer.W, target, layer.spec.format.orientation)
+            grouped_shape(*layer.W.shape, target.n, layer.spec.format.orientation)
         except ValidationError as exc:
             raise ValidationError(f"layer {i} shape {layer.W.shape}: {exc}") from None
 
 
 def check_code_validity(net: Network) -> bool:
-    """Every quantized sub-vector must be encodable under its layer's code."""
+    """Every quantized sub-vector must be within its layer's non-zero budget.
+
+    Raises on the first that is not, naming the layer and the sub-vector's
+    payload-order position.
+    """
     for i, layer in enumerate(net.layers):
         if layer.spec.format.kind != "sst" or layer.W_q is None:
             continue
-        params = layer.current_params
-        trits = np.rint(layer.W_q / layer.delta).astype(np.int8)
-        # raises on budget violations
-        rank_subvectors(subvectors(trits, params, layer.spec.format.orientation), params)
+        error = _budget_error(layer.W_q, layer.current_params, layer.spec.format.orientation,
+                              f"layer {i}")
+        if error is not None:
+            raise error
     return True
 
 

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from sstc import bitpack, prune, quantize
-from sstc.codes import CodeParams, from_subvectors, grouped_view, unrank_subvectors
-from sstc.store import BatchNormParams, LayerFormat, WeightNormTag, layer_indices
+from sstc.codes import (CodeParams, address_bits, from_subvectors, grouped_view, rank_subvectors,
+                        subvectors, unrank_subvectors)
+from sstc.store import (BatchNormParams, EncodedLayer, LayerFormat, WeightNormTag, layer_indices,
+                        ternary_trits)
 
 # digit precedence of the canonical order: 0 < +1 < -1
 _DIGIT_KEY = {0: 0, 1: 1, -1: 2}
@@ -203,6 +205,20 @@ def random_layer(rng):
     elif roll < 0.6:
         norm = WeightNormTag()
     return W, delta, fmt, bias, norm
+
+
+def reference_encode(W_q, delta, fmt, bias=None, normalizer=None):
+    """`store.encode_layer` of an sst layer as a payload-order pipeline, kept as its reference.
+
+    `ternary_trits` recovers the trit matrix, `subvectors` cuts it into its
+    (count, n) groups in payload order, `rank_subvectors` ranks each group
+    and `bitpack.pack_indices` packs the ranks at the code's address width.
+    """
+    params = fmt.params
+    trits = ternary_trits(W_q, delta)
+    indices = rank_subvectors(subvectors(trits, params, fmt.orientation), params)
+    payload = bitpack.pack_indices(indices, address_bits(params))
+    return EncodedLayer(fmt, *trits.shape, delta, payload, bias, normalizer)
 
 
 def reference_decode(layer):

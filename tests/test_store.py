@@ -21,7 +21,10 @@ from sstc.store import (BatchNormParams, EncodedLayer, LayerFormat, ModelFile,
                         write_model)
 
 from conftest import (argsort_sweep, block_shapes, put_along_axis_prune, random_layer,
-                      random_sst_trits, reference_decode, tie_heavy_weights)
+                      random_sst_trits, reference_decode, reference_encode, tie_heavy_weights)
+
+
+ALL_CODES = [(16, 4), (16, 3), (16, 2), (8, 2), (8, 1), (4, 1)]
 
 
 def test_sst_codec_single_spike():
@@ -79,6 +82,103 @@ def test_sst_budget_violation_names_position():
     W[1, 1] = -1.0
     with pytest.raises(ValidationError, match="sub-vector 1"):
         encode_layer(W, 1.0, LayerFormat("sst", CodeParams(4, 1)), layer_name="fc0")
+    # column (4,1) on an 8x2 matrix: the grid of sub-vectors is 2 groups by
+    # 2 columns, and payload order runs down each column in turn
+    fmt = LayerFormat("sst", CodeParams(4, 1))
+    for (r0, r1, c), pos in [((4, 5, 0), 1), ((0, 3, 1), 2), ((6, 7, 1), 3)]:
+        W = np.zeros((8, 2))
+        W[[r0, r1], c] = [1.0, -1.0]
+        with pytest.raises(ValidationError, match=rf"^fc0: sub-vector {pos} has 2 non-zeros, "
+                                                  r"over the k=1 budget"):
+            encode_layer(W, 1.0, fmt, layer_name="fc0")
+    # row (4,1) on a 3x8 matrix: rows outermost, then the groups of each row
+    fmt = LayerFormat("sst", CodeParams(4, 1), "row")
+    W = np.zeros((3, 8))
+    W[2, [0, 3]] = 0.5
+    W[1, [4, 5, 6]] = -0.5
+    with pytest.raises(ValidationError, match=r"^fc1: sub-vector 3 has 3 non-zeros, over the "
+                                              r"k=1 budget; the pruning pipeline produced"):
+        encode_layer(W, 0.5, fmt, layer_name="fc1")
+
+
+_NOT_MULTIPLES = "matrix entries are not multiples of the step size"
+_EXCEED = "matrix entries exceed"
+
+
+@pytest.mark.parametrize("orientation", ["column", "row"])
+def test_an_input_over_budget_and_not_ternary_names_the_entries_first(orientation):
+    """The ternary message wins, whether or not the bad entry lies in the
+    sub-vector over budget."""
+    fmt = LayerFormat("sst", CodeParams(4, 1), orientation)
+    for value, message in [(0.3, _NOT_MULTIPLES), (0.4, _EXCEED)]:
+        for bad in [(0, 1), (3, 3)]:
+            W = np.zeros((4, 4))
+            W[[0, 0, 1, 1], [0, 1, 0, 1]] = 0.2  # over budget either way
+            W[bad] = value
+            with pytest.raises(ValidationError, match=message):
+                encode_layer(W, 0.2, fmt)
+
+
+_QUANTIZED_FORMATS = [LayerFormat("fixed8"), LayerFormat("ternary2bit"),
+                      LayerFormat("sst", CodeParams(4, 1)),
+                      LayerFormat("sst", CodeParams(4, 2), "row")]
+
+
+@pytest.mark.parametrize("value,delta", [(float("nan"), 0.5), (float("inf"), 0.5),
+                                         (float("-inf"), 0.5), (1e300, 1e-300)])
+@pytest.mark.parametrize("fmt", _QUANTIZED_FORMATS, ids=str)
+def test_an_entry_that_is_not_a_finite_multiple_is_named(fmt, value, delta):
+    """A NaN, an infinity or a quotient that overflows is rejected before
+    any cast, naming the layer, row and column, with no RuntimeWarning."""
+    W = np.zeros((8, 8))
+    W[5, 2] = value
+    message = f"fc1: entry {value} at row 5, column 2 is not a finite multiple of the step size"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        encode_layer(W, delta, fmt, layer_name="fc1")
+
+
+@pytest.mark.parametrize("fmt", _QUANTIZED_FORMATS, ids=str)
+def test_a_step_that_is_not_finite_and_positive_is_named(fmt):
+    for step in (float("inf"), float("nan"), 0.0, None):
+        with pytest.raises(ValidationError, match=f"fc1: format {fmt.kind} requires a finite "
+                                                  f"positive step size, got {step}"):
+            encode_layer(np.zeros((8, 8)), step, fmt, layer_name="fc1")
+
+
+@pytest.mark.parametrize("orientation", ["column", "row"])
+@pytest.mark.parametrize("n,k", ALL_CODES + [(16, 16), (24, 2), (8, 0)])
+def test_encode_layer_writes_the_payload_order_reference_bytes(n, k, orientation, block):
+    """The grouped-view encoder against `reference_encode`, for C- and
+    Fortran-ordered, float32 and integer inputs.  At the small block the
+    shapes cross prune blocks and payload tiles."""
+    rng = np.random.default_rng(100 * n + k)
+    params = CodeParams(n, k)
+    fmt = LayerFormat("sst", params, orientation)
+    shapes = ([(n, 1), (3 * n, 7), (11 * n, 3)] if orientation == "column"
+              else [(1, n), (7, 3 * n), (5, 2 * n)])
+    for shape in shapes:
+        trits = random_sst_trits(rng, *shape, params, orientation)
+        delta = float(np.float32(rng.uniform(0.05, 3.0)))
+        W = trits * delta
+        for W_q, step in [(W, delta), (np.asfortranarray(W), delta),
+                          (W.astype(np.float32), delta), (trits.astype(np.int64), 1.0),
+                          (np.asfortranarray(trits), 1.0)]:
+            _same_bytes(encode_layer(W_q, step, fmt), reference_encode(W_q, step, fmt))
+
+
+def test_encode_layer_peak_memory_stays_below_the_weights():
+    params = CodeParams(16, 2)
+    W = np.random.default_rng(16).normal(size=(1024, 8192))
+    W *= structured_prune(W, params)
+    W_q = quantize_weight(W, 1.0)
+    del W
+    tracemalloc.start()
+    try:
+        encode_layer(W_q, 1.0, LayerFormat("sst", params))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < W_q.nbytes
 
 
 def test_sst_divisibility_error():
@@ -88,8 +188,19 @@ def test_sst_divisibility_error():
 
 def test_sst_values_must_be_ternary_multiples():
     W = np.full((4, 1), 0.3)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=_NOT_MULTIPLES):
         encode_layer(W, 0.2, LayerFormat("sst", CodeParams(4, 4)))
+    # levels are checked before any cast, so 1000 steps does not wrap in
+    # int8 and 1e300 steps does not overflow it
+    cases = [(0.4, 0.2, _EXCEED), (-2.0, 1.0, _EXCEED), (1000.0, 1.0, _EXCEED),
+             (-1e300, 1.0, _EXCEED), (0.3, 0.2, _NOT_MULTIPLES)]
+    for fmt in [LayerFormat("ternary2bit"), LayerFormat("sst", CodeParams(4, 2)),
+                LayerFormat("sst", CodeParams(4, 2), "row")]:
+        for value, delta, message in cases:
+            W = np.zeros((4, 8))
+            W[2, 3] = value
+            with pytest.raises(ValidationError, match=message):
+                encode_layer(W, delta, fmt)
 
 
 def test_ternary2bit_roundtrip():
@@ -113,6 +224,14 @@ def test_float32_roundtrip():
     W = rng.normal(size=(5, 4)).astype(np.float32).astype(np.float64)
     layer = encode_layer(W, None, LayerFormat("float32"))
     assert np.array_equal(decode_layer(layer), W)
+
+
+def test_a_float32_weight_that_overflows_float32_is_rejected_as_inf():
+    W = np.zeros((3, 4))
+    W[1, 3] = -1e300
+    with pytest.raises(ValidationError,
+                       match="float32 weight -inf at row 1, column 3 is not finite"):
+        encode_layer(W, None, LayerFormat("float32"))
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -487,18 +606,18 @@ def test_bias_length_must_match_rows(bias_len):
 
 # --- compress_layer ------------------------------------------------------
 
-ALL_CODES = [(16, 4), (16, 3), (16, 2), (8, 2), (8, 1), (4, 1)]
-
-
 def reference_compress(W, fmt, bias=None, normalizer=None):
-    """The step-by-step pipeline `compress_layer` must match byte for byte."""
+    """The step-by-step pipeline `compress_layer` must match byte for byte;
+    an sst layer is encoded by the payload-order `reference_encode`."""
     if fmt.kind == "float32":
         return encode_layer(W, None, fmt, bias, normalizer)
     levels = 255 if fmt.kind == "fixed8" else 3
+    encode = encode_layer
     if fmt.kind == "sst":
         W = W * structured_prune(W, fmt.params, fmt.orientation)
+        encode = reference_encode
     delta = float(np.float32(find_step_size(W, levels)))
-    return encode_layer(quantize_weight(W, delta, levels), delta, fmt, bias, normalizer)
+    return encode(quantize_weight(W, delta, levels), delta, fmt, bias, normalizer)
 
 
 def _compress_inputs(rng, n, orientation):
@@ -574,7 +693,7 @@ def test_blocked_compress_layer_writes_the_put_along_axis_pipeline_bytes(n, k, o
             pruned = W * put_along_axis_prune(W, fmt.params, orientation)[1]
             mags = np.abs(pruned[pruned != 0], dtype=np.float64)
             delta = float(np.float32(argsort_sweep(mags, 1)))
-            want = encode_layer(quantize_weight(pruned, delta), delta, fmt)
+            want = reference_encode(quantize_weight(pruned, delta), delta, fmt)
             _same_bytes(compress_layer(W, fmt), want)
 
 

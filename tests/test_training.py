@@ -417,6 +417,29 @@ def test_serialized_model_evaluation_matches_in_memory():
     assert mcr == in_memory
 
 
+@pytest.mark.parametrize("orientation", ["column", "row"])
+def test_code_validity_names_the_layer_and_sub_vector_over_budget(orientation):
+    params = CodeParams(4, 1)
+    specs = [tr.LayerSpec(8, 8, format=LayerFormat("ternary2bit")),
+             tr.LayerSpec(8, 8, format=LayerFormat("sst", params, orientation))]
+    net = tr.Network(specs, seed=3)
+    layer = net.layers[1]
+    layer.set_mask(structured_prune(layer.W, params, orientation))
+    layer.refresh_delta()
+    assert tr.check_code_validity(net)
+    W_q = layer.W_q.copy()
+    if orientation == "column":
+        W_q[4:8, 2] = layer.delta  # group 1 of column 2: payload position 2 * 2 + 1
+        pos = 5
+    else:
+        W_q[4, 4:8] = layer.delta  # group 1 of row 4: payload position 4 * 2 + 1
+        pos = 9
+    layer.W_q = W_q
+    with pytest.raises(ValidationError, match=rf"^layer 1: sub-vector {pos} has 4 non-zeros, "
+                                              r"over the k=1 budget"):
+        tr.check_code_validity(net)
+
+
 def test_weight_norm_training_keeps_unit_rows_and_code_validity():
     params = CodeParams(8, 2)
     net, data = _blob_setup(params, seed=29, normalizer="weight_norm")
