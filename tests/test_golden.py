@@ -1,16 +1,22 @@
-"""Golden digests: the bytes of small `sstc train` runs, pinned.
+"""Golden digests: the bytes of small `sstc` runs, pinned.
 
-Each run trains on seeded synthetic data, in-process, and writes its model
-and its `--metrics` records.  A change that alters either file on purpose
-updates the digest here and names its reason.  The digests were the same at
-OPENBLAS_NUM_THREADS=1 and 2.
+Each train run trains on seeded synthetic data, in-process, and writes its
+model and its `--metrics` records.  Each compress run compresses a seeded
+four-layer float model, from a `.sstw` file (named layers, a batch norm and
+a weight norm) and from an `.npz` file, under one policy; its output is then
+decompressed, reported, verified and served with `infer --trace`.  Files
+are hashed, and the stdout of the commands that print no path.  A change
+that alters an output on purpose updates its digest here and names its
+reason.  The digests were the same at OPENBLAS_NUM_THREADS=1 and 2.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from sstc.cli import main
+from sstc.store import BatchNormParams, WeightNormTag, model_from_arrays, write_model
 
 TRAIN_RUNS = {
     "column-8-1-weight-norm": (
@@ -43,3 +49,135 @@ def test_train_writes_its_golden_model_and_metrics(tmp_path, capsys, name):
                  "--out", str(model), "--metrics", str(metrics)]) == 0
     capsys.readouterr()
     assert (_sha256(model), _sha256(metrics)) == (model_digest, metrics_digest)
+
+
+# input dim 48, then fc0 32x48, fc1 24x32, fc2 16x24, fc3 3x16
+_DIMS = (48, 32, 24, 16, 3)
+
+# per policy, the lines of its file for the first two layers, named {0} and {1}
+COMPRESS_POLICIES = {
+    "ternary": "default format=ternary\n",
+    "sst16-3-fixed8": ("default format=ternary\n{0} format=sst n=16 k=3\n"
+                       "{1} format=fixed8\n"),
+    "row8-2-float32": ("default format=ternary\n{0} format=sst n=8 k=2 orientation=row\n"
+                       "{1} format=float32\n"),
+}
+
+COMPRESS_DIGESTS = {
+    "sstw/ternary/compress":
+        "d1c041966051e4a10625f9426e1952768821b4c46b536fc6a84bbc6a61d7ce17",
+    "sstw/ternary/decompress":
+        "a021c0b693c4439ce4ceb7bbdfe5a81ce20ad1bb9d768c92a5244cce85885ff4",
+    "sstw/ternary/report":
+        "a24429d79f4daabc9a6836b0fe35d099da22711dab373c4dadc5b488d2cfd5a5",
+    "sstw/ternary/verify":
+        "3dbd26fd89a66ba3e757a728e473190de80c01c60ddb0ae58e7fb066c47e6987",
+    "sstw/ternary/infer":
+        "6cc8332d12b0d148c46ae26efde8af97a3298a95898769ee1f91ebde026f855e",
+    "sstw/sst16-3-fixed8/compress":
+        "3cfa46dba5640ee556f0e5962b3f508bd8c416222d027c3e220dfee5cc40d1ba",
+    "sstw/sst16-3-fixed8/decompress":
+        "0bcfec0b00557e3c7f23d2cb780728632eaa2267c8eae196149cdedaad5c9a76",
+    "sstw/sst16-3-fixed8/report":
+        "8006531762870f9dfbc2d74daf03acf381f313271112973bf17773bb695d31f6",
+    "sstw/sst16-3-fixed8/verify":
+        "61fe51352737fae9c698c02a398fd6af2306dec137de746752e088fb3b814188",
+    "sstw/sst16-3-fixed8/infer":
+        "92389f01a7184cfad65264488bee9bc321d4aa01f522b4653de92d52d6e114c8",
+    "sstw/row8-2-float32/compress":
+        "030db3c7e2dde76dfa1d77b056c6aafedd4c1eeb5800e61dca7a122b52870687",
+    "sstw/row8-2-float32/decompress":
+        "3d2dd427b718f321004769b53d46eff2f7dda9aa1aab1b8cbba6624c8266cb58",
+    "sstw/row8-2-float32/report":
+        "65ab1acb1ace4c52f47a7dc925be739cf58d6b5a331d5568ffa772c95940ac80",
+    "sstw/row8-2-float32/verify":
+        "61fe51352737fae9c698c02a398fd6af2306dec137de746752e088fb3b814188",
+    "sstw/row8-2-float32/infer":
+        "518a4422e261e14408310ef8d3a44656374c214ae0d7d3a26dc83e0978e2f7cc",
+    "npz/ternary/compress":
+        "53f9a119daaf347a113c0014247d5e23fe740ea52ba64b71b446d5904b14b78a",
+    "npz/ternary/decompress":
+        "f6c4ede90e09434bf4fe7eee78e5d58eb062805001bfbb0e84554d2c44759263",
+    "npz/ternary/report":
+        "65f233447f492302dd173e9f9977168375cf284d2e2e33d191fab5c45b113d99",
+    "npz/ternary/verify":
+        "3dbd26fd89a66ba3e757a728e473190de80c01c60ddb0ae58e7fb066c47e6987",
+    "npz/ternary/infer":
+        "6cc8332d12b0d148c46ae26efde8af97a3298a95898769ee1f91ebde026f855e",
+    "npz/sst16-3-fixed8/compress":
+        "0813a95db53bf966923c2ef1457a325c1d50d094dddd0f4ce0dab6aff7a60864",
+    "npz/sst16-3-fixed8/decompress":
+        "516a1114d9447787433c6931a52634edf89576b49687879fa90ae804e6e1a2f5",
+    "npz/sst16-3-fixed8/report":
+        "8f1e75fa7f241873a8a90f71e5ece054e665c7b83dd3440c0c384264dcd7c592",
+    "npz/sst16-3-fixed8/verify":
+        "30e12352345425f277137b13db7b1d5e28385da266b47ade9df14b94730fd234",
+    "npz/sst16-3-fixed8/infer":
+        "ec14ae87ace5a41932bd645d3b37a21664da08e24bfa71511ece1b60f0cc488a",
+    "npz/row8-2-float32/compress":
+        "a5a4360a4e761d0cc0d22e80367979c9f66262dd7bf2f9d3f09b85a0372e3aff",
+    "npz/row8-2-float32/decompress":
+        "6d4c5177775776cf99c963ca7e53d2200d78342a8c27b6f7c7ebe0c2f8784b93",
+    "npz/row8-2-float32/report":
+        "3bc81dc86d4ff03c2d3efe306f5074cf73a37cd93b0e18c54fbbb726313a5543",
+    "npz/row8-2-float32/verify":
+        "30e12352345425f277137b13db7b1d5e28385da266b47ade9df14b94730fd234",
+    "npz/row8-2-float32/infer":
+        "673ed70dc71b5b0a060c09e071ebb10496115231bd1b737713c3d01478bad273",
+}
+
+TABLES_DIGEST = "6266747dbed69b72617febca4c390966d8b35ebc5301e835b832fa503c3a7e4c"
+
+
+def _float_model_input(directory, kind):
+    """The path of the seeded float model, as a `.sstw` or an `.npz` file,
+    and its first two layer names."""
+    rng = np.random.default_rng(24)
+    pairs = [(rng.normal(size=(rows, cols)).astype(np.float32),
+              rng.normal(size=rows).astype(np.float32))
+             for cols, rows in zip(_DIMS, _DIMS[1:])]
+    if kind == "npz":
+        path = directory / "float.npz"
+        np.savez(path, **{f"{key}{i}": array for i, pair in enumerate(pairs)
+                          for key, array in zip("Wb", pair)})
+        return path, ("layer0", "layer1")
+    rows = _DIMS[1]
+    batch_norm = BatchNormParams(rng.normal(size=rows), rng.normal(size=rows),
+                                 rng.normal(size=rows), rng.uniform(0.5, 2.0, size=rows))
+    names = [f"fc{i}" for i in range(len(pairs))]
+    path = directory / "float.sstw"
+    write_model(model_from_arrays(pairs, names, [batch_norm, WeightNormTag(), None, None]),
+                path)
+    return path, tuple(names[:2])
+
+
+@pytest.mark.parametrize("kind", ["sstw", "npz"])
+@pytest.mark.parametrize("policy", COMPRESS_POLICIES)
+def test_compress_and_its_readers_give_their_golden_bytes(tmp_path, capsys, kind, policy):
+    source, names = _float_model_input(tmp_path, kind)
+    policy_file = tmp_path / "policy.txt"
+    policy_file.write_text(COMPRESS_POLICIES[policy].format(*names))
+    compressed, decompressed = tmp_path / "model.sstw", tmp_path / "float32.sstw"
+    runs = {
+        "compress": ["compress", "--input", str(source), "--output", str(compressed),
+                     "--policy", str(policy_file)],
+        "decompress": ["decompress", "--input", str(compressed), "--output", str(decompressed)],
+        "report": ["report", "--model", str(compressed)],
+        "verify": ["verify", "--model", str(compressed), "--trials", "4"],
+        "infer": ["infer", "--model", str(compressed), "--data",
+                  f"synthetic:samples=90,dim={_DIMS[0]}", "--trace"],
+    }
+    digests = {}
+    for output, argv in runs.items():
+        assert main([*argv, "--format", "records"]) == 0, output
+        stdout = capsys.readouterr().out.encode()
+        digests[output] = hashlib.sha256(stdout).hexdigest()
+    digests["compress"], digests["decompress"] = _sha256(compressed), _sha256(decompressed)
+    assert digests == {output: COMPRESS_DIGESTS[f"{kind}/{policy}/{output}"]
+                       for output in runs}
+
+
+def test_tables_give_their_golden_records(capsys):
+    assert main(["tables", "--format", "records", "--codes", "1,1;8,1;16,3;16,16"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == TABLES_DIGEST
+
