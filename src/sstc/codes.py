@@ -8,20 +8,20 @@ lexicographic over the trit sequence read left to right, with digit order
     (0,0,0,0), (0,0,0,+1), (0,0,0,-1), (0,0,+1,0), (0,0,-1,0),
     (0,+1,0,0), (0,-1,0,0), (+1,0,0,0), (-1,0,0,0)
 
-Unranking (index -> vector) is the one sst decoder, for every valid code.
-A code with at most `ENTRY_TABLE_LIMIT` = 2^16 entries, every code of the
-paper's Table I among them, is decoded as the paper decodes it, by table
-lookup: one gather of int8 rows from its T-entry table, enumerated directly
-and cached (at most 1.5 MB per code, 8 codes).  Ranking (vector -> index)
+The code is defined once, by its rank table.  Ranking (vector -> index)
 is enumerative coding (Cover, 1973) in closed form.  Under the digit order
 0 < +1 < -1 a zero puts no entry below its vector, so a rank is a sum over
 the vector's non-zeros alone: a non-zero at position p, after c non-zeros,
 adds R[digit, p, c], the number of entries that agree with the vector
 before p and hold a smaller trit at p.  R is one cached (3, n, k + 1)
-int64 table per code, at most 14.4 KB.  A code above the table limit
-unranks by the inverse walk over the same table, one position at a time,
-and builds nothing else.  A built `CodeTable` holds every entry's trits as
-a capped reference enumeration for the tests, demo 01 and the benchmark.
+int64 table per code, at most 14.4 KB.  Unranking (index -> vector), the
+one sst decoder, is the inverse walk over R (`_walk`).  A code with at most
+`ENTRY_TABLE_LIMIT` = 2^16 entries, every code of the paper's Table I among
+them, decodes as the paper does, by one gather of int8 rows from its
+T-entry table, the walk's cached output (at most 1.5 MB per code, 8
+codes); a larger code walks each index and builds nothing else.  A built
+`CodeTable` holds every entry's trits as a capped reference enumeration for
+the tests, demo 01 and the benchmark.
 
 Sub-vector layout.  A (rows, cols) weight matrix is cut into length-n
 sub-vectors in one of two orientations, and +1/-1 may sit only inside
@@ -252,25 +252,9 @@ def _rank_terms(table: np.ndarray, digit, position, before) -> np.ndarray:
 # a process uses a handful of codes; each table is at most 1.5 MB
 @lru_cache(maxsize=8)
 def _entry_table(n: int, k: int) -> np.ndarray:
-    """The read-only (T, n) int8 entries of the (n, k) code, in canonical order.
-
-    Enumerated one leading trit at a time, as `_suffix_counts` counts them:
-    the length-m vectors with at most j non-zeros are the length-(m - 1)
-    ones with at most j behind a 0, then those with at most j - 1 behind a
-    +1, then behind a -1.  No intermediate list exceeds T rows.
-    """
-    lists = [np.zeros((1, 0), dtype=np.int8)] * (k + 1)  # per budget j, at length m
-    for m in range(1, n + 1):
-        grown = []
-        for j in range(k + 1):
-            if j > m:  # a length-m vector has at most m non-zeros
-                grown.append(grown[m])
-                continue
-            tails = [lists[j]] + [lists[j - 1]] * (2 if j else 0)
-            leads = np.repeat(_TRITS[:len(tails)], [len(tail) for tail in tails])
-            grown.append(np.column_stack([leads, np.concatenate(tails)]))
-        lists = grown
-    table = lists[k]
+    """The read-only (T, n) int8 entries of the (n, k) code, in canonical
+    order: `_walk` of every index."""
+    table = _walk(np.arange(count_entries(CodeParams(n, k))), n, k)
     table.flags.writeable = False  # every caller shares it
     return table
 
@@ -359,17 +343,25 @@ def _unrank(idx: np.ndarray, params: CodeParams) -> np.ndarray:
     """The int8 entries of in-range indices, of shape ``idx.shape + (n,)``.
 
     A code of at most `ENTRY_TABLE_LIMIT` entries gathers them from its
-    entry table.  A larger code walks the positions in order: the digit at
-    a position is the largest d whose rank term R[d, position, c] the
-    remaining index reaches, which is then taken off it.
+    entry table, a larger one walks them (`_walk`).
     """
     if count_entries(params) <= ENTRY_TABLE_LIMIT:
         return _entry_table(params.n, params.k).take(idx, axis=0)
-    table = _rank_table(params.n, params.k)
+    return _walk(idx, params.n, params.k)
+
+
+def _walk(idx: np.ndarray, n: int, k: int) -> np.ndarray:
+    """The int8 entries of in-range indices of the (n, k) code.
+
+    The inverse of ranking visits the positions in order: the digit at a
+    position is the largest d whose rank term R[d, position, c] the
+    remaining index reaches, which is then taken off it.
+    """
+    table = _rank_table(n, k)
     rest = idx.astype(np.int64)
     before = np.zeros(idx.shape, dtype=np.intp)
-    out = np.empty(idx.shape + (params.n,), dtype=np.int8)
-    for position in range(params.n):
+    out = np.empty(idx.shape + (n,), dtype=np.int8)
+    for position in range(n):
         digit = ((rest >= _rank_terms(table, 1, position, before)).view(np.uint8)
                  + (rest >= _rank_terms(table, 2, position, before)))
         rest -= _rank_terms(table, digit, position, before)

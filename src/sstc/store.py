@@ -11,19 +11,21 @@ formats:
 
 An sst payload lists the layer's sub-vectors in the payload order of its
 orientation, as `sstc.codes.subvectors` cuts them (the `sstc.codes` module
-docstring describes the layout).  Biases and normalizer parameters are
-always stored as float32 and are never pruned or quantized; a bias, a
+docstring describes the layout).  A ternary2bit payload is that of the
+(1, 1) code in row order, so one codec writes and reads both (`_code_of`);
+only the header and the storage report tell them apart.  Biases and
+normalizer parameters are always stored as float32 and are never pruned or quantized; a bias, a
 float32 weight, and the step a float32 layer stores but never reads, must
 be finite.  Code tables are not serialized: the canonical enumeration is
 deterministic, so the decoder builds its lookup tables from (n, k) alone,
 and the storage report accounts for the tables analytically.
 `write_decompressed` writes a model's float32 file through the same
-serializer as `write_model`, decoding sst layers block by block.
+serializer as `write_model`, decoding coded layers block by block.
 `compress_model` reads a model file as it compresses it: after one header
-pass, each float32 layer going to sst is read in blocks of whole groups
+pass, each float32 layer going to a code is read in blocks of whole groups
 into one reused buffer and pruned block by block, and its indices are
 ranked and packed in tiles of payload order, so a file's payloads are never
-held whole.  `_sst_payload` is the one sst payload writer: `compress_layer`
+held whole.  `_sst_payload` is the one index payload writer: `compress_layer`
 and `encode_layer` both hand it each sub-vector's kept positions and values
 on the grouped view.
 
@@ -112,6 +114,10 @@ class BatchNormParams:
             setattr(self, name, np.ascontiguousarray(getattr(self, name), dtype=np.float32))
             if not np.isfinite(getattr(self, name)).all():
                 raise ValidationError(f"batch norm {name} holds a non-finite value")
+        shapes = [arr.shape for arr in (self.gamma, self.beta, self.mean, self.var)]
+        if len(set(shapes)) > 1:
+            raise ValidationError(f"batch norm gamma, beta, mean and var differ in shape: "
+                                  f"{', '.join(map(str, shapes))}")
         if not np.isfinite(self.eps):
             raise ValidationError(f"batch norm eps must be finite, got {self.eps}")
         # the eval fold divides by sqrt(var + eps) of the stored float32
@@ -168,7 +174,7 @@ class EncodedLayer:
     def __post_init__(self):
         object.__setattr__(self, "payload", bytes(self.payload))
         delta, bias = _checked_fields(self.format, self.rows, self.cols, self.delta, self.bias,
-                                      len(self.payload))
+                                      self.normalizer, len(self.payload))
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "bias", bias)
         if self.format.kind == "float32":
@@ -179,9 +185,10 @@ class EncodedLayer:
         return self.rows * self.cols
 
     def num_indices(self):
-        if self.format.kind != "sst":
-            raise ValidationError("only sst layers carry index streams")
-        return self.weight_count // self.format.params.n
+        code = _code_of(self.format)
+        if code is None:
+            raise ValidationError("only sst and ternary2bit layers carry index streams")
+        return self.weight_count // code[0].n
 
     def payload_bit_length(self) -> int:
         return _payload_bits(self.format, self.rows, self.cols)
@@ -203,18 +210,24 @@ class EncodedLayer:
         )
 
 
+def _code_of(fmt: LayerFormat):
+    """The (params, orientation) of the (N, K) code a layer's payload holds
+    the indices of, or None for float32 and fixed8.  ternary2bit is the
+    (1, 1) code in row order: its indices 0, 1, 2 are the trits 0, +1, -1."""
+    if fmt.kind == "ternary2bit":
+        return CodeParams(1, 1), "row"
+    return (fmt.params, fmt.orientation) if fmt.kind == "sst" else None
+
+
 def _payload_bits(fmt: LayerFormat, rows: int, cols: int) -> int:
-    kind = fmt.kind
-    if kind == "float32":
-        return 32 * rows * cols
-    if kind == "fixed8":
-        return 8 * rows * cols
-    if kind == "ternary2bit":
-        return 2 * rows * cols
-    return rows * cols // fmt.params.n * address_bits(fmt.params)
+    code = _code_of(fmt)
+    if code is None:
+        return (32 if fmt.kind == "float32" else 8) * rows * cols
+    return rows * cols // code[0].n * address_bits(code[0])
 
 
-def _checked_fields(fmt: LayerFormat, rows: int, cols: int, delta, bias, payload_size: int):
+def _checked_fields(fmt: LayerFormat, rows: int, cols: int, delta, bias, normalizer,
+                    payload_size: int):
     """The float32 step and bias of a layer, after every check `EncodedLayer`
     makes of it but the one of a float32 payload's values."""
     if rows < 1 or cols < 1:
@@ -240,6 +253,12 @@ def _checked_fields(fmt: LayerFormat, rows: int, cols: int, delta, bias, payload
         if not finite.all():
             pos = int(np.argmin(finite))
             raise ValidationError(f"bias {bias[pos]} at row {pos} is not finite")
+    if isinstance(normalizer, BatchNormParams):
+        if normalizer.gamma.shape != (rows,):
+            raise ValidationError(f"batch norm parameter length {normalizer.gamma.shape} does "
+                                  f"not match the {rows} rows")
+    elif not (normalizer is None or isinstance(normalizer, WeightNormTag)):
+        raise ValidationError(f"unknown normalizer {type(normalizer).__name__}")
     expected = _payload_bits(fmt, rows, cols)
     if payload_size != (expected + 7) // 8:
         raise ValidationError(f"payload is {payload_size} bytes, expected {(expected + 7) // 8} "
@@ -289,6 +308,14 @@ def ternary_trits(W_q: np.ndarray, delta: float) -> np.ndarray:
     return levels.astype(np.int8)
 
 
+def _check_shape(shape):
+    """Raise unless ``shape`` is a matrix's with at least one row and column."""
+    if len(shape) != 2:
+        raise ValidationError("expected a 2-D weight matrix")
+    if min(shape) < 1:
+        raise ValidationError("layer dimensions must be positive")
+
+
 def _check_steps(W_q: np.ndarray, delta: float, label: str):
     """Raise on the first entry of ``W_q`` whose quotient by ``delta`` is not
     finite (NaN, an infinity, or an overflow), naming its row and column.
@@ -327,18 +354,15 @@ def encode_layer(W_q, delta, fmt: LayerFormat, bias=None, normalizer=None,
     Every entry must be a finite multiple of the step size: of at most 127
     steps for fixed8, 0 or +-delta for ternary2bit and sst.  An sst
     sub-vector over the non-zero budget is named by its payload-order
-    position, since it signals a pruning-pipeline bug upstream.  An sst
-    layer is encoded on its grouped view through `compress_layer`'s tail:
-    a sub-vector within budget has all its non-zeros among its k largest
-    magnitudes (`prune._largest_per_subvector`), so only those are checked
-    ternary and handed to `_sst_payload`.
+    position, since it signals a pruning-pipeline bug upstream.  An sst or
+    ternary2bit layer is encoded on its grouped view through the tail of
+    `compress_layer`: a sub-vector within budget has all its non-zeros
+    among its k largest magnitudes (`prune._largest_per_subvector`), so
+    only those are checked ternary and handed to `_sst_payload`.
     """
     W_q = np.ascontiguousarray(W_q, dtype=np.float64)
-    if W_q.ndim != 2:
-        raise ValidationError("expected a 2-D weight matrix")
+    _check_shape(W_q.shape)
     rows, cols = W_q.shape
-    if rows < 1 or cols < 1:
-        raise ValidationError("layer dimensions must be positive")
     label = layer_name or "layer"
     kind = fmt.kind
     if kind == "float32":
@@ -355,18 +379,12 @@ def encode_layer(W_q, delta, fmt: LayerFormat, bias=None, normalizer=None,
             raise ValidationError(f"{label}: entries are not 8-bit multiples of the step size")
         payload = levels.astype("<i1").tobytes()
         return EncodedLayer(fmt, rows, cols, delta, payload, bias, normalizer)
-    if kind == "ternary2bit":
-        trits = ternary_trits(W_q, delta)
-        codes = np.where(trits == -1, 2, trits).astype(np.int64).ravel()
-        payload = bitpack.pack_indices(codes, 2)
-        return EncodedLayer(fmt, rows, cols, delta, payload, bias, normalizer)
-    # sst
-    params = fmt.params
-    error = _budget_error(W_q, params, fmt.orientation, label)
+    params, orientation = _code_of(fmt)
+    error = _budget_error(W_q, params, orientation, label)
     if error is not None:
         ternary_trits(W_q, delta)  # an entry that is not ternary is named first
         raise error
-    kept, values = _largest_per_subvector(W_q, params, fmt.orientation)  # (k, B, C) each
+    kept, values = _largest_per_subvector(W_q, params, orientation)  # (k, B, C) each
     ternary_trits(values, delta)
     return EncodedLayer(fmt, rows, cols, delta, _sst_payload(kept, values, delta, params),
                         bias, normalizer)
@@ -378,34 +396,35 @@ def compress_layer(W, fmt: LayerFormat, bias=None, normalizer=None,
 
     Writes the bytes of the step-by-step pipeline: for sst `structured_prune`
     and ``W * mask``, then `find_step_size`, delta rounded to float32 as
-    files store it, `quantize_weight` and `encode_layer`.  An sst layer is
-    worked on W's grouped view (`codes.grouped_view`), with no payload-order
-    copy of W: `prune._largest_per_subvector` reads W once, in blocks with
-    reused buffers, for the kept positions along each sub-vector (uint8) and
-    their values.  For sst, ``W`` may also be a `_PayloadReader`, which
-    reads a float32 layer from its file block by block.  The step size is
-    fitted on the kept values alone, widened to float64, and the indices
-    are ranked and packed in tiles of payload order (`_sst_payload`).  So the
-    only whole-layer arrays are the kept positions and values and the fit's
-    float64 magnitudes.  There is no mask, no masked copy and no re-check of
-    the trits.  A float32 ``W`` is pruned in float32, which keeps the kept
-    positions and ties of its float64 widening and so its bytes.  Every
-    step-size fit is the exact sweep, which does not depend on the order of
-    its input.  ``name`` labels the errors of `encode_layer`.
+    files store it, `quantize_weight` and `encode_layer`.  An sst or
+    ternary2bit layer is worked on W's grouped view (`codes.grouped_view`),
+    with no payload-order copy of W: `prune._largest_per_subvector` reads W
+    once, in blocks with reused buffers, for the kept positions along each
+    sub-vector (uint8) and their values.  Such a ``W`` may also be a
+    `_PayloadReader`, which reads a float32 layer from its file block by
+    block.  The step size is fitted on the kept values alone, widened to
+    float64, and the indices are ranked and packed in tiles of payload
+    order (`_sst_payload`).  So the only whole-layer arrays are the kept
+    positions and values and the fit's float64 magnitudes.  There is no
+    mask, no masked copy and no re-check of the trits.  A float32 ``W`` is
+    pruned in float32, which keeps the kept positions and ties of its
+    float64 widening and so its bytes.  Every step-size fit is the exact
+    sweep, which does not depend on the order of its input.  ``name``
+    labels the errors of `encode_layer`.
     """
+    if not isinstance(W, _PayloadReader):
+        W = np.asarray(W)
+    _check_shape(W.shape)
     kind = fmt.kind
     if kind == "float32":
         return encode_layer(W, None, fmt, bias, normalizer, name)
-    if kind != "sst":
-        levels = 255 if kind == "fixed8" else 3
-        delta = float(np.float32(find_step_size(W, levels)))
-        return encode_layer(quantize_weight(W, delta, levels), delta, fmt, bias, normalizer,
-                            name)
-    if not isinstance(W, _PayloadReader):
-        W = np.asarray(W)
-    kept, values = _largest_per_subvector(W, fmt.params, fmt.orientation)  # (k, B, C) each
+    if kind == "fixed8":
+        delta = float(np.float32(find_step_size(W, 255)))
+        return encode_layer(quantize_weight(W, delta, 255), delta, fmt, bias, normalizer, name)
+    params, orientation = _code_of(fmt)
+    kept, values = _largest_per_subvector(W, params, orientation)  # (k, B, C) each
     delta = float(np.float32(find_step_size(values)))
-    return EncodedLayer(fmt, *W.shape, delta, _sst_payload(kept, values, delta, fmt.params),
+    return EncodedLayer(fmt, *W.shape, delta, _sst_payload(kept, values, delta, params),
                         bias, normalizer)
 
 
@@ -413,7 +432,7 @@ def _sst_payload(kept, values, delta: float, params: CodeParams) -> bytes:
     """The packed indices of the kept positions ``kept`` and values ``values``
     of a (B, C) grid of sub-vectors, both (k, B, C), at step ``delta``.
 
-    The one sst payload writer: `compress_layer` hands it float weights,
+    The one index payload writer: `compress_layer` hands it float weights,
     `encode_layer` quantized ones, each 0 or +-delta.  A kept weight is a
     trit where quantize_weight's level floor(|w| / delta + 0.5) is at least
     1, that is where |w| / delta + 0.5 >= 1, which holds exactly at
@@ -462,12 +481,12 @@ def _sst_payload(kept, values, delta: float, params: CodeParams) -> bytes:
 
 
 def layer_indices(layer: EncodedLayer) -> np.ndarray:
-    """Unpacked sub-vector indices of an sst layer, in payload order.
+    """Unpacked sub-vector indices of an sst or ternary2bit layer, in payload order.
 
     The one check that every index is below the entry count T: the address
     width also admits the values T .. 2^I - 1.
     """
-    params = layer.format.params
+    params = _code_of(layer.format)[0]
     idx = bitpack.unpack_indices(layer.payload, address_bits(params), layer.num_indices())
     t_total = count_entries(params)
     bad = idx >= t_total
@@ -483,7 +502,7 @@ def layer_indices(layer: EncodedLayer) -> np.ndarray:
 def decode_layer(layer: EncodedLayer) -> np.ndarray:
     """Dense float64 weight matrix of an encoded layer, C-ordered.
 
-    sst indices are put on the (B, C) grid of the layer's grouped view
+    Indices are put on the (B, C) grid of the layer's grouped view
     (`codes.from_payload_order`) and unranked straight into that view
     (`codes.unrank_grouped`): one gather from the code's cached T-entry
     table, or, for a code above `codes.ENTRY_TABLE_LIMIT` entries, the
@@ -519,14 +538,8 @@ def _decoded(layer: EncodedLayer, dtype) -> np.ndarray:
         # 127 times a large float32 step overflows float32; `_check_finite` rejects it
         with np.errstate(over="ignore"):
             return levels.astype(dtype).reshape(rows, cols) * scale
-    if kind == "ternary2bit":
-        codes = bitpack.unpack_indices(layer.payload, 2, layer.weight_count)
-        if np.any(codes == 3):
-            raise ValidationError("corrupt ternary payload: trit code 3")
-        return np.where(codes == 2, -1, codes).astype(dtype).reshape(rows, cols) * scale
-    params = layer.format.params
-    grid = from_payload_order(layer_indices(layer), rows, cols, params,
-                              layer.format.orientation)
+    params, orientation = _code_of(layer.format)
+    grid = from_payload_order(layer_indices(layer), rows, cols, params, orientation)
     return unrank_grouped(grid, params, scale).reshape(rows, cols)
 
 
@@ -576,15 +589,9 @@ def _serialized_parts(model: ModelFile, decoded: bool = False):
                 yield struct.pack("<B", 0)
             elif isinstance(norm, BatchNormParams):
                 yield struct.pack("<Bf", 1, np.float32(norm.eps))
-                for arr in (norm.gamma, norm.beta, norm.mean, norm.var):
-                    if arr.size != layer.rows:
-                        raise ValidationError("batch norm parameter length must equal the "
-                                              "row count")
-                    yield _f32_bytes(arr)
-            elif isinstance(norm, WeightNormTag):
+                yield from map(_f32_bytes, (norm.gamma, norm.beta, norm.mean, norm.var))
+            else:  # a WeightNormTag, as `EncodedLayer` checks
                 yield struct.pack("<B", 2)
-            else:
-                raise ValidationError(f"unknown normalizer {type(norm).__name__}")
     meta = _metadata_block(model.metadata)
     yield struct.pack("<I", len(meta))
     yield meta
@@ -593,23 +600,22 @@ def _serialized_parts(model: ModelFile, decoded: bool = False):
 def _float32_blocks(layer: EncodedLayer):
     """The C-ordered float32 weights of ``layer``, in consecutive pieces.
 
-    A float32 layer gives its payload.  An sst layer is decoded in blocks
-    of whole groups of its grouped view, each one contiguous span of the
-    matrix, into one reused buffer.  Every decoded weight is the float32
-    delta a file stores times an integer level, which float32 rounds as it
-    rounds the float64 product of `decode_layer`.  Only a fixed8 weight,
+    A float32 layer gives its payload.  An sst or ternary2bit layer is
+    decoded in blocks of whole groups of its grouped view, each one
+    contiguous span of the matrix, into one reused buffer.  Every decoded
+    weight is the float32 delta a file stores times an integer level, which
+    float32 rounds as it rounds the float64 product of `decode_layer`.  Only a fixed8 weight,
     up to 127 times the delta, can overflow; it is checked.
     """
     kind = layer.format.kind
     if kind == "float32":
         yield layer.payload
-    elif kind != "sst":
+    elif kind == "fixed8":
         weights = _decoded(layer, np.float32).astype("<f4", copy=False)
-        if kind == "fixed8":
-            _check_finite(weights.ravel(), layer.cols)
+        _check_finite(weights.ravel(), layer.cols)
         yield weights
     else:
-        params, orientation = layer.format.params, layer.format.orientation
+        params, orientation = _code_of(layer.format)
         grid = from_payload_order(layer_indices(layer), layer.rows, layer.cols, params,
                                   orientation)
         groups, cols = grid.shape
@@ -708,7 +714,7 @@ class _Record:
         """The bias and normalizer of a float32 record, after every check
         `layer` makes of it but the one of its payload's values."""
         fmt, norm = LayerFormat("float32"), self.make_norm()
-        _, bias = _checked_fields(fmt, self.rows, self.cols, float(self.delta), self.bias,
+        _, bias = _checked_fields(fmt, self.rows, self.cols, float(self.delta), self.bias, norm,
                                   self.payload_size)
         self._check_bits(_payload_bits(fmt, self.rows, self.cols))
         return bias, norm
@@ -880,10 +886,10 @@ def compress_model(source, format_of) -> ModelFile:
     `ModelFile.layer_names`; the metadata gains those names.  Read from a
     path, the file's header pass (`deserialize_model`'s) comes first, then
     each layer is read, with every check and message of `read_model`, and
-    compressed in turn.  A float32 layer going to sst is never read whole:
-    the prune reads it from the file, in blocks of whole groups, into one
-    reused buffer (`_PayloadReader`).  A `ValidationError` of compressing a
-    layer names it.
+    compressed in turn.  A float32 layer going to sst or ternary2bit is
+    never read whole: the prune reads it from the file, in blocks of whole
+    groups, into one reused buffer (`_PayloadReader`).  A `ValidationError`
+    of compressing a layer names it.
     """
     if isinstance(source, ModelFile):
         return _compress_layers(source.metadata, len(source.layers), format_of,
@@ -896,7 +902,7 @@ def compress_model(source, format_of) -> ModelFile:
             # load errors are named as read_model names them
             record = records[index]
             with _naming_layer(index, names):
-                if record.kind == "float32" and fmt.kind == "sst":
+                if record.kind == "float32" and _code_of(fmt) is not None:
                     return _PayloadReader(fh, record, *record.float32_fields(), index, names)
                 return record.layer(r.read_at(record.payload_at, record.payload_size))
 
@@ -949,19 +955,19 @@ class _PayloadReader:
                 yield piece
 
 
-def model_from_arrays(weights_and_biases, names=None, normalizers=None,
-                      metadata=None) -> ModelFile:
-    """Build a float32 model from raw (W, b) matrix pairs (the import path)."""
+def model_from_arrays(weights_and_biases, names=None, normalizers=None) -> ModelFile:
+    """Build a float32 model from raw (W, b) matrix pairs (the import path),
+    with one name and one normalizer per layer where given."""
+    count = len(weights_and_biases)
+    for label, given in (("names", names), ("normalizers", normalizers)):
+        if given is not None and len(given) != count:
+            raise ValidationError(f"{len(given)} {label} given for {count} layers")
     layers = []
-    normalizers = normalizers or [None] * len(weights_and_biases)
-    for index, ((W, b), norm) in enumerate(zip(weights_and_biases, normalizers)):
+    for index, ((W, b), norm) in enumerate(zip(weights_and_biases,
+                                               normalizers or [None] * count)):
         with _naming_layer(index, names):
-            W = np.asarray(W, dtype=np.float64)
             layers.append(encode_layer(W, None, LayerFormat("float32"), bias=b, normalizer=norm))
-    meta = dict(metadata or {})
-    if names:
-        meta["layer_names"] = list(names)
-    return ModelFile(layers=layers, metadata=meta)
+    return ModelFile(layers=layers, metadata={"layer_names": list(names)} if names else {})
 
 
 # --- storage accounting --------------------------------------------------

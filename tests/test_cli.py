@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import struct
 import tracemalloc
 
@@ -12,6 +13,7 @@ from sstc import bitpack, kernel, prune, quantize, store, training as tr
 from sstc.cli import _build_specs, main
 from sstc.codes import CodeParams, address_bits, count_entries, grouped_shape
 from sstc.datasets import gaussian_blobs, train_val_split
+from sstc.errors import ValidationError
 from sstc.kernel import CompressedFCLayer, compressed_forward
 from sstc.quantize import quantize_weight
 from sstc.store import (EncodedLayer, LayerFormat, ModelFile, decode_layer, encode_layer,
@@ -659,6 +661,40 @@ def test_commands_name_the_layer_holding_a_corrupt_index(tmp_path, capsys, comma
     assert capsys.readouterr().err == ("error: layer 1 (b): corrupt index 31 at stream "
                                        "position 0 (code (8,1) has 17 entries)\n")
     assert not out.exists()
+
+
+def _corrupt_ternary_model(path):
+    """A file whose second layer, b, is a 3x8 ternary2bit layer holding the
+    unused 2-bit code 3 at weight 5 (byte 1 is 00 11 00 00)."""
+    first = encode_layer(np.eye(8, 4), 1.0, LayerFormat("sst", CodeParams(8, 1)))
+    good = encode_layer(np.zeros((3, 8)), 0.5, LayerFormat("ternary2bit"))
+    bad = type(good)(good.format, 3, 8, 0.5, good.payload[:1] + bytes([0b00110000])
+                     + good.payload[2:])
+    write_model(ModelFile(layers=[first, bad], metadata={"layer_names": ["a", "b"]}), path)
+
+
+_CORRUPT_TERNARY = "corrupt index 3 at stream position 5 (code (1,1) has 3 entries)"
+
+
+def test_a_corrupt_ternary_payload_is_rejected_on_decode(tmp_path):
+    _corrupt_ternary_model(tmp_path / "bad.sstw")
+    model = read_model(tmp_path / "bad.sstw")
+    with pytest.raises(ValidationError, match=f"^{re.escape(_CORRUPT_TERNARY)}$"):
+        decode_layer(model.layers[1])
+
+
+@pytest.mark.parametrize("command", ["compress", "decompress", "infer"])
+def test_commands_name_the_layer_holding_a_corrupt_ternary_payload(tmp_path, capsys, command):
+    path, out = tmp_path / "bad.sstw", tmp_path / "out.sstw"
+    _corrupt_ternary_model(path)
+    out.write_bytes(b"an earlier output")
+    argv = {"compress": ["--input", str(path), "--output", str(out)],
+            "decompress": ["--input", str(path), "--output", str(out)],
+            "infer": ["--model", str(path), "--data", "synthetic:samples=6,dim=4"]}[command]
+    assert main([command, *argv]) == 1
+    assert capsys.readouterr().err == f"error: layer 1 (b): {_CORRUPT_TERNARY}\n"
+    assert out.read_bytes() == b"an earlier output"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.sstw", "out.sstw"]
 
 
 def test_compress_names_the_policy_of_an_invalid_code(tmp_path, capsys):

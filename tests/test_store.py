@@ -211,6 +211,21 @@ def test_ternary2bit_roundtrip():
     assert np.array_equal(decode_layer(layer), W)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("shape", [(10, 1024), (7, 3), (1, 1), (33, 17)])
+def test_ternary2bit_is_the_one_one_code_in_row_order(shape, dtype):
+    ternary, code = LayerFormat("ternary2bit"), LayerFormat("sst", CodeParams(1, 1), "row")
+    rng = np.random.default_rng(shape[0] * shape[1])
+    W = rng.normal(size=shape).astype(dtype)
+    delta = float(np.float32(0.375))
+    W_q = (rng.integers(-1, 2, size=shape) * delta).astype(dtype)
+    for got, want in ((compress_layer(W, ternary), compress_layer(W, code)),
+                      (encode_layer(W_q, delta, ternary), encode_layer(W_q, delta, code))):
+        assert (got.delta, got.payload) == (want.delta, want.payload)
+        assert decode_layer(got).tobytes() == decode_layer(want).tobytes()
+    assert np.array_equal(decode_layer(encode_layer(W_q, delta, ternary)), W_q)
+
+
 def test_fixed8_roundtrip():
     rng = np.random.default_rng(2)
     delta = float(np.float32(0.03))
@@ -510,11 +525,9 @@ def test_write_model_writes_the_serialized_bytes_or_nothing(tmp_path):
     path = tmp_path / "model.sstw"
     write_model(model, path)
     assert path.read_bytes() == serialize_model(model)
-    # the last layer fails to serialize after the others were written
-    bad = replace(encode_layer(np.eye(3), None, LayerFormat("float32")),
-                  normalizer=BatchNormParams(np.ones(2), np.zeros(2), np.zeros(2), np.ones(2)))
-    model.layers.append(bad)
-    with pytest.raises(ValidationError, match="batch norm parameter length"):
+    # the metadata fails to serialize after every layer was written
+    model.metadata["note"] = object()
+    with pytest.raises(TypeError, match="not JSON serializable"):
         write_model(model, tmp_path / "bad.sstw")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.sstw"]
 
@@ -602,6 +615,50 @@ def test_bias_length_must_match_rows(bias_len):
     data = data[:at] + struct.pack("<I", bias_len) + bytes(4 * bias_len) + data[at + 4 + 32:]
     with pytest.raises(ValidationError, match=rf"\({bias_len},\) does not match the 8 rows"):
         deserialize_model(data)
+
+
+def _batch_norm(rows):
+    return BatchNormParams(np.ones(rows), np.zeros(rows), np.zeros(rows), np.ones(rows))
+
+
+@pytest.mark.parametrize("normalizer, message", [
+    (_batch_norm(1), r"batch norm parameter length \(1,\) does not match the 4 rows"),
+    (_batch_norm(8), r"batch norm parameter length \(8,\) does not match the 4 rows"),
+    (object(), "unknown normalizer object"),
+    ("weight_norm", "unknown normalizer str"),
+], ids=["one-row", "eight-rows", "object", "name"])
+def test_a_layer_normalizer_must_fit_the_layer(normalizer, message):
+    W = np.zeros((4, 8))
+    fmt = LayerFormat("sst", CodeParams(4, 1))
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        encode_layer(W, 1.0, fmt, normalizer=normalizer)
+    layer = encode_layer(W, 1.0, fmt, normalizer=_batch_norm(4))
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        replace(layer, normalizer=normalizer)
+    with pytest.raises(ValidationError, match=f"^layer 0 \\(fc0\\): {message}$"):
+        model_from_arrays([(W, None)], names=["fc0"], normalizers=[normalizer])
+    assert replace(layer, normalizer=WeightNormTag()).normalizer == WeightNormTag()
+    assert replace(layer, normalizer=None).normalizer is None
+
+
+def test_batch_norm_parameters_must_share_one_shape():
+    with pytest.raises(ValidationError, match=r"differ in shape: \(3,\), \(3,\), \(2,\), \(3,\)"):
+        BatchNormParams(np.ones(3), np.zeros(3), np.zeros(2), np.ones(3))
+    with pytest.raises(ValidationError, match="differ in shape"):
+        BatchNormParams(np.ones(3), np.zeros((3, 1)), np.zeros(3), np.ones(3))
+
+
+@pytest.mark.parametrize("names, normalizers, message", [
+    (None, [None], "1 normalizers given for 2 layers"),
+    (["fc0"], None, "1 names given for 2 layers"),
+    (["fc0", "fc1", "fc2"], [None, None], "3 names given for 2 layers"),
+], ids=["short-normalizers", "short-names", "long-names"])
+def test_model_from_arrays_takes_one_name_and_normalizer_per_layer(names, normalizers, message):
+    pairs = [(np.eye(3), None), (np.eye(3), np.zeros(3))]
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        model_from_arrays(pairs, names=names, normalizers=normalizers)
+    model = model_from_arrays(pairs, names=["a", "b"], normalizers=[None, WeightNormTag()])
+    assert model.layer_names() == ["a", "b"] and model.layers[1].normalizer == WeightNormTag()
 
 
 # --- compress_layer ------------------------------------------------------
@@ -756,6 +813,16 @@ def test_sst_decode_is_bitwise_the_payload_order_reference(n, k, orientation):
         want = reference_decode(layer)
         assert got.dtype == np.float64 and got.shape == want.shape and got.flags.c_contiguous
         assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(0, 8), (8, 0)])
+@pytest.mark.parametrize("fmt", [LayerFormat("sst", CodeParams(4, 1)),
+                                 LayerFormat("sst", CodeParams(4, 1), "row")]
+                         + [LayerFormat(kind) for kind in ("float32", "fixed8", "ternary2bit")],
+                         ids=str)
+def test_compress_layer_rejects_an_empty_matrix(fmt, shape):
+    with pytest.raises(ValidationError, match="^layer dimensions must be positive$"):
+        compress_layer(np.zeros(shape), fmt)
 
 
 def test_compress_layer_rejects_what_the_pipeline_rejects():
