@@ -54,11 +54,17 @@ def _parse_code(text) -> CodeParams:
 _NO_WEIGHT_KEPT = "k=0 keeps no weight, a target code needs k >= 1"
 
 
-def _parse_target_code(text) -> CodeParams:
-    params = _parse_code(text)
+def _target_code(args):
+    """``(params, orientation)`` of ``--code`` and ``--orientation``, or
+    (None, None) without ``--code``, which ``--orientation`` needs."""
+    if not args.code:
+        if args.orientation:
+            raise ValidationError("--orientation applies to --code only")
+        return None, None
+    params = _parse_code(args.code)
     if params.k == 0:
         raise ValidationError(f"--code {params}: {_NO_WEIGHT_KEPT}")
-    return params
+    return params, args.orientation or "column"
 
 
 def _parse_dataset(spec, seed=0, splits=("train", "t10k")):
@@ -86,72 +92,66 @@ def _parse_dataset(spec, seed=0, splits=("train", "t10k")):
     return tuple(a for split in splits for a in datasets.load_digit_split(directory, split))
 
 
-# allowed values of the policy keys that take a name; n and k take integers
-_POLICY_CHOICES = {"format": ("float32", "fixed8", "ternary", "sst"),
-                   "orientation": ORIENTATIONS}
 _SST_POLICY_KEYS = ("n", "k", "orientation")
 
 
-def _parse_policy_file(path):
-    """Layer policy lines: '<layer|default> key=value ...'.
+def _parse_policy_file(path) -> dict:
+    """The `LayerFormat` of each line '<layer|default> key=value ...' of a
+    policy file, by its layer name or 'default'.
 
     Keys: format (float32|fixed8|ternary|sst), and for sst only n and k
-    (integers) and orientation (column|row).  Any other key or value
-    raises `ValidationError` naming the file, the line and the key.
+    (integers) and orientation (column|row).  A line that does not give a
+    format raises `ValidationError` naming the file and the line, and the
+    key where one is at fault.
     """
-    policies = {}
+    formats = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            name, *pairs = line.split()
-            entry = {}
-            for pair in pairs:
-                key, _, value = pair.partition("=")
-                where = f"{path}:{lineno}: key {key!r}"
-                if not value:
-                    raise ValidationError(f"{path}:{lineno}: expected key=value, got {pair!r}")
-                if key not in ("format", *_SST_POLICY_KEYS):
-                    raise ValidationError(f"{where}: unknown key, expected one of "
-                                          f"format, {', '.join(_SST_POLICY_KEYS)}")
-                if key in entry:
-                    raise ValidationError(f"{where}: given twice")
-                if key in ("n", "k"):
-                    try:
-                        value = int(value)
-                    except ValueError:
-                        raise ValidationError(f"{where}: expected an integer, got {value!r}")
-                    if key == "k" and value == 0:
-                        raise ValidationError(f"{where}: {_NO_WEIGHT_KEPT}")
-                elif value not in _POLICY_CHOICES[key]:
-                    raise ValidationError(f"{where}: unknown value {value!r}, expected one of "
-                                          f"{', '.join(_POLICY_CHOICES[key])}")
-                entry[key] = value
-            if entry.get("format", "float32") != "sst":
-                for key in _SST_POLICY_KEYS:
-                    if key in entry:
-                        raise ValidationError(f"{path}:{lineno}: key {key!r}: applies to "
-                                              f"format=sst only")
-            policies[name] = entry
-    return policies
+            if line:
+                name, *pairs = line.split()
+                try:
+                    formats[name] = _policy_format(pairs)
+                except ValidationError as exc:
+                    raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+    return formats
 
 
-def _policy_to_format(entry, where) -> LayerFormat:
-    """Layer format of a parsed policy entry; ``where`` names it in errors."""
-    kind = entry.get("format", "float32")
-    if kind == "ternary":
-        kind = "ternary2bit"
-    if kind == "sst":
-        for key in ("n", "k"):
-            if key not in entry:
-                raise ValidationError(f"{where}: format=sst needs {key}=<int>")
-        try:
-            params = CodeParams(entry["n"], entry["k"])
-        except ValidationError as exc:
-            raise ValidationError(f"{where}: {exc}")
-        return LayerFormat("sst", params, entry.get("orientation", "column"))
-    return LayerFormat(kind)
+def _policy_format(pairs) -> LayerFormat:
+    """The `LayerFormat` of one policy line's key=value pairs."""
+    entry = {}
+    for pair in pairs:
+        key, _, value = pair.partition("=")
+        if not value:
+            raise ValidationError(f"expected key=value, got {pair!r}")
+        if key not in ("format", *_SST_POLICY_KEYS):
+            raise ValidationError(f"key {key!r}: unknown key, expected one of "
+                                  f"format, {', '.join(_SST_POLICY_KEYS)}")
+        if key in entry:
+            raise ValidationError(f"key {key!r}: given twice")
+        choices = {"format": ("float32", "fixed8", "ternary", "sst"),
+                   "orientation": ORIENTATIONS}.get(key)
+        if choices is None:  # n or k
+            try:
+                value = int(value)
+            except ValueError:
+                raise ValidationError(f"key {key!r}: expected an integer, got {value!r}")
+            if key == "k" and value == 0:
+                raise ValidationError(f"key {key!r}: {_NO_WEIGHT_KEPT}")
+        elif value not in choices:
+            raise ValidationError(f"key {key!r}: unknown value {value!r}, expected one of "
+                                  f"{', '.join(choices)}")
+        entry[key] = value
+    kind = entry.pop("format", "float32")
+    if kind != "sst":
+        if entry:
+            raise ValidationError(f"key {next(iter(entry))!r}: applies to format=sst only")
+        return LayerFormat("ternary2bit" if kind == "ternary" else kind)
+    for key in ("n", "k"):
+        if key not in entry:
+            raise ValidationError(f"format=sst needs {key}=<int>")
+    return LayerFormat("sst", CodeParams(entry["n"], entry["k"]),
+                       entry.get("orientation", "column"))
 
 
 def cmd_tables(args):
@@ -185,22 +185,16 @@ def _load_npz(path) -> ModelFile:
 
 
 def cmd_compress(args):
+    formats = _parse_policy_file(args.policy) if args.policy else {}
+    params, orientation = _target_code(args)
+    if params and "default" in formats:
+        raise ValidationError(f"--code and the default line of {args.policy} both give the "
+                              f"default format")
+    default = formats.pop("default", LayerFormat("sst", params, orientation) if params
+                          else LayerFormat("ternary2bit"))
     # a .sstw input is read as it is compressed, layer by layer
     source = _load_npz(args.input) if args.input.endswith(".npz") else args.input
-    policies = _parse_policy_file(args.policy) if args.policy else {}
-    if args.code:
-        params = _parse_target_code(args.code)
-        policies.setdefault("default", {"format": "sst", "n": params.n,
-                                        "k": params.k, "orientation": args.orientation})
-    if "default" not in policies:
-        policies["default"] = {"format": "ternary"}
-
-    def format_of(name):
-        policy = name if name in policies else "default"
-        return _policy_to_format(policies[policy],
-                                 f"{args.policy}: layer {name} (policy {policy!r})")
-
-    compressed = store.compress_model(source, format_of)
+    compressed = store.compress_model(source, formats, default)
     write_model(compressed, args.output)
     report = storage_report(compressed)
     _emit(report.to_records(), args.format, report.to_text())
@@ -263,7 +257,9 @@ def cmd_train(args):
         raise ValidationError(f"--seeds must be at least 1, got {args.seeds}")
     config = training.TrainConfig(learning_rate=args.lr, batch_size=args.batch_size,
                                   epochs=args.epochs, seed=args.seed)
-    params = _parse_target_code(args.code) if args.code else None
+    params, orientation = _target_code(args)
+    if args.schedule and not params:
+        raise ValidationError("--schedule applies to --code only")
     X, y = _parse_dataset(args.data, seed=args.seed, splits=("train",))
     seeds = [args.seed + i for i in range(args.seeds)]
     schedule = None
@@ -277,7 +273,7 @@ def cmd_train(args):
     model = None
     metrics = []
     for seed in seeds:
-        specs = _build_specs(dims, args.normalizer, params, args.orientation)
+        specs = _build_specs(dims, args.normalizer, params, orientation)
         net = training.Network(specs, seed=seed)
         split = training.TrainData.from_arrays(X, y, args.val_fraction, seed)
         config = dataclasses.replace(config, seed=seed)
@@ -381,7 +377,7 @@ def build_parser():
     p.add_argument("--output", required=True)
     p.add_argument("--policy", help="per-layer policy file")
     p.add_argument("--code", help="default sst code as N,K")
-    p.add_argument("--orientation", choices=ORIENTATIONS, default="column")
+    p.add_argument("--orientation", choices=ORIENTATIONS, help="of --code (default: column)")
 
     p = add("decompress", cmd_decompress, "decode a model back to float32 weights")
     p.add_argument("--input", required=True)
@@ -404,7 +400,7 @@ def build_parser():
     p.add_argument("--arch", required=True, help="comma-separated layer dims, e.g. 784,256,256,10")
     p.add_argument("--normalizer", choices=training.NORMALIZERS, default="batch_norm")
     p.add_argument("--code", help="target sst code N,K for hidden layers (omit for float)")
-    p.add_argument("--orientation", choices=ORIENTATIONS, default="column")
+    p.add_argument("--orientation", choices=ORIENTATIONS, help="of --code (default: column)")
     p.add_argument("--schedule", help="gradual k values, e.g. 4,3,2,1 (must end at target k)")
     p.add_argument("--epochs", type=int, default=5, help="epochs per stage")
     p.add_argument("--float-epochs", type=int, default=5)

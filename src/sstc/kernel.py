@@ -33,8 +33,8 @@ from .codes import CodeTable, from_subvectors, subvectors, unrank_subvectors
 # build_table: unused, but perfbench/tracing.py wraps it here
 from .codes import build_table
 from .errors import ValidationError
-from .store import (BatchNormParams, EncodedLayer, ModelFile, _named_error, decode_layer,
-                    layer_indices)
+from .store import (BatchNormParams, EncodedLayer, ModelFile, _layer_names, _named_error,
+                    decode_layer, layer_indices)
 
 _BATCH_CHUNK = 256
 
@@ -61,7 +61,8 @@ class CompressedFCLayer:
     ``weights_t`` is the layer's trits as a read-only float64 (cols, rows)
     matrix that serves `matmul`.  It comes from the operand cache, so
     building a kernel for a layer decoded before costs microseconds.  The
-    unpacked ``indices``, the add/subtract lanes of the audit path and the
+    kernel keeps the frozen ``layer`` it was built from.  The unpacked
+    ``indices``, the add/subtract lanes of the audit path and the
     per-sub-vector non-zero counts are derived on first use.  ``table`` is
     unused, but perfbench passes one here; if given, it must be for the
     layer's code.
@@ -81,21 +82,18 @@ class CompressedFCLayer:
         self.bias = (layer.bias.astype(np.float64)
                      if layer.bias is not None else np.zeros(layer.rows))
         self.weights_t = _served_operand(layer)
-        self._format = layer.format
-        self._payload = bytes(layer.payload)
+        self.layer = layer
 
     @cached_property
     def indices(self) -> np.ndarray:
-        """Unpacked sub-vector indices of the payload the kernel was built
-        from, in payload order."""
-        return layer_indices(EncodedLayer(self._format, self.rows, self.cols, self.delta,
-                                          self._payload))
+        """Unpacked sub-vector indices of the layer, in payload order."""
+        return layer_indices(self.layer)
 
     @cached_property
     def nz_per_subvector(self) -> np.ndarray:
         """Non-zero count of each decoded sub-vector, in payload order."""
         return np.count_nonzero(subvectors(self.weights_t.T, self.params,
-                                           self._format.orientation), axis=1)
+                                           self.layer.format.orientation), axis=1)
 
     @cached_property
     def _lanes(self):
@@ -296,7 +294,7 @@ def compressed_forward(model: ModelFile, X) -> np.ndarray:
         try:
             out = served_product(layer, out)
         except ValidationError as exc:
-            raise _named_error(exc, pos, model.layer_names()) from exc
+            raise _named_error(exc, pos, _layer_names(model.metadata, len(model.layers))) from exc
         norm = layer.normalizer
         if isinstance(norm, BatchNormParams):
             scale, shift = bn_eval_affine(norm.gamma, norm.beta, norm.mean, norm.var,

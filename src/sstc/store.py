@@ -21,13 +21,14 @@ deterministic, so the decoder builds its lookup tables from (n, k) alone,
 and the storage report accounts for the tables analytically.
 `write_decompressed` writes a model's float32 file through the same
 serializer as `write_model`, decoding coded layers block by block.
-`compress_model` reads a model file as it compresses it: after one header
-pass, each float32 layer going to a code is read in blocks of whole groups
-into one reused buffer and pruned block by block, and its indices are
-ranked and packed in tiles of payload order, so a file's payloads are never
-held whole.  `_sst_payload` is the one index payload writer: `compress_layer`
-and `encode_layer` both hand it each sub-vector's kept positions and values
-on the grouped view.
+`compress_model(source, formats, default)` compresses each layer to the
+format ``formats`` gives its name, or ``default``.  It reads a model file as
+it compresses it: after one header pass, each float32 layer going to a code
+is read in blocks of whole groups into one reused buffer and pruned block by
+block, and its indices are ranked and packed in tiles of payload order, so a
+file's payloads are never held whole.  `_sst_payload` is the one index
+payload writer: `compress_layer` and `encode_layer` both hand it each
+sub-vector's kept positions and values on the grouped view.
 
 Wire format (all integers little-endian, payload bits MSB-first):
 
@@ -232,16 +233,7 @@ def _checked_fields(fmt: LayerFormat, rows: int, cols: int, delta, bias, normali
     makes of it but the one of a float32 payload's values."""
     if rows < 1 or cols < 1:
         raise ValidationError("layer dimensions must be positive")
-    # the step a file stores, so a layer decodes as its serialized copy does
-    given = delta
-    with np.errstate(over="ignore"):  # a finite step that overflows is rejected below
-        delta = float(np.float32(given or 0.0))
-    # a float32 layer never reads its step, but a file stores it
-    float32 = fmt.kind == "float32"
-    if not (np.isfinite(delta) and (float32 or delta > 0)):
-        rounded = "" if np.isnan(delta) or delta == (given or 0.0) else f" ({delta} as float32)"
-        raise ValidationError(f"format {fmt.kind} needs a finite "
-                              f"{'' if float32 else 'positive '}step size, got {given}{rounded}")
+    delta = _stored_step(fmt.kind, delta)
     if fmt.kind == "sst":
         grouped_shape(rows, cols, fmt.params.n, fmt.orientation)
     if bias is not None:
@@ -266,6 +258,20 @@ def _checked_fields(fmt: LayerFormat, rows: int, cols: int, delta, bias, normali
     return delta, bias
 
 
+def _stored_step(kind: str, given) -> float:
+    """``given`` as the float32 step a file stores, so a layer decodes as its
+    serialized copy does; raises unless it is finite, and positive for every
+    format but float32, which stores a step it never reads."""
+    with np.errstate(over="ignore"):  # a finite step that overflows is rejected below
+        delta = float(np.float32(given or 0.0))
+    float32 = kind == "float32"
+    if not (np.isfinite(delta) and (float32 or delta > 0)):
+        rounded = "" if np.isnan(delta) or delta == (given or 0.0) else f" ({delta} as float32)"
+        raise ValidationError(f"format {kind} needs a finite "
+                              f"{'' if float32 else 'positive '}step size, got {given}{rounded}")
+    return delta
+
+
 def _check_finite(weights: np.ndarray, cols: int, start: int = 0):
     """Raise on the first non-finite value of ``weights``, the flat C-ordered
     float32 weights of a ``cols``-column matrix from its ``start``-th weight
@@ -284,14 +290,22 @@ class ModelFile:
     metadata: dict = field(default_factory=dict)
 
     def layer_names(self):
-        return _layer_names(self.metadata, len(self.layers))
+        """Each layer's stored name (`_layer_names`), or ``layer{i}`` for
+        every layer of a model that stores none."""
+        count = len(self.layers)
+        return _layer_names(self.metadata, count) or [f"layer{i}" for i in range(count)]
 
 
-def _layer_names(metadata: dict, count: int) -> list:
+def _layer_names(metadata: dict, count: int):
+    """The one naming rule: the metadata's "layer_names" when it is a list
+    (or a tuple, which a file stores as a list) of ``count`` strings, else
+    None.  An error names a layer ``layer i (name)`` by it, or ``layer i``
+    when the model stores no names."""
     names = metadata.get("layer_names")
-    if names and len(names) == count:
+    if (isinstance(names, (list, tuple)) and len(names) == count
+            and all(isinstance(name, str) for name in names)):
         return list(names)
-    return [f"layer{i}" for i in range(count)]
+    return None
 
 
 def ternary_trits(W_q: np.ndarray, delta: float) -> np.ndarray:
@@ -390,8 +404,7 @@ def encode_layer(W_q, delta, fmt: LayerFormat, bias=None, normalizer=None,
                         bias, normalizer)
 
 
-def compress_layer(W, fmt: LayerFormat, bias=None, normalizer=None,
-                   name: str = None) -> EncodedLayer:
+def compress_layer(W, fmt: LayerFormat, bias=None, normalizer=None) -> EncodedLayer:
     """Prune, quantize and encode a float weight matrix into ``fmt``.
 
     Writes the bytes of the step-by-step pipeline: for sst `structured_prune`
@@ -409,21 +422,22 @@ def compress_layer(W, fmt: LayerFormat, bias=None, normalizer=None,
     mask, no masked copy and no re-check of the trits.  A float32 ``W`` is
     pruned in float32, which keeps the kept positions and ties of its
     float64 widening and so its bytes.  Every step-size fit is the exact
-    sweep, which does not depend on the order of its input.  ``name``
-    labels the errors of `encode_layer`.
+    sweep, which does not depend on the order of its input.  A fitted step
+    that is not a finite positive float32, as of float64 weights near 0 or
+    near the float64 limit, is rejected before any weight is quantized.
     """
     if not isinstance(W, _PayloadReader):
         W = np.asarray(W)
     _check_shape(W.shape)
     kind = fmt.kind
     if kind == "float32":
-        return encode_layer(W, None, fmt, bias, normalizer, name)
+        return encode_layer(W, None, fmt, bias, normalizer)
     if kind == "fixed8":
-        delta = float(np.float32(find_step_size(W, 255)))
-        return encode_layer(quantize_weight(W, delta, 255), delta, fmt, bias, normalizer, name)
+        delta = _stored_step(kind, find_step_size(W, 255))
+        return encode_layer(quantize_weight(W, delta, 255), delta, fmt, bias, normalizer)
     params, orientation = _code_of(fmt)
     kept, values = _largest_per_subvector(W, params, orientation)  # (k, B, C) each
-    delta = float(np.float32(find_step_size(values)))
+    delta = _stored_step(kind, find_step_size(values))
     return EncodedLayer(fmt, *W.shape, delta, _sst_payload(kept, values, delta, params),
                         bias, normalizer)
 
@@ -563,7 +577,7 @@ def _serialized_parts(model: ModelFile, decoded: bool = False):
     """
     yield MAGIC
     yield struct.pack("<HH", FORMAT_VERSION, len(model.layers))
-    names = model.layer_names()
+    names = _layer_names(model.metadata, len(model.layers))
     for index, layer in enumerate(model.layers):
         with _naming_layer(index, names):
             fmt = LayerFormat("float32") if decoded else layer.format
@@ -648,7 +662,7 @@ class _Reader:
     def _claim(self, size: int) -> int:
         """Where the next ``size`` bytes start; raises if the file is shorter."""
         if size > self.remaining:
-            raise _FileError("truncated model file")
+            raise ValidationError("truncated model file")
         at = self.end - self.remaining
         self.remaining -= size
         return at
@@ -671,7 +685,7 @@ class _Reader:
     def _read(self, size: int) -> bytes:
         part = self.fh.read(size)
         if len(part) != size:  # the file shrank while being read
-            raise _FileError("truncated model file")
+            raise ValidationError("truncated model file")
         return part
 
     def unpack(self, fmt: str):
@@ -728,12 +742,11 @@ class _Record:
 
 
 def _parse(r: _Reader):
-    """``(records, metadata, names)`` of the model file ``r`` reads: the header pass.
+    """``(records, metadata)`` of the model file ``r`` reads: the header pass.
 
     Reads every layer header, bias and normalizer, and the metadata, and
     checks them; each payload's size is checked against the file, and the
-    payload is skipped.  ``names`` are the layer names an error of building
-    a layer gives, or None where the metadata has none for every layer.
+    payload is skipped.
     """
     if r.take(len(MAGIC)) != MAGIC:
         raise ValidationError("not a model file: bad magic")
@@ -779,9 +792,7 @@ def _parse(r: _Reader):
     if block != _metadata_block(metadata):
         raise ValidationError("metadata block is not in the canonical JSON form that "
                               "serialize_model writes, so it would not round-trip its bytes")
-    names = metadata.get("layer_names")
-    names = names if isinstance(names, list) and len(names) == layer_count else None
-    return records, metadata, names
+    return records, metadata
 
 
 def deserialize_model(data) -> ModelFile:
@@ -789,14 +800,14 @@ def deserialize_model(data) -> ModelFile:
 
     The header pass (`_parse`) reads every layer record before any payload
     is read or any layer built, so a `ValidationError` raised while building
-    one can name the layer: its index and, where the metadata has one, its
-    name.  Read from a file, each payload is read once, straight into its
-    own bytes.
+    one can name the layer (`_layer_names`).  Read from a file, each payload
+    is read once, straight into its own bytes.
     """
     if isinstance(data, (bytes, bytearray, memoryview)):
         data = io.BytesIO(data)
     r = _Reader(data)
-    records, metadata, names = _parse(r)
+    records, metadata = _parse(r)
+    names = _layer_names(metadata, len(records))
     layers = []
     for index, record in enumerate(records):
         with _naming_layer(index, names):
@@ -813,28 +824,21 @@ def _parse_metadata(block: bytes):
         raise ValidationError(f"metadata block does not parse as JSON: {exc}") from exc
 
 
-class _FileError(ValidationError):
-    """A `ValidationError` whose message is whole: it is about the file, or
-    already names its layer.  `_naming_layer` passes it on as it is, so the
-    innermost of two nested namings names a layer."""
-
-
 @contextmanager
 def _naming_layer(index: int, names=None):
     """Prefix a `ValidationError` raised inside with the layer's index and name."""
     try:
         yield
-    except _FileError:
-        raise
     except ValidationError as exc:
         raise _named_error(exc, index, names) from exc
 
 
 def _named_error(exc: ValidationError, index: int, names=None) -> ValidationError:
-    """``exc`` with the layer's index and, where ``names`` has one, its name in front."""
-    name = names[index] if names and index < len(names) else None
+    """``exc`` with the layer's index and, where ``names`` (`_layer_names`)
+    gives one, its name in front."""
+    name = names[index] if names else None
     label = f"layer {index} ({name})" if name else f"layer {index}"
-    return _FileError(f"{label}: {exc}")
+    return ValidationError(f"{label}: {exc}")
 
 
 def write_model(model: ModelFile, path):
@@ -877,50 +881,53 @@ def read_model(path) -> ModelFile:
         return deserialize_model(fh)
 
 
-def compress_model(source, format_of) -> ModelFile:
+def compress_model(source, formats: dict, default: LayerFormat) -> ModelFile:
     """The model `sstc compress` makes of ``source``, a `ModelFile` or the
     path of a model file.
 
-    Layer i becomes `compress_layer` of its `stored_weights` in the format
-    ``format_of(name)``, with its bias and normalizer, named by the i-th of
-    `ModelFile.layer_names`; the metadata gains those names.  Read from a
+    Layer i, named by the i-th of `ModelFile.layer_names`, becomes
+    `compress_layer` of its `stored_weights` in the format ``formats[name]``,
+    or ``default`` for a name ``formats`` lacks, with its bias and
+    normalizer; the metadata gains those names.  A name of ``formats`` that
+    no layer has is an error, raised before any layer is read.  Read from a
     path, the file's header pass (`deserialize_model`'s) comes first, then
-    each layer is read, with every check and message of `read_model`, and
-    compressed in turn.  A float32 layer going to sst or ternary2bit is
-    never read whole: the prune reads it from the file, in blocks of whole
-    groups, into one reused buffer (`_PayloadReader`).  A `ValidationError`
-    of compressing a layer names it.
+    each layer is read, with every check of `read_model`, and compressed in
+    turn.  A float32 layer going to sst or ternary2bit is never read whole:
+    the prune reads it from the file, in blocks of whole groups, into one
+    reused buffer (`_PayloadReader`).  A `ValidationError` of reading or
+    compressing a layer names it as `read_model` does.
     """
     if isinstance(source, ModelFile):
-        return _compress_layers(source.metadata, len(source.layers), format_of,
-                                lambda index, fmt: source.layers[index])
+        return _compress_layers(source, formats, default, lambda layer, fmt: layer)
     with open(source, "rb") as fh:
         r = _Reader(fh)
-        records, metadata, names = _parse(r)
+        records, metadata = _parse(r)
 
-        def load(index, fmt):
-            # load errors are named as read_model names them
-            record = records[index]
-            with _naming_layer(index, names):
-                if record.kind == "float32" and _code_of(fmt) is not None:
-                    return _PayloadReader(fh, record, *record.float32_fields(), index, names)
-                return record.layer(r.read_at(record.payload_at, record.payload_size))
+        def load(record, fmt):
+            if record.kind == "float32" and _code_of(fmt) is not None:
+                return _PayloadReader(fh, record, *record.float32_fields())
+            return record.layer(r.read_at(record.payload_at, record.payload_size))
 
-        return _compress_layers(metadata, len(records), format_of, load)
+        return _compress_layers(ModelFile(records, metadata), formats, default, load)
 
 
-def _compress_layers(metadata, count: int, format_of, load) -> ModelFile:
-    """`compress_model` of the ``count`` layers that ``load(index, fmt)``
-    gives: an `EncodedLayer`, or a `_PayloadReader` of a float32 one."""
-    names = _layer_names(metadata, count)
+def _compress_layers(model: ModelFile, formats: dict, default: LayerFormat, load) -> ModelFile:
+    """`compress_model` of ``model``, whose layers may be the header pass's
+    `_Record`s: ``load(layer, fmt)`` gives an `EncodedLayer`, or a
+    `_PayloadReader` of a float32 one."""
+    names, shown = _layer_names(model.metadata, len(model.layers)), model.layer_names()
+    missing = [name for name in formats if name not in shown]
+    if missing:
+        raise ValidationError(f"no layer named {', '.join(missing)} in the model; its layers "
+                              f"are {', '.join(shown)}")
     layers = []
-    for index, name in enumerate(names):
-        fmt = format_of(name)
-        layer = load(index, fmt)
+    for index, (name, source) in enumerate(zip(shown, model.layers)):
+        fmt = formats.get(name, default)
         with _naming_layer(index, names):
+            layer = load(source, fmt)
             W = layer if isinstance(layer, _PayloadReader) else stored_weights(layer)
-            layers.append(compress_layer(W, fmt, layer.bias, layer.normalizer, name))
-    return ModelFile(layers=layers, metadata={**metadata, "layer_names": names})
+            layers.append(compress_layer(W, fmt, layer.bias, layer.normalizer))
+    return ModelFile(layers=layers, metadata={**model.metadata, "layer_names": shown})
 
 
 class _PayloadReader:
@@ -929,10 +936,9 @@ class _PayloadReader:
 
     dtype = np.dtype("<f4")
 
-    def __init__(self, fh, record: _Record, bias, normalizer, index: int, names):
+    def __init__(self, fh, record: _Record, bias, normalizer):
         self.fh, self.record, self.bias, self.normalizer = fh, record, bias, normalizer
         self.shape = (record.rows, record.cols)
-        self.index, self.names = index, names
 
     def blocks(self, size: int):
         """The layer's C-ordered weights in consecutive pieces of ``size``.
@@ -946,13 +952,12 @@ class _PayloadReader:
         total = rows * cols
         buffer = np.empty(min(size, total), dtype=self.dtype)
         self.fh.seek(self.record.payload_at)
-        with _naming_layer(self.index, self.names):
-            for start in range(0, total, size):
-                piece = buffer[:min(size, total - start)]
-                if self.fh.readinto(piece) != piece.nbytes:
-                    raise _FileError("truncated model file")
-                _check_finite(piece, cols, start)
-                yield piece
+        for start in range(0, total, size):
+            piece = buffer[:min(size, total - start)]
+            if self.fh.readinto(piece) != piece.nbytes:
+                raise ValidationError("truncated model file")
+            _check_finite(piece, cols, start)
+            yield piece
 
 
 def model_from_arrays(weights_and_biases, names=None, normalizers=None) -> ModelFile:
@@ -962,12 +967,14 @@ def model_from_arrays(weights_and_biases, names=None, normalizers=None) -> Model
     for label, given in (("names", names), ("normalizers", normalizers)):
         if given is not None and len(given) != count:
             raise ValidationError(f"{len(given)} {label} given for {count} layers")
+    metadata = {"layer_names": list(names)} if names else {}
+    names = _layer_names(metadata, count)
     layers = []
     for index, ((W, b), norm) in enumerate(zip(weights_and_biases,
                                                normalizers or [None] * count)):
         with _naming_layer(index, names):
             layers.append(encode_layer(W, None, LayerFormat("float32"), bias=b, normalizer=norm))
-    return ModelFile(layers=layers, metadata={"layer_names": list(names)} if names else {})
+    return ModelFile(layers=layers, metadata=metadata)
 
 
 # --- storage accounting --------------------------------------------------

@@ -257,7 +257,7 @@ def test_compress_of_a_file_that_shrinks_after_its_header_pass(tmp_path, capsys,
     monkeypatch.setattr(store, "_parse", parse_then_truncate)
     assert main(["compress", "--input", str(path), "--output", str(out),
                  "--policy", str(policy)]) == 1
-    assert capsys.readouterr().err == "error: truncated model file\n"
+    assert capsys.readouterr().err == "error: layer 0: truncated model file\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.sstw", "policy.txt"]
 
 
@@ -506,8 +506,7 @@ def test_compress_names_a_missing_sst_policy_key(tmp_path, capsys, missing):
     assert main(["compress", "--input", str(npz), "--output", str(out),
                  "--policy", str(policy)]) == 1
     err = capsys.readouterr().err
-    assert err == (f"error: {policy}: layer layer0 (policy 'default'): "
-                   f"format=sst needs {missing}=<int>\n")
+    assert err == f"error: {policy}:1: format=sst needs {missing}=<int>\n"
     assert not out.exists()
 
 
@@ -639,26 +638,30 @@ def test_compress_names_the_layer_it_cannot_compress(tmp_path, capsys, policy_li
     out = tmp_path / "out.sstw"
     assert main(["compress", "--input", str(npz), "--output", str(out),
                  "--policy", str(policy)]) == 1
-    assert capsys.readouterr().err == ("error: layer 0 (layer0): cannot determine a step size "
+    assert capsys.readouterr().err == ("error: layer 0: cannot determine a step size "
                                        "for all-zero weights\n")
     assert not out.exists()
 
 
+@pytest.mark.parametrize("names, label", [(["a", "b"], "layer 1 (b)"), (None, "layer 1")],
+                         ids=["named", "unnamed"])
 @pytest.mark.parametrize("command", ["compress", "decompress", "infer"])
-def test_commands_name_the_layer_holding_a_corrupt_index(tmp_path, capsys, command):
+def test_commands_name_the_layer_holding_a_corrupt_index(tmp_path, capsys, command, names,
+                                                         label):
     params = CodeParams(8, 1)  # T=17, 5-bit indices, so 31 is out of range
     fmt = LayerFormat("sst", params)
     first = encode_layer(np.eye(8, 4), 1.0, fmt)  # not all zero: compress fits a step
     good = encode_layer(np.zeros((8, 8)), 1.0, fmt)
     bad = type(good)(fmt, 8, 8, 1.0, bytes([0xF8]) + good.payload[1:])
     path = tmp_path / "bad.sstw"
-    write_model(ModelFile(layers=[first, bad], metadata={"layer_names": ["a", "b"]}), path)
+    write_model(ModelFile(layers=[first, bad],
+                          metadata={"layer_names": names} if names else {}), path)
     out = tmp_path / "out.sstw"
     argv = {"compress": ["--input", str(path), "--output", str(out)],
             "decompress": ["--input", str(path), "--output", str(out)],
             "infer": ["--model", str(path), "--data", "synthetic:samples=6,dim=4"]}[command]
     assert main([command, *argv]) == 1
-    assert capsys.readouterr().err == ("error: layer 1 (b): corrupt index 31 at stream "
+    assert capsys.readouterr().err == (f"error: {label}: corrupt index 31 at stream "
                                        "position 0 (code (8,1) has 17 entries)\n")
     assert not out.exists()
 
@@ -703,8 +706,78 @@ def test_compress_names_the_policy_of_an_invalid_code(tmp_path, capsys):
     policy.write_text("default format=sst n=4 k=5\n")
     assert main(["compress", "--input", str(npz), "--output", str(tmp_path / "out.sstw"),
                  "--policy", str(policy)]) == 1
-    assert capsys.readouterr().err == (f"error: {policy}: layer layer0 (policy 'default'): "
+    assert capsys.readouterr().err == (f"error: {policy}:1: "
                                        "non-zero budget k=5 outside [0, n=4]\n")
+
+
+def _two_layer_sstw(path, nan=False):
+    """A float32 model of two named layers, 16x12 and 4x16; with ``nan``,
+    its second layer's payload holds a nan."""
+    rng = np.random.default_rng(28)
+    W1 = rng.normal(size=(4, 16)).astype("<f4")
+    layers = [_float32_layer(rng.normal(size=(16, 12))), _float32_layer(W1)]
+    blob = bytearray(serialize_model(ModelFile(layers=layers,
+                                               metadata={"layer_names": ["fc0", "fc1"]})))
+    if nan:
+        at = blob.index(W1.tobytes()) + 4 * (1 * 16 + 2)
+        blob[at:at + 4] = struct.pack("<f", np.nan)
+    path.write_bytes(bytes(blob))
+    return path
+
+
+def _rejected(capsys, argv, message, outputs):
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any(path.exists() for path in outputs)
+
+
+def test_compress_rejects_a_policy_line_for_a_layer_the_model_lacks(tmp_path, capsys):
+    # the payload's nan is never reached: the names are checked after the header pass
+    path = _two_layer_sstw(tmp_path / "in.sstw", nan=True)
+    policy, out = tmp_path / "policy.txt", tmp_path / "out.sstw"
+    policy.write_text("fc0 format=fixed8\nfc9 format=float32\nfc7 format=ternary\n")
+    _rejected(capsys, ["compress", "--input", str(path), "--output", str(out),
+                       "--policy", str(policy)],
+              "no layer named fc9, fc7 in the model; its layers are fc0, fc1", [out])
+    policy.write_text("fc0 format=fixed8\n")
+    _rejected(capsys, ["compress", "--input", str(path), "--output", str(out),
+                       "--policy", str(policy)],
+              "layer 1 (fc1): float32 weight nan at row 1, column 2 is not finite", [out])
+    # an unnamed model's layers are named layer0, layer1, ...
+    npz = _write_float_npz(tmp_path / "float.npz", np.random.default_rng(9))
+    policy.write_text("layer2 format=float32\n")
+    _rejected(capsys, ["compress", "--input", str(npz), "--output", str(out),
+                       "--policy", str(policy)],
+              "no layer named layer2 in the model; its layers are layer0, layer1", [out])
+
+
+def test_compress_rejects_code_next_to_a_policy_default(tmp_path, capsys):
+    path = _two_layer_sstw(tmp_path / "in.sstw")
+    policy, out = tmp_path / "policy.txt", tmp_path / "out.sstw"
+    policy.write_text("default format=fixed8\n")
+    _rejected(capsys, ["compress", "--input", str(path), "--output", str(out),
+                       "--policy", str(policy), "--code", "8,1"],
+              f"--code and the default line of {policy} both give the default format", [out])
+
+
+def test_orientation_and_schedule_need_a_code(tmp_path, capsys):
+    path = _two_layer_sstw(tmp_path / "in.sstw")
+    out = tmp_path / "out.sstw"
+    _rejected(capsys, ["compress", "--input", str(path), "--output", str(out),
+                       "--orientation", "row"],
+              "--orientation applies to --code only", [out])
+    model, metrics = tmp_path / "m.sstw", tmp_path / "metrics.jsonl"
+    train = ["train", "--data", "synthetic:samples=60,classes=3,dim=8,seed=3", "--arch", "8,8,3",
+             "--epochs", "1", "--out", str(model), "--metrics", str(metrics)]
+    _rejected(capsys, [*train, "--orientation", "row"],
+              "--orientation applies to --code only", [model, metrics])
+    _rejected(capsys, [*train, "--orientation", "row", "--schedule", "4,2"],
+              "--orientation applies to --code only", [model, metrics])
+    _rejected(capsys, [*train, "--schedule", "4,2"],
+              "--schedule applies to --code only", [model, metrics])
+    # with --code, the orientation defaults to column
+    assert main(["compress", "--input", str(path), "--output", str(out), "--code", "4,1"]) == 0
+    assert [str(layer.format) for layer in read_model(out).layers] == ["sst(4,1)/column"] * 2
 
 
 def test_train_reads_only_the_train_split(tmp_path, capsys):

@@ -398,7 +398,8 @@ def test_stored_batch_norm_var_plus_eps_must_be_positive():
         BatchNormParams(np.ones(2), np.array([0.0, np.nan]), np.zeros(2), np.ones(2))
 
 
-@pytest.mark.parametrize("names, label", [(None, "layer 1"), (["fc0", "fc1"], "layer 1 (fc1)")])
+@pytest.mark.parametrize("names, label", [(None, "layer 1"), (["fc0", "fc1"], "layer 1 (fc1)"),
+                                          ([0, 1], "layer 1")])  # names are strings
 def test_errors_while_building_a_loaded_layer_name_it(names, label):
     def raises(message):
         return pytest.raises(ValidationError, match=f"^{re.escape(f'{label}: {message}')}$")
@@ -703,7 +704,7 @@ def test_compress_layer_writes_the_reference_pipeline_bytes(n, k, orientation, b
     for W in _compress_inputs(rng, n, orientation):
         bias = rng.normal(size=W.shape[0])
         want = reference_compress(W, fmt, bias, WeightNormTag())
-        _same_bytes(compress_layer(W, fmt, bias, WeightNormTag(), "fc"), want)
+        _same_bytes(compress_layer(W, fmt, bias, WeightNormTag()), want)
 
 
 @pytest.mark.parametrize("orientation", ["column", "row"])
@@ -725,7 +726,7 @@ def test_compress_model_of_a_float32_file_writes_the_reference_pipeline_bytes(
     names = [f"fc{i}" for i in range(len(layers))]
     path = tmp_path / "float.sstw"
     write_model(ModelFile(layers=layers, metadata={"layer_names": names}), path)
-    got = compress_model(str(path), lambda name: fmt)
+    got = compress_model(str(path), {}, fmt)
     want = [reference_compress(decode_layer(layer), fmt, layer.bias, layer.normalizer)
             for layer in layers]
     assert serialize_model(got) == serialize_model(
@@ -787,8 +788,8 @@ def test_compress_layer_of_float32_weights_writes_the_bytes_of_their_widening(fm
         W32 = W.astype(np.float32)
         W32.setflags(write=False)  # as `stored_weights` hands a float32 payload over
         wide = W32.astype(np.float64)
-        _same_bytes(compress_layer(W32, fmt, name="fc"), compress_layer(wide, fmt, name="fc"))
-        _same_bytes(compress_layer(W32, fmt, name="fc"), reference_compress(wide, fmt))
+        _same_bytes(compress_layer(W32, fmt), compress_layer(wide, fmt))
+        _same_bytes(compress_layer(W32, fmt), reference_compress(wide, fmt))
 
 
 def _random_indices_layer(rng, params, orientation):
@@ -823,6 +824,17 @@ def test_sst_decode_is_bitwise_the_payload_order_reference(n, k, orientation):
 def test_compress_layer_rejects_an_empty_matrix(fmt, shape):
     with pytest.raises(ValidationError, match="^layer dimensions must be positive$"):
         compress_layer(np.zeros(shape), fmt)
+
+
+@pytest.mark.parametrize("scale, stored", [(1e-300, "0.0"), (1e300, "inf")])
+@pytest.mark.parametrize("fmt", [LayerFormat("fixed8"), LayerFormat("ternary2bit"),
+                                 LayerFormat("sst", CodeParams(8, 1))], ids=str)
+def test_compress_layer_rejects_a_fitted_step_that_float32_cannot_store(fmt, scale, stored):
+    # float64 weights whose step rounds to 0 or overflows as float32, with no warning
+    W = np.random.default_rng(27).normal(size=(16, 8)) * scale
+    with pytest.raises(ValidationError, match=rf"^format {fmt.kind} needs a finite positive "
+                                              rf"step size, got \S+ \({stored} as float32\)$"):
+        compress_layer(W, fmt)
 
 
 def test_compress_layer_rejects_what_the_pipeline_rejects():
