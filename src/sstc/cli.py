@@ -101,16 +101,20 @@ def _parse_policy_file(path) -> dict:
 
     Keys: format (float32|fixed8|ternary|sst), and for sst only n and k
     (integers) and orientation (column|row).  A line that does not give a
-    format raises `ValidationError` naming the file and the line, and the
-    key where one is at fault.
+    format, or names a layer (or 'default') an earlier line named, raises
+    `ValidationError` naming the file and the line, and the key where one
+    is at fault.
     """
-    formats = {}
+    formats, first_lines = {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if line:
                 name, *pairs = line.split()
                 try:
+                    if name in first_lines:
+                        raise ValidationError(f"{name} already given on line {first_lines[name]}")
+                    first_lines[name] = lineno
                     formats[name] = _policy_format(pairs)
                 except ValidationError as exc:
                     raise ValidationError(f"{path}:{lineno}: {exc}") from exc

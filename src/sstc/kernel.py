@@ -7,11 +7,27 @@ the code's cached entry table, for codes of up to `codes.ENTRY_TABLE_LIMIT`
 entries), and the trits form a dense float64 transposed matrix.  Other
 formats decode to their float64 weights the same way.  The decoded
 operands are read-only, start on a cache line and live in a content-keyed
-cache of at most `_OPERAND_CACHE_SIZE` layers (8 B per weight each), so a
-request on a layer served before does no decoding.  Every request runs
+cache of at most `_OPERAND_CACHE_SIZE` layers (8 B per weight each, plus
+one 64-byte cache line per row for an operand larger than `_L2_BYTES`), so
+a request on a layer served before does no decoding.  Every request runs
 through BLAS, one vector-matrix product per input row, so a row gives the
-same bits alone or inside any batch.  The per-layer step size scales each sst output
-once, after which the bias and any folded normalizer affine are applied.
+same bits alone or inside any batch at a given BLAS thread count.  The
+products run in one of two loop orders (`_row_products`):
+
+* row-outer, each row over the whole operand: single rows, batches of
+  fewer than `_TILE_MIN_ROWS` rows, operands of at most `_L2_BYTES` and
+  widths that are not a multiple of `_TILE`;
+* tile-outer, for a batch of `_TILE_MIN_ROWS` or more rows on a larger
+  operand: each block of `_TILE` output columns serves every row of the
+  batch while it sits in one core's L2, so the operand streams from L3
+  once per batch instead of once per row (the GEMM cache blocking of
+  Goto & van de Geijn, ACM TOMS 2008).  Each output is still one BLAS
+  product over the same inputs in the same order: the same bits.
+
+Such an operand's row stride is one cache line longer than its row
+(`_cache_line_aligned`), or the rows of a tile would share a few L2 sets.
+The per-layer step size scales each sst output once, after which the bias
+and any folded normalizer affine are applied.
 
 The paper's multiplication-free datapath is kept as the audit path:
 `CompressedFCLayer.accumulate` adds or subtracts the input value of every
@@ -37,6 +53,17 @@ from .store import (BatchNormParams, EncodedLayer, ModelFile, _layer_names, _nam
                     decode_layer, layer_indices)
 
 _BATCH_CHUNK = 256
+
+# Measured on a 2-CPU Xeon with 2 MiB of L2 per core and 2 OpenBLAS threads,
+# 256 rows against a 784x1024 and a 1024x1024 operand (6.4 and 8.4 MB): row
+# by row 33-46 ms; tile by tile 19-32 ms with padded rows, 76-130 ms without.
+# One core's L2; an operand larger than this gets padded rows and tiles.
+_L2_BYTES = 2 << 20
+# Outputs per tile: a tile of a 1024-row operand is 512 KiB.
+_TILE = 64
+# Fewest rows a batch runs tile-outer: on the shapes above, 4 rows took
+# about as long either way and 8 rows took 0.9-1.3 ms tiled, 1.1-1.4 ms by row.
+_TILE_MIN_ROWS = 8
 
 # decoded operands kept at once; a model has a handful of layers, and each
 # entry holds 8 B per weight of its layer
@@ -178,16 +205,25 @@ def _decoded_operand(fmt, rows, cols, delta, payload) -> np.ndarray:
 
 
 def _cache_line_aligned(a: np.ndarray) -> np.ndarray:
-    """A C-ordered float64 copy of ``a`` that starts on a 64-byte boundary.
+    """A row-major float64 copy of the matrix ``a`` that starts on a 64-byte
+    boundary, with its row stride one 64-byte line longer than a row when
+    the copy is larger than `_L2_BYTES`.
 
     Large allocations start 16 bytes past a page boundary, and BLAS runs a
     batch slower on such an operand: 1024 rows against a 784x96 matrix took
     12.5-13.4 ms at offsets 16, 32 and 48 and 6.9-7.4 ms at offset 0 (2-CPU
-    Xeon, OpenBLAS), with the same bits at every offset.
+    Xeon, OpenBLAS), with the same bits at every offset.  The padded stride
+    serves `_row_products`' tile-outer order: with 8 KiB rows, as of a
+    1024-wide operand, the rows of a (rows, `_TILE`) tile fall in 1/16 of
+    the L2 sets and evict each other.  256 rows against a 784x1024 or a
+    1024x1024 operand took 76-130 ms tile by tile at the plain stride and
+    19-32 ms at the padded one; row by row the two strides ran the same.
     """
-    buf = np.empty(a.size * 8 + 64, dtype=np.uint8)
+    rows, cols = a.shape
+    stride = cols + 8 if a.size * 8 > _L2_BYTES else cols  # in float64s
+    buf = np.empty(rows * stride * 8 + 64, dtype=np.uint8)
     start = -buf.ctypes.data % 64
-    out = buf[start:start + a.size * 8].view(np.float64).reshape(a.shape)
+    out = buf[start:start + rows * stride * 8].view(np.float64).reshape(rows, stride)[:, :cols]
     out[...] = a
     return out
 
@@ -195,8 +231,23 @@ def _cache_line_aligned(a: np.ndarray) -> np.ndarray:
 def _row_products(X: np.ndarray, W_t: np.ndarray) -> np.ndarray:
     """X @ W_t as one BLAS vector-matrix product per row of X, so each
     row's bits are those of a single-row call, whatever the batch size.
-    A single 2-D product would be faster but blocks its sums by batch."""
-    return np.matmul(X[:, np.newaxis, :], W_t)[:, 0]
+    A single 2-D product would be faster but blocks its sums by batch.
+
+    A batch of at least `_TILE_MIN_ROWS` rows on an operand larger than
+    `_L2_BYTES`, whose width is a multiple of `_TILE`, runs tile-outer:
+    every row's product with one (cols, `_TILE`) block of W_t, then the
+    next block.  Each output is the same product over the same column of
+    W_t either way; widths that are not a multiple of the tile are left
+    out because BLAS may sum a ragged tail of outputs differently.
+    """
+    width = W_t.shape[1]
+    rows = X[:, np.newaxis, :]
+    if len(X) < _TILE_MIN_ROWS or W_t.nbytes <= _L2_BYTES or width % _TILE:
+        return np.matmul(rows, W_t)[:, 0]
+    out = np.empty((len(X), 1, width), dtype=np.result_type(X, W_t))
+    for start in range(0, width, _TILE):
+        np.matmul(rows, W_t[:, start:start + _TILE], out=out[:, :, start:start + _TILE])
+    return out[:, 0]
 
 
 def pe_trace(layer: CompressedFCLayer) -> PETrace:
@@ -250,7 +301,7 @@ def served_product(layer: EncodedLayer, X: np.ndarray) -> np.ndarray:
     An sst layer, of either orientation, runs through `CompressedFCLayer`:
     delta * (X @ trits.T) + bias.  Every other layer multiplies by its
     decoded weights: X @ weights.T + bias.  Both use the cached operand
-    (`_served_operand`) row by row (`_row_products`).
+    (`_served_operand`), one product per row (`_row_products`).
     """
     if layer.format.kind == "sst":
         return CompressedFCLayer(layer).matmul(X)
@@ -261,7 +312,7 @@ def served_product(layer: EncodedLayer, X: np.ndarray) -> np.ndarray:
 def compressed_forward(model: ModelFile, X) -> np.ndarray:
     """Full-network class probabilities from a serialized model.
 
-    Every layer computes its `served_product`, one row at a time, so a
+    Every layer computes its `served_product`, one product per row, so a
     sample's probabilities do not depend on the batch it arrives in.  The
     batch-norm fold and the layer-chain check run on every call.  A
     `ValidationError` raised while serving a layer names the layer.

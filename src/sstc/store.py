@@ -372,7 +372,9 @@ def encode_layer(W_q, delta, fmt: LayerFormat, bias=None, normalizer=None,
     ternary2bit layer is encoded on its grouped view through the tail of
     `compress_layer`: a sub-vector within budget has all its non-zeros
     among its k largest magnitudes (`prune._largest_per_subvector`), so
-    only those are checked ternary and handed to `_sst_payload`.
+    only those are checked ternary and handed to `_sst_payload`.  A code
+    that keeps every position (k = n) has no budget to check and hands on
+    its whole grouped view (`_kept_weights`).
     """
     W_q = np.ascontiguousarray(W_q, dtype=np.float64)
     _check_shape(W_q.shape)
@@ -394,11 +396,11 @@ def encode_layer(W_q, delta, fmt: LayerFormat, bias=None, normalizer=None,
         payload = levels.astype("<i1").tobytes()
         return EncodedLayer(fmt, rows, cols, delta, payload, bias, normalizer)
     params, orientation = _code_of(fmt)
-    error = _budget_error(W_q, params, orientation, label)
+    error = _budget_error(W_q, params, orientation, label) if params.k < params.n else None
     if error is not None:
         ternary_trits(W_q, delta)  # an entry that is not ternary is named first
         raise error
-    kept, values = _largest_per_subvector(W_q, params, orientation)  # (k, B, C) each
+    kept, values = _kept_weights(W_q, params, orientation)  # (k, B, C) each
     ternary_trits(values, delta)
     return EncodedLayer(fmt, rows, cols, delta, _sst_payload(kept, values, delta, params),
                         bias, normalizer)
@@ -436,10 +438,31 @@ def compress_layer(W, fmt: LayerFormat, bias=None, normalizer=None) -> EncodedLa
         delta = _stored_step(kind, find_step_size(W, 255))
         return encode_layer(quantize_weight(W, delta, 255), delta, fmt, bias, normalizer)
     params, orientation = _code_of(fmt)
-    kept, values = _largest_per_subvector(W, params, orientation)  # (k, B, C) each
+    kept, values = _kept_weights(W, params, orientation)  # (k, B, C) each
     delta = _stored_step(kind, find_step_size(values))
     return EncodedLayer(fmt, *W.shape, delta, _sst_payload(kept, values, delta, params),
                         bias, normalizer)
+
+
+def _kept_weights(W, params: CodeParams, orientation: str):
+    """The (kept, values) of `prune._largest_per_subvector`, two (k, B, C)
+    arrays, for `_sst_payload`.
+
+    A code that keeps every position (k = n, as ternary2bit's (1, 1)) needs
+    no prune rounds when ``W`` is a finite matrix: its kept positions are
+    0 .. n-1 in order and its values the grouped view of W, no copy.  They
+    rank to the same indices, since `codes.rank_grouped` does not depend on
+    the order of the rounds, and the step fit does not depend on the order
+    of its input.  A non-finite weight, or a `_PayloadReader`, goes through
+    the prune, which names the weight or reads the file block by block.
+    """
+    if (params.k == params.n and isinstance(W, np.ndarray)
+            and np.isfinite(W.min()) and np.isfinite(W.max())):
+        values = grouped_view(W, params, orientation).transpose(1, 0, 2)
+        kept = np.broadcast_to(np.arange(params.n, dtype=np.uint8)[:, np.newaxis, np.newaxis],
+                               values.shape)
+        return kept, values
+    return _largest_per_subvector(W, params, orientation)
 
 
 def _sst_payload(kept, values, delta: float, params: CodeParams) -> bytes:
@@ -962,11 +985,14 @@ class _PayloadReader:
 
 def model_from_arrays(weights_and_biases, names=None, normalizers=None) -> ModelFile:
     """Build a float32 model from raw (W, b) matrix pairs (the import path),
-    with one name and one normalizer per layer where given."""
+    with one name, a string, and one normalizer per layer where given."""
     count = len(weights_and_biases)
     for label, given in (("names", names), ("normalizers", normalizers)):
         if given is not None and len(given) != count:
             raise ValidationError(f"{len(given)} {label} given for {count} layers")
+    for index, name in enumerate(names or ()):
+        if not isinstance(name, str):
+            raise ValidationError(f"layer name {name!r} at position {index} is not a string")
     metadata = {"layer_names": list(names)} if names else {}
     names = _layer_names(metadata, count)
     layers = []

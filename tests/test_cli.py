@@ -751,6 +751,17 @@ def test_compress_rejects_a_policy_line_for_a_layer_the_model_lacks(tmp_path, ca
               "no layer named layer2 in the model; its layers are layer0, layer1", [out])
 
 
+@pytest.mark.parametrize("name", ["layer0", "default"])
+def test_compress_rejects_a_policy_that_names_a_layer_twice(tmp_path, capsys, name):
+    npz = _write_float_npz(tmp_path / "float.npz", np.random.default_rng(9))
+    policy, out = tmp_path / "policy.txt", tmp_path / "out.sstw"
+    policy.write_text(f"{name} format=fixed8\n# a comment\nlayer1 format=ternary\n"
+                      f"{name} format=float32\n")
+    _rejected(capsys, ["compress", "--input", str(npz), "--output", str(out),
+                       "--policy", str(policy)],
+              f"{policy}:4: {name} already given on line 1", [out])
+
+
 def test_compress_rejects_code_next_to_a_policy_default(tmp_path, capsys):
     path = _two_layer_sstw(tmp_path / "in.sstw")
     policy, out = tmp_path / "policy.txt", tmp_path / "out.sstw"

@@ -10,8 +10,9 @@ from sstc import kernel
 from sstc.codes import CodeParams, build_table, from_subvectors, subvectors, unrank_subvectors
 from sstc.errors import ValidationError
 from sstc.kernel import CompressedFCLayer, compressed_forward, dense_matvec, pe_trace
-from sstc.store import (BatchNormParams, EncodedLayer, LayerFormat, ModelFile, decode_layer,
-                        deserialize_model, encode_layer, layer_indices, serialize_model)
+from sstc.store import (BatchNormParams, EncodedLayer, LayerFormat, ModelFile, compress_layer,
+                        decode_layer, deserialize_model, encode_layer, layer_indices,
+                        serialize_model)
 
 from conftest import random_sst_trits
 
@@ -24,6 +25,29 @@ WIDE_CODES = [(16, 16), (24, 2)]
 def _compressed(W, delta, params, bias=None):
     layer = encode_layer(W, delta, LayerFormat("sst", params), bias=bias)
     return CompressedFCLayer(layer, build_table(params))
+
+
+@pytest.fixture(scope="module")
+def wide_model():
+    """A 784-1024-1024-1024-1030-10 model whose sst operands are all larger
+    than one core's L2: (8,1) column 1024x784 and 1024x1024, (8,1) row
+    1024x1024, and (8,8) row 1030x1024, a width that is not a multiple of
+    the tile; on such a dense operand 2 BLAS threads sum outputs 512-514
+    and the last one in another order when the width is split unevenly.
+    The weights are scaled by 1/sqrt(fan-in), so no probability saturates."""
+    rng = np.random.default_rng(30)
+    dims = (784, 1024, 1024, 1024, 1030)
+    codes = ((8, 1, "column"), (8, 1, "column"), (8, 1, "row"), (8, 8, "row"))
+    layers = [compress_layer(rng.normal(size=(rows, cols)) / np.sqrt(cols),
+                             LayerFormat("sst", CodeParams(n, k), orientation),
+                             bias=rng.normal(size=rows) * 0.1)
+              for cols, rows, (n, k, orientation) in zip(dims, dims[1:], codes)]
+    layers.append(compress_layer(rng.normal(size=(10, 1030)) / np.sqrt(1030),
+                                 LayerFormat("ternary2bit")))
+    for layer in layers[:-1]:
+        assert layer.rows * layer.cols * 8 > kernel._L2_BYTES
+    assert [layer.rows % kernel._TILE for layer in layers[:-1]] == [0, 0, 0, 1030 % 64]
+    return ModelFile(layers=layers)
 
 
 def test_hand_worked_product():
@@ -103,8 +127,9 @@ def test_matches_dense_oracle_real_mode():
             assert np.all(np.abs(got - want) / scale <= 1e-6)
 
 
-def test_batch_equals_per_sample_calls():
-    # bit-identical rows for every code and batch size
+def test_batch_equals_per_sample_calls(wide_model):
+    # bit-identical rows for every code and batch size, and on operands
+    # larger than L2, whose batches of 8 or more rows run tile by tile
     rng = np.random.default_rng(2)
     for n, k in ALL_CODES:
         params = CodeParams(n, k)
@@ -115,6 +140,14 @@ def test_batch_equals_per_sample_calls():
             batch = comp.matmul(X)
             singles = np.stack([comp.matmul(x) for x in X])
             assert np.array_equal(batch, singles), (params, batch_size)
+    for layer in wide_model.layers[1:-1]:
+        comp = CompressedFCLayer(layer)
+        X = rng.normal(size=(kernel._TILE_MIN_ROWS, layer.cols))
+        singles = np.stack([comp.matmul(x) for x in X])
+        # one row fewer than the threshold runs row by row, the threshold by tiles
+        for batch_size in (kernel._TILE_MIN_ROWS - 1, kernel._TILE_MIN_ROWS):
+            batch = comp.matmul(X[:batch_size])
+            assert np.array_equal(batch, singles[:batch_size]), (layer.format, batch_size)
 
 
 def test_weights_t_is_the_decoded_trit_matrix():
@@ -313,10 +346,10 @@ def _mixed_model(rng):
     return ModelFile(layers=layers)
 
 
-def test_forward_batch_independence():
+def test_forward_batch_independence(wide_model):
     # every layer format, bit-identical rows in any batch
     rng = np.random.default_rng(7)
-    for model in (_toy_model(rng), _mixed_model(rng)):
+    for model in (_toy_model(rng), _mixed_model(rng), wide_model):
         X = rng.normal(size=(37, model.layers[0].cols))
         batch = compressed_forward(model, X)
         singles = np.vstack([compressed_forward(model, x[np.newaxis]) for x in X])
@@ -430,13 +463,18 @@ def test_cold_warm_and_reloaded_calls_are_bitwise_equal():
     assert np.array_equal(cold, warm) and np.array_equal(cold, reloaded)
 
 
-def test_cached_operands_are_read_only():
+def test_cached_operands_are_read_only(wide_model):
     rng = np.random.default_rng(23)
     model = _mixed_model(rng)
-    for layer in model.layers:
+    for layer in model.layers + wide_model.layers:
         operand = kernel._served_operand(layer)
         assert operand.shape == (layer.cols, layer.rows)
         assert operand.ctypes.data % 64 == 0
+        # an operand larger than L2 has a row stride one cache line longer;
+        # an sst operand is a copy of the trits.T, the others a view of a copy's .T
+        pad = 64 if layer.rows * layer.cols * 8 > kernel._L2_BYTES else 0
+        sst = layer.format.kind == "sst"
+        assert operand.strides == ((8 * layer.rows + pad, 8) if sst else (8, 8 * layer.cols + pad))
         with pytest.raises(ValueError):
             operand[0, 0] = 1.0
     comp = CompressedFCLayer(model.layers[0], build_table(model.layers[0].format.params))
