@@ -8,21 +8,25 @@ entries), and the trits form a dense float64 transposed matrix.  Other
 formats decode to their float64 weights the same way.  The decoded
 operands are read-only, start on a cache line and live in a content-keyed
 cache of at most `_OPERAND_CACHE_SIZE` layers (8 B per weight each, plus
-one 64-byte cache line per row for an operand larger than `_L2_BYTES`), so
-a request on a layer served before does no decoding.  Every request runs
-through BLAS, one vector-matrix product per input row, so a row gives the
-same bits alone or inside any batch at a given BLAS thread count.  The
+one 64-byte cache line per row for an sst operand larger than `_L2_BYTES`),
+so a request on a layer served before does no decoding.  Every request
+runs through BLAS, one vector-matrix product per input row, so a row gives
+the same bits alone or inside any batch at a given BLAS thread count.  The
 products run in one of two loop orders (`_row_products`):
 
 * row-outer, each row over the whole operand: single rows, batches of
-  fewer than `_TILE_MIN_ROWS` rows, operands of at most `_L2_BYTES` and
-  widths that are not a multiple of `_TILE`;
+  fewer than `_TILE_MIN_ROWS` rows, operands other than an sst operand
+  larger than `_L2_BYTES`, and widths that are not a multiple of `_TILE`;
 * tile-outer, for a batch of `_TILE_MIN_ROWS` or more rows on a larger
-  operand: each block of `_TILE` output columns serves every row of the
-  batch while it sits in one core's L2, so the operand streams from L3
-  once per batch instead of once per row (the GEMM cache blocking of
+  sst operand: each block of `_TILE` output columns serves every row of
+  the batch while it sits in one core's L2, so the operand streams from
+  L3 once per batch instead of once per row (the GEMM cache blocking of
   Goto & van de Geijn, ACM TOMS 2008).  Each output is still one BLAS
-  product over the same inputs in the same order: the same bits.
+  product over the same inputs, but BLAS splits a tile's outputs among
+  its threads at other places than the whole width's, which at some
+  thread counts sums a few outputs in another order; so a shape runs
+  tile-outer only once a probe has shown the two orders give the same
+  bits (`_tiles_keep_bits`).
 
 Such an operand's row stride is one cache line longer than its row
 (`_cache_line_aligned`), or the rows of a tile would share a few L2 sets.
@@ -54,16 +58,32 @@ from .store import (BatchNormParams, EncodedLayer, ModelFile, _layer_names, _nam
 
 _BATCH_CHUNK = 256
 
-# Measured on a 2-CPU Xeon with 2 MiB of L2 per core and 2 OpenBLAS threads,
-# 256 rows against a 784x1024 and a 1024x1024 operand (6.4 and 8.4 MB): row
-# by row 33-46 ms; tile by tile 19-32 ms with padded rows, 76-130 ms without.
-# One core's L2; an operand larger than this gets padded rows and tiles.
+# The loop-order constants, from medians of interleaved calls on a 2-CPU Xeon
+# (2 MiB of L2 per core, 2 OpenBLAS threads) with (8,1)-sparse trit operands,
+# in ms per batch of B rows:
+#
+#   operand    stride  order       B=1    B=2    B=8    B=16   B=256
+#   784x1024   padded  row-outer   0.129  0.249  1.029  2.131  33.8
+#              padded  tile-outer  0.336  0.431  0.944  1.539  21.4
+#              plain   tile-outer  0.362  0.668  2.575  5.330  78.7
+#   1024x1024  padded  row-outer   0.172  0.321  1.378  2.714  41.5
+#              padded  tile-outer  0.461  0.594  1.337  2.261  30.0
+#   784x256    plain   row-outer   0.030  0.052  0.169  0.337  5.41
+#              padded  row-outer   0.058  0.085  0.212  0.374  5.50
+#              padded  tile-outer  0.038  0.059  0.174  0.326  5.05
+#
+# Tiles lose at 1 and 2 rows and win from 16 rows on both wide operands; at 8
+# rows they won here by 3-8% and lost by up to 3% in another run.  Padding
+# 784x256 doubles a single row's time, which the wide operands do not show,
+# and its tiles gain less than runs spread (another run read 4.75 ms by row,
+# 5.08 ms tiled at 256 rows), so an operand of at most one L2 stays plain and
+# row-outer.
+# One core's L2: an sst operand larger than this gets padded rows and tiles.
 _L2_BYTES = 2 << 20
 # Outputs per tile: a tile of a 1024-row operand is 512 KiB.
 _TILE = 64
-# Fewest rows a batch runs tile-outer: on the shapes above, 4 rows took
-# about as long either way and 8 rows took 0.9-1.3 ms tiled, 1.1-1.4 ms by row.
-_TILE_MIN_ROWS = 8
+# Fewest rows a batch runs tile-outer.
+_TILE_MIN_ROWS = 16
 
 # decoded operands kept at once; a model has a handful of layers, and each
 # entry holds 8 B per weight of its layer
@@ -189,25 +209,26 @@ def _decoded_operand(fmt, rows, cols, delta, payload) -> np.ndarray:
     """Decode one layer content; failures raise and are not cached.
 
     An sst layer gives its transposed trits, which `CompressedFCLayer`
-    scales by delta per call; every other layer gives its decoded weights,
-    transposed as a view.  A column layer's transposed trits are its
-    C-ordered payload sub-vectors, copied once into the operand.
+    scales by delta per call, with padded rows when larger than
+    `_L2_BYTES`; every other layer gives its decoded weights, transposed as
+    a view.  A column layer's transposed trits are its C-ordered payload
+    sub-vectors, copied once into the operand.
     """
     layer = EncodedLayer(fmt, rows, cols, delta, payload)
     if fmt.kind == "sst":
         trits = from_subvectors(unrank_subvectors(layer_indices(layer), fmt.params),
                                 rows, cols, fmt.params, fmt.orientation)
-        operand = _cache_line_aligned(trits.T)
+        operand = _cache_line_aligned(trits.T, padded=trits.size * 8 > _L2_BYTES)
     else:
         operand = _cache_line_aligned(decode_layer(layer)).T
     operand.setflags(write=False)
     return operand
 
 
-def _cache_line_aligned(a: np.ndarray) -> np.ndarray:
+def _cache_line_aligned(a: np.ndarray, padded: bool = False) -> np.ndarray:
     """A row-major float64 copy of the matrix ``a`` that starts on a 64-byte
-    boundary, with its row stride one 64-byte line longer than a row when
-    the copy is larger than `_L2_BYTES`.
+    boundary, with its row stride one 64-byte line longer than a row if
+    ``padded``.
 
     Large allocations start 16 bytes past a page boundary, and BLAS runs a
     batch slower on such an operand: 1024 rows against a 784x96 matrix took
@@ -216,11 +237,12 @@ def _cache_line_aligned(a: np.ndarray) -> np.ndarray:
     serves `_row_products`' tile-outer order: with 8 KiB rows, as of a
     1024-wide operand, the rows of a (rows, `_TILE`) tile fall in 1/16 of
     the L2 sets and evict each other.  256 rows against a 784x1024 or a
-    1024x1024 operand took 76-130 ms tile by tile at the plain stride and
-    19-32 ms at the padded one; row by row the two strides ran the same.
+    1024x1024 operand took 79 and 110 ms tile by tile at the plain stride
+    and 21 and 30 ms at the padded one; row by row the two strides ran
+    within 4% of each other (`_L2_BYTES` has the table).
     """
     rows, cols = a.shape
-    stride = cols + 8 if a.size * 8 > _L2_BYTES else cols  # in float64s
+    stride = cols + 8 if padded else cols  # in float64s
     buf = np.empty(rows * stride * 8 + 64, dtype=np.uint8)
     start = -buf.ctypes.data % 64
     out = buf[start:start + rows * stride * 8].view(np.float64).reshape(rows, stride)[:, :cols]
@@ -233,21 +255,50 @@ def _row_products(X: np.ndarray, W_t: np.ndarray) -> np.ndarray:
     row's bits are those of a single-row call, whatever the batch size.
     A single 2-D product would be faster but blocks its sums by batch.
 
-    A batch of at least `_TILE_MIN_ROWS` rows on an operand larger than
-    `_L2_BYTES`, whose width is a multiple of `_TILE`, runs tile-outer:
-    every row's product with one (cols, `_TILE`) block of W_t, then the
-    next block.  Each output is the same product over the same column of
-    W_t either way; widths that are not a multiple of the tile are left
-    out because BLAS may sum a ragged tail of outputs differently.
+    A batch of at least `_TILE_MIN_ROWS` rows on an operand with padded
+    rows (a large sst operand, `_decoded_operand`), whose width is a
+    multiple of `_TILE`, runs tile-outer (`_tile_products`) where that is
+    shown to give the same bits (`_tiles_keep_bits`).
     """
-    width = W_t.shape[1]
+    cols, width = W_t.shape
+    if (len(X) >= _TILE_MIN_ROWS and W_t.strides[0] > W_t.itemsize * width
+            and width % _TILE == 0 and _tiles_keep_bits(cols, width)):
+        return _tile_products(X, W_t)
+    return np.matmul(X[:, np.newaxis, :], W_t)[:, 0]
+
+
+def _tile_products(X: np.ndarray, W_t: np.ndarray) -> np.ndarray:
+    """X @ W_t tile-outer: every row's vector-matrix product with one
+    (cols, `_TILE`) block of W_t, then the next block."""
     rows = X[:, np.newaxis, :]
-    if len(X) < _TILE_MIN_ROWS or W_t.nbytes <= _L2_BYTES or width % _TILE:
-        return np.matmul(rows, W_t)[:, 0]
+    width = W_t.shape[1]
     out = np.empty((len(X), 1, width), dtype=np.result_type(X, W_t))
     for start in range(0, width, _TILE):
         np.matmul(rows, W_t[:, start:start + _TILE], out=out[:, :, start:start + _TILE])
     return out[:, 0]
+
+
+@lru_cache(maxsize=None)
+def _tiles_keep_bits(cols: int, width: int) -> bool:
+    """Whether `_tile_products` gives the bits of one product per row over
+    the whole width on a padded (cols, width) operand, at the BLAS thread
+    count of the first call.
+
+    BLAS splits a product's outputs into one chunk per thread and sums the
+    last outputs of a chunk in another order when the chunk is not a
+    multiple of its kernel's block.  The whole width and a tile are split
+    at the same places only at some thread counts: with OpenBLAS at 1, 2,
+    4 or 8 threads every output of a 784x1024 or 1024x1024 product kept
+    its bits tile by tile, while at 3 threads outputs 340, 341, 682 and
+    1023 (the ends of 342/341/341-output chunks) changed, at 5 threads
+    four and at 6 or 7 sixteen.  Which outputs change is a matter of the
+    shape and the split, not of the values, so one product of random rows
+    with a random operand of the served layout settles it for a shape.
+    """
+    rng = np.random.default_rng(0)
+    W_t = _cache_line_aligned(rng.random((cols, width)) - 0.5, padded=True)
+    X = rng.random((4, cols)) - 0.5
+    return np.array_equal(_tile_products(X, W_t), np.matmul(X[:, np.newaxis, :], W_t)[:, 0])
 
 
 def pe_trace(layer: CompressedFCLayer) -> PETrace:

@@ -400,7 +400,7 @@ def encode_layer(W_q, delta, fmt: LayerFormat, bias=None, normalizer=None,
     if error is not None:
         ternary_trits(W_q, delta)  # an entry that is not ternary is named first
         raise error
-    kept, values = _kept_weights(W_q, params, orientation)  # (k, B, C) each
+    kept, values = _kept_weights(W_q, params, orientation, finite=True)  # (k, B, C) each
     ternary_trits(values, delta)
     return EncodedLayer(fmt, rows, cols, delta, _sst_payload(kept, values, delta, params),
                         bias, normalizer)
@@ -444,7 +444,7 @@ def compress_layer(W, fmt: LayerFormat, bias=None, normalizer=None) -> EncodedLa
                         bias, normalizer)
 
 
-def _kept_weights(W, params: CodeParams, orientation: str):
+def _kept_weights(W, params: CodeParams, orientation: str, finite: bool = False):
     """The (kept, values) of `prune._largest_per_subvector`, two (k, B, C)
     arrays, for `_sst_payload`.
 
@@ -453,11 +453,13 @@ def _kept_weights(W, params: CodeParams, orientation: str):
     0 .. n-1 in order and its values the grouped view of W, no copy.  They
     rank to the same indices, since `codes.rank_grouped` does not depend on
     the order of the rounds, and the step fit does not depend on the order
-    of its input.  A non-finite weight, or a `_PayloadReader`, goes through
-    the prune, which names the weight or reads the file block by block.
+    of its input.  ``finite`` says W was checked finite already; otherwise
+    such a W is checked here.  A non-finite weight, or a `_PayloadReader`,
+    goes through the prune, which names the weight or reads the file block
+    by block.
     """
     if (params.k == params.n and isinstance(W, np.ndarray)
-            and np.isfinite(W.min()) and np.isfinite(W.max())):
+            and (finite or np.isfinite(W.min()) and np.isfinite(W.max()))):
         values = grouped_view(W, params, orientation).transpose(1, 0, 2)
         kept = np.broadcast_to(np.arange(params.n, dtype=np.uint8)[:, np.newaxis, np.newaxis],
                                values.shape)

@@ -29,24 +29,34 @@ def _compressed(W, delta, params, bias=None):
 
 @pytest.fixture(scope="module")
 def wide_model():
-    """A 784-1024-1024-1024-1030-10 model whose sst operands are all larger
-    than one core's L2: (8,1) column 1024x784 and 1024x1024, (8,1) row
-    1024x1024, and (8,8) row 1030x1024, a width that is not a multiple of
-    the tile; on such a dense operand 2 BLAS threads sum outputs 512-514
-    and the last one in another order when the width is split unevenly.
+    """A 784-1024-1024-1024-1030-1024-10 model whose hidden layers are all
+    larger than one core's L2.  Its sst operands get padded rows: (8,1)
+    column 1024x784 and 1024x1024 and dense (16,16) row 1024x1024, whose
+    batches may run tile by tile, and (8,8) row 1030x1024, a width that is
+    not a multiple of the tile; on such a dense operand 2 BLAS threads sum
+    outputs 512-514 and the last one in another order when the width is
+    split unevenly.  The fixed8 1024x1030 operand is not padded or tiled.
     The weights are scaled by 1/sqrt(fan-in), so no probability saturates."""
     rng = np.random.default_rng(30)
-    dims = (784, 1024, 1024, 1024, 1030)
-    codes = ((8, 1, "column"), (8, 1, "column"), (8, 1, "row"), (8, 8, "row"))
-    layers = [compress_layer(rng.normal(size=(rows, cols)) / np.sqrt(cols),
-                             LayerFormat("sst", CodeParams(n, k), orientation),
+    dims = (784, 1024, 1024, 1024, 1030, 1024, 10)
+    formats = [LayerFormat("sst", CodeParams(8, 1), "column"),
+               LayerFormat("sst", CodeParams(8, 1), "column"),
+               LayerFormat("sst", CodeParams(16, 16), "row"),
+               LayerFormat("sst", CodeParams(8, 8), "row")]
+    layers = [compress_layer(rng.normal(size=(rows, cols)) / np.sqrt(cols), fmt,
                              bias=rng.normal(size=rows) * 0.1)
-              for cols, rows, (n, k, orientation) in zip(dims, dims[1:], codes)]
-    layers.append(compress_layer(rng.normal(size=(10, 1030)) / np.sqrt(1030),
+              for cols, rows, fmt in zip(dims, dims[1:], formats)]
+    # a normal(0, 1/sqrt(1030)) matrix rounded to steps of 1/128; compress_layer
+    # would spend seconds fitting the step of a million fixed8 weights
+    step = 1 / 128
+    levels = np.clip(np.rint(rng.normal(size=(1024, 1030)) / np.sqrt(1030) / step), -127, 127)
+    layers.append(encode_layer(levels * step, step, LayerFormat("fixed8"),
+                               bias=rng.normal(size=1024) * 0.1))
+    layers.append(compress_layer(rng.normal(size=(10, 1024)) / np.sqrt(1024),
                                  LayerFormat("ternary2bit")))
     for layer in layers[:-1]:
         assert layer.rows * layer.cols * 8 > kernel._L2_BYTES
-    assert [layer.rows % kernel._TILE for layer in layers[:-1]] == [0, 0, 0, 1030 % 64]
+    assert [layer.rows % kernel._TILE for layer in layers[:4]] == [0, 0, 0, 1030 % 64]
     return ModelFile(layers=layers)
 
 
@@ -128,8 +138,9 @@ def test_matches_dense_oracle_real_mode():
 
 
 def test_batch_equals_per_sample_calls(wide_model):
-    # bit-identical rows for every code and batch size, and on operands
-    # larger than L2, whose batches of 8 or more rows run tile by tile
+    # bit-identical rows for every code and batch size, and on sst operands
+    # larger than L2, whose batches of `_TILE_MIN_ROWS` or more rows may run
+    # tile by tile
     rng = np.random.default_rng(2)
     for n, k in ALL_CODES:
         params = CodeParams(n, k)
@@ -140,7 +151,7 @@ def test_batch_equals_per_sample_calls(wide_model):
             batch = comp.matmul(X)
             singles = np.stack([comp.matmul(x) for x in X])
             assert np.array_equal(batch, singles), (params, batch_size)
-    for layer in wide_model.layers[1:-1]:
+    for layer in wide_model.layers[1:4]:
         comp = CompressedFCLayer(layer)
         X = rng.normal(size=(kernel._TILE_MIN_ROWS, layer.cols))
         singles = np.stack([comp.matmul(x) for x in X])
@@ -148,6 +159,34 @@ def test_batch_equals_per_sample_calls(wide_model):
         for batch_size in (kernel._TILE_MIN_ROWS - 1, kernel._TILE_MIN_ROWS):
             batch = comp.matmul(X[:batch_size])
             assert np.array_equal(batch, singles[:batch_size]), (layer.format, batch_size)
+
+
+def test_tiles_run_on_large_sst_batches_shown_to_keep_their_bits(wide_model, monkeypatch):
+    tiled = []
+    tile_products = kernel._tile_products
+    monkeypatch.setattr(kernel, "_tile_products",
+                        lambda X, W_t: tiled.append(W_t.shape) or tile_products(X, W_t))
+    rng = np.random.default_rng(31)
+    sst, excluded_width, fixed8 = (kernel._served_operand(layer)
+                                   for layer in wide_model.layers[2:5])
+    for W_t in (sst, excluded_width, fixed8):
+        for batch_size in (1, kernel._TILE_MIN_ROWS - 1, kernel._TILE_MIN_ROWS):
+            kernel._row_products(rng.normal(size=(batch_size, W_t.shape[0])), W_t)
+    assert tiled == ([sst.shape] if kernel._tiles_keep_bits(*sst.shape) else [])
+    # a shape whose tiles would change bits runs row by row
+    tiled.clear()
+    monkeypatch.setattr(kernel, "_tiles_keep_bits", lambda cols, width: False)
+    kernel._row_products(rng.normal(size=(kernel._TILE_MIN_ROWS, sst.shape[0])), sst)
+    assert tiled == []
+
+
+def test_tile_probe_matches_the_products():
+    # the probe's verdict is whether a dense operand of the shape keeps its bits
+    rng = np.random.default_rng(32)
+    W_t = kernel._cache_line_aligned(rng.normal(size=(784, 1024)), padded=True)
+    X = rng.normal(size=(kernel._TILE_MIN_ROWS, 784))
+    same = np.array_equal(kernel._tile_products(X, W_t), np.matmul(X[:, np.newaxis, :], W_t)[:, 0])
+    assert kernel._tiles_keep_bits(784, 1024) == same
 
 
 def test_weights_t_is_the_decoded_trit_matrix():
@@ -470,11 +509,13 @@ def test_cached_operands_are_read_only(wide_model):
         operand = kernel._served_operand(layer)
         assert operand.shape == (layer.cols, layer.rows)
         assert operand.ctypes.data % 64 == 0
-        # an operand larger than L2 has a row stride one cache line longer;
-        # an sst operand is a copy of the trits.T, the others a view of a copy's .T
-        pad = 64 if layer.rows * layer.cols * 8 > kernel._L2_BYTES else 0
-        sst = layer.format.kind == "sst"
-        assert operand.strides == ((8 * layer.rows + pad, 8) if sst else (8, 8 * layer.cols + pad))
+        # an sst operand is a copy of the trits.T, with a row stride one cache
+        # line longer when larger than L2; the others a view of a copy's .T
+        if layer.format.kind == "sst":
+            pad = 64 if layer.rows * layer.cols * 8 > kernel._L2_BYTES else 0
+            assert operand.strides == (8 * layer.rows + pad, 8)
+        else:
+            assert operand.strides == (8, 8 * layer.cols)
         with pytest.raises(ValueError):
             operand[0, 0] = 1.0
     comp = CompressedFCLayer(model.layers[0], build_table(model.layers[0].format.params))

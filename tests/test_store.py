@@ -408,9 +408,13 @@ def test_errors_while_building_a_loaded_layer_name_it(names, label):
     W0[0, 0] = W1[3, 3] = 0.5
     W1_nan = W1.copy()
     W1_nan[2, 5] = np.nan
-    if names != [0, 1]:  # model_from_arrays rejects a name that is not a string
+    pairs = [(W0, None), (W1_nan, np.zeros(8))]
+    if names == [0, 1]:  # model_from_arrays rejects a name that is not a string
+        with pytest.raises(ValidationError, match="^layer name 0 at position 0 is not a string$"):
+            model_from_arrays(pairs, names=names)
+    else:
         with raises("float32 weight nan at row 2, column 5 is not finite"):
-            model_from_arrays([(W0, None), (W1_nan, np.zeros(8))], names=names)
+            model_from_arrays(pairs, names=names)
     fmt = LayerFormat("sst", CodeParams(8, 1))
     first = encode_layer(W0, 0.5, fmt)
     model = ModelFile(layers=[first, encode_layer(W1, 0.5, fmt)],
