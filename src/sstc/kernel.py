@@ -9,7 +9,21 @@ formats decode to their float64 weights the same way.  The decoded
 operands are read-only, start on a cache line and live in a content-keyed
 cache of at most `_OPERAND_CACHE_SIZE` layers (8 B per weight each, plus
 one 64-byte cache line per row for an sst operand larger than `_L2_BYTES`),
-so a request on a layer served before does no decoding.  Every request
+so a request on a layer served before does no decoding.
+
+The rest of what a request needs of a loaded layer is built on its first
+call and kept in a second cache, of at most `_OPERAND_CACHE_SIZE` layers
+keyed by layer identity (`_served_layer`): an sst layer's
+`CompressedFCLayer`, another layer's float64 bias, and the batch norm folded
+to its float64 (scale, shift).  Identity keys are sound because a layer is
+frozen and owns read-only copies of its bias and batch-norm arrays, so it
+cannot change after its checks, and each entry holds its layer, so no
+other object can take its id while the entry lives.  Entries and kernels
+hold their operands by weak reference (`_WeakOperand`), so only the
+content-keyed cache keeps operands alive: at most `_OPERAND_CACHE_SIZE` are
+resident.  A warm request runs the input checks, the products and the
+elementwise steps only; a re-read model builds new entries from the cached
+operands.  Every request
 runs through BLAS, one vector-matrix product per input row, so a row gives
 the same bits alone or inside any batch at a given BLAS thread count.  The
 products run in one of two loop orders (`_row_products`):
@@ -44,6 +58,9 @@ column layer PE p owns output rows [p*n, (p+1)*n) and walks the columns;
 in a row layer PE i owns output row i and walks its cols / n sub-vectors.
 """
 
+import threading
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -53,8 +70,8 @@ from .codes import CodeTable, from_subvectors, subvectors, unrank_subvectors
 # build_table: unused, but perfbench/tracing.py wraps it here
 from .codes import build_table
 from .errors import ValidationError
-from .store import (BatchNormParams, EncodedLayer, ModelFile, _layer_names, _named_error,
-                    decode_layer, layer_indices)
+from .store import (BatchNormParams, EncodedLayer, ModelFile, _layer_label, _layer_names,
+                    _named_error, decode_layer, layer_indices)
 
 _BATCH_CHUNK = 256
 
@@ -85,8 +102,9 @@ _TILE = 64
 # Fewest rows a batch runs tile-outer.
 _TILE_MIN_ROWS = 16
 
-# decoded operands kept at once; a model has a handful of layers, and each
-# entry holds 8 B per weight of its layer
+# decoded operands kept at once, and served layers (`_served_layer`) kept at
+# once; a model has a handful of layers, and each operand holds 8 B per
+# weight of its layer
 _OPERAND_CACHE_SIZE = 16
 
 
@@ -107,8 +125,9 @@ class CompressedFCLayer:
 
     ``weights_t`` is the layer's trits as a read-only float64 (cols, rows)
     matrix that serves `matmul`.  It comes from the operand cache, so
-    building a kernel for a layer decoded before costs microseconds.  The
-    kernel keeps the frozen ``layer`` it was built from.  The unpacked
+    building a kernel for a layer decoded before costs microseconds, and
+    the kernel holds it only weakly (`_WeakOperand`).  The kernel keeps the
+    frozen ``layer`` it was built from.  The unpacked
     ``indices``, the add/subtract lanes of the audit path and the
     per-sub-vector non-zero counts are derived on first use.  ``table`` is
     unused, but perfbench passes one here; if given, it must be for the
@@ -128,8 +147,12 @@ class CompressedFCLayer:
         self.delta = np.float64(layer.delta)
         self.bias = (layer.bias.astype(np.float64)
                      if layer.bias is not None else np.zeros(layer.rows))
-        self.weights_t = _served_operand(layer)
+        self._operand = _WeakOperand(layer)
         self.layer = layer
+
+    @property
+    def weights_t(self) -> np.ndarray:
+        return self._operand()
 
     @cached_property
     def indices(self) -> np.ndarray:
@@ -191,7 +214,9 @@ class CompressedFCLayer:
         """delta * (X @ weights_t) + bias for one input, (cols,) -> (rows,),
         or over the rows of a batch, (batch, cols) -> (batch, rows)."""
         X = self._input(X).astype(np.float64, copy=False)
-        out = self.delta * _row_products(np.atleast_2d(X), self.weights_t) + self.bias
+        out = _row_products(X if X.ndim == 2 else X[np.newaxis], self.weights_t)
+        out *= self.delta
+        out += self.bias
         return out if X.ndim == 2 else out[0]
 
 
@@ -202,6 +227,24 @@ def _served_operand(layer: EncodedLayer) -> np.ndarray:
     format is replaced is decoded anew, never served stale.
     """
     return _decoded_operand(layer.format, layer.rows, layer.cols, layer.delta, layer.payload)
+
+
+class _WeakOperand:
+    """A layer's cached operand (`_served_operand`), decoded on creation, so
+    a corrupt payload raises there, and then held by weak reference: only
+    the operand cache keeps operands alive, and a call after the cache
+    dropped this one looks it up, or decodes it, again."""
+
+    def __init__(self, layer: EncodedLayer):
+        self.layer = layer
+        self.ref = weakref.ref(_served_operand(layer))
+
+    def __call__(self) -> np.ndarray:
+        operand = self.ref()
+        if operand is None:
+            operand = _served_operand(self.layer)
+            self.ref = weakref.ref(operand)
+        return operand
 
 
 @lru_cache(maxsize=_OPERAND_CACHE_SIZE)
@@ -345,6 +388,61 @@ def bn_eval_affine(gamma, beta, mean, var, eps):
     return scale, shift
 
 
+class _ServedLayer:
+    """What a request needs of one loaded layer, built once (`_served_layer`):
+    an sst layer's `CompressedFCLayer` as ``kernel``, or another layer's
+    float64 ``bias`` and weakly held operand, and the batch norm folded to
+    its (scale, shift) as ``affine``, or None."""
+
+    def __init__(self, layer: EncodedLayer):
+        self.layer = layer  # keeps the id that keys this entry taken
+        if layer.format.kind == "sst":
+            self.kernel = CompressedFCLayer(layer)
+        else:
+            self.kernel = None
+            self.bias = layer.bias.astype(np.float64) if layer.bias is not None else 0.0
+            self.operand = _WeakOperand(layer)
+        norm = layer.normalizer
+        self.affine = (bn_eval_affine(norm.gamma, norm.beta, norm.mean, norm.var,
+                                      np.float32(norm.eps))
+                       if isinstance(norm, BatchNormParams) else None)
+
+    def product(self, X: np.ndarray) -> np.ndarray:
+        if self.kernel is not None:
+            return self.kernel.matmul(X)
+        out = _row_products(X, self.operand())
+        out += self.bias
+        return out
+
+
+# id(layer) -> _ServedLayer, least recently used first
+_served_layers = OrderedDict()
+_served_lock = threading.Lock()
+
+
+def _served_layer(layer: EncodedLayer) -> _ServedLayer:
+    """The serving state of ``layer``, from a cache of at most
+    `_OPERAND_CACHE_SIZE` layers keyed by identity.
+
+    A layer is frozen and owns read-only copies of its arrays, so its
+    content cannot change after it is checked; each entry holds its layer,
+    so no other object can take the id while the entry lives.  A failure
+    raises and is not cached.
+    """
+    key = id(layer)
+    with _served_lock:
+        served = _served_layers.get(key)
+        if served is not None:
+            _served_layers.move_to_end(key)
+            return served
+    served = _ServedLayer(layer)
+    with _served_lock:
+        _served_layers[key] = served
+        while len(_served_layers) > _OPERAND_CACHE_SIZE:
+            _served_layers.popitem(last=False)
+    return served
+
+
 def served_product(layer: EncodedLayer, X: np.ndarray) -> np.ndarray:
     """The product plus bias that serving computes for ``layer`` on a
     float64 (batch, cols) batch, before any normalizer.
@@ -352,30 +450,34 @@ def served_product(layer: EncodedLayer, X: np.ndarray) -> np.ndarray:
     An sst layer, of either orientation, runs through `CompressedFCLayer`:
     delta * (X @ trits.T) + bias.  Every other layer multiplies by its
     decoded weights: X @ weights.T + bias.  Both use the cached operand
-    (`_served_operand`), one product per row (`_row_products`).
+    (`_served_operand`), one product per row (`_row_products`), and the
+    layer's cached serving state (`_served_layer`).
     """
-    if layer.format.kind == "sst":
-        return CompressedFCLayer(layer).matmul(X)
-    bias = layer.bias.astype(np.float64) if layer.bias is not None else 0.0
-    return _row_products(X, _served_operand(layer)) + bias
+    return _served_layer(layer).product(X)
 
 
 def compressed_forward(model: ModelFile, X) -> np.ndarray:
     """Full-network class probabilities from a serialized model.
 
     Every layer computes its `served_product`, one product per row, so a
-    sample's probabilities do not depend on the batch it arrives in.  The
-    batch-norm fold and the layer-chain check run on every call.  A
-    `ValidationError` raised while serving a layer names the layer.
-    Hidden layers apply relu after any normalizer affine; the final layer
-    emits softmax probabilities.  ``X`` is one sample (cols,) or a batch
-    (batch, cols) of finite values; anything else raises `ValidationError`
-    before any layer runs.
+    sample's probabilities do not depend on the batch it arrives in.  Each
+    layer's kernel, bias and batch-norm fold are built on its first call
+    and cached (`_served_layer`).  The layer-chain check runs on every
+    call, and a `ValidationError` raised while serving a layer names the
+    layer.  Hidden layers apply relu after any normalizer affine; the final
+    layer emits softmax probabilities.  ``X`` is one sample (cols,) or a
+    batch (batch, cols) of finite real values; anything else raises
+    `ValidationError` before any layer runs.
     """
     try:
-        X = np.asarray(X, dtype=np.float64)
-    except ValueError as exc:  # ragged rows, or values that are not numbers
+        X = np.asarray(X)
+        complex_input = X.dtype.kind == "c"
+        if not complex_input:
+            X = X.astype(np.float64, copy=False)
+    except (TypeError, ValueError) as exc:  # ragged rows, or values that are not numbers
         raise ValidationError(f"input is not an array of numbers: {exc}") from None
+    if complex_input:  # casting would drop the imaginary parts
+        raise ValidationError(f"input is {X.dtype}: expected real numbers")
     if X.ndim not in (1, 2):
         raise ValidationError(f"input shape {X.shape}: expected one sample or a batch of samples")
     X = np.atleast_2d(X)
@@ -386,24 +488,35 @@ def compressed_forward(model: ModelFile, X) -> np.ndarray:
                               f"feature {col} is not finite")
     if not model.layers:
         raise ValidationError("model has no layers")
+    last = len(model.layers) - 1
     out = X
     for pos, layer in enumerate(model.layers):
         if layer.cols != out.shape[1]:
-            raise ValidationError(
-                f"layer {pos} expects {layer.cols} inputs, previous layer emits {out.shape[1]}"
-            )
+            raise _width_error(model, pos, out.shape[1])
         # a try costs a request nothing until it raises, unlike store._naming_layer
         try:
-            out = served_product(layer, out)
+            served = _served_layer(layer)
+            out = served.product(out)
         except ValidationError as exc:
             raise _named_error(exc, pos, _layer_names(model.metadata, len(model.layers))) from exc
-        norm = layer.normalizer
-        if isinstance(norm, BatchNormParams):
-            scale, shift = bn_eval_affine(norm.gamma, norm.beta, norm.mean, norm.var,
-                                          np.float32(norm.eps))
-            out = out * scale + shift
-        if pos < len(model.layers) - 1:
-            out = np.maximum(out, 0.0)
+        # the products are new arrays, so the elementwise steps run in place
+        if served.affine is not None:
+            scale, shift = served.affine
+            out *= scale
+            out += shift
+        if pos < last:
+            np.maximum(out, 0.0, out=out)
         else:
             out = softmax(out)
     return out
+
+
+def _width_error(model: ModelFile, pos: int, width: int) -> ValidationError:
+    """The error for layer ``pos`` of ``model`` fed ``width`` values per row."""
+    names = _layer_names(model.metadata, len(model.layers))
+    layer = _layer_label(pos, names)
+    expects = model.layers[pos].cols
+    if pos == 0:
+        return ValidationError(f"input has {width} features, {layer} expects {expects}")
+    return ValidationError(f"{layer} expects {expects} inputs, "
+                           f"{_layer_label(pos - 1, names)} emits {width}")

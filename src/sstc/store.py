@@ -52,7 +52,7 @@ import os
 import struct
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -100,9 +100,11 @@ class LayerFormat:
         return self.kind
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class BatchNormParams:
-    """Eval-time batch normalization state, stored float32."""
+    """Eval-time batch normalization state, stored float32.  Frozen, and
+    each array is a read-only copy (`_read_only_f32`), so a checked
+    normalizer cannot change under a layer that holds it."""
 
     gamma: np.ndarray
     beta: np.ndarray
@@ -112,9 +114,10 @@ class BatchNormParams:
 
     def __post_init__(self):
         for name in ("gamma", "beta", "mean", "var"):
-            setattr(self, name, np.ascontiguousarray(getattr(self, name), dtype=np.float32))
-            if not np.isfinite(getattr(self, name)).all():
+            values = _read_only_f32(getattr(self, name))
+            if not np.isfinite(values).all():
                 raise ValidationError(f"batch norm {name} holds a non-finite value")
+            object.__setattr__(self, name, values)
         shapes = [arr.shape for arr in (self.gamma, self.beta, self.mean, self.var)]
         if len(set(shapes)) > 1:
             raise ValidationError(f"batch norm gamma, beta, mean and var differ in shape: "
@@ -128,6 +131,9 @@ class BatchNormParams:
             pos = int(np.argmax(low))
             raise ValidationError(f"batch norm var + eps must be positive, got var "
                                   f"{float(self.var[pos])} at row {pos} with eps {self.eps}")
+
+    def __reduce__(self):
+        return _rebuilt(self)
 
     def __eq__(self, other):
         if not isinstance(other, BatchNormParams):
@@ -162,7 +168,10 @@ class WeightNormTag:
 @dataclass(frozen=True, eq=False)
 class EncodedLayer:
     """One stored layer.  Frozen, so every field passes the checks below:
-    build a changed layer with `dataclasses.replace`, which re-runs them."""
+    build a changed layer with `dataclasses.replace`, which re-runs them.
+    The payload is bytes and the bias a read-only float32 copy, and a batch
+    norm is frozen too, so a checked layer stays as it was checked (the
+    kernel caches its serving state by layer identity)."""
 
     format: LayerFormat
     rows: int
@@ -194,6 +203,9 @@ class EncodedLayer:
     def payload_bit_length(self) -> int:
         return _payload_bits(self.format, self.rows, self.cols)
 
+    def __reduce__(self):
+        return _rebuilt(self)
+
     def __eq__(self, other):
         if not isinstance(other, EncodedLayer):
             return NotImplemented
@@ -209,6 +221,13 @@ class EncodedLayer:
             and bias_eq
             and self.normalizer == other.normalizer
         )
+
+
+def _rebuilt(obj):
+    """``__reduce__`` of a checked dataclass: a copy or an unpickled object
+    is built by its constructor, so it passes the checks and owns read-only
+    arrays too (pickling an array drops its read-only flag)."""
+    return type(obj), tuple(getattr(obj, f.name) for f in fields(obj))
 
 
 def _code_of(fmt: LayerFormat):
@@ -238,7 +257,7 @@ def _checked_fields(fmt: LayerFormat, rows: int, cols: int, delta, bias, normali
         grouped_shape(rows, cols, fmt.params.n, fmt.orientation)
     if bias is not None:
         with np.errstate(over="ignore"):  # a finite bias that overflows is rejected below
-            bias = np.ascontiguousarray(bias, dtype=np.float32)
+            bias = _read_only_f32(bias)
         if bias.shape != (rows,):
             raise ValidationError(f"bias length {bias.shape} does not match the {rows} rows")
         finite = np.isfinite(bias)
@@ -256,6 +275,14 @@ def _checked_fields(fmt: LayerFormat, rows: int, cols: int, delta, bias, normali
         raise ValidationError(f"payload is {payload_size} bytes, expected {(expected + 7) // 8} "
                               f"for {expected} bits")
     return delta, bias
+
+
+def _read_only_f32(values) -> np.ndarray:
+    """A C-ordered float32 copy of ``values``, at least 1-D, that owns its
+    memory and is read-only: a layer never aliases its caller's array."""
+    copy = np.array(values, dtype=np.float32, order="C", ndmin=1)
+    copy.setflags(write=False)
+    return copy
 
 
 def _stored_step(kind: str, given) -> float:
@@ -717,7 +744,7 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def f32_array(self, count: int) -> np.ndarray:
-        return np.frombuffer(self.take(4 * count), dtype="<f4").copy()
+        return np.frombuffer(self.take(4 * count), dtype="<f4")
 
 
 @dataclass(frozen=True)
@@ -859,11 +886,14 @@ def _naming_layer(index: int, names=None):
 
 
 def _named_error(exc: ValidationError, index: int, names=None) -> ValidationError:
-    """``exc`` with the layer's index and, where ``names`` (`_layer_names`)
-    gives one, its name in front."""
+    """``exc`` with `_layer_label` in front."""
+    return ValidationError(f"{_layer_label(index, names)}: {exc}")
+
+
+def _layer_label(index: int, names=None) -> str:
+    """A layer's index and, where ``names`` (`_layer_names`) gives one, its name."""
     name = names[index] if names else None
-    label = f"layer {index} ({name})" if name else f"layer {index}"
-    return ValidationError(f"{label}: {exc}")
+    return f"layer {index} ({name})" if name else f"layer {index}"
 
 
 def write_model(model: ModelFile, path):

@@ -17,7 +17,7 @@ from sstc.errors import ValidationError
 from sstc.kernel import CompressedFCLayer, compressed_forward
 from sstc.quantize import quantize_weight
 from sstc.store import (EncodedLayer, LayerFormat, ModelFile, decode_layer, encode_layer,
-                        read_model, serialize_model, write_model)
+                        model_from_arrays, read_model, serialize_model, write_model)
 
 from conftest import argsort_sweep, random_layer, random_sst_trits, reference_decode
 
@@ -271,6 +271,13 @@ def test_infer_rejects_a_non_finite_bias_at_load(tmp_path, capsys):
     path.write_bytes(bytes(blob))
     assert main(["infer", "--model", str(path), "--data", "synthetic:samples=6,dim=4"]) == 1
     assert capsys.readouterr().err == "error: layer 0: bias nan at row 1 is not finite\n"
+
+
+def test_infer_names_the_input_when_layer_0_expects_another_width(tmp_path, capsys):
+    path = tmp_path / "784-inputs.sstw"
+    write_model(model_from_arrays([(np.zeros((3, 784)), None)], names=["fc0"]), path)
+    assert main(["infer", "--model", str(path), "--data", "synthetic:samples=6,dim=32"]) == 1
+    assert capsys.readouterr().err == "error: input has 32 features, layer 0 (fc0) expects 784\n"
 
 
 def test_compress_fixed8_writes_the_bytes_of_the_argsort_sweep_step(tmp_path):

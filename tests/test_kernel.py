@@ -1,6 +1,11 @@
 """Compressed inference kernel against the dense oracle."""
 
+import copy
+import pickle
+import sys
+import threading
 import warnings
+import weakref
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -12,7 +17,7 @@ from sstc.errors import ValidationError
 from sstc.kernel import CompressedFCLayer, compressed_forward, dense_matvec, pe_trace
 from sstc.store import (BatchNormParams, EncodedLayer, LayerFormat, ModelFile, compress_layer,
                         decode_layer, deserialize_model, encode_layer, layer_indices,
-                        serialize_model)
+                        model_from_arrays, serialize_model)
 
 from conftest import random_sst_trits
 
@@ -393,13 +398,25 @@ def test_forward_batch_independence(wide_model):
         batch = compressed_forward(model, X)
         singles = np.vstack([compressed_forward(model, x[np.newaxis]) for x in X])
         assert np.array_equal(batch, singles)
+        # a re-read copy builds its served layers on a single row, then serves the batch
+        copy = deserialize_model(serialize_model(model))
+        singles = np.vstack([compressed_forward(copy, x) for x in X])
+        assert np.array_equal(compressed_forward(copy, X), singles)
+        assert np.array_equal(singles, batch)
 
 
 def test_forward_chain_mismatch():
     rng = np.random.default_rng(8)
     model = _toy_model(rng)
-    with pytest.raises(ValidationError, match="expects"):
+    with pytest.raises(ValidationError, match="^input has 7 features, layer 0 expects 6$"):
         compressed_forward(model, np.zeros((2, 7)))
+    model.metadata["layer_names"] = ["fc0", "fc1"]
+    with pytest.raises(ValidationError, match=r"^input has 7 features, layer 0 \(fc0\) expects 6$"):
+        compressed_forward(model, np.zeros((2, 7)))
+    model.layers[1] = replace(model.layers[1], cols=4, payload=bytes(3))
+    with pytest.raises(ValidationError,
+                       match=r"^layer 1 \(fc1\) expects 4 inputs, layer 0 \(fc0\) emits 8$"):
+        compressed_forward(model, np.zeros((2, 6)))
 
 
 @pytest.mark.parametrize("first", range(5), ids=["column-sst", "fixed8", "float32",
@@ -422,7 +439,11 @@ def test_forward_rejects_non_finite_and_ragged_input():
     cases = {"nan at sample 0, feature 0 is not finite": np.full((2, cols), np.nan),
              "-inf at sample 1, feature 5 is not finite": inf_row,
              "inf at sample 0, feature 7 is not finite": inf_sample,
-             "inhomogeneous shape": [np.zeros(cols - 1), np.zeros(cols)]}
+             "inhomogeneous shape": [np.zeros(cols - 1), np.zeros(cols)],
+             # a cast would drop the imaginary parts, with only a ComplexWarning
+             "input is complex128: expected real numbers": np.full((2, cols), 1 + 1j),
+             "input is complex64: expected real numbers": np.zeros(cols, dtype=np.complex64),
+             "input is not an array of numbers: .*not 'complex'": [1j, None] * (cols // 2)}
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # rejected before numpy computes anything
         for message, X in cases.items():
@@ -494,12 +515,29 @@ def test_cold_warm_and_reloaded_calls_are_bitwise_equal():
     X = rng.normal(size=(9, 96))
     kernel._decoded_operand.cache_clear()
     cold = compressed_forward(model, X)
-    assert kernel._decoded_operand.cache_info().misses == len(model.layers)
+    assert kernel._decoded_operand.cache_info()[:2] == (0, len(model.layers))
+    assert all(id(layer) in kernel._served_layers for layer in model.layers)
+    # a warm call is answered by the served layers, a re-read model by the operands
     warm = compressed_forward(model, X)
-    assert kernel._decoded_operand.cache_info().hits == len(model.layers)
+    assert kernel._decoded_operand.cache_info()[:2] == (0, len(model.layers))
     reloaded = compressed_forward(deserialize_model(serialize_model(model)), X)
-    assert kernel._decoded_operand.cache_info().misses == len(model.layers)
+    assert kernel._decoded_operand.cache_info()[:2] == (len(model.layers), len(model.layers))
     assert np.array_equal(cold, warm) and np.array_equal(cold, reloaded)
+
+
+def test_warm_request_builds_no_kernel_and_folds_no_batch_norm(monkeypatch):
+    rng = np.random.default_rng(27)
+    model = _mixed_model(rng)
+    x = rng.normal(size=96)
+    cold = compressed_forward(model, x)
+
+    def rebuilt(*args, **kwargs):
+        raise AssertionError("a warm request rebuilt its serving state")
+
+    monkeypatch.setattr(CompressedFCLayer, "__init__", rebuilt)
+    monkeypatch.setattr(kernel, "bn_eval_affine", rebuilt)
+    monkeypatch.setattr(kernel, "_decoded_operand", rebuilt)
+    assert np.array_equal(compressed_forward(model, x), cold)
 
 
 def test_cached_operands_are_read_only(wide_model):
@@ -552,11 +590,87 @@ def test_operand_cache_stays_within_its_bound():
     bound = kernel._decoded_operand.cache_info().maxsize
     assert bound == kernel._OPERAND_CACHE_SIZE
     kernel._decoded_operand.cache_clear()
+    kernel._served_layers.clear()
     for i in range(bound + 5):
         layer = encode_layer(rng.integers(-1, 2, size=(3, 4)) * 0.5, 0.5,
                              LayerFormat("ternary2bit"))
         compressed_forward(ModelFile(layers=[layer]), rng.normal(size=4))
         assert kernel._decoded_operand.cache_info().currsize == min(i + 1, bound)
+        assert list(kernel._served_layers)[-1] == id(layer)
+        assert len(kernel._served_layers) == min(i + 1, bound)
+
+
+def test_served_layers_keep_no_operand_alive():
+    # only the operand cache holds operands, so at most its bound are resident
+    rng = np.random.default_rng(28)
+    model = _mixed_model(rng)
+    X = rng.normal(size=(3, 96))
+    served = compressed_forward(model, X)
+    refs = [weakref.ref(kernel._served_operand(layer)) for layer in model.layers]
+    kernel._decoded_operand.cache_clear()
+    assert [ref() for ref in refs] == [None] * len(refs)
+    # a warm call then decodes its operands again, to the same bits
+    assert np.array_equal(compressed_forward(model, X), served)
+    assert kernel._decoded_operand.cache_info()[:2] == (0, len(model.layers))
+
+
+def test_concurrent_requests_share_the_served_layers(monkeypatch):
+    rng = np.random.default_rng(29)
+    models = [_toy_model(rng), _toy_model(rng, with_bn=False), _toy_model(rng)]
+    X = rng.normal(size=(4, 6))
+    want = [compressed_forward(m, X) for m in models]
+    monkeypatch.setattr(kernel, "_OPERAND_CACHE_SIZE", 3)  # four layers per round evict
+    kernel._served_layers.clear()
+    errors = []
+
+    def serve(seed):
+        order = np.random.default_rng(seed)
+        try:
+            for _ in range(200):
+                i = int(order.integers(len(models)))
+                if not np.array_equal(compressed_forward(models[i], X), want[i]):
+                    errors.append(f"model {i} served other bits")
+        except Exception as exc:  # every failure is reported below
+            errors.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=serve, args=(seed,)) for seed in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(kernel._served_layers) <= 3
+
+
+def test_bias_and_batch_norm_are_read_only_copies():
+    rng = np.random.default_rng(33)
+    bias = rng.normal(size=4).astype(np.float32)
+    stats = [rng.random(4).astype(np.float32) + 0.5 for _ in range(4)]
+    model = model_from_arrays([(rng.normal(size=(4, 6)), bias)],
+                              normalizers=[BatchNormParams(*stats)])
+    x = rng.normal(size=6)
+    served = compressed_forward(model, x)
+    # the caller's arrays are not the layer's
+    bias[0] = np.nan
+    stats[3][1] = -5.0
+    assert np.array_equal(compressed_forward(model, x), served)
+    first = model.layers[0]
+    for layer in (first, deserialize_model(serialize_model(model)).layers[0],
+                  copy.deepcopy(first), pickle.loads(pickle.dumps(first))):
+        norm = layer.normalizer
+        for values in (layer.bias, norm.gamma, norm.beta, norm.mean, norm.var):
+            assert values.dtype == np.float32 and values.flags.owndata
+            with pytest.raises(ValueError, match="read-only"):
+                values[1] = -5.0
+        with pytest.raises(FrozenInstanceError):
+            norm.var = np.full(4, -5.0)
+    assert np.array_equal(compressed_forward(model, x), served)
 
 
 def test_payload_is_copied_from_a_mutable_buffer():
