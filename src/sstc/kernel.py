@@ -102,7 +102,7 @@ _TILE = 64
 # Fewest rows a batch runs tile-outer.
 _TILE_MIN_ROWS = 16
 
-# decoded operands kept at once, and served layers (`_served_layer`) kept at
+# most decoded operands, and most served layers (`_served_layer`), kept at
 # once; a model has a handful of layers, and each operand holds 8 B per
 # weight of its layer
 _OPERAND_CACHE_SIZE = 16

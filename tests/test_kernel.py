@@ -399,9 +399,9 @@ def test_forward_batch_independence(wide_model):
         singles = np.vstack([compressed_forward(model, x[np.newaxis]) for x in X])
         assert np.array_equal(batch, singles)
         # a re-read copy builds its served layers on a single row, then serves the batch
-        copy = deserialize_model(serialize_model(model))
-        singles = np.vstack([compressed_forward(copy, x) for x in X])
-        assert np.array_equal(compressed_forward(copy, X), singles)
+        reread = deserialize_model(serialize_model(model))
+        singles = np.vstack([compressed_forward(reread, x) for x in X])
+        assert np.array_equal(compressed_forward(reread, X), singles)
         assert np.array_equal(singles, batch)
 
 
