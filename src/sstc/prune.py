@@ -46,8 +46,11 @@ def _largest_per_subvector(W, params: CodeParams, orientation: str, mask=None):
     an object with the matrix's ``shape`` and ``dtype`` whose
     ``blocks(size)`` yields its C-ordered weights in consecutive flat pieces
     of ``size`` (the last may be shorter), each read once before the next is
-    asked for and checked finite by the reader.  `store` reads a float32
-    payload from its file so.
+    asked for, and whose ``reject(piece, start)`` raises the reader's own
+    error for a piece that holds a non-finite weight from the matrix's
+    ``start``-th weight on.  `store` reads a float32 payload from its file
+    so.  The max over each block's magnitudes is the one finite check, for
+    a matrix and a reader alike.
     Magnitudes are compared in W's own precision when that is float32
     (widening is exact and keeps their order) and in float64 otherwise.
     """
@@ -75,8 +78,10 @@ def _largest_per_subvector(W, params: CodeParams, orientation: str, mask=None):
         span = slice(start, start + step)
         size = len(block)
         mags = np.abs(block, out=buffer[:size])
-        if not (reader or np.isfinite(mags.max(initial=0.0))):
+        if not np.isfinite(mags.max(initial=0.0)):
             weights = block.reshape(-1)
+            if reader:
+                W.reject(weights, start * n * cols)
             pos = int(np.argmin(np.isfinite(weights)))
             # the block is the span of W's C-ordered weights from its first group on
             row, col = divmod(start * n * cols + pos, W.shape[1])

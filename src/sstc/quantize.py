@@ -183,6 +183,27 @@ def _step_sweep(mags, size: int, half_levels: int) -> float:
         sweep.merge(desc, heads - counts, counts, halves, float((desc[heads] / halves).max()))
 
 
+def _sorted_magnitudes(w: np.ndarray) -> np.ndarray:
+    """The one float64 copy of |w|, flat and sorted ascending, behind a zero
+    that the sweep reads past its ends.  float32 magnitudes are sorted at
+    their own width, the faster sort, in the top half of the copy's own
+    bytes, and widened into place once: widening is exact and keeps their
+    order, so the copy is bitwise the float64 one.  Widened block by block
+    from the front, each block's float64s end before the next block's
+    float32s start, so no second copy is made."""
+    mags = np.zeros(w.size + 1)
+    if w.dtype == np.float32:
+        top = mags.view(np.float32)[-w.size:]
+        np.abs(w, out=top.reshape(w.shape))
+        top.sort()
+        for start in range(0, w.size, _BLOCK):
+            mags[1 + start:1 + start + _BLOCK] = top[start:start + _BLOCK]
+    else:
+        np.abs(w, out=mags[:-1].reshape(w.shape), dtype=np.float64)
+        mags.sort()
+    return mags
+
+
 def find_step_size(weights, levels: int = 3) -> float:
     """Step size minimizing the squared quantization error over ``weights``.
 
@@ -196,10 +217,7 @@ def find_step_size(weights, levels: int = 3) -> float:
     w = np.asarray(weights)
     if w.size == 0:
         raise ValidationError("cannot determine a step size for an empty weight collection")
-    # the one magnitude copy, and a zero that the sweep reads past its ends
-    mags = np.zeros(w.size + 1)
-    np.abs(w, out=mags[:-1].reshape(w.shape), dtype=np.float64)
-    mags.sort()
+    mags = _sorted_magnitudes(w)
     wmax = float(mags[-1])  # NaN sorts last, so this catches NaN and inf
     if not np.isfinite(wmax):
         pos = int(np.argmin(np.isfinite(w).ravel()))

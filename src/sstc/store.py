@@ -511,7 +511,8 @@ def _sst_payload(kept, values, delta: float, params: CodeParams) -> bytes:
     tile's ranks go to one reused buffer in payload order, behind the up to
     7 left over from the tile before; every multiple of 8 indices packs
     (`bitpack.pack_indices`) to whole bytes, so the packed chunks join to
-    the packing of the whole stream.
+    the packing of the whole stream.  The last tile packs all it holds, so
+    no call packs a lone tail.
     """
     rounds, groups, cols = kept.shape
     down = min(groups, quantize._BLOCK)  # grid rows per tile
@@ -538,11 +539,11 @@ def _sst_payload(kept, values, delta: float, params: CodeParams) -> bytes:
             ranks = rank_grouped(kept[tile], digit, params)
             count = left + ranks.size
             np.copyto(ordered[left:count].reshape(ranks.shape[::-1]), ranks.T)
-            whole = count - count % 8
+            last = b0 + down >= groups and c0 + across >= cols
+            whole = count if last else count - count % 8
             parts.append(bitpack.pack_indices(ordered[:whole], bits))
             left = count - whole
             ordered[:left] = ordered[whole:count]
-    parts.append(bitpack.pack_indices(ordered[:left], bits))
     return b"".join(parts)
 
 
@@ -998,9 +999,9 @@ class _PayloadReader:
     def blocks(self, size: int):
         """The layer's C-ordered weights in consecutive pieces of ``size``.
 
-        Each piece is read with `readinto` into one reused buffer and checked
-        finite as `EncodedLayer` checks a float32 payload, with the message
-        `read_model` gives; a file that shrank since its header pass raises
+        Each piece is read with `readinto` into one reused buffer, unchecked:
+        the prune checks each block finite and hands one that is not to
+        `reject`.  A file that shrank since its header pass raises
         "truncated model file".
         """
         rows, cols = self.shape
@@ -1011,8 +1012,13 @@ class _PayloadReader:
             piece = buffer[:min(size, total - start)]
             if self.fh.readinto(piece) != piece.nbytes:
                 raise ValidationError("truncated model file")
-            _check_finite(piece, cols, start)
             yield piece
+
+    def reject(self, piece: np.ndarray, start: int):
+        """Raise on the first non-finite weight of ``piece``, the layer's
+        weights from its ``start``-th on, as `EncodedLayer` does for a float32
+        payload: with the message `read_model` gives."""
+        _check_finite(piece, self.shape[1], start)
 
 
 def model_from_arrays(weights_and_biases, names=None, normalizers=None) -> ModelFile:

@@ -221,6 +221,22 @@ def reference_encode(W_q, delta, fmt, bias=None, normalizer=None):
     return EncodedLayer(fmt, *trits.shape, delta, payload, bias, normalizer)
 
 
+def reference_pack(indices, bits_per_index):
+    """`bitpack.pack_indices` as a bit-matrix packer, kept as its reference.
+
+    Each index is cast to the smallest big-endian unsigned width that holds
+    a field, unpacked to bits, cut to its low ``bits_per_index`` bits, and
+    the rows of bits packed in turn.
+    """
+    idx = np.asarray(indices, dtype=np.int64)
+    if idx.size == 0 or bits_per_index == 0:
+        return b""
+    width = next(w for w in (8, 16, 32, 64) if w >= bits_per_index)
+    wide = idx.astype(f">u{width // 8}").view(np.uint8)
+    bits = np.unpackbits(wide).reshape(idx.size, width)[:, width - bits_per_index:]
+    return np.packbits(bits).tobytes()
+
+
 def reference_decode(layer):
     """`store.decode_layer` as a payload-order pipeline, kept as its reference.
 

@@ -6,6 +6,8 @@ import pytest
 from sstc.bitpack import pack_indices, unpack_indices
 from sstc.errors import ValidationError
 
+from conftest import reference_pack
+
 
 def test_hand_packed_examples():
     assert pack_indices([5], 5) == bytes([0x28])
@@ -118,3 +120,17 @@ def test_unpack_rejects_widths_and_counts_pack_cannot_write():
         unpack_indices(b"", -1, 0)
     with pytest.raises(ValidationError, match="count must be non-negative, got -1"):
         unpack_indices(b"", 3, -1)
+
+
+@pytest.mark.parametrize("bits", range(65))
+def test_pack_is_byte_equal_to_the_bit_matrix_reference(bits):
+    # widths 58-63 run fields past their 64-bit windows into the spill byte
+    rng = np.random.default_rng(2000 + bits)
+    top = (1 << min(bits, 63)) - 1  # an int64 holds at most 63 bits of index
+    for count in (0, 1, 7, 8, 9, 31, 769, 32_768, 32_771):
+        xs = rng.integers(0, 1 << 63, size=count, dtype=np.uint64) >> np.uint64(63 - min(bits, 63))
+        xs = xs.astype(np.int64)
+        xs[:2] = [0, top][:count]
+        if count > 2:
+            xs[-2:] = [top, 0]
+        assert pack_indices(xs, bits) == reference_pack(xs, bits), count

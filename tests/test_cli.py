@@ -240,6 +240,25 @@ def test_compress_names_a_non_finite_float_weight_in_a_later_block_as_loading_do
 
 
 @pytest.mark.parametrize("policy_line", ["default format=sst n=16 k=2", "default format=ternary"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+@pytest.mark.parametrize("row, col", [(3, 7), (63, 2047)])
+def test_compress_names_an_infinite_float_weight_in_the_first_or_last_block_as_loading_does(
+        tmp_path, capsys, policy_line, value, row, col):
+    # both codes read the 64x2048 layer in 4 blocks of 16 rows: the weight is
+    # in the first or the last, which the prune's max checks finite
+    W = np.ones((64, 2048), dtype=np.float32)
+    W[row, col] = 3.0  # the one weight stored as these bytes, which become an infinity
+    blob = serialize_model(ModelFile(layers=[_float32_layer(W)]))
+    path, out, policy = tmp_path / "in.sstw", tmp_path / "out.sstw", tmp_path / "policy.txt"
+    path.write_bytes(blob.replace(struct.pack("<f", 3.0), struct.pack("<f", value)))
+    policy.write_text(policy_line + "\n")
+    message = f"layer 0: float32 weight {value} at row {row}, column {col} is not finite"
+    _rejected(capsys, ["compress", "--input", str(path), "--output", str(out),
+                       "--policy", str(policy)], message, [out])
+    _rejected(capsys, ["report", "--model", str(path)], message, [])
+
+
+@pytest.mark.parametrize("policy_line", ["default format=sst n=16 k=2", "default format=ternary"])
 def test_compress_of_a_file_that_shrinks_after_its_header_pass(tmp_path, capsys, monkeypatch,
                                                                policy_line):
     # sst reads the float32 layer in blocks, ternary reads it whole

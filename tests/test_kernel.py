@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import re
 import sys
 import threading
 import warnings
@@ -444,9 +445,17 @@ def test_forward_rejects_non_finite_and_ragged_input():
              "input is complex128: expected real numbers": np.full((2, cols), 1 + 1j),
              "input is complex64: expected real numbers": np.zeros(cols, dtype=np.complex64),
              "input is not an array of numbers: .*not 'complex'": [1j, None] * (cols // 2)}
+    # numpy's cast would parse text and bytes as numbers
+    objects = np.ones((2, cols), dtype=object)
+    objects[1, 3] = b"1"
+    text = "input is not an array of numbers: it holds text, bytes or records ({})"
+    cases = [*cases.items(), *((re.escape(text.format(dtype)), X) for dtype, X in [
+        ("<U3", ["1.5"] * cols), ("|S1", [b"1"] * cols),
+        ("[('a', '<f8')]", np.zeros(cols, dtype=[("a", "<f8")])),
+        ("object", np.array([1.0] * (cols - 1) + ["2"], dtype=object)), ("object", objects)])]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # rejected before numpy computes anything
-        for message, X in cases.items():
+        for message, X in cases:
             with pytest.raises(ValidationError, match=message):
                 compressed_forward(model, X)
 

@@ -196,6 +196,59 @@ def test_fixed8_fit_peak_memory_stays_below_twice_the_weights():
     assert peak < 2 * w.nbytes
 
 
+def test_float32_fit_peak_memory_stays_below_twice_its_float64_widening():
+    # the sorted float32 magnitudes are freed before the sweep's windows
+    w = np.random.default_rng(17).normal(size=60_000).astype(np.float32)
+    tracemalloc.start()
+    try:
+        find_step_size(w, 255)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * w.astype(np.float64).nbytes
+
+
+def _float32_fit_inputs(rng, size):
+    """Normal, all-equal, heavily tied, subnormal-holding and signed-zero-holding float32 weights."""
+    yield rng.normal(size=size).astype(np.float32)
+    yield np.full(size, -0.375, dtype=np.float32)
+    yield (rng.integers(-3, 4, size=size) * 0.125).astype(np.float32)
+    tiny = np.finfo(np.float32).smallest_subnormal
+    mixed = rng.normal(size=size).astype(np.float32)
+    mixed[::3] = rng.integers(-50, 51, size=mixed[::3].size) * tiny
+    yield mixed
+    yield rng.integers(-50, 51, size=size).astype(np.float32) * tiny  # all subnormal
+    zeros = rng.normal(size=size).astype(np.float32)
+    zeros[rng.random(size) < 0.3] = -0.0
+    zeros[rng.random(size) < 0.3] = 0.0
+    yield zeros
+
+
+@pytest.mark.parametrize("levels", [3, 255])
+@pytest.mark.parametrize("above", [False, True])
+def test_float32_fit_equals_the_fit_of_its_float64_widening(levels, above, monkeypatch):
+    # sorting at float32 width then widening is exact and keeps the order
+    if levels > 3:
+        monkeypatch.setattr(quantize, "_BLOCK", 1 << 8)  # keeps the 255-level fits small
+    size = 3 * quantize._BLOCK + 5 if above else quantize._BLOCK - 3
+    rng = np.random.default_rng(size + levels)
+    for w32 in _float32_fit_inputs(rng, size):
+        assert w32.dtype == np.float32
+        assert find_step_size(w32, levels) == find_step_size(w32.astype(np.float64), levels)
+
+
+@pytest.mark.parametrize("levels", [3, 255])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_float32_fit_names_a_non_finite_weight_by_its_flattened_position(value, levels):
+    W = np.ones((3, 4), dtype=np.float32)
+    W[2, 1] = value
+    with pytest.raises(ValidationError, match=f"cannot fit a step size to the non-finite "
+                                              f"weight {value} at position 9 of the flattened"):
+        find_step_size(W, levels)
+    with pytest.raises(ValidationError, match=f"weight {value} at position 5 of the flattened"):
+        find_step_size(W.T, levels)  # W[2, 1] is W.T[1, 2]
+
+
 @pytest.mark.parametrize("levels", [3, 255])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_find_step_size_rejects_non_finite_weights(value, levels):
