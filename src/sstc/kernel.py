@@ -472,13 +472,14 @@ def compressed_forward(model: ModelFile, X) -> np.ndarray:
     try:
         X = np.asarray(X)
         kind = X.dtype.kind
-        # the cast would parse text and bytes as numbers
-        if kind in "USV" or kind == "O" and any(isinstance(v, (str, bytes)) for v in X.flat):
-            raise TypeError(f"it holds text, bytes or records ({X.dtype})")
-        if kind != "c":
+        text = kind in "USV" or kind == "O" and any(isinstance(v, (str, bytes)) for v in X.flat)
+        if not (text or kind == "c"):
             X = X.astype(np.float64, copy=False)
     except (TypeError, ValueError) as exc:  # ragged rows, or values that are not numbers
         raise ValidationError(f"input is not an array of numbers: {exc}") from None
+    if text:  # the cast would parse text and bytes as numbers
+        raise ValidationError(f"input is not an array of numbers: it holds text, bytes or "
+                              f"records ({X.dtype})")
     if kind == "c":  # casting would drop the imaginary parts
         raise ValidationError(f"input is {X.dtype}: expected real numbers")
     if X.ndim not in (1, 2):
