@@ -88,8 +88,10 @@ def _largest_per_subvector(W, params: CodeParams, orientation: str, mask=None):
             raise ValidationError(f"cannot prune a non-finite weight {weights[pos]} "
                                   f"at row {row}, column {col}")
         block_marks, block_top, block_offsets = marks[:size], top[:size], offsets[:size]
-        # magnitudes are >= 0, so a kept position (set to -1) is not taken again
-        for at, value in zip(kept[:, span], values[:, span]):
+        # magnitudes are >= 0, so a kept position (set to -1) is not taken
+        # again; the last round's are set only for the mask
+        for rounds_left, at, value in zip(range(params.k - 1, -1, -1), kept[:, span],
+                                          values[:, span]):
             if cols == 1:
                 # row sub-vectors are contiguous, where argmax is fastest; it
                 # returns the first maximum, so ties keep the lowest position
@@ -101,7 +103,8 @@ def _largest_per_subvector(W, params: CodeParams, orientation: str, mask=None):
                 np.subtract(n, block_marks.max(axis=1), out=at)
             np.multiply(at, cols, out=block_offsets, dtype=np.intp)
             block_offsets += origin[:size]
-            mags.reshape(-1)[block_offsets] = -1.0
+            if rounds_left or mask is not None:
+                mags.reshape(-1)[block_offsets] = -1.0
             np.take(block.reshape(-1), block_offsets, out=value)
         if mask is not None:
             np.less(mags, 0, out=mask[span].view(np.bool_))
