@@ -494,6 +494,31 @@ def _kept_weights(W, params: CodeParams, orientation: str, finite: bool = False)
     return _largest_per_subvector(W, params, orientation)
 
 
+def _trit_threshold(delta: float, dtype: np.dtype):
+    """The least magnitude of ``dtype`` that is a trit at step ``delta``.
+
+    quantize_weight's shifted level fl(fl(a / delta) + 0.5) of a magnitude
+    a never falls as a grows, since each rounding keeps order, so a weight
+    is a trit (level at least 1) exactly when its magnitude is at least the
+    least float64 whose level is 1.  That is found by bisection on the
+    ordered bit patterns of the float64s from 0 (level 0.5) to 2 delta
+    (level 2.5), and rounded up to ``dtype``.
+    """
+    def as_float(bits):
+        return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+    low, high = 0, struct.unpack("<q", struct.pack("<d", 2.0 * delta))[0]
+    while high - low > 1:
+        mid = (low + high) // 2
+        if as_float(mid) / delta + 0.5 >= 1:
+            high = mid
+        else:
+            low = mid
+    least = as_float(high)
+    threshold = dtype.type(least)
+    return threshold if float(threshold) >= least else np.nextafter(threshold, dtype.type(np.inf))
+
+
 def _sst_payload(kept, values, delta: float, params: CodeParams) -> bytes:
     """The packed indices of the kept positions ``kept`` and values ``values``
     of a (B, C) grid of sub-vectors, both (k, B, C), at step ``delta``.
@@ -502,7 +527,8 @@ def _sst_payload(kept, values, delta: float, params: CodeParams) -> bytes:
     `encode_layer` quantized ones, each 0 or +-delta.  A kept weight is a
     trit where quantize_weight's level floor(|w| / delta + 0.5) is at least
     1, that is where |w| / delta + 0.5 >= 1, which holds exactly at
-    +-delta; its base-3 digit is 1 for +1, 2 for -1.  Each
+    +-delta: where |w| is at least `_trit_threshold`, compared in float32
+    for float32 weights; its base-3 digit is 1 for +1, 2 for -1.  Each
     index is ranked straight from its kept (position, digit) pairs
     (`codes.rank_grouped`).  Payload order runs down each grid column in
     turn (`codes.to_payload_order`), so the grid is worked in tiles of about
@@ -518,8 +544,10 @@ def _sst_payload(kept, values, delta: float, params: CodeParams) -> bytes:
     down = min(groups, quantize._BLOCK)  # grid rows per tile
     across = max(1, quantize._BLOCK // groups)  # grid columns per tile
     size = down * min(across, cols)
-    # per tile: level |w| / delta + 0.5, digit, and whether the weight is a trit
-    buffers = (np.empty(rounds * size), np.empty(rounds * size, dtype=np.uint8),
+    # per tile: |w|, digit, and whether the weight is a trit
+    width = np.dtype(np.float32 if values.dtype == np.float32 else np.float64)
+    threshold = _trit_threshold(delta, width)
+    buffers = (np.empty(rounds * size, dtype=width), np.empty(rounds * size, dtype=np.uint8),
                np.empty(rounds * size, dtype=np.bool_))
     ordered = np.empty(size + 7, dtype=np.int64)
     left = 0  # ranks waiting in ordered[:left]
@@ -529,13 +557,11 @@ def _sst_payload(kept, values, delta: float, params: CodeParams) -> bytes:
         for b0 in range(0, groups, down):
             tile = np.s_[:, b0:b0 + down, c0:c0 + across]
             value = values[tile]
-            level, digit, trit = (buffer[:value.size].reshape(value.shape) for buffer in buffers)
-            np.abs(value, out=level, dtype=np.float64)
-            level /= delta
-            level += 0.5
+            mags, digit, trit = (buffer[:value.size].reshape(value.shape) for buffer in buffers)
+            np.abs(value, out=mags, dtype=width)
             np.less_equal(value, 0, out=digit.view(np.bool_))
             digit += 1
-            digit *= np.greater_equal(level, 1, out=trit)
+            digit *= np.greater_equal(mags, threshold, out=trit)
             ranks = rank_grouped(kept[tile], digit, params)
             count = left + ranks.size
             np.copyto(ordered[left:count].reshape(ranks.shape[::-1]), ranks.T)

@@ -209,7 +209,7 @@ def test_float32_fit_peak_memory_stays_below_twice_its_float64_widening():
 
 
 def _float32_fit_inputs(rng, size):
-    """Normal, all-equal, heavily tied, subnormal-holding and signed-zero-holding float32 weights."""
+    """Normal, all-equal, tied, subnormal-holding and signed-zero-holding float32 weights."""
     yield rng.normal(size=size).astype(np.float32)
     yield np.full(size, -0.375, dtype=np.float32)
     yield (rng.integers(-3, 4, size=size) * 0.125).astype(np.float32)

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sstc import bitpack, quantize
+from sstc import bitpack, quantize, store
 from sstc.codes import CodeParams, address_bits, count_entries, grouped_shape
 from sstc.errors import ValidationError
 from sstc.prune import _groups_per_block, structured_prune
@@ -761,6 +761,37 @@ def test_blocked_compress_layer_writes_the_put_along_axis_pipeline_bytes(n, k, o
             delta = float(np.float32(argsort_sweep(mags, 1)))
             want = reference_encode(quantize_weight(pruned, delta), delta, fmt)
             _same_bytes(compress_layer(W, fmt), want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_trit_threshold_is_where_quantize_weight_starts_to_keep_a_weight(dtype):
+    rng = np.random.default_rng(31)
+    f32 = np.finfo(np.float32)
+    deltas = [float(f32.smallest_subnormal), float(2 * f32.smallest_subnormal), 1e-30, 0.1, 1.0,
+              3.0, 1e30, float(f32.max)]
+    deltas += [float(np.float32(x)) for x in rng.lognormal(0.0, 8.0, size=300)]
+    for delta in deltas:
+        threshold = store._trit_threshold(delta, np.dtype(dtype))
+        assert threshold.dtype == dtype
+        # the threshold and its neighbours in dtype
+        around = np.array([np.nextafter(threshold, dtype(0)), threshold,
+                           np.nextafter(threshold, dtype(np.inf))], dtype=dtype)
+        kept = quantize_weight(around.astype(np.float64), delta) != 0
+        assert kept.tolist() == [False, True, True], delta
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sst_payload_keeps_the_trits_quantize_weight_keeps_at_the_threshold(dtype):
+    rng = np.random.default_rng(41)
+    fmt = LayerFormat("sst", CodeParams(8, 2))
+    for delta in (float(np.float32(x)) for x in (0.3, 1e-3, 7.0)):
+        at = store._trit_threshold(delta, np.dtype(dtype))
+        below = np.nextafter(at, dtype(0))
+        W = rng.choice([at, -at, below, -below, dtype(0)], size=(16, 24)).astype(dtype)
+        pruned = W * structured_prune(W, fmt.params)
+        want = reference_encode(quantize_weight(pruned, delta), delta, fmt)
+        kept, values = store._kept_weights(W, fmt.params, "column")
+        assert store._sst_payload(kept, values, delta, fmt.params) == want.payload
 
 
 def test_compress_layer_peak_memory_stays_below_twice_the_weights():
