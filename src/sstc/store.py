@@ -507,6 +507,7 @@ def _trit_threshold(delta: float, dtype: np.dtype):
     def as_float(bits):
         return struct.unpack("<d", struct.pack("<q", bits))[0]
 
+    delta = float(delta)  # divided in float64, as the level is
     low, high = 0, struct.unpack("<q", struct.pack("<d", 2.0 * delta))[0]
     while high - low > 1:
         mid = (low + high) // 2

@@ -767,12 +767,13 @@ def test_blocked_compress_layer_writes_the_put_along_axis_pipeline_bytes(n, k, o
 def test_trit_threshold_is_where_quantize_weight_starts_to_keep_a_weight(dtype):
     rng = np.random.default_rng(31)
     f32 = np.finfo(np.float32)
-    deltas = [float(f32.smallest_subnormal), float(2 * f32.smallest_subnormal), 1e-30, 0.1, 1.0,
-              3.0, 1e30, float(f32.max)]
-    deltas += [float(np.float32(x)) for x in rng.lognormal(0.0, 8.0, size=300)]
-    for delta in deltas:
+    steps = [f32.smallest_subnormal, 2 * f32.smallest_subnormal, 1e-30, 0.1, 1.0, 3.0, 1e30,
+             f32.max, *rng.lognormal(0.0, 8.0, size=300)]
+    for delta in (float(np.float32(step)) for step in steps):  # steps are float32
         threshold = store._trit_threshold(delta, np.dtype(dtype))
         assert threshold.dtype == dtype
+        # a float32 step divides in float64 all the same
+        assert store._trit_threshold(np.float32(delta), np.dtype(dtype)) == threshold
         # the threshold and its neighbours in dtype
         around = np.array([np.nextafter(threshold, dtype(0)), threshold,
                            np.nextafter(threshold, dtype(np.inf))], dtype=dtype)
