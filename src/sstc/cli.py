@@ -336,14 +336,16 @@ def _verify_model(model: ModelFile, trials: int, seed: int):
         record(f"code-validity[{name}]", True)
         record(f"codec-roundtrip[{name}]", re_encoded.payload == layer.payload)
         bias = layer.bias if layer.bias is not None else 0.0
-        inputs = (rng.integers(-50, 50, size=layer.cols) for _ in range(max(trials, 1)))
-        # the served product and the add/subtract audit path, each exactly
+        X = np.array([rng.integers(-50, 50, size=layer.cols) for _ in range(max(trials, 1))])
+        # the served product and the add/subtract audit path, each exactly; the
+        # audit kernel, built after serving, shares the served operand
+        served = kernel.served_product(layer, X.astype(np.float64))
         comp = kernel.CompressedFCLayer(layer)
-        paths = {"served matmul":
-                 lambda x: kernel.served_product(layer, x[np.newaxis].astype(np.float64))[0],
-                 "add/subtract accumulate": lambda x: comp.delta * comp.accumulate(x) + comp.bias}
-        bad = [path for x in inputs for path, run in paths.items()
-               if not np.array_equal(kernel.dense_matvec(W, x) + bias, run(x))]
+        want = np.array([kernel.dense_matvec(W, x) for x in X]) + bias
+        bad = [path for path, got in (("served matmul", served),
+                                      ("add/subtract accumulate",
+                                       comp.delta * comp.accumulate(X) + comp.bias))
+               if not np.array_equal(want, got)]
         record(f"kernel-vs-dense[{name}]", not bad,
                f"integer-mode mismatch of the {bad[0]} with the dense oracle" if bad else "")
     return suites

@@ -1,32 +1,32 @@
 """Inference over structured sparse ternary layers.
 
 A compressed fully-connected layer, column or row oriented, is served from
-its index stream, which is decoded once per distinct layer content and
-reused across calls: its indices are unpacked and unranked (one lookup in
-the code's cached entry table, for codes of up to `codes.ENTRY_TABLE_LIMIT`
-entries), and the trits form a dense float64 transposed matrix.  Other
-formats decode to their float64 weights the same way.  The decoded
-operands are read-only, start on a cache line and live in a content-keyed
-cache of at most `_OPERAND_CACHE_SIZE` layers (8 B per weight each, plus
-one 64-byte cache line per row for an sst operand larger than `_L2_BYTES`),
-so a request on a layer served before does no decoding.
+its index stream, which is decoded once into an operand: its indices are
+unpacked and unranked (one lookup in the code's cached entry table, for
+codes of up to `codes.ENTRY_TABLE_LIMIT` entries), and the trits form a
+dense float64 transposed matrix.  Other formats decode to their float64
+weights the same way.  Operands are read-only and start on a cache line (8 B
+per weight, plus one 64-byte cache line per row for an sst operand larger
+than `_L2_BYTES`).
 
-The rest of what a request needs of a loaded layer is built on its first
-call and kept in a second cache, of at most `_OPERAND_CACHE_SIZE` layers
-keyed by layer identity (`_served_layer`): an sst layer's
-`CompressedFCLayer`, another layer's float64 bias, and the batch norm folded
-to its float64 (scale, shift).  Identity keys are sound because a layer is
-frozen and owns read-only copies of its bias and batch-norm arrays, so it
-cannot change after its checks, and each entry holds its layer, so no
-other object can take its id while the entry lives.  Entries and kernels
-hold their operands by weak reference (`_WeakOperand`), so only the
-content-keyed cache keeps operands alive: at most `_OPERAND_CACHE_SIZE` are
-resident.  A warm request runs the input checks, the products and the
-elementwise steps only; a re-read model builds new entries from the cached
-operands.  Every request
-runs through BLAS, one vector-matrix product per input row, so a row gives
-the same bits alone or inside any batch at a given BLAS thread count.  The
-products run in one of two loop orders (`_row_products`):
+Serving keeps one cache, `_served_layers`: at most `_OPERAND_CACHE_SIZE`
+loaded layers, keyed by layer identity and evicted least recently used
+first (`_served_layer`).  An entry holds what a request needs of its layer:
+the operand, an sst layer's `CompressedFCLayer`, another layer's float64
+bias, and the batch norm folded to its float64 (scale, shift); so at most
+`_OPERAND_CACHE_SIZE` operands are resident.  Identity keys are sound
+because a layer is frozen and owns its payload and read-only copies of its
+bias and batch-norm arrays, so it cannot change after its checks, and each
+entry holds its layer, so no other object can take its id while the entry
+lives.  A new entry, like a kernel built on its own, shares the operand of
+an entry whose layer has equal content (the same rows, cols, delta, payload
+and format; `_operand`) and decodes only when none has, so a re-read model
+decodes nothing, and a layer whose payload, delta or format is replaced is
+decoded anew, never served stale.  A warm request runs the input checks,
+the products and the elementwise steps only.  Every request runs through
+BLAS, one vector-matrix product per input row, so a row gives the same bits
+alone or inside any batch at a given BLAS thread count.  The products run in
+one of two loop orders (`_row_products`):
 
 * row-outer, each row over the whole operand: single rows, batches of
   fewer than `_TILE_MIN_ROWS` rows, operands other than an sst operand
@@ -59,7 +59,6 @@ in a row layer PE i owns output row i and walks its cols / n sub-vectors.
 """
 
 import threading
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -70,8 +69,8 @@ from .codes import CodeTable, from_subvectors, subvectors, unrank_subvectors
 # build_table: unused, but perfbench/tracing.py wraps it here
 from .codes import build_table
 from .errors import ValidationError
-from .store import (BatchNormParams, EncodedLayer, ModelFile, _layer_label, _layer_names,
-                    _named_error, decode_layer, layer_indices)
+from .store import (BatchNormParams, EncodedLayer, ModelFile, _chain_error, _layer_label,
+                    _layer_names, _named_error, decode_layer, layer_indices)
 
 _BATCH_CHUNK = 256
 
@@ -102,9 +101,9 @@ _TILE = 64
 # Fewest rows a batch runs tile-outer.
 _TILE_MIN_ROWS = 16
 
-# most decoded operands, and most served layers (`_served_layer`), kept at
-# once; a model has a handful of layers, and each operand holds 8 B per
-# weight of its layer
+# most served layers (`_served_layer`), each with its operand, kept at once;
+# a model has a handful of layers, and each operand holds 8 B per weight of
+# its layer
 _OPERAND_CACHE_SIZE = 16
 
 
@@ -124,14 +123,13 @@ class CompressedFCLayer:
     """An sst layer, of either orientation, ready for inference.
 
     ``weights_t`` is the layer's trits as a read-only float64 (cols, rows)
-    matrix that serves `matmul`.  It comes from the operand cache, so
-    building a kernel for a layer decoded before costs microseconds, and
-    the kernel holds it only weakly (`_WeakOperand`).  The kernel keeps the
-    frozen ``layer`` it was built from.  The unpacked
-    ``indices``, the add/subtract lanes of the audit path and the
-    per-sub-vector non-zero counts are derived on first use.  ``table`` is
-    unused, but perfbench passes one here; if given, it must be for the
-    layer's code.
+    matrix that serves `matmul`: the operand of a served layer of equal
+    content (`_operand`), so building a kernel for a layer served before
+    costs microseconds, or else decoded for this kernel.  The kernel keeps
+    the frozen ``layer`` it was built from.  The unpacked ``indices``, the
+    add/subtract lanes of the audit path and the per-sub-vector non-zero
+    counts are derived on first use.  ``table`` is unused, but perfbench
+    passes one here; if given, it must be for the layer's code.
     """
 
     def __init__(self, layer: EncodedLayer, table: CodeTable = None):
@@ -147,12 +145,8 @@ class CompressedFCLayer:
         self.delta = np.float64(layer.delta)
         self.bias = (layer.bias.astype(np.float64)
                      if layer.bias is not None else np.zeros(layer.rows))
-        self._operand = _WeakOperand(layer)
+        self.weights_t = _operand(layer)
         self.layer = layer
-
-    @property
-    def weights_t(self) -> np.ndarray:
-        return self._operand()
 
     @cached_property
     def indices(self) -> np.ndarray:
@@ -220,36 +214,23 @@ class CompressedFCLayer:
         return out if X.ndim == 2 else out[0]
 
 
-def _served_operand(layer: EncodedLayer) -> np.ndarray:
-    """The read-only float64 (cols, rows) matrix that serves ``layer``.
-
-    Looked up by the layer's content, so a layer whose payload, delta or
-    format is replaced is decoded anew, never served stale.
-    """
-    return _decoded_operand(layer.format, layer.rows, layer.cols, layer.delta, layer.payload)
-
-
-class _WeakOperand:
-    """A layer's cached operand (`_served_operand`), decoded on creation, so
-    a corrupt payload raises there, and then held by weak reference: only
-    the operand cache keeps operands alive, and a call after the cache
-    dropped this one looks it up, or decodes it, again."""
-
-    def __init__(self, layer: EncodedLayer):
-        self.layer = layer
-        self.ref = weakref.ref(_served_operand(layer))
-
-    def __call__(self) -> np.ndarray:
-        operand = self.ref()
-        if operand is None:
-            operand = _served_operand(self.layer)
-            self.ref = weakref.ref(operand)
-        return operand
+def _operand(layer: EncodedLayer) -> np.ndarray:
+    """The read-only float64 (cols, rows) matrix that serves ``layer``: the
+    operand of a served layer of equal content (the same rows, cols, delta,
+    format and payload, all that `_decoded_operand` reads), or else
+    ``layer`` decoded anew."""
+    content = (layer.rows, layer.cols, layer.delta, layer.format)
+    with _served_lock:
+        for served in _served_layers.values():
+            other = served.layer
+            if ((other.rows, other.cols, other.delta, other.format) == content
+                    and other.payload == layer.payload):
+                return served.operand
+    return _decoded_operand(layer)
 
 
-@lru_cache(maxsize=_OPERAND_CACHE_SIZE)
-def _decoded_operand(fmt, rows, cols, delta, payload) -> np.ndarray:
-    """Decode one layer content; failures raise and are not cached.
+def _decoded_operand(layer: EncodedLayer) -> np.ndarray:
+    """Decode ``layer`` to its operand; a corrupt payload raises.
 
     An sst layer gives its transposed trits, which `CompressedFCLayer`
     scales by delta per call, with padded rows when larger than
@@ -257,10 +238,10 @@ def _decoded_operand(fmt, rows, cols, delta, payload) -> np.ndarray:
     a view.  A column layer's transposed trits are its C-ordered payload
     sub-vectors, copied once into the operand.
     """
-    layer = EncodedLayer(fmt, rows, cols, delta, payload)
+    fmt = layer.format
     if fmt.kind == "sst":
         trits = from_subvectors(unrank_subvectors(layer_indices(layer), fmt.params),
-                                rows, cols, fmt.params, fmt.orientation)
+                                layer.rows, layer.cols, fmt.params, fmt.orientation)
         operand = _cache_line_aligned(trits.T, padded=trits.size * 8 > _L2_BYTES)
     else:
         operand = _cache_line_aligned(decode_layer(layer)).T
@@ -390,18 +371,19 @@ def bn_eval_affine(gamma, beta, mean, var, eps):
 
 class _ServedLayer:
     """What a request needs of one loaded layer, built once (`_served_layer`):
-    an sst layer's `CompressedFCLayer` as ``kernel``, or another layer's
-    float64 ``bias`` and weakly held operand, and the batch norm folded to
-    its (scale, shift) as ``affine``, or None."""
+    its ``operand`` (`_operand`), an sst layer's `CompressedFCLayer` over it
+    as ``kernel`` or another layer's float64 ``bias``, and the batch norm
+    folded to its (scale, shift) as ``affine``, or None."""
 
     def __init__(self, layer: EncodedLayer):
         self.layer = layer  # keeps the id that keys this entry taken
         if layer.format.kind == "sst":
             self.kernel = CompressedFCLayer(layer)
+            self.operand = self.kernel.weights_t
         else:
             self.kernel = None
             self.bias = layer.bias.astype(np.float64) if layer.bias is not None else 0.0
-            self.operand = _WeakOperand(layer)
+            self.operand = _operand(layer)
         norm = layer.normalizer
         self.affine = (bn_eval_affine(norm.gamma, norm.beta, norm.mean, norm.var,
                                       np.float32(norm.eps))
@@ -410,7 +392,7 @@ class _ServedLayer:
     def product(self, X: np.ndarray) -> np.ndarray:
         if self.kernel is not None:
             return self.kernel.matmul(X)
-        out = _row_products(X, self.operand())
+        out = _row_products(X, self.operand)
         out += self.bias
         return out
 
@@ -421,8 +403,8 @@ _served_lock = threading.Lock()
 
 
 def _served_layer(layer: EncodedLayer) -> _ServedLayer:
-    """The serving state of ``layer``, from a cache of at most
-    `_OPERAND_CACHE_SIZE` layers keyed by identity.
+    """The serving state of ``layer``, from the one serving cache, of at
+    most `_OPERAND_CACHE_SIZE` layers keyed by identity.
 
     A layer is frozen and owns read-only copies of its arrays, so its
     content cannot change after it is checked; each entry holds its layer,
@@ -449,9 +431,9 @@ def served_product(layer: EncodedLayer, X: np.ndarray) -> np.ndarray:
 
     An sst layer, of either orientation, runs through `CompressedFCLayer`:
     delta * (X @ trits.T) + bias.  Every other layer multiplies by its
-    decoded weights: X @ weights.T + bias.  Both use the cached operand
-    (`_served_operand`), one product per row (`_row_products`), and the
-    layer's cached serving state (`_served_layer`).
+    decoded weights: X @ weights.T + bias.  Both use one product per row
+    (`_row_products`) and the layer's cached serving state, its operand
+    included (`_served_layer`).
     """
     return _served_layer(layer).product(X)
 
@@ -461,10 +443,10 @@ def compressed_forward(model: ModelFile, X) -> np.ndarray:
 
     Every layer computes its `served_product`, one product per row, so a
     sample's probabilities do not depend on the batch it arrives in.  Each
-    layer's kernel, bias and batch-norm fold are built on its first call
-    and cached (`_served_layer`).  The layer-chain check runs on every
-    call, and a `ValidationError` raised while serving a layer names the
-    layer.  Hidden layers apply relu after any normalizer affine; the final
+    layer's operand, kernel, bias and batch-norm fold are built on its
+    first call and cached (`_served_layer`).  The layer-chain check runs on
+    every call, as an in-memory model may have changed since it was read,
+    and a `ValidationError` raised while serving a layer names the layer.  Hidden layers apply relu after any normalizer affine; the final
     layer emits softmax probabilities.  ``X`` is one sample (cols,) or a
     batch (batch, cols) of finite real values; anything else raises
     `ValidationError` before any layer runs.
@@ -518,9 +500,8 @@ def compressed_forward(model: ModelFile, X) -> np.ndarray:
 def _width_error(model: ModelFile, pos: int, width: int) -> ValidationError:
     """The error for layer ``pos`` of ``model`` fed ``width`` values per row."""
     names = _layer_names(model.metadata, len(model.layers))
-    layer = _layer_label(pos, names)
     expects = model.layers[pos].cols
     if pos == 0:
-        return ValidationError(f"input has {width} features, {layer} expects {expects}")
-    return ValidationError(f"{layer} expects {expects} inputs, "
-                           f"{_layer_label(pos - 1, names)} emits {width}")
+        return ValidationError(f"input has {width} features, {_layer_label(0, names)} "
+                               f"expects {expects}")
+    return _chain_error(pos, names, expects, width)

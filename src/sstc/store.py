@@ -825,7 +825,8 @@ def _parse(r: _Reader):
     """``(records, metadata)`` of the model file ``r`` reads: the header pass.
 
     Reads every layer header, bias and normalizer, and the metadata, and
-    checks them; each payload's size is checked against the file, and the
+    checks them and that each layer takes as many inputs as the one before
+    it emits; each payload's size is checked against the file, and the
     payload is skipped.
     """
     if r.take(len(MAGIC)) != MAGIC:
@@ -872,6 +873,10 @@ def _parse(r: _Reader):
     if block != _metadata_block(metadata):
         raise ValidationError("metadata block is not in the canonical JSON form that "
                               "serialize_model writes, so it would not round-trip its bytes")
+    names = _layer_names(metadata, len(records))
+    for index in range(1, len(records)):
+        if records[index].cols != records[index - 1].rows:
+            raise _chain_error(index, names, records[index].cols, records[index - 1].rows)
     return records, metadata
 
 
@@ -922,6 +927,13 @@ def _layer_label(index: int, names=None) -> str:
     """A layer's index and, where ``names`` (`_layer_names`) gives one, its name."""
     name = names[index] if names else None
     return f"layer {index} ({name})" if name else f"layer {index}"
+
+
+def _chain_error(index: int, names, expects: int, width: int) -> ValidationError:
+    """The error for layer ``index`` > 0, which takes ``expects`` inputs,
+    after a layer that emits ``width`` outputs."""
+    return ValidationError(f"{_layer_label(index, names)} expects {expects} inputs, "
+                           f"{_layer_label(index - 1, names)} emits {width}")
 
 
 def write_model(model: ModelFile, path):

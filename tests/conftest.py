@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from sstc import bitpack, prune, quantize
+from sstc import bitpack, kernel, prune, quantize
 from sstc.codes import (CodeParams, address_bits, from_subvectors, grouped_view, rank_subvectors,
                         subvectors, unrank_subvectors)
 from sstc.store import (BatchNormParams, EncodedLayer, LayerFormat, WeightNormTag, layer_indices,
@@ -150,6 +150,16 @@ def block(request, monkeypatch):
     return request.param
 
 
+@pytest.fixture
+def decoded_layers(monkeypatch):
+    """The list of layers the kernel decodes to operands, call by call."""
+    decoded = []
+    decode = kernel._decoded_operand
+    monkeypatch.setattr(kernel, "_decoded_operand",
+                        lambda layer: decoded.append(layer) or decode(layer))
+    return decoded
+
+
 def random_sst_trits(rng, rows, cols, params, orientation="column"):
     """Random ternary matrix obeying the (n, k) sub-vector budget."""
     trits = np.zeros((rows, cols), dtype=np.int8)
@@ -205,6 +215,19 @@ def random_layer(rng):
     elif roll < 0.6:
         norm = WeightNormTag()
     return W, delta, fmt, bias, norm
+
+
+def chained(layers):
+    """``layers`` with a zero float32 layer put between any two whose widths
+    do not fit, so that they make a model file that loads: a file's layers
+    must chain, each taking the outputs of the one before."""
+    out = []
+    for layer in layers:
+        if out and layer.cols != out[-1].rows:
+            rows, cols = layer.cols, out[-1].rows
+            out.append(EncodedLayer(LayerFormat("float32"), rows, cols, 0.0, bytes(4 * rows * cols)))
+        out.append(layer)
+    return out
 
 
 def reference_encode(W_q, delta, fmt, bias=None, normalizer=None):

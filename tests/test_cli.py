@@ -19,7 +19,7 @@ from sstc.quantize import quantize_weight
 from sstc.store import (EncodedLayer, LayerFormat, ModelFile, decode_layer, encode_layer,
                         model_from_arrays, read_model, serialize_model, write_model)
 
-from conftest import argsort_sweep, random_layer, random_sst_trits, reference_decode
+from conftest import argsort_sweep, chained, random_layer, random_sst_trits, reference_decode
 
 
 def _records(capsys):
@@ -126,6 +126,7 @@ def test_decompress_writes_the_bytes_of_encode_of_the_reference_decode(tmp_path,
     params = CodeParams(2, 1)
     layers.append(encode_layer(random_sst_trits(rng, 6, 1, params) * 0.5, 0.5,
                                LayerFormat("sst", params)))
+    layers = chained(layers)
     assert {str(layer.format).split("(")[0] for layer in layers} == {
         "float32", "fixed8", "ternary2bit", "sst"}
     if block == "small":
@@ -168,7 +169,7 @@ def test_a_failing_decompress_leaves_the_old_output_and_no_temp_file(tmp_path, c
     good = encode_layer(np.zeros((8, 8)), 1.0, fmt)
     bad = type(good)(fmt, 8, 8, 1.0, bytes([0xF8]) + good.payload[1:])
     # the first layer's 64 KB are past any write buffer when the last layer fails
-    first = encode_layer(np.ones((128, 128)), None, LayerFormat("float32"))
+    first = encode_layer(np.ones((8, 2048)), None, LayerFormat("float32"))
     path, out = tmp_path / "bad.sstw", tmp_path / "out.sstw"
     write_model(ModelFile(layers=[first, good, bad], metadata={"layer_names": ["a", "b", "c"]}),
                 path)
@@ -226,7 +227,7 @@ def test_compress_names_a_non_finite_float_weight_in_a_later_block_as_loading_do
     # 2048 columns of (16,2) groups: one group per block, the nan in the fourth
     W = np.ones((64, 2048), dtype=np.float32)
     W[60, 5] = 3.0  # the one weight stored as these bytes, which become a nan
-    model = ModelFile(layers=[_float32_layer(np.ones((16, 8))), _float32_layer(W)],
+    model = ModelFile(layers=[_float32_layer(np.ones((2048, 8))), _float32_layer(W)],
                       metadata={"layer_names": names} if names else {})
     blob = serialize_model(model).replace(struct.pack("<f", 3.0), struct.pack("<f", np.nan))
     path, out = tmp_path / "in.sstw", tmp_path / "out.sstw"
@@ -372,6 +373,36 @@ def test_verify_checks_the_served_product_of_row_layers(tmp_path, capsys, monkey
     failing = [s for s in _records(capsys) if not s["pass"]]
     assert [s["suite"] for s in failing] == ["kernel-vs-dense[fc0]"]
     assert failing[0]["detail"] == "integer-mode mismatch of the served matmul with the dense oracle"
+
+
+def test_verify_decodes_each_sst_layer_once(tmp_path, decoded_layers):
+    # the audit kernel shares the served layer's operand
+    rng = np.random.default_rng(7)
+    col, row = CodeParams(4, 2), CodeParams(8, 1)
+    layers = [encode_layer(random_sst_trits(rng, 16, 8, col) * 0.5, 0.5, LayerFormat("sst", col)),
+              encode_layer(random_sst_trits(rng, 8, 16, row, "row") * 0.25, 0.25,
+                           LayerFormat("sst", row, "row")),
+              encode_layer(rng.integers(-1, 2, size=(3, 8)) * 0.5, 0.5, LayerFormat("ternary2bit"))]
+    path = tmp_path / "m.sstw"
+    write_model(ModelFile(layers=layers), path)
+    kernel._served_layers.clear()
+    assert main(["verify", "--model", str(path)]) == 0
+    assert decoded_layers == layers[:2]
+
+
+def test_every_command_rejects_a_file_whose_layers_do_not_chain(tmp_path, capsys):
+    layers = [encode_layer(np.ones((4, 3)), None, LayerFormat("float32")),
+              encode_layer(np.ones((2, 5)), None, LayerFormat("float32"))]
+    path, out = tmp_path / "m.sstw", tmp_path / "out.sstw"
+    write_model(ModelFile(layers=layers, metadata={"layer_names": ["a", "b"]}), path)
+    for command in (["verify", "--model", str(path)], ["report", "--model", str(path)],
+                    ["decompress", "--input", str(path), "--output", str(out)],
+                    ["compress", "--input", str(path), "--output", str(out)],
+                    ["infer", "--model", str(path), "--data", "synthetic:samples=6,dim=3"]):
+        assert main(command) == 1, command
+        assert capsys.readouterr() == ("", "error: layer 1 (b) expects 5 inputs, "
+                                           "layer 0 (a) emits 4\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.sstw"]
 
 
 def test_verify_empty_model_passes(tmp_path):

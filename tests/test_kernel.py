@@ -173,8 +173,7 @@ def test_tiles_run_on_large_sst_batches_shown_to_keep_their_bits(wide_model, mon
     monkeypatch.setattr(kernel, "_tile_products",
                         lambda X, W_t: tiled.append(W_t.shape) or tile_products(X, W_t))
     rng = np.random.default_rng(31)
-    sst, excluded_width, fixed8 = (kernel._served_operand(layer)
-                                   for layer in wide_model.layers[2:5])
+    sst, excluded_width, fixed8 = (kernel._operand(layer) for layer in wide_model.layers[2:5])
     for W_t in (sst, excluded_width, fixed8):
         for batch_size in (1, kernel._TILE_MIN_ROWS - 1, kernel._TILE_MIN_ROWS):
             kernel._row_products(rng.normal(size=(batch_size, W_t.shape[0])), W_t)
@@ -476,11 +475,11 @@ def test_single_layer_model_is_matvec_plus_softmax():
     assert np.allclose(probs[0], want, atol=1e-12)
 
 
-# --- operand cache: each layer content is decoded once ----------------------
+# --- serving cache: each layer content is decoded once ----------------------
 
 def _fresh_forward(model, X):
     """Forward pass of a re-read copy of ``model``, decoded from scratch."""
-    kernel._decoded_operand.cache_clear()
+    kernel._served_layers.clear()
     return compressed_forward(deserialize_model(serialize_model(model)), X)
 
 
@@ -518,20 +517,36 @@ def test_replaced_layer_fields_are_never_served_stale():
         assert np.array_equal(got, _fresh_forward(model, X)), label
 
 
-def test_cold_warm_and_reloaded_calls_are_bitwise_equal():
+def test_cold_warm_and_reloaded_calls_are_bitwise_equal(decoded_layers):
     rng = np.random.default_rng(22)
     model = _mixed_model(rng)
     X = rng.normal(size=(9, 96))
-    kernel._decoded_operand.cache_clear()
+    kernel._served_layers.clear()
     cold = compressed_forward(model, X)
-    assert kernel._decoded_operand.cache_info()[:2] == (0, len(model.layers))
+    assert decoded_layers == model.layers
     assert all(id(layer) in kernel._served_layers for layer in model.layers)
-    # a warm call is answered by the served layers, a re-read model by the operands
+    # a warm call is answered by the served layers, and a re-read model's new
+    # entries share the operands of the equal layers served before
     warm = compressed_forward(model, X)
-    assert kernel._decoded_operand.cache_info()[:2] == (0, len(model.layers))
     reloaded = compressed_forward(deserialize_model(serialize_model(model)), X)
-    assert kernel._decoded_operand.cache_info()[:2] == (len(model.layers), len(model.layers))
+    assert len(decoded_layers) == len(model.layers)
     assert np.array_equal(cold, warm) and np.array_equal(cold, reloaded)
+
+
+def test_reread_model_shares_the_first_reads_operands():
+    rng = np.random.default_rng(34)
+    model = _mixed_model(rng)
+    data = serialize_model(model)
+    first, again = deserialize_model(data), deserialize_model(data)
+    x = rng.normal(size=96)
+    compressed_forward(first, x)
+    compressed_forward(again, x)
+    for a, b in zip(first.layers, again.layers):
+        assert a is not b
+        assert kernel._served_layer(b).operand is kernel._served_layer(a).operand
+    # a kernel built on its own shares the served operand too
+    assert CompressedFCLayer(again.layers[0]).weights_t is kernel._served_layer(
+        first.layers[0]).operand
 
 
 def test_warm_request_builds_no_kernel_and_folds_no_batch_norm(monkeypatch):
@@ -545,6 +560,7 @@ def test_warm_request_builds_no_kernel_and_folds_no_batch_norm(monkeypatch):
 
     monkeypatch.setattr(CompressedFCLayer, "__init__", rebuilt)
     monkeypatch.setattr(kernel, "bn_eval_affine", rebuilt)
+    monkeypatch.setattr(kernel, "_operand", rebuilt)
     monkeypatch.setattr(kernel, "_decoded_operand", rebuilt)
     assert np.array_equal(compressed_forward(model, x), cold)
 
@@ -553,7 +569,7 @@ def test_cached_operands_are_read_only(wide_model):
     rng = np.random.default_rng(23)
     model = _mixed_model(rng)
     for layer in model.layers + wide_model.layers:
-        operand = kernel._served_operand(layer)
+        operand = kernel._served_layer(layer).operand
         assert operand.shape == (layer.cols, layer.rows)
         assert operand.ctypes.data % 64 == 0
         # an sst operand is a copy of the trits.T, with a row stride one cache
@@ -566,7 +582,7 @@ def test_cached_operands_are_read_only(wide_model):
         with pytest.raises(ValueError):
             operand[0, 0] = 1.0
     comp = CompressedFCLayer(model.layers[0], build_table(model.layers[0].format.params))
-    assert comp.weights_t is kernel._served_operand(model.layers[0])
+    assert comp.weights_t is kernel._served_layer(model.layers[0]).operand
     with pytest.raises(ValueError):
         comp.weights_t[0, 0] = 1.0
 
@@ -583,44 +599,66 @@ def test_warm_kernel_build_unpacks_no_indices():
     assert np.array_equal(comp.indices, layer_indices(layer))
 
 
-def test_corrupt_payload_raises_on_every_call():
+def test_corrupt_payload_raises_on_every_call(decoded_layers):
     layer = replace(encode_layer(np.zeros((8, 2)), 1.0, LayerFormat("sst", CodeParams(8, 1))),
                     payload=bytes([0xF8, 0x00]))  # index 31 > T-1 = 16
     model = ModelFile(layers=[layer])
-    size = kernel._decoded_operand.cache_info().currsize
+    served = list(kernel._served_layers)
     for _ in range(3):
         with pytest.raises(ValidationError, match="corrupt index 31 at stream position 0"):
             compressed_forward(model, np.zeros((1, 2)))
-    assert kernel._decoded_operand.cache_info().currsize == size
+    # each call decodes again, and no failure enters the cache
+    assert decoded_layers == [layer] * 3
+    assert list(kernel._served_layers) == served
 
 
-def test_operand_cache_stays_within_its_bound():
-    rng = np.random.default_rng(25)
-    bound = kernel._decoded_operand.cache_info().maxsize
-    assert bound == kernel._OPERAND_CACHE_SIZE
-    kernel._decoded_operand.cache_clear()
-    kernel._served_layers.clear()
-    for i in range(bound + 5):
+def _distinct_ternary_layers(rng, count):
+    """``count`` 3x4 ternary2bit layers, no two of equal content."""
+    layers = {}
+    while len(layers) < count:
         layer = encode_layer(rng.integers(-1, 2, size=(3, 4)) * 0.5, 0.5,
                              LayerFormat("ternary2bit"))
+        layers.setdefault(layer.payload, layer)
+    return list(layers.values())
+
+
+def test_operand_cache_stays_within_its_bound(decoded_layers):
+    rng = np.random.default_rng(25)
+    bound = kernel._OPERAND_CACHE_SIZE
+    kernel._served_layers.clear()
+    for i, layer in enumerate(_distinct_ternary_layers(rng, bound + 5)):
         compressed_forward(ModelFile(layers=[layer]), rng.normal(size=4))
-        assert kernel._decoded_operand.cache_info().currsize == min(i + 1, bound)
+        assert decoded_layers[-1] is layer and len(decoded_layers) == i + 1
         assert list(kernel._served_layers)[-1] == id(layer)
         assert len(kernel._served_layers) == min(i + 1, bound)
 
 
-def test_served_layers_keep_no_operand_alive():
-    # only the operand cache holds operands, so at most its bound are resident
+def test_at_most_the_bound_of_operands_stay_alive():
+    rng = np.random.default_rng(35)
+    bound = kernel._OPERAND_CACHE_SIZE
+    kernel._served_layers.clear()
+    refs = []
+    for layer in _distinct_ternary_layers(rng, bound + 5):
+        compressed_forward(ModelFile(layers=[layer]), rng.normal(size=4))
+        refs.append(weakref.ref(kernel._served_layer(layer).operand))
+        assert sum(ref() is not None for ref in refs) == min(len(refs), bound)
+    # the least recently served are the ones dropped
+    assert [ref() is not None for ref in refs] == [False] * 5 + [True] * bound
+
+
+def test_clearing_the_served_layers_frees_every_operand(decoded_layers):
+    # the served layers are the only holders of their operands
     rng = np.random.default_rng(28)
     model = _mixed_model(rng)
     X = rng.normal(size=(3, 96))
     served = compressed_forward(model, X)
-    refs = [weakref.ref(kernel._served_operand(layer)) for layer in model.layers]
-    kernel._decoded_operand.cache_clear()
+    refs = [weakref.ref(kernel._served_layer(layer).operand) for layer in model.layers]
+    kernel._served_layers.clear()
     assert [ref() for ref in refs] == [None] * len(refs)
-    # a warm call then decodes its operands again, to the same bits
+    # a call then decodes its operands again, to the same bits
+    decoded_layers.clear()
     assert np.array_equal(compressed_forward(model, X), served)
-    assert kernel._decoded_operand.cache_info()[:2] == (0, len(model.layers))
+    assert decoded_layers == model.layers
 
 
 def test_concurrent_requests_share_the_served_layers(monkeypatch):

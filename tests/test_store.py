@@ -20,8 +20,9 @@ from sstc.store import (BatchNormParams, EncodedLayer, LayerFormat, ModelFile,
                         read_model, serialize_model, storage_report,
                         write_model)
 
-from conftest import (argsort_sweep, block_shapes, put_along_axis_prune, random_layer,
-                      random_sst_trits, reference_decode, reference_encode, tie_heavy_weights)
+from conftest import (argsort_sweep, block_shapes, chained, put_along_axis_prune,
+                      random_layer, random_sst_trits, reference_decode, reference_encode,
+                      tie_heavy_weights)
 
 
 ALL_CODES = [(16, 4), (16, 3), (16, 2), (8, 2), (8, 1), (4, 1)]
@@ -275,6 +276,7 @@ def test_serialization_involution_fuzz():
         for _ in range(int(rng.integers(0, 4))):
             W, delta, fmt, bias, norm = random_layer(rng)
             layers.append(encode_layer(W, delta, fmt, bias=bias, normalizer=norm))
+        layers = chained(layers)
         meta = {"seed": int(rng.integers(100))} if rng.random() < 0.5 else {}
         model = ModelFile(layers=layers, metadata=meta)
         blob = serialize_model(model)
@@ -509,7 +511,7 @@ def test_write_read_file(tmp_path):
 
 def test_read_model_parses_the_file_as_deserialize_model_parses_its_bytes(tmp_path):
     rng = np.random.default_rng(23)
-    model = ModelFile(layers=[encode_layer(*random_layer(rng)) for _ in range(4)],
+    model = ModelFile(layers=chained([encode_layer(*random_layer(rng)) for _ in range(4)]),
                       metadata={"note": "x"})
     blob = serialize_model(model)
     path = tmp_path / "m.sstw"
@@ -728,19 +730,24 @@ def test_compress_model_of_a_float32_file_writes_the_reference_pipeline_bytes(
     # rows of one group, split each grid column
     shapes = [(3 * n, 7), (11 * n, 3)] if orientation == "column" else [(7, 3 * n)]
     inputs = [*_compress_inputs(rng, n, orientation), *(rng.normal(size=s) for s in shapes)]
-    layers = [encode_layer(W.astype(np.float32), None, LayerFormat("float32"),
-                           bias=rng.normal(size=W.shape[0]), normalizer=norm)
-              for W, norm in zip(inputs, [None, WeightNormTag()] * 4)]
+    compressed = [encode_layer(W.astype(np.float32), None, LayerFormat("float32"),
+                               bias=rng.normal(size=W.shape[0]), normalizer=norm)
+                  for W, norm in zip(inputs, [None, WeightNormTag()] * 4)]
+    layers = chained(compressed)
     names = [f"fc{i}" for i in range(len(layers))]
+    # the layers `chained` puts in stay float32
+    formats = {name: LayerFormat("float32") for name, layer in zip(names, layers)
+               if not any(layer is c for c in compressed)}
     path = tmp_path / "float.sstw"
     write_model(ModelFile(layers=layers, metadata={"layer_names": names}), path)
-    got = compress_model(str(path), {}, fmt)
-    want = [reference_compress(decode_layer(layer), fmt, layer.bias, layer.normalizer)
-            for layer in layers]
+    got = compress_model(str(path), formats, fmt)
+    want = [reference_compress(decode_layer(layer), formats.get(name, fmt), layer.bias,
+                               layer.normalizer)
+            for name, layer in zip(names, layers)]
     assert serialize_model(got) == serialize_model(
         ModelFile(layers=want, metadata={"layer_names": names}))
     if block == "small":
-        grouped = [grouped_shape(layer.rows, layer.cols, n, orientation) for layer in layers]
+        grouped = [grouped_shape(layer.rows, layer.cols, n, orientation) for layer in compressed]
         assert any(groups > _groups_per_block(n, cols) for groups, _, cols in grouped)
         assert any(groups > quantize._BLOCK for groups, _, _ in grouped)
 
