@@ -2,8 +2,8 @@
 
 Builds the VGG-9 and AlexNet layer shapes as stored parameter blocks (conv
 weights flattened to matrices; contents zero, which costs the same bits)
-and reports compression ratios for several codes.  Conv layers stay at
-2-bit ternary (8-bit fixed for the AlexNet variant), fully-connected
+and reports compression ratios for several codes.  Conv layers stay
+ternary (8-bit fixed for the AlexNet variant), fully-connected
 layers use the structured sparse code, and the small output layer is
 quantized but not pruned.
 """
@@ -11,8 +11,7 @@ quantized but not pruned.
 import numpy as np
 
 from sstc import CodeParams, LayerFormat, ModelFile, storage_report
-from sstc.codes import address_bits
-from sstc.store import BatchNormParams, EncodedLayer
+from sstc.store import BatchNormParams, EncodedLayer, payload_bits
 
 VGG9 = {
     "conv1_1": (128, 27), "conv1_2": (128, 1152),
@@ -29,8 +28,7 @@ ALEXNET = {
 
 
 def zero_layer(fmt, rows, cols, with_bn):
-    bits = ((rows * cols // fmt.params.n) * address_bits(fmt.params) if fmt.kind == "sst"
-            else {"float32": 32, "fixed8": 8, "ternary2bit": 2}[fmt.kind] * rows * cols)
+    bits = payload_bits(fmt, rows, cols)
     norm = None
     if with_bn:
         ones = np.ones(rows)

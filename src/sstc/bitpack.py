@@ -35,6 +35,8 @@ def _group_layout(b: int):
 def pack_indices(indices, bits_per_index: int) -> bytes:
     """Pack ``indices`` into an MSB-first bitstream of fixed-width fields.
 
+    ``indices`` are non-negative integers below 2^bits_per_index; uint64
+    ones may take the full 64 bits, any other integers are read as int64.
     Byte widths are the indices cast to big-endian unsigned words.  Other
     widths pad the indices to whole groups of 8 fields, which span exactly
     b bytes (the layout `unpack_indices` reads), shift each field to its
@@ -43,24 +45,27 @@ def pack_indices(indices, bits_per_index: int) -> bytes:
     """
     if not 0 <= bits_per_index <= 64:
         raise ValidationError(f"bits_per_index must lie in [0, 64], got {bits_per_index}")
-    idx = np.atleast_1d(np.asarray(indices, dtype=np.int64))
+    idx = np.atleast_1d(np.asarray(indices))
+    if idx.dtype != np.uint64:
+        idx = idx.astype(np.int64, copy=False)
     if idx.ndim != 1:
         raise ValidationError("indices must be one-dimensional")
     b = bits_per_index
-    # as uint64 a negative index is at least 2^63, so one max checks both ends
-    if idx.size and int(idx.view(np.uint64).max()) >= min(1 << b, 1 << 63):
-        bad = (idx < 0) | (idx >= 1 << b)
-        pos = int(np.argmax(bad))
+    # as uint64 a negative int64 index is at least 2^63, so one max checks both ends
+    wide = idx.view(np.uint64)
+    limit = 1 << b if idx.dtype == np.uint64 else min(1 << b, 1 << 63)
+    if idx.size and int(wide.max()) >= limit:
+        pos = int(np.argmax(wide >= np.uint64(limit)))
         raise ValidationError(f"index {int(idx[pos])} at position {pos} does not fit in {b} bits")
     count = idx.size
     if count == 0 or b == 0:
         return b""
     if b in (8, 16, 32, 64):
-        return idx.astype(f">u{b // 8}").tobytes()
+        return wide.astype(f">u{b // 8}").tobytes()
     needed = (count * b + 7) // 8
     groups = -(-count // 8)
     fields = np.zeros((groups, 8), dtype=np.uint64)
-    fields.reshape(-1)[:count] = idx
+    fields.reshape(-1)[:count] = wide
     starts, left, right, spills = _group_layout(b)
     if starts is None:
         fields <<= left
@@ -86,9 +91,10 @@ def pack_indices(indices, bits_per_index: int) -> bytes:
 
 
 def unpack_indices(stream: bytes, bits_per_index: int, count: int) -> np.ndarray:
-    """Exact inverse of `pack_indices`; returns ``count`` int64 indices.
+    """Exact inverse of `pack_indices`; returns ``count`` uint64 fields.
 
-    Bytes past the ``count`` fields are ignored.  Every 8 fields span
+    Bytes past the ``count`` fields are ignored.  Byte widths are the bytes
+    read as big-endian unsigned words.  Otherwise every 8 fields span
     exactly ``bits_per_index`` bytes, so the j-th field of each group of 8
     starts at the same byte and bit within its group.  A field is read as
     the big-endian 64-bit window at its first byte (one strided view per
@@ -101,7 +107,7 @@ def unpack_indices(stream: bytes, bits_per_index: int, count: int) -> np.ndarray
     if count < 0:
         raise ValidationError(f"count must be non-negative, got {count}")
     if count == 0 or bits_per_index == 0:
-        return np.zeros(count, dtype=np.int64)
+        return np.zeros(count, dtype=np.uint64)
     data = np.frombuffer(stream, dtype=np.uint8)
     needed_bytes = (count * bits_per_index + 7) // 8
     if data.size < needed_bytes:
@@ -110,6 +116,8 @@ def unpack_indices(stream: bytes, bits_per_index: int, count: int) -> np.ndarray
             f"for {count} indices"
         )
     b = bits_per_index
+    if b in (8, 16, 32, 64):
+        return data[:needed_bytes].view(f">u{b // 8}").astype(np.uint64)
     groups = -(-count // 8)
     # zero-padded so the last group's windows and spill bytes stay in bounds
     buf = np.zeros(groups * b + 9, dtype=np.uint8)
@@ -124,5 +132,4 @@ def unpack_indices(stream: bytes, bits_per_index: int, count: int) -> np.ndarray
                                strides=(b,))
             field |= spill >> (8 - bit)
         field >>= 64 - b
-    # a 64-bit field with its top bit set wraps, as in int64 arithmetic
-    return out.T.ravel()[:count].view(np.int64)
+    return out.T.ravel()[:count]

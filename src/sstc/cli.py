@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import datasets, kernel, store, training
-from .codes import ORIENTATIONS, CodeParams, address_bits, count_entries, table_storage_kb
+from .codes import ORIENTATIONS, CodeParams, address_bits, table_storage_kb
 # build_table: unused, but perfbench/tracing.py wraps it here
 from .codes import build_table
 from .errors import SstcError, ValidationError
@@ -162,15 +162,19 @@ def cmd_tables(args):
     codes = ([_parse_code(c) for c in args.codes.split(";")] if args.codes
              else [CodeParams(n, k) for n, k in TABLE_I_CODES])
     records = []
-    lines = [f"{'code':>8} {'entries T':>10} {'table KB':>10} {'address bits I':>15} {'bits/weight':>12}"]
+    lines = [f"{'code':>8} {'entries T':>10} {'table KB':>10} {'address bits I':>15} "
+             f"{'bits/weight':>12} {'indices/word g':>15} {'packed bits/weight':>19}"]
     for params in codes:
-        t = count_entries(params)
+        t, g, w = store.word_layout(params)
         bits = address_bits(params)
         kb = table_storage_kb(params)
+        packed = w / (g * params.n)
         records.append({"code": str(params), "n": params.n, "k": params.k,
                         "entries": t, "table_kb": kb, "address_bits": bits,
-                        "bits_per_weight": bits / params.n})
-        lines.append(f"{str(params):>8} {t:>10} {kb:>10.3f} {bits:>15} {bits / params.n:>12.4f}")
+                        "bits_per_weight": bits / params.n, "indices_per_word": g,
+                        "packed_bits_per_weight": packed})
+        lines.append(f"{str(params):>8} {t:>10} {kb:>10.3f} {bits:>15} {bits / params.n:>12.4f} "
+                     f"{g:>15} {packed:>19.4f}")
     _emit(records, args.format, "\n".join(lines))
     return 0
 

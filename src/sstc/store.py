@@ -5,15 +5,30 @@ formats:
 
     float32      raw IEEE-754 weights, row-major
     fixed8       signed 8-bit quantization levels plus a step size
-    ternary2bit  two bits per weight (00 zero, 01 plus, 10 minus) plus a step
+    ternary2bit  one trit per weight, as the (1, 1) code's indices, plus a step
+                 (a historical name: version 1 stored two bits per weight)
     sst          structured sparse ternary: per-sub-vector table indices,
-                 bit-packed at the code's address width, plus a step size
+                 packed as mixed-radix words, plus a step size
 
-An sst payload lists the layer's sub-vectors in the payload order of its
-orientation, as `sstc.codes.subvectors` cuts them (the `sstc.codes` module
-docstring describes the layout).  A ternary2bit payload is that of the
-(1, 1) code in row order, so one codec writes and reads both (`_code_of`);
-only the header and the storage report tell them apart.  Biases and
+An sst payload lists the indices of the layer's sub-vectors in the payload
+order of its orientation, as `sstc.codes.subvectors` cuts them (the
+`sstc.codes` module docstring describes the layout).  A ternary2bit payload
+is that of the (1, 1) code in row order, so one codec writes and reads both
+(`_code_of`); only the header and the storage report tell them apart.
+
+Index payload (version 2).  A code of T entries stores its indices as
+base-T words of g indices each, the first index the most significant digit,
+so word = ((i0 * T + i1) * T + ...) * T + i(g-1).  Each word takes
+w = bitlen(T^g - 1) <= 64 bits, and g is the count with the fewest bits per
+index, the smallest on ties (`word_layout`): 29 trits in 46 bits, 11
+(8, 1) indices in 45.  A last group of r < g indices is one short word of
+bitlen(T^r - 1) bits.  The words are bit-packed MSB-first, the short word
+straight after the last full one, and the payload's final byte is
+zero-padded.  A word must be below T^g, the short one below T^r; a layer is
+checked at construction (`EncodedLayer`).  Version 1 stored each index at
+ceil(log2 T) bits; `read_model` still reads it, checks every index below T
+and converts the payload to version 2 as it loads the layer, so a layer
+holds one encoding.  Biases and
 normalizer parameters are always stored as float32 and are never pruned or quantized; a bias, a
 float32 weight, and the step a float32 layer stores but never reads, must
 be finite.  Code tables are not serialized: the canonical enumeration is
@@ -33,6 +48,8 @@ sub-vector's kept positions and values on the grouped view.
 Wire format (all integers little-endian, payload bits MSB-first):
 
     magic "SSTW" padded to 8 bytes | version u16 | layer count u16
+      (version 2 when a layer holds an index payload, else 1: without one
+      the two versions are the same bytes, as `sstc decompress` writes them)
     per layer:
         format u8 | orientation u8 | rows u32 | cols u32 | n u8 | k u8
           (orientation: the position in codes.ORIENTATIONS for sst, 0 column
@@ -53,7 +70,7 @@ import struct
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -68,7 +85,9 @@ from .prune import _groups_per_block, _largest_per_subvector
 from .quantize import find_step_size, quantize_weight
 
 MAGIC = b"SSTW\x00\x00\x00\x00"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+# versions `read_model` reads: a version 1 index payload is converted at load
+_READ_VERSIONS = (1, FORMAT_VERSION)
 
 FORMAT_KINDS = ("float32", "fixed8", "ternary2bit", "sst")
 _FORMAT_TAGS = {name: tag for tag, name in enumerate(FORMAT_KINDS)}
@@ -189,6 +208,8 @@ class EncodedLayer:
         object.__setattr__(self, "bias", bias)
         if self.format.kind == "float32":
             _check_finite(np.frombuffer(self.payload, dtype="<f4"), self.cols)
+        elif _code_of(self.format) is not None:
+            _check_words(self)
 
     @property
     def weight_count(self):
@@ -201,7 +222,7 @@ class EncodedLayer:
         return self.weight_count // code[0].n
 
     def payload_bit_length(self) -> int:
-        return _payload_bits(self.format, self.rows, self.cols)
+        return payload_bits(self.format, self.rows, self.cols)
 
     def __reduce__(self):
         return _rebuilt(self)
@@ -239,11 +260,31 @@ def _code_of(fmt: LayerFormat):
     return (fmt.params, fmt.orientation) if fmt.kind == "sst" else None
 
 
-def _payload_bits(fmt: LayerFormat, rows: int, cols: int) -> int:
+def payload_bits(fmt: LayerFormat, rows: int, cols: int) -> int:
+    """The bit length of the payload of a (rows, cols) layer in ``fmt``."""
     code = _code_of(fmt)
     if code is None:
         return (32 if fmt.kind == "float32" else 8) * rows * cols
-    return rows * cols // code[0].n * address_bits(code[0])
+    t, g, w = word_layout(code[0])
+    words, rest = divmod(rows * cols // code[0].n, g)
+    return words * w + (t ** rest - 1).bit_length()
+
+
+@lru_cache(maxsize=None)
+def word_layout(params: CodeParams):
+    """``(T, g, w)`` of a code's index payload: its T entries, the g indices
+    of a word and the w = bitlen(T^g - 1) <= 64 bits of a word, for the g
+    with the fewest bits per index, the smallest on ties.  The one-entry
+    code (k = 0) takes 0 bits, at g = 1."""
+    t = count_entries(params)
+    best = (1, (t - 1).bit_length())
+    g = 2
+    while t > 1 and (t ** g - 1).bit_length() <= 64:
+        w = (t ** g - 1).bit_length()
+        if w * best[0] < best[1] * g:
+            best = (g, w)
+        g += 1
+    return (t, *best)
 
 
 def _checked_fields(fmt: LayerFormat, rows: int, cols: int, delta, bias, normalizer,
@@ -270,7 +311,7 @@ def _checked_fields(fmt: LayerFormat, rows: int, cols: int, delta, bias, normali
                                   f"not match the {rows} rows")
     elif not (normalizer is None or isinstance(normalizer, WeightNormTag)):
         raise ValidationError(f"unknown normalizer {type(normalizer).__name__}")
-    expected = _payload_bits(fmt, rows, cols)
+    expected = payload_bits(fmt, rows, cols)
     if payload_size != (expected + 7) // 8:
         raise ValidationError(f"payload is {payload_size} bytes, expected {(expected + 7) // 8} "
                               f"for {expected} bits")
@@ -521,7 +562,7 @@ def _trit_threshold(delta: float, dtype: np.dtype):
 
 
 def _sst_payload(kept, values, delta: float, params: CodeParams) -> bytes:
-    """The packed indices of the kept positions ``kept`` and values ``values``
+    """The index payload of the kept positions ``kept`` and values ``values``
     of a (B, C) grid of sub-vectors, both (k, B, C), at step ``delta``.
 
     The one index payload writer: `compress_layer` hands it float weights,
@@ -534,12 +575,8 @@ def _sst_payload(kept, values, delta: float, params: CodeParams) -> bytes:
     (`codes.rank_grouped`).  Payload order runs down each grid column in
     turn (`codes.to_payload_order`), so the grid is worked in tiles of about
     `quantize._BLOCK` indices that are each one span of payload order:
-    whole columns, or, for a column longer than that, a run down one.  A
-    tile's ranks go to one reused buffer in payload order, behind the up to
-    7 left over from the tile before; every multiple of 8 indices packs
-    (`bitpack.pack_indices`) to whole bytes, so the packed chunks join to
-    the packing of the whole stream.  The last tile packs all it holds, so
-    no call packs a lone tail.
+    whole columns, or, for a column longer than that, a run down one.  The
+    tiles' ranks are packed as they come (`_index_payload`).
     """
     rounds, groups, cols = kept.shape
     down = min(groups, quantize._BLOCK)  # grid rows per tile
@@ -550,47 +587,141 @@ def _sst_payload(kept, values, delta: float, params: CodeParams) -> bytes:
     threshold = _trit_threshold(delta, width)
     buffers = (np.empty(rounds * size, dtype=width), np.empty(rounds * size, dtype=np.uint8),
                np.empty(rounds * size, dtype=np.bool_))
-    ordered = np.empty(size + 7, dtype=np.int64)
-    left = 0  # ranks waiting in ordered[:left]
-    bits = address_bits(params)
+
+    def tiles():
+        for c0 in range(0, cols, across):
+            for b0 in range(0, groups, down):
+                tile = np.s_[:, b0:b0 + down, c0:c0 + across]
+                value = values[tile]
+                mags, digit, trit = (buffer[:value.size].reshape(value.shape)
+                                     for buffer in buffers)
+                np.abs(value, out=mags, dtype=width)
+                np.less_equal(value, 0, out=digit.view(np.bool_))
+                digit += 1
+                digit *= np.greater_equal(mags, threshold, out=trit)
+                yield rank_grouped(kept[tile], digit, params).T  # in payload order
+
+    return _index_payload(tiles(), params, size)
+
+
+def _index_payload(chunks, params: CodeParams, size: int) -> bytes:
+    """The version 2 payload of the indices of ``params`` that ``chunks``
+    yields in turn, each an int64 array of at most ``size`` indices in C
+    order, which together are the layer's indices in payload order.
+
+    A chunk goes to one reused buffer, behind the fewer than 8 words'
+    worth left over from the one before.  Every 8 whole words fill w bytes,
+    so each multiple of 8 g indices is combined into words (`_words`) and
+    packed (`bitpack.pack_indices`) to bytes that join to the packing of
+    the whole stream; the rest, with the short last word, is `_tail_bytes`.
+    """
+    t, g, w = word_layout(params)
+    span = 8 * g
+    ordered = np.empty(size + span - 1, dtype=np.int64)
+    left = 0  # indices waiting in ordered[:left]
     parts = []
-    for c0 in range(0, cols, across):
-        for b0 in range(0, groups, down):
-            tile = np.s_[:, b0:b0 + down, c0:c0 + across]
-            value = values[tile]
-            mags, digit, trit = (buffer[:value.size].reshape(value.shape) for buffer in buffers)
-            np.abs(value, out=mags, dtype=width)
-            np.less_equal(value, 0, out=digit.view(np.bool_))
-            digit += 1
-            digit *= np.greater_equal(mags, threshold, out=trit)
-            ranks = rank_grouped(kept[tile], digit, params)
-            count = left + ranks.size
-            np.copyto(ordered[left:count].reshape(ranks.shape[::-1]), ranks.T)
-            last = b0 + down >= groups and c0 + across >= cols
-            whole = count if last else count - count % 8
-            parts.append(bitpack.pack_indices(ordered[:whole], bits))
-            left = count - whole
-            ordered[:left] = ordered[whole:count]
+    for chunk in chunks:
+        count = left + chunk.size
+        np.copyto(ordered[left:count].reshape(chunk.shape), chunk)
+        whole = count - count % span
+        if whole:
+            parts.append(bitpack.pack_indices(_words(ordered[:whole], t, g), w))
+        left = count - whole
+        ordered[:left] = ordered[whole:count]
+    parts.append(_tail_bytes(ordered[:left], t, g))
     return b"".join(parts)
 
 
-def layer_indices(layer: EncodedLayer) -> np.ndarray:
-    """Unpacked sub-vector indices of an sst or ternary2bit layer, in payload order.
+def _words(indices: np.ndarray, t: int, g: int) -> np.ndarray:
+    """The uint64 base-``t`` words of ``indices``, g to a word, the first
+    the most significant digit: one product with the powers of ``t``,
+    which uint64 takes modulo 2^64 and so exactly, as a word is below it."""
+    powers = np.array([pow(t, g - 1 - j, 1 << 64) for j in range(g)], dtype=np.uint64)
+    return indices.view(np.uint64).reshape(-1, g) @ powers
 
-    The one check that every index is below the entry count T: the address
-    width also admits the values T .. 2^I - 1.
-    """
+
+def _tail_bytes(indices: np.ndarray, t: int, g: int) -> bytes:
+    """The packed bytes of the fewer than 8 g last ``indices`` of a payload:
+    their words of g, then the short word of the rest, each at the width of
+    its digit count (`payload_bits`), MSB-first and zero-padded."""
+    value = bits = 0
+    for start in range(0, indices.size, g):
+        word = 0
+        digits = indices[start:start + g].tolist()
+        for index in digits:
+            word = word * t + index
+        width = (t ** len(digits) - 1).bit_length()
+        value, bits = value << width | word, bits + width
+    return (value << -bits % 8).to_bytes((bits + 7) // 8, "big")
+
+
+def _payload_words(layer: EncodedLayer):
+    """``(words, short, rest)`` of an sst or ternary2bit layer's payload:
+    its uint64 words of g indices, and the short last word of its ``rest``
+    indices as an int (0 when ``rest`` is 0)."""
     params = _code_of(layer.format)[0]
-    idx = bitpack.unpack_indices(layer.payload, address_bits(params), layer.num_indices())
-    t_total = count_entries(params)
-    bad = idx >= t_total
+    t, g, w = word_layout(params)
+    full, rest = divmod(layer.num_indices(), g)
+    words = bitpack.unpack_indices(layer.payload, w, full)
+    start, width = full * w, (t ** rest - 1).bit_length()
+    tail = layer.payload[start // 8:]
+    short = int.from_bytes(tail, "big") >> (8 * len(tail) - start % 8 - width) & ((1 << width) - 1)
+    return words, short, rest
+
+
+def _check_words(layer: EncodedLayer):
+    """Raise unless every word of ``layer``'s index payload is below T^g,
+    and its short last word below T^r, so every index it holds is below T.
+    A one-entry code's words take 0 bits, so they are 0 and not unpacked."""
+    params = _code_of(layer.format)[0]
+    t, g, _ = word_layout(params)
+    if t == 1:
+        return
+    words, short, rest = _payload_words(layer)
+    if words.size and int(words.max()) >= t ** g:
+        pos = int(np.argmax(words >= np.uint64(t ** g)))
+        raise ValidationError(f"corrupt word {int(words[pos])} at word {pos}: a word of "
+                              f"{g} indices of code {params} must be below {t}^{g}")
+    if short >= t ** rest:
+        raise ValidationError(f"corrupt last word {short} at word {words.size}: a word of "
+                              f"{rest} indices of code {params} must be below {t}^{rest}")
+
+
+def layer_indices(layer: EncodedLayer) -> np.ndarray:
+    """The int64 sub-vector indices of an sst or ternary2bit layer, in payload order.
+
+    Each word is unpacked (`bitpack.unpack_indices`) and split by g divmods
+    by T, its last digit first; every index is below T, since `EncodedLayer`
+    checks the words.
+    """
+    t, g, _ = word_layout(_code_of(layer.format)[0])
+    words, short, rest = _payload_words(layer)
+    indices = np.empty(words.size * g + rest, dtype=np.int64)
+    digits = indices[:words.size * g].view(np.uint64).reshape(-1, g)
+    radix = np.uint64(t)
+    for column in digits.T[::-1]:
+        np.divmod(words, radix, out=(words, column))
+    for pos in reversed(range(words.size * g, indices.size)):
+        short, indices[pos] = divmod(short, t)
+    return indices
+
+
+def _v2_payload(payload: bytes, params: CodeParams, count: int) -> bytes:
+    """The version 2 payload of the ``count`` indices a version 1 payload
+    holds at the code's address width; raises on an index of T or more.
+    A one-entry code's payload is empty in both versions."""
+    if count_entries(params) == 1:
+        return b""
+    indices = bitpack.unpack_indices(payload, address_bits(params), count)
+    t = count_entries(params)
+    bad = indices >= t
     if np.any(bad):
         pos = int(np.argmax(bad))
-        raise ValidationError(
-            f"corrupt index {int(idx[pos])} at stream position {pos} "
-            f"(code {params} has {t_total} entries)"
-        )
-    return idx
+        raise ValidationError(f"corrupt index {int(indices[pos])} at stream position {pos} "
+                              f"(code {params} has {t} entries)")
+    indices = indices.view(np.int64)
+    size = max(1, min(count, quantize._BLOCK))
+    return _index_payload((indices[i:i + size] for i in range(0, count, size)), params, size)
 
 
 def decode_layer(layer: EncodedLayer) -> np.ndarray:
@@ -653,11 +784,14 @@ def _serialized_parts(model: ModelFile, decoded: bool = False):
     With ``decoded``, the parts of the float32 file `write_decompressed`
     writes for ``model``; a part may then be a reused buffer, valid only
     until the next part is asked for.  A `ValidationError` raised while a
-    layer's parts are made names the layer.
+    layer's parts are made names the layer.  A model whose layers do not
+    chain, which `read_model` would reject, raises before the first part.
     """
-    yield MAGIC
-    yield struct.pack("<HH", FORMAT_VERSION, len(model.layers))
     names = _layer_names(model.metadata, len(model.layers))
+    _check_chain(model.layers, names)
+    indexed = not decoded and any(_code_of(layer.format) for layer in model.layers)
+    yield MAGIC
+    yield struct.pack("<HH", FORMAT_VERSION if indexed else 1, len(model.layers))
     for index, layer in enumerate(model.layers):
         with _naming_layer(index, names):
             fmt = LayerFormat("float32") if decoded else layer.format
@@ -780,6 +914,7 @@ class _Record:
     """One layer record of a model file as the header pass reads it; its
     payload stays in the file, ``payload_at`` bytes from the start."""
 
+    version: int
     kind: str
     otag: int
     rows: int
@@ -797,11 +932,21 @@ class _Record:
         return (self.payload_bits + 7) // 8
 
     def layer(self, payload: bytes) -> EncodedLayer:
+        """The layer of this record and its ``payload``; a version 1 index
+        payload is checked and converted to version 2 (`_v2_payload`)."""
         fmt = (LayerFormat(self.kind, CodeParams(self.n, self.k), ORIENTATIONS[self.otag])
                if self.kind == "sst" else LayerFormat(self.kind))
+        code = _code_of(fmt)
+        if self.version == 1 and code is not None:
+            params, orientation = code
+            grouped_shape(self.rows, self.cols, params.n, orientation)
+            count = self.rows * self.cols // params.n
+            self._check_bits(count * address_bits(params))
+            payload = _v2_payload(payload, params, count)
         layer = EncodedLayer(fmt, self.rows, self.cols, float(self.delta), payload, self.bias,
                              self.make_norm())
-        self._check_bits(layer.payload_bit_length())
+        if self.version != 1 or code is None:
+            self._check_bits(layer.payload_bit_length())
         return layer
 
     def float32_fields(self):
@@ -810,7 +955,7 @@ class _Record:
         fmt, norm = LayerFormat("float32"), self.make_norm()
         _, bias = _checked_fields(fmt, self.rows, self.cols, float(self.delta), self.bias, norm,
                                   self.payload_size)
-        self._check_bits(_payload_bits(fmt, self.rows, self.cols))
+        self._check_bits(payload_bits(fmt, self.rows, self.cols))
         return bias, norm
 
     def _check_bits(self, expected: int):
@@ -832,7 +977,7 @@ def _parse(r: _Reader):
     if r.take(len(MAGIC)) != MAGIC:
         raise ValidationError("not a model file: bad magic")
     version, layer_count = r.unpack("<HH")
-    if version != FORMAT_VERSION:
+    if version not in _READ_VERSIONS:
         raise ValidationError(f"unsupported format version {version}")
     records = []
     for _ in range(layer_count):
@@ -861,7 +1006,7 @@ def _parse(r: _Reader):
             make_norm = WeightNormTag
         else:
             raise ValidationError(f"unknown normalizer tag {ntag}")
-        records.append(_Record(kind, otag, rows, cols, n, k, delta, bias, payload_bits,
+        records.append(_Record(version, kind, otag, rows, cols, n, k, delta, bias, payload_bits,
                                payload_at, make_norm))
     (meta_len,) = r.unpack("<I")
     block = r.take(meta_len)
@@ -873,10 +1018,7 @@ def _parse(r: _Reader):
     if block != _metadata_block(metadata):
         raise ValidationError("metadata block is not in the canonical JSON form that "
                               "serialize_model writes, so it would not round-trip its bytes")
-    names = _layer_names(metadata, len(records))
-    for index in range(1, len(records)):
-        if records[index].cols != records[index - 1].rows:
-            raise _chain_error(index, names, records[index].cols, records[index - 1].rows)
+    _check_chain(records, _layer_names(metadata, len(records)))
     return records, metadata
 
 
@@ -927,6 +1069,14 @@ def _layer_label(index: int, names=None) -> str:
     """A layer's index and, where ``names`` (`_layer_names`) gives one, its name."""
     name = names[index] if names else None
     return f"layer {index} ({name})" if name else f"layer {index}"
+
+
+def _check_chain(layers, names):
+    """Raise `_chain_error` at the first of ``layers`` (with rows and cols)
+    that takes other than as many inputs as the one before it emits."""
+    for index in range(1, len(layers)):
+        if layers[index].cols != layers[index - 1].rows:
+            raise _chain_error(index, names, layers[index].cols, layers[index - 1].rows)
 
 
 def _chain_error(index: int, names, expects: int, width: int) -> ValidationError:

@@ -2,15 +2,15 @@
 
 import itertools
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from sstc import bitpack, kernel, prune, quantize
-from sstc.codes import (CodeParams, address_bits, from_subvectors, grouped_view, rank_subvectors,
-                        subvectors, unrank_subvectors)
-from sstc.store import (BatchNormParams, EncodedLayer, LayerFormat, WeightNormTag, layer_indices,
-                        ternary_trits)
+from sstc import kernel, prune, quantize, store
+from sstc.codes import (CodeParams, count_entries, from_subvectors, grouped_view,
+                        rank_subvectors, subvectors, unrank_subvectors)
+from sstc.store import BatchNormParams, EncodedLayer, LayerFormat, WeightNormTag, ternary_trits
 
 # digit precedence of the canonical order: 0 < +1 < -1
 _DIGIT_KEY = {0: 0, 1: 1, -1: 2}
@@ -230,18 +230,76 @@ def chained(layers):
     return out
 
 
+def overwrite_payload(path, index, payload: bytes):
+    """Replace the payload of layer ``index`` of the model file at ``path``
+    by ``payload``, of the same length: a file no `EncodedLayer` can hold."""
+    with open(path, "rb") as fh:
+        record = store._parse(store._Reader(fh))[0][index]
+    assert len(payload) == record.payload_size
+    data = bytearray(path.read_bytes())
+    data[record.payload_at:record.payload_at + len(payload)] = payload
+    path.write_bytes(bytes(data))
+
+
 def reference_encode(W_q, delta, fmt, bias=None, normalizer=None):
     """`store.encode_layer` of an sst layer as a payload-order pipeline, kept as its reference.
 
     `ternary_trits` recovers the trit matrix, `subvectors` cuts it into its
     (count, n) groups in payload order, `rank_subvectors` ranks each group
-    and `bitpack.pack_indices` packs the ranks at the code's address width.
+    and `reference_payload` packs the ranks.
     """
     params = fmt.params
     trits = ternary_trits(W_q, delta)
     indices = rank_subvectors(subvectors(trits, params, fmt.orientation), params)
-    payload = bitpack.pack_indices(indices, address_bits(params))
-    return EncodedLayer(fmt, *trits.shape, delta, payload, bias, normalizer)
+    return EncodedLayer(fmt, *trits.shape, delta, reference_payload(indices, params), bias,
+                        normalizer)
+
+
+def reference_group(params) -> int:
+    """The indices per word of a version 2 payload, by search: the g with the
+    fewest bits per index whose word T^g - 1 fits in 64 bits, the smallest
+    on ties."""
+    t = count_entries(params)
+    fits = [g for g in range(1, 65) if (t ** g - 1).bit_length() <= 64]
+    return min(fits, key=lambda g: (Fraction((t ** g - 1).bit_length(), g), g))
+
+
+def reference_payload(indices, params) -> bytes:
+    """The version 2 payload of ``indices``, kept as the reference of the
+    store's packer: each run of g indices is one base-T word, written out as
+    a bit string of bitlen(T^r - 1) bits for its r indices, and the joined
+    string is zero-padded to whole bytes."""
+    t, g = count_entries(params), reference_group(params)
+    indices = [int(i) for i in np.asarray(indices).ravel()]
+    bits = []
+    for start in range(0, len(indices), g):
+        digits = indices[start:start + g]
+        word = 0
+        for digit in digits:
+            word = word * t + digit
+        width = (t ** len(digits) - 1).bit_length()
+        bits.append(format(word, f"0{width}b") if width else "")
+    text = "".join(bits)
+    text += "0" * (-len(text) % 8)
+    return int(text, 2).to_bytes(len(text) // 8, "big") if text else b""
+
+
+def reference_indices(payload, params, count) -> np.ndarray:
+    """Inverse of `reference_payload`: the ``count`` int64 indices of a
+    version 2 payload, read off its bit string word by word."""
+    t, g = count_entries(params), reference_group(params)
+    text = "".join(f"{byte:08b}" for byte in payload)
+    out, at = [], 0
+    for start in range(0, count, g):
+        size = min(g, count - start)
+        width = (t ** size - 1).bit_length()
+        word, at = int(text[at:at + width] or "0", 2), at + width
+        digits = []
+        for _ in range(size):
+            word, digit = divmod(word, t)
+            digits.append(digit)
+        out.extend(reversed(digits))
+    return np.array(out, dtype=np.int64)
 
 
 def reference_pack(indices, bits_per_index):
@@ -274,11 +332,12 @@ def reference_decode(layer):
         levels = np.frombuffer(layer.payload, dtype="<i1").astype(np.float64)
         return levels.reshape(shape) * np.float64(layer.delta)
     if kind == "ternary2bit":
-        codes = bitpack.unpack_indices(layer.payload, 2, layer.weight_count)
+        codes = reference_indices(layer.payload, CodeParams(1, 1), layer.weight_count)
         trits = np.where(codes == 2, -1, codes).astype(np.float64).reshape(shape)
         return trits * np.float64(layer.delta)
     params = layer.format.params
-    groups = unrank_subvectors(layer_indices(layer), params)
+    groups = unrank_subvectors(reference_indices(layer.payload, params, layer.num_indices()),
+                               params)
     trits = from_subvectors(groups, *shape, params, layer.format.orientation)
     return trits.astype(np.float64) * np.float64(layer.delta)
 

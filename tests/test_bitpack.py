@@ -91,14 +91,11 @@ def test_pack_rejects_a_width_over_64_bits():
 
 
 def bit_unpack(stream, bits_per_index, count):
-    """Reference: each field read off the stream's MSB-first bit string,
-    wrapping to int64 like two's complement."""
+    """Reference: each field read off the stream's MSB-first bit string."""
     text = "".join(f"{byte:08b}" for byte in stream)
-    out = []
-    for i in range(count):
-        value = int(text[i * bits_per_index:(i + 1) * bits_per_index] or "0", 2)
-        out.append(value - (1 << 64) if value >= 1 << 63 else value)
-    return np.array(out, dtype=np.int64)
+    out = [int(text[i * bits_per_index:(i + 1) * bits_per_index] or "0", 2)
+           for i in range(count)]
+    return np.array(out, dtype=np.uint64)
 
 
 @pytest.mark.parametrize("bits", range(65))
@@ -109,7 +106,7 @@ def test_unpack_matches_the_bit_by_bit_reference(bits):
         want = bit_unpack(stream, bits, count)
         for extra in (b"", b"\xff", bytes(rng.integers(0, 256, size=9, dtype=np.uint8))):
             got = unpack_indices(stream + extra, bits, count)
-            assert got.dtype == np.int64 and got.shape == (count,)
+            assert got.dtype == np.uint64 and got.shape == (count,)
             assert np.array_equal(got, want), (count, extra)
 
 
@@ -134,3 +131,29 @@ def test_pack_is_byte_equal_to_the_bit_matrix_reference(bits):
         if count > 2:
             xs[-2:] = [top, 0]
         assert pack_indices(xs, bits) == reference_pack(xs, bits), count
+
+
+@pytest.mark.parametrize("count", [1, 7, 8, 9, 203])
+def test_64_bit_words_with_the_top_bit_set_round_trip(count):
+    # the base-T words of (8,2) and (16,2) reach 129^9 and 513^7, over 2^63
+    rng = np.random.default_rng(count)
+    words = rng.integers(0, 1 << 64, size=count, dtype=np.uint64, endpoint=False)
+    words[0] = np.uint64((1 << 64) - 1)
+    words[-1] |= np.uint64(1 << 63)
+    packed = pack_indices(words, 64)
+    assert packed == b"".join(int(w).to_bytes(8, "big") for w in words)
+    got = unpack_indices(packed, 64, count)
+    assert got.dtype == np.uint64 and np.array_equal(got, words)
+    # at 63 bits each word straddles bytes
+    for bits in (63, 64):
+        top = words >> np.uint64(64 - bits)
+        assert np.array_equal(unpack_indices(pack_indices(top, bits), bits, count), top)
+
+
+def test_int64_indices_stay_below_2_to_the_63():
+    # only uint64 words may set the top bit: a negative int64 is rejected
+    with pytest.raises(ValidationError, match="index -1 at position 1 does not fit in 64 bits"):
+        pack_indices(np.array([3, -1], dtype=np.int64), 64)
+    assert pack_indices(np.array([1 << 63], dtype=np.uint64), 64) == b"\x80" + bytes(7)
+    with pytest.raises(ValidationError, match="does not fit in 63 bits"):
+        pack_indices(np.array([1 << 63], dtype=np.uint64), 63)

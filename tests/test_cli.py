@@ -9,9 +9,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sstc import bitpack, kernel, prune, quantize, store, training as tr
+from sstc import kernel, prune, quantize, store, training as tr
 from sstc.cli import _build_specs, main
-from sstc.codes import CodeParams, address_bits, count_entries, grouped_shape
+from sstc.codes import CodeParams, count_entries, grouped_shape
 from sstc.datasets import gaussian_blobs, train_val_split
 from sstc.errors import ValidationError
 from sstc.kernel import CompressedFCLayer, compressed_forward
@@ -19,7 +19,8 @@ from sstc.quantize import quantize_weight
 from sstc.store import (EncodedLayer, LayerFormat, ModelFile, decode_layer, encode_layer,
                         model_from_arrays, read_model, serialize_model, write_model)
 
-from conftest import argsort_sweep, chained, random_layer, random_sst_trits, reference_decode
+from conftest import (argsort_sweep, chained, overwrite_payload, random_layer, random_sst_trits,
+                      reference_decode, reference_payload)
 
 
 def _records(capsys):
@@ -164,10 +165,10 @@ def test_decompress_rejects_a_fixed8_weight_that_overflows_float32(tmp_path, cap
 
 
 def test_a_failing_decompress_leaves_the_old_output_and_no_temp_file(tmp_path, capsys):
-    params = CodeParams(8, 1)  # T=17, 5-bit indices, so 31 is out of range
-    fmt = LayerFormat("sst", params)
-    good = encode_layer(np.zeros((8, 8)), 1.0, fmt)
-    bad = type(good)(fmt, 8, 8, 1.0, bytes([0xF8]) + good.payload[1:])
+    good = encode_layer(np.zeros((8, 8)), 1.0, LayerFormat("sst", CodeParams(8, 1)))
+    levels = np.zeros((8, 8), dtype=np.int8)
+    levels[1, 2] = 127  # 127 steps of 3e38 overflow float32
+    bad = EncodedLayer(LayerFormat("fixed8"), 8, 8, 3e38, levels.tobytes())
     # the first layer's 64 KB are past any write buffer when the last layer fails
     first = encode_layer(np.ones((8, 2048)), None, LayerFormat("float32"))
     path, out = tmp_path / "bad.sstw", tmp_path / "out.sstw"
@@ -175,8 +176,8 @@ def test_a_failing_decompress_leaves_the_old_output_and_no_temp_file(tmp_path, c
                 path)
     out.write_bytes(b"an earlier output")
     assert main(["decompress", "--input", str(path), "--output", str(out)]) == 1
-    assert capsys.readouterr().err == ("error: layer 2 (c): corrupt index 31 at stream "
-                                       "position 0 (code (8,1) has 17 entries)\n")
+    assert capsys.readouterr().err == ("error: layer 2 (c): float32 weight inf at row 1, "
+                                       "column 2 is not finite\n")
     assert out.read_bytes() == b"an earlier output"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.sstw", "out.sstw"]
 
@@ -186,7 +187,7 @@ def test_decompress_peak_memory_stays_below_one_float32_copy(tmp_path):
     rows, cols = 512, 2048
     idx = np.random.default_rng(19).integers(0, count_entries(params), size=rows * cols // 8)
     layer = EncodedLayer(LayerFormat("sst", params), rows, cols, 0.5,
-                         bitpack.pack_indices(idx, address_bits(params)))
+                         reference_payload(idx, params))
     path, out = tmp_path / "in.sstw", tmp_path / "out.sstw"
     write_model(ModelFile(layers=[layer]), path)
     tracemalloc.start()
@@ -319,16 +320,15 @@ def test_compress_fixed8_writes_the_bytes_of_the_argsort_sweep_step(tmp_path):
 
 
 def test_verify_detects_out_of_range_index(tmp_path, capsys):
-    params = CodeParams(8, 1)  # T=17, 5-bit indices, so 31 is out of range
+    params = CodeParams(8, 1)
     layer = encode_layer(np.zeros((8, 2)), 1.0, LayerFormat("sst", params))
-    bad = type(layer)(layer.format, layer.rows, layer.cols, layer.delta,
-                      bytes([0xF8, 0x00]), layer.bias, layer.normalizer)
     path = tmp_path / "bad.sstw"
-    write_model(ModelFile(layers=[bad]), path)
+    write_model(ModelFile(layers=[layer]), path)
+    # the two indices are one 9-bit word; 496 >= T^2 = 289
+    overwrite_payload(path, 0, bytes([0xF8, 0x00]))
     assert main(["verify", "--model", str(path), "--format", "records"]) == 1
-    suites = _records(capsys)
-    failing = [s for s in suites if not s["pass"]]
-    assert failing and "position 0" in failing[0]["detail"]
+    assert capsys.readouterr() == ("", "error: layer 0: corrupt last word 496 at word 0: a word "
+                                       "of 2 indices of code (8,1) must be below 17^2\n")
 
 
 @pytest.mark.parametrize("orientation", ["column", "row"])
@@ -394,7 +394,11 @@ def test_every_command_rejects_a_file_whose_layers_do_not_chain(tmp_path, capsys
     layers = [encode_layer(np.ones((4, 3)), None, LayerFormat("float32")),
               encode_layer(np.ones((2, 5)), None, LayerFormat("float32"))]
     path, out = tmp_path / "m.sstw", tmp_path / "out.sstw"
-    write_model(ModelFile(layers=layers, metadata={"layer_names": ["a", "b"]}), path)
+    # write_model refuses such a model, so the file is spliced from one-layer files
+    records = b"".join(serialize_model(ModelFile(layers=[layer]))[12:-6] for layer in layers)
+    meta = b'{"layer_names":["a","b"]}'
+    path.write_bytes(store.MAGIC + struct.pack("<HH", store.FORMAT_VERSION, 2) + records
+                     + struct.pack("<I", len(meta)) + meta)
     for command in (["verify", "--model", str(path)], ["report", "--model", str(path)],
                     ["decompress", "--input", str(path), "--output", str(out)],
                     ["compress", "--input", str(path), "--output", str(out)],
@@ -586,7 +590,8 @@ def test_report_toggles(tmp_path, capsys):
                  "--exclude-bias", "--format", "records"]) == 0
     recs = _records(capsys)
     total = recs[-1]
-    assert total["total_compressed_bits"] == 64 * 64 // 8 * 5
+    # 512 indices: 46 words of 11 at 45 bits, then 6 in bitlen(17^6 - 1) = 25
+    assert total["total_compressed_bits"] == 46 * 45 + 25
 
 
 def _wide_code_model(path):
@@ -705,42 +710,43 @@ def test_compress_names_the_layer_it_cannot_compress(tmp_path, capsys, policy_li
 @pytest.mark.parametrize("command", ["compress", "decompress", "infer"])
 def test_commands_name_the_layer_holding_a_corrupt_index(tmp_path, capsys, command, names,
                                                          label):
-    params = CodeParams(8, 1)  # T=17, 5-bit indices, so 31 is out of range
+    params = CodeParams(8, 1)
     fmt = LayerFormat("sst", params)
     first = encode_layer(np.eye(8, 4), 1.0, fmt)  # not all zero: compress fits a step
     good = encode_layer(np.zeros((8, 8)), 1.0, fmt)
-    bad = type(good)(fmt, 8, 8, 1.0, bytes([0xF8]) + good.payload[1:])
     path = tmp_path / "bad.sstw"
-    write_model(ModelFile(layers=[first, bad],
+    write_model(ModelFile(layers=[first, good],
                           metadata={"layer_names": names} if names else {}), path)
+    # the 8 indices are one 33-bit word; 0xF8 << 25 is over T^8 = 6,975,757,441
+    overwrite_payload(path, 1, bytes([0xF8]) + good.payload[1:])
     out = tmp_path / "out.sstw"
     argv = {"compress": ["--input", str(path), "--output", str(out)],
             "decompress": ["--input", str(path), "--output", str(out)],
             "infer": ["--model", str(path), "--data", "synthetic:samples=6,dim=4"]}[command]
     assert main([command, *argv]) == 1
-    assert capsys.readouterr().err == (f"error: {label}: corrupt index 31 at stream "
-                                       "position 0 (code (8,1) has 17 entries)\n")
+    assert capsys.readouterr().err == (f"error: {label}: corrupt last word 8321499136 at word "
+                                       "0: a word of 8 indices of code (8,1) must be below "
+                                       "17^8\n")
     assert not out.exists()
 
 
 def _corrupt_ternary_model(path):
-    """A file whose second layer, b, is a 3x8 ternary2bit layer holding the
-    unused 2-bit code 3 at weight 5 (byte 1 is 00 11 00 00)."""
+    """A file whose second layer, b, is a 3x8 ternary2bit layer whose 24
+    trits, one 39-bit word, are all ones: 2^39 - 1 is over 3^24."""
     first = encode_layer(np.eye(8, 4), 1.0, LayerFormat("sst", CodeParams(8, 1)))
     good = encode_layer(np.zeros((3, 8)), 0.5, LayerFormat("ternary2bit"))
-    bad = type(good)(good.format, 3, 8, 0.5, good.payload[:1] + bytes([0b00110000])
-                     + good.payload[2:])
-    write_model(ModelFile(layers=[first, bad], metadata={"layer_names": ["a", "b"]}), path)
+    write_model(ModelFile(layers=[first, good], metadata={"layer_names": ["a", "b"]}), path)
+    overwrite_payload(path, 1, b"\xff" * len(good.payload))
 
 
-_CORRUPT_TERNARY = "corrupt index 3 at stream position 5 (code (1,1) has 3 entries)"
+_CORRUPT_TERNARY = ("corrupt last word 549755813887 at word 0: a word of 24 indices of code "
+                    "(1,1) must be below 3^24")
 
 
-def test_a_corrupt_ternary_payload_is_rejected_on_decode(tmp_path):
+def test_a_corrupt_ternary_payload_is_rejected_on_load(tmp_path):
     _corrupt_ternary_model(tmp_path / "bad.sstw")
-    model = read_model(tmp_path / "bad.sstw")
-    with pytest.raises(ValidationError, match=f"^{re.escape(_CORRUPT_TERNARY)}$"):
-        decode_layer(model.layers[1])
+    with pytest.raises(ValidationError, match=f"^layer 1 \\(b\\): {re.escape(_CORRUPT_TERNARY)}$"):
+        read_model(tmp_path / "bad.sstw")
 
 
 @pytest.mark.parametrize("command", ["compress", "decompress", "infer"])

@@ -22,17 +22,17 @@ TRAIN_RUNS = {
     "column-8-1-weight-norm": (
         ["--data", "synthetic:samples=1500", "--arch", "32,32,32,3", "--code", "8,1",
          "--normalizer", "weight_norm"],
-        "5032f521412231f7c115b9190a9550ff98abe83eb02ea03c6a0c966c82c3ff34",
+        "cceeda8069c081e41cb52eff1cdfa30a28e7cbca46c657f111b4a6744e78400c",
         "a41b1428196848b89b69735b10761636cce7d27ee43a7b080f865c56e1251ca2"),
     "row-8-2-weight-norm": (
         ["--data", "synthetic:samples=1500", "--arch", "32,32,32,3", "--code", "8,2",
          "--orientation", "row", "--normalizer", "weight_norm"],
-        "5bb12fb9e5195b12093bb9081e0facccbbf3d6add4e69a45f67caf6cea138e19",
+        "266e24e4f56847dafdbcb300dbba0b4ae150a05139b579201e184d7703491c2d",
         "faac2b4d9f657bc437d305073f783a69a92eda576d5a5aa99f9c0e5b2deb50cd"),
     "column-16-3-batch-norm": (
         ["--data", "synthetic:samples=1500,dim=64", "--arch", "64,32,32,3", "--code", "16,3",
          "--normalizer", "batch_norm"],
-        "72ceb30d65b7e94e2b19808759fdd7c51555acac78c6368c46154656f5ec8aaa",
+        "790c38efc11b7030320489b394dd747fe48cb19d6845b479f75813af7280a39a",
         "10aaf410c1505213f61de5de94d2c064f41f9d28e4b991aa7faae0656f772ad5"),
 }
 
@@ -65,68 +65,68 @@ COMPRESS_POLICIES = {
 
 COMPRESS_DIGESTS = {
     "sstw/ternary/compress":
-        "d1c041966051e4a10625f9426e1952768821b4c46b536fc6a84bbc6a61d7ce17",
+        "39939afd6fa03c5592c872b13013413c78850e50752c36c8526bb127469b9317",
     "sstw/ternary/decompress":
         "a021c0b693c4439ce4ceb7bbdfe5a81ce20ad1bb9d768c92a5244cce85885ff4",
     "sstw/ternary/report":
-        "a24429d79f4daabc9a6836b0fe35d099da22711dab373c4dadc5b488d2cfd5a5",
+        "1b5b2c7c39d506b1037347498e00feb2c4459f10b162855f7527310285b5624c",
     "sstw/ternary/verify":
         "3dbd26fd89a66ba3e757a728e473190de80c01c60ddb0ae58e7fb066c47e6987",
     "sstw/ternary/infer":
         "6cc8332d12b0d148c46ae26efde8af97a3298a95898769ee1f91ebde026f855e",
     "sstw/sst16-3-fixed8/compress":
-        "3cfa46dba5640ee556f0e5962b3f508bd8c416222d027c3e220dfee5cc40d1ba",
+        "05ea9e7159f8c437001c22b020539362120e0b2b833c947f04207adc7fb123b7",
     "sstw/sst16-3-fixed8/decompress":
         "0bcfec0b00557e3c7f23d2cb780728632eaa2267c8eae196149cdedaad5c9a76",
     "sstw/sst16-3-fixed8/report":
-        "8006531762870f9dfbc2d74daf03acf381f313271112973bf17773bb695d31f6",
+        "30d608b525b6420cdd10b19c97268378f9ba252806a478da880ee9f38a864d73",
     "sstw/sst16-3-fixed8/verify":
         "61fe51352737fae9c698c02a398fd6af2306dec137de746752e088fb3b814188",
     "sstw/sst16-3-fixed8/infer":
         "92389f01a7184cfad65264488bee9bc321d4aa01f522b4653de92d52d6e114c8",
     "sstw/row8-2-float32/compress":
-        "030db3c7e2dde76dfa1d77b056c6aafedd4c1eeb5800e61dca7a122b52870687",
+        "e673ab4bfd4f395843f786d619c3c9f628ab21d7530f4f5cef21e466a8961e77",
     "sstw/row8-2-float32/decompress":
         "3d2dd427b718f321004769b53d46eff2f7dda9aa1aab1b8cbba6624c8266cb58",
     "sstw/row8-2-float32/report":
-        "65ab1acb1ace4c52f47a7dc925be739cf58d6b5a331d5568ffa772c95940ac80",
+        "2d7d2fad80b32a092385ff7318714c998426c988043e796c1cc7471f862a0844",
     "sstw/row8-2-float32/verify":
         "61fe51352737fae9c698c02a398fd6af2306dec137de746752e088fb3b814188",
     "sstw/row8-2-float32/infer":
         "518a4422e261e14408310ef8d3a44656374c214ae0d7d3a26dc83e0978e2f7cc",
     "npz/ternary/compress":
-        "53f9a119daaf347a113c0014247d5e23fe740ea52ba64b71b446d5904b14b78a",
+        "bdb9b85e9047294d2df7dcbc861b3e7c7d9c4aa7d0e096db47228a79ca4ba067",
     "npz/ternary/decompress":
         "f6c4ede90e09434bf4fe7eee78e5d58eb062805001bfbb0e84554d2c44759263",
     "npz/ternary/report":
-        "65f233447f492302dd173e9f9977168375cf284d2e2e33d191fab5c45b113d99",
+        "03c7c72c4c148dad4cf22b8da4d0ae5473a5cd22d08e8d43a62eedae7c34ff39",
     "npz/ternary/verify":
         "3dbd26fd89a66ba3e757a728e473190de80c01c60ddb0ae58e7fb066c47e6987",
     "npz/ternary/infer":
         "6cc8332d12b0d148c46ae26efde8af97a3298a95898769ee1f91ebde026f855e",
     "npz/sst16-3-fixed8/compress":
-        "0813a95db53bf966923c2ef1457a325c1d50d094dddd0f4ce0dab6aff7a60864",
+        "c3fc24fc370b923517f9347f3f96b1305b6d0fc107528b6066551e4929263574",
     "npz/sst16-3-fixed8/decompress":
         "516a1114d9447787433c6931a52634edf89576b49687879fa90ae804e6e1a2f5",
     "npz/sst16-3-fixed8/report":
-        "8f1e75fa7f241873a8a90f71e5ece054e665c7b83dd3440c0c384264dcd7c592",
+        "3126cc3778c6eaba588e8584c153e12bffbc483fcd0dc7d99555f0893f97b562",
     "npz/sst16-3-fixed8/verify":
         "30e12352345425f277137b13db7b1d5e28385da266b47ade9df14b94730fd234",
     "npz/sst16-3-fixed8/infer":
         "ec14ae87ace5a41932bd645d3b37a21664da08e24bfa71511ece1b60f0cc488a",
     "npz/row8-2-float32/compress":
-        "a5a4360a4e761d0cc0d22e80367979c9f66262dd7bf2f9d3f09b85a0372e3aff",
+        "31c70512b14a17f14858c54cea406a010b70442199c4c89a7934be4fe1061c6e",
     "npz/row8-2-float32/decompress":
         "6d4c5177775776cf99c963ca7e53d2200d78342a8c27b6f7c7ebe0c2f8784b93",
     "npz/row8-2-float32/report":
-        "3bc81dc86d4ff03c2d3efe306f5074cf73a37cd93b0e18c54fbbb726313a5543",
+        "d845040d5be36f0617692d90909ea344c558264e8ee0d0f6ef31543ef445c14a",
     "npz/row8-2-float32/verify":
         "30e12352345425f277137b13db7b1d5e28385da266b47ade9df14b94730fd234",
     "npz/row8-2-float32/infer":
         "673ed70dc71b5b0a060c09e071ebb10496115231bd1b737713c3d01478bad273",
 }
 
-TABLES_DIGEST = "6266747dbed69b72617febca4c390966d8b35ebc5301e835b832fa503c3a7e4c"
+TABLES_DIGEST = "c8d024646815fc67fdfb9e33184a7aca307ffa4c0123b1883485d525d830047e"
 
 
 def _float_model_input(directory, kind):

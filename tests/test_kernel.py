@@ -90,16 +90,10 @@ def test_length_mismatch_rejected():
 
 def test_corrupt_index_rejected():
     layer = encode_layer(np.zeros((8, 2)), 1.0, LayerFormat("sst", CodeParams(8, 1)))
-    # 5-bit indices; force one to 31 > T-1 = 16
-    corrupted = layer.__class__(layer.format, layer.rows, layer.cols, layer.delta,
-                                bytes([0xF8, 0x00]), layer.bias, layer.normalizer)
-    message = "corrupt index 31 at stream position 0"
-    with pytest.raises(ValidationError, match=message):
-        CompressedFCLayer(corrupted, build_table(CodeParams(8, 1)))
-    with pytest.raises(ValidationError, match=message):
-        decode_layer(corrupted)
-    with pytest.raises(ValidationError, match=message):
-        compressed_forward(ModelFile(layers=[corrupted]), np.zeros((1, 2)))
+    # the two indices are one 9-bit word; force it to 496 >= T^2 = 289, so
+    # no layer holds it and the kernel never meets it
+    with pytest.raises(ValidationError, match="corrupt last word 496 at word 0"):
+        replace(layer, payload=bytes([0xF8, 0x00]))
 
 
 def test_matches_dense_oracle_exactly_integer_mode():
@@ -599,13 +593,17 @@ def test_warm_kernel_build_unpacks_no_indices():
     assert np.array_equal(comp.indices, layer_indices(layer))
 
 
-def test_corrupt_payload_raises_on_every_call(decoded_layers):
-    layer = replace(encode_layer(np.zeros((8, 2)), 1.0, LayerFormat("sst", CodeParams(8, 1))),
-                    payload=bytes([0xF8, 0x00]))  # index 31 > T-1 = 16
+def test_a_failing_decode_raises_on_every_call(decoded_layers, monkeypatch):
+    layer = encode_layer(np.zeros((8, 2)), 1.0, LayerFormat("sst", CodeParams(8, 1)))
     model = ModelFile(layers=[layer])
+
+    def fail(layer):
+        raise ValidationError("the decode failed")
+
+    monkeypatch.setattr(kernel, "layer_indices", fail)
     served = list(kernel._served_layers)
     for _ in range(3):
-        with pytest.raises(ValidationError, match="corrupt index 31 at stream position 0"):
+        with pytest.raises(ValidationError, match="the decode failed"):
             compressed_forward(model, np.zeros((1, 2)))
     # each call decodes again, and no failure enters the cache
     assert decoded_layers == [layer] * 3

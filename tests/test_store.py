@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sstc import bitpack, quantize, store
+from sstc import quantize, store
 from sstc.codes import CodeParams, address_bits, count_entries, grouped_shape
 from sstc.errors import ValidationError
 from sstc.prune import _groups_per_block, structured_prune
@@ -16,13 +16,13 @@ from sstc.quantize import find_step_size, quantize_weight
 from sstc.store import (BatchNormParams, EncodedLayer, LayerFormat, ModelFile,
                         WeightNormTag, compress_layer, compress_model, decode_layer,
                         deserialize_model,
-                        encode_layer, layer_indices, model_from_arrays,
+                        encode_layer, layer_indices, model_from_arrays, payload_bits,
                         read_model, serialize_model, storage_report,
                         write_model)
 
 from conftest import (argsort_sweep, block_shapes, chained, put_along_axis_prune,
                       random_layer, random_sst_trits, reference_decode, reference_encode,
-                      tie_heavy_weights)
+                      reference_group, reference_payload, tie_heavy_weights)
 
 
 ALL_CODES = [(16, 4), (16, 3), (16, 2), (8, 2), (8, 1), (4, 1)]
@@ -47,8 +47,9 @@ def test_sst_codec_zero_matrix():
 def test_sst_payload_size_large_layer():
     W = np.zeros((1024, 1024))
     layer = encode_layer(W, 1.0, LayerFormat("sst", CodeParams(8, 1)))
-    assert layer.payload_bit_length() == 655_360
-    assert len(layer.payload) == 81_920
+    # 131,072 indices: 11,915 words of 11 at 45 bits, then 7 in bitlen(17^7 - 1) = 29
+    assert layer.payload_bit_length() == 11_915 * 45 + 29 == 536_204
+    assert len(layer.payload) == 67_026
 
 
 def test_worked_subvector_example():
@@ -208,7 +209,8 @@ def test_ternary2bit_roundtrip():
     rng = np.random.default_rng(1)
     W = rng.integers(-1, 2, size=(7, 5)) * 0.75
     layer = encode_layer(W, 0.75, LayerFormat("ternary2bit"))
-    assert layer.payload_bit_length() == 2 * 35
+    # 29 trits in 46 bits, then 6 in bitlen(3^6 - 1) = 10
+    assert layer.payload_bit_length() == 46 + 10
     assert np.array_equal(decode_layer(layer), W)
 
 
@@ -528,7 +530,7 @@ def test_read_model_parses_the_file_as_deserialize_model_parses_its_bytes(tmp_pa
 
 def test_write_model_writes_the_serialized_bytes_or_nothing(tmp_path):
     rng = np.random.default_rng(21)
-    model = ModelFile(layers=[encode_layer(*random_layer(rng)) for _ in range(6)],
+    model = ModelFile(layers=chained([encode_layer(*random_layer(rng)) for _ in range(6)]),
                       metadata={"note": "streamed"})
     path = tmp_path / "model.sstw"
     write_model(model, path)
@@ -545,37 +547,43 @@ def test_payload_bit_formulas():
     params = CodeParams(8, 2)
     W = random_sst_trits(rng, 16, 10, params) * 0.5
     layer = encode_layer(W, 0.5, LayerFormat("sst", params))
-    assert layer.payload_bit_length() == (16 * 10 // 8) * address_bits(params)
+    # 20 indices: 2 words of 9 at 64 bits, then 2 in bitlen(129^2 - 1) = 15
+    assert layer.payload_bit_length() == 2 * 64 + 15
     t = encode_layer(W, 0.5, LayerFormat("ternary2bit"))
-    assert t.payload_bit_length() == 2 * 16 * 10
+    # 160 trits: 5 words of 29 at 46 bits, then 15 in bitlen(3^15 - 1) = 24
+    assert t.payload_bit_length() == 5 * 46 + 24
+    assert payload_bits(layer.format, 16, 10) == layer.payload_bit_length()
 
 
-def test_bits_per_weight_equal_address_bits_over_n():
-    expected = {(4, 1): 1.0, (8, 1): 0.625, (8, 2): 1.0,
-                (16, 2): 0.625, (16, 3): 0.8125, (16, 4): 1.0}
-    for (n, k), bpw in expected.items():
+def test_bits_per_weight_are_word_bits_over_g_n():
+    # (g, w) per code: g indices per w-bit word, so w / (g n) bits per weight
+    words = {(4, 1): (17, 54), (8, 1): (11, 45), (8, 2): (9, 64),
+             (16, 2): (7, 64), (16, 3): (3, 37), (16, 4): (4, 61)}
+    for (n, k), (g, w) in words.items():
         params = CodeParams(n, k)
-        W = np.zeros((n * 4, 8))
-        layer = encode_layer(W, 1.0, LayerFormat("sst", params))
-        assert layer.payload_bit_length() / layer.weight_count == bpw
-        assert address_bits(params) / n == bpw
+        assert reference_group(params) == g
+        layer = encode_layer(np.zeros((n * g, 8)), 1.0, LayerFormat("sst", params))
+        assert layer.payload_bit_length() == 8 * w
+        assert layer.payload_bit_length() / layer.weight_count < address_bits(params) / n
 
 
 def test_storage_report_single_sst_layer():
     W = np.zeros((1024, 1024))
     layer = encode_layer(W, 1.0, LayerFormat("sst", CodeParams(8, 1)))
     report = storage_report(ModelFile(layers=[layer]))
-    assert report.layers[0].payload_bits == 81_920 * 8
+    assert report.layers[0].payload_bits == 536_204
     assert report.table_bits == 272
     assert report.float_bits == 1024 * 1024 * 32
-    assert report.ratio == pytest.approx(4_194_304 / (81_920 + 34), rel=1e-6)
+    assert report.ratio == pytest.approx(1024 * 1024 * 32 / (536_204 + 272), rel=1e-12)
 
 
-def test_storage_report_ternary_is_16x():
+def test_storage_report_ternary_is_over_20x():
     W = np.zeros((1024, 1024))
     layer = encode_layer(W, 1.0, LayerFormat("ternary2bit"))
     report = storage_report(ModelFile(layers=[layer]))
-    assert report.ratio == 16.0
+    # 2^20 trits: 36,157 words of 29 at 46 bits, then 23 in bitlen(3^23 - 1) = 37
+    assert report.compressed_bits == 36_157 * 46 + 37
+    assert report.ratio == 32 * 2**20 / (36_157 * 46 + 37) > 20
 
 
 def test_storage_report_excluding_table_matches_index_rate():
@@ -583,8 +591,8 @@ def test_storage_report_excluding_table_matches_index_rate():
     W = np.zeros((64, 64))
     layer = encode_layer(W, 1.0, LayerFormat("sst", params))
     report = storage_report(ModelFile(layers=[layer]), include_tables=False)
-    per_weight = report.compressed_bits / (64 * 64)
-    assert per_weight == address_bits(params) / params.n
+    # 512 indices: 46 words of 11 at 45 bits, then 6 in bitlen(17^6 - 1) = 25
+    assert report.compressed_bits == layer.payload_bit_length() == 46 * 45 + 25
 
 
 def test_storage_report_counts_shared_table_once():
@@ -604,7 +612,8 @@ def test_storage_report_bias_and_normalizer_toggles():
     full = storage_report(model)
     lean = storage_report(model, include_bias=False, include_normalizers=False)
     assert full.compressed_bits == lean.compressed_bits + 32 * 8 + 32 * 32
-    assert lean.ratio == 16.0
+    # 64 trits: 2 words of 29 at 46 bits, then 6 in bitlen(3^6 - 1) = 10
+    assert lean.ratio == 32 * 64 / (2 * 46 + 10)
 
 
 @pytest.mark.parametrize("bias_len", [1, 7])
@@ -846,9 +855,9 @@ def _random_indices_layer(rng, params, orientation):
                                                                            groups * params.n)
     idx = rng.integers(0, count_entries(params), size=rows * cols // params.n)
     idx[:2] = [0, count_entries(params) - 1][:idx.size]
-    payload = bitpack.pack_indices(idx, address_bits(params))
     delta = float(np.float32(rng.uniform(1e-3, 3.0)))
-    return EncodedLayer(LayerFormat("sst", params, orientation), rows, cols, delta, payload)
+    return EncodedLayer(LayerFormat("sst", params, orientation), rows, cols, delta,
+                        reference_payload(idx, params))
 
 
 @pytest.mark.parametrize("orientation", ["column", "row"])
@@ -894,3 +903,22 @@ def test_compress_layer_rejects_what_the_pipeline_rejects():
         compress_layer(np.zeros((8, 8)), fmt)
     with pytest.raises(ValidationError, match="not divisible by n=4"):
         compress_layer(np.ones((6, 8)), fmt)
+
+
+def test_serialize_and_write_model_reject_layers_that_do_not_chain(tmp_path):
+    # read_model rejects such a file, so neither writer may make one
+    layers = [encode_layer(np.ones((4, 3)), None, LayerFormat("float32")),
+              encode_layer(np.ones((2, 5)), None, LayerFormat("float32"))]
+    model = ModelFile(layers=layers, metadata={"layer_names": ["a", "b"]})
+    message = r"^layer 1 \(b\) expects 5 inputs, layer 0 \(a\) emits 4$"
+    with pytest.raises(ValidationError, match=message):
+        serialize_model(model)
+    path = tmp_path / "m.sstw"
+    path.write_bytes(b"an earlier model")
+    with pytest.raises(ValidationError, match=message):
+        write_model(model, path)
+    assert path.read_bytes() == b"an earlier model"
+    assert [p.name for p in tmp_path.iterdir()] == ["m.sstw"]
+    with pytest.raises(ValidationError, match="^layer 1 expects 5 inputs, layer 0 emits 4$"):
+        write_model(ModelFile(layers=layers), tmp_path / "other.sstw")
+    assert [p.name for p in tmp_path.iterdir()] == ["m.sstw"]
