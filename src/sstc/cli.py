@@ -379,7 +379,7 @@ def build_parser():
         p.add_argument("--format", choices=("human", "records"), default="human")
         return p
 
-    p = add("tables", cmd_tables, "print entry counts, table sizes, and address widths")
+    p = add("tables", cmd_tables, "print entry counts, table sizes, address and packed widths")
     p.add_argument("--codes", help="semicolon-separated N,K list (default: the six standard codes)")
 
     p = add("compress", cmd_compress, "prune, quantize, and encode a float model")

@@ -329,7 +329,8 @@ def unrank_grouped(grid, params: CodeParams, scale, out=None) -> np.ndarray:
     (rows, cols) it is the C-ordered matrix of a payload's indices laid out
     by `from_payload_order`.  When given, ``out`` is that (B, n, C) array,
     filled and returned.  Every index must lie in [0, T); this is not
-    checked here (`store.layer_indices` checks a payload's indices).
+    checked here (`store.EncodedLayer` checks a payload's words, and so
+    its indices, as it is built).
     """
     trits = _unrank(np.asarray(grid), params)
     if out is None:

@@ -3,12 +3,11 @@
 Each file holds a 16x12 (8,1) column layer with bias and batch norm, then a
 4x16 layer in one of four formats, with stored names.  A mutated file must
 either be rejected with a `ValidationError` at load, or load and
-re-serialize to its own bytes; a loaded model then serves finite output,
-or raises a `ValidationError` that names the layer.  Nothing else may be
-raised, and no warning may be issued.
+re-serialize to its own bytes; a loaded model then serves finite output.
+Every index is checked at load, so nothing may be raised at forward, and
+no warning may be issued.
 """
 
-import re
 import warnings
 
 import numpy as np
@@ -64,12 +63,7 @@ def _outcome(blob: bytes) -> str:
     except ValidationError:
         return "rejected"
     assert serialize_model(model) == blob
-    try:
-        out = compressed_forward(model, _X)
-    except ValidationError as exc:
-        assert re.match(r"layer [01]\b", str(exc)), str(exc)
-        return "forward error"
-    assert np.isfinite(out).all()
+    assert np.isfinite(compressed_forward(model, _X)).all()
     return "served"
 
 
@@ -88,8 +82,7 @@ def test_mutated_files_are_rejected_or_load_and_serve(kind):
 
 
 def test_commands_reject_mutated_files_with_one_error_line(tmp_path, capsys):
-    # the first six rejected files; a corrupt index is rejected at load, so
-    # no mutation reaches forward as an error
+    # the first six rejected files
     blob = _model_bytes(SECOND_FORMATS["ternary2bit"])
     paths = []
     for name, mutated in _mutations(blob, seed=31):
